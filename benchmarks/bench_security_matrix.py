@@ -49,7 +49,7 @@ def test_security_matrix(benchmark):
     # Coverage vs overhead Pareto: every registered mechanism with a
     # timing lowering gets a point; cheri stays coverage-only.
     coverage = ScenarioCoverage.from_matrix(matrix)
-    suite = ExperimentSuite(RunSettings(instructions=12000, kernel="fast"))
+    suite = ExperimentSuite(RunSettings(instructions=12000))
     pareto = run_security_pareto(coverage, suite)
     mechanisms = {point["mechanism"] for point in pareto.points}
     assert {"cryptsan", "pacsan", "pactight", "pacstack"} <= mechanisms

@@ -47,7 +47,6 @@ from .experiments.ablations import (
     ablation_quarantine,
     ablation_resize,
 )
-from .kernel import KERNELS
 from .obs import ObsSettings, PhaseProfiler
 from .security import run_security_analysis
 from .supervise import trap_signals
@@ -127,25 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true",
         help="reduced sweep: 3 workloads, short windows, small fig11 sample, "
         "quick faultinject campaign (CI smoke shape)",
-    )
-    parser.add_argument(
-        "--kernel", choices=list(KERNELS), default="reference",
-        help="simulation kernel: 'reference' (readable scoreboard model), "
-        "'fast' (flattened transcription, byte-identical results, ~2x+ "
-        "faster) or 'specialized' (trace-speculative generated code, "
-        "guarded fallback to reference; see tests/test_kernel_equivalence.py)",
-    )
-    parser.add_argument(
-        "--batch", choices=["auto", "never", "always"], default="auto",
-        help="cross-cell lockstep batching of simulation cells (specialized "
-        "kernel only; 'auto' batches exactly when --kernel specialized)",
-    )
-    parser.add_argument(
-        "--guard-inject", default="", metavar="SPEC",
-        help="deterministic specialization guard-failure injection: 'entry' "
-        "or 'after:<N>', optionally '@<substr>'-filtered by program name; "
-        "forces the reference-kernel fallback path (testing/CI seam, also "
-        "via $REPRO_GUARD_INJECT)",
     )
     obs = parser.add_argument_group("observability options")
     obs.add_argument(
@@ -509,9 +489,8 @@ def run_trace(args, profiler: PhaseProfiler) -> str:
         lowered = lower_trace(trace, args.mechanism, config=config)
     with profiler.phase("simulate"):
         # The trace artifact needs the event ring, which only the reference
-        # kernel feeds; Simulator routes traced runs there regardless of
-        # --kernel, so pass the flag through for the untraced portions.
-        result = Simulator(config, obs=obs, kernel=args.kernel).run(lowered)
+        # kernel feeds; Simulator routes traced runs there.
+        result = Simulator(config, obs=obs).run(lowered)
     with profiler.phase("report"):
         tracer = obs.tracer
         dump_chrome_trace(
@@ -631,18 +610,15 @@ def run_trace_import(args, profiler: PhaseProfiler) -> int:
             instructions=args.instructions,
             seed=args.seed,
             scale=args.scale,
-            kernel=args.kernel,
-            guard_inject=args.guard_inject,
         ),
         jobs=args.jobs,
         cache=artifact_cache_from_args(args),
-        batch=args.batch,
     )
     with profiler.phase("simulate"):
         name = suite.ingest_trace(args.target)
         result = suite.result(name, args.mechanism)
         line = (
-            f"simulated {name} under {args.mechanism} ({args.kernel} kernel): "
+            f"simulated {name} under {args.mechanism}: "
             f"{result.instructions} instructions, {result.cycles:.0f} cycles "
             f"(IPC {result.ipc:.2f})"
         )
@@ -730,8 +706,7 @@ def format_mechanism_table() -> str:
     rows = []
     for spec in REGISTRY.specs():
         rows.append(
-            f"  {spec.name:<10s} lowering={spec.lowering or '-':<9s} "
-            f"kernel={'yes' if spec.kernel else 'no ':<3s} {spec.description}"
+            f"  {spec.name:<10s} lowering={spec.lowering or '-':<9s} {spec.description}"
         )
     return "\n".join(
         [f"registered mechanisms ({len(rows)}), registry order:"]
@@ -767,7 +742,6 @@ def run_mechanisms(args) -> int:
                     "description": spec.description,
                     "paper": spec.paper,
                     "lowering": spec.lowering,
-                    "kernel": spec.kernel,
                     "cache_token": spec.cache_token,
                     "detects": [exc.__name__ for exc in spec.detects],
                     "hwcost": dict(spec.hwcost),
@@ -828,12 +802,9 @@ def run_attack(args, profiler: PhaseProfiler) -> int:
                 instructions=args.instructions,
                 seed=args.seed,
                 scale=args.scale,
-                kernel=args.kernel,
-                guard_inject=args.guard_inject,
             ),
             jobs=args.jobs,
             cache=artifact_cache_from_args(args),
-            batch=args.batch,
         )
         with profiler.phase("pareto"):
             pareto = run_security_pareto(
@@ -1168,14 +1139,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             obs=ObsSettings(enabled=True, tracing=False)
             if args.metrics
             else ObsSettings(),
-            kernel=args.kernel,
-            guard_inject=args.guard_inject,
         ),
         jobs=args.jobs,
         cache=artifact_cache_from_args(args),
         supervise=supervisor_config(args),
         paranoid=args.paranoid,
-        batch=args.batch,
     )
     if args.trace:
         from .errors import TraceFormatError

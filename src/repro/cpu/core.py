@@ -9,7 +9,6 @@ statistics, BWB hit rate, and HBT resize counts.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional
 
@@ -20,11 +19,6 @@ from ..isa.program import Program
 from ..kernel import validate_kernel
 from ..kernel.fast import run_fast
 from .pipeline import PipelineModel, PipelineResult
-
-#: Environment fallback for the guard-injection seam (tests/CI); the
-#: ``Simulator(guard_inject=...)`` / ``RunSettings.guard_inject`` parameter
-#: takes precedence when non-empty.
-GUARD_INJECT_ENV = "REPRO_GUARD_INJECT"
 
 if TYPE_CHECKING:
     from ..obs import Observability
@@ -70,24 +64,19 @@ class Simulator:
         self,
         config: SystemConfig,
         obs: Optional["Observability"] = None,
-        kernel: str = "reference",
-        guard_inject: str = "",
+        kernel: str = "fast",
     ) -> None:
         self.config = config
         #: Observability handle threaded into every component of a run;
         #: ``None`` (the default) keeps the simulator uninstrumented.
         self.obs = obs
-        #: Which simulation kernel executes the program: ``"reference"``
-        #: (the readable PipelineModel), ``"fast"`` (the flattened
-        #: transcription in :mod:`repro.kernel.fast`), or ``"specialized"``
-        #: (trace-speculative generated code, :mod:`repro.kernel.specialize`)
-        #: — all byte-identical, enforced by tests/test_kernel_equivalence.py.
+        #: Which simulation kernel executes an untraced program: ``"fast"``
+        #: (the flattened transcription in :mod:`repro.kernel.fast`, the
+        #: production kernel) or ``"reference"`` (the readable
+        #: PipelineModel, the oracle tests and tools compare against).
+        #: Results are byte-identical, enforced by
+        #: tests/test_kernel_equivalence.py.
         self.kernel = validate_kernel(kernel)
-        #: Deterministic guard-failure injection for the specialized kernel
-        #: (see :func:`repro.kernel.specialize.parse_injection`); empty means
-        #: off.  Falls back to the ``REPRO_GUARD_INJECT`` environment
-        #: variable so CI can force the fallback path without code changes.
-        self.guard_inject = guard_inject or os.environ.get(GUARD_INJECT_ENV, "")
 
     def run(self, lowered, inspect=None) -> SimulationResult:
         """Simulate one lowered workload; returns the full measurement set.
@@ -101,82 +90,6 @@ class Simulator:
         ``--paranoid`` invariant oracle audits through (either argument may
         be None for unprotected mechanisms).  An exception it raises
         propagates: a failed audit must fail the cell, not be summarized.
-        """
-        program, name, hierarchy, mcu, va_mask, hbt = self._wire(lowered)
-        obs = self.obs
-
-        # Event tracing is only wired through the reference kernel (a traced
-        # run is a debugging run, not a perf run); the fast and specialized
-        # kernels cover untraced and metrics-only observability.
-        traced = obs is not None and obs.tracer is not None
-        if self.kernel == "fast" and not traced:
-            result = run_fast(self.config, hierarchy, mcu, va_mask, obs, program)
-        elif self.kernel == "specialized" and not traced:
-            result, hierarchy, mcu, hbt = self._run_specialized(
-                lowered, program, name, hierarchy, mcu, va_mask, hbt
-            )
-        else:
-            pipeline = PipelineModel(
-                self.config, hierarchy, mcu=mcu, va_mask=va_mask, obs=obs
-            )
-            result = pipeline.run(program)
-        if inspect is not None:
-            inspect(mcu, hbt)
-        return self._assemble(result, name, hierarchy, mcu, hbt)
-
-    def _assemble(self, result, name, hierarchy, mcu, hbt) -> SimulationResult:
-        """Fold one drained run's component state into a SimulationResult."""
-        sim = SimulationResult(
-            name=name,
-            mechanism=self.config.mechanism,
-            cycles=result.cycles,
-            instructions=result.instructions,
-            pipeline=result,
-            l1_l2_bytes=hierarchy.traffic.l1_l2_bytes,
-            l2_dram_bytes=hierarchy.traffic.l2_dram_bytes,
-            cache_summary=hierarchy.summary(),
-            validation_faults=result.validation_faults,
-        )
-        if mcu is not None:
-            sim.bounds_accesses_per_check = mcu.stats.accesses_per_check
-            if mcu.bwb is not None:
-                sim.bwb_hit_rate = mcu.bwb.stats.hit_rate
-            # hbt.stats counts both preamble (pre-window program history)
-            # and in-window resizes — matching the paper's whole-run count.
-            sim.hbt_resizes = hbt.stats.resizes
-            sim.bounds_forwards = mcu.stats.forwards
-
-        obs = self.obs
-        if obs is not None:
-            # Bulk harvest: one pass over the components' stats dataclasses
-            # after the pipeline drains, then a JSON-able snapshot.
-            registry = obs.registry
-            hierarchy.publish_metrics(registry)
-            result.publish_metrics(registry)
-            if mcu is not None:
-                mcu.publish_metrics(registry)
-            if obs.tracer is not None:
-                # Stamp any post-run events at the final commit cycle.
-                obs.tracer.cycle = result.cycles
-                obs.tracer.emit(
-                    "run.done",
-                    instructions=result.instructions,
-                    mechanism=self.config.mechanism,
-                    workload=name,
-                )
-            sim.metrics = obs.snapshot()
-        return sim
-
-    # ------------------------------------------------------------- plumbing
-
-    def _wire(self, lowered):
-        """Build the fresh per-run machine state for one lowered workload.
-
-        Called once per run, and a second time when a specialization guard
-        aborts: the aborted attempt's partially-mutated hierarchy/MCU/HBT
-        are discarded wholesale and the reference rerun starts from the same
-        pristine state (``lowered.hbt`` hands out a fresh pre-warmed clone
-        on every access).
         """
         if isinstance(lowered, Program):
             program = lowered
@@ -212,57 +125,56 @@ class Simulator:
             # The HBT is built at lowering time, before this run's obs
             # exists; attach it here so resize events are cycle-stamped.
             hbt.set_obs(obs)
-        return program, name, hierarchy, mcu, va_mask, hbt
 
-    def _run_specialized(self, lowered, program, name, hierarchy, mcu, va_mask, hbt):
-        """Execute via the trace-speculative kernel (train / run / fall back).
-
-        - **no specialization cached**: this is the training run — execute
-          the fast kernel (byte-identical by contract), summarize what it
-          saw into a :class:`~repro.kernel.specialize.TraceProfile`, compile
-          the specialization for subsequent runs, and return the training
-          result directly;
-        - **cached**: run the generated kernel; any
-          :class:`~repro.kernel.specialize.GuardAbort` (including the
-          injection seam) is counted (``kernel.guard_abort``), the mutated
-          state is discarded, and the cell reruns from pristine state on the
-          reference kernel.
-        """
-        from ..kernel import specialize as spec_mod
-        from ..kernel.flatten import flatten_program
-
-        obs = self.obs
-        spec = spec_mod.lookup(name, self.config)
-        if spec is None:
-            entry_resizing = hbt.resizing if hbt is not None else False
-            entry_ways = hbt.ways if hbt is not None else 0
-            entry_migrated = hbt.stats.migrated_rows if hbt is not None else 0
+        # Event tracing is only wired through the reference kernel (a traced
+        # run is a debugging run, not a perf run); every other run takes the
+        # fast kernel unless a test asked for the oracle.
+        if self.kernel == "fast" and (obs is None or obs.tracer is None):
             result = run_fast(self.config, hierarchy, mcu, va_mask, obs, program)
-            saw_fault = result.validation_faults > 0
-            saw_resize = hbt is not None and (
-                entry_resizing
-                or hbt.resizing
-                or hbt.ways != entry_ways
-                or hbt.stats.migrated_rows > entry_migrated
-            )
-            profile = spec_mod.build_profile(
-                flatten_program(program), self.config, hierarchy, mcu,
-                va_mask, saw_fault, saw_resize,
-            )
-            spec_mod.specialize(name, self.config, hierarchy, mcu, va_mask, profile)
-            spec_mod.STATS.trainings += 1
-            return result, hierarchy, mcu, hbt
-
-        try:
-            result = spec_mod.run_specialized(
-                spec, self.config, hierarchy, mcu, va_mask, program,
-                inject=self.guard_inject,
-            )
-            return result, hierarchy, mcu, hbt
-        except spec_mod.GuardAbort as exc:
-            spec_mod.record_abort(exc, obs)
-            program, name, hierarchy, mcu, va_mask, hbt = self._wire(lowered)
+        else:
             pipeline = PipelineModel(
                 self.config, hierarchy, mcu=mcu, va_mask=va_mask, obs=obs
             )
-            return pipeline.run(program), hierarchy, mcu, hbt
+            result = pipeline.run(program)
+        if inspect is not None:
+            inspect(mcu, hbt)
+
+        sim = SimulationResult(
+            name=name,
+            mechanism=self.config.mechanism,
+            cycles=result.cycles,
+            instructions=result.instructions,
+            pipeline=result,
+            l1_l2_bytes=hierarchy.traffic.l1_l2_bytes,
+            l2_dram_bytes=hierarchy.traffic.l2_dram_bytes,
+            cache_summary=hierarchy.summary(),
+            validation_faults=result.validation_faults,
+        )
+        if mcu is not None:
+            sim.bounds_accesses_per_check = mcu.stats.accesses_per_check
+            if mcu.bwb is not None:
+                sim.bwb_hit_rate = mcu.bwb.stats.hit_rate
+            # hbt.stats counts both preamble (pre-window program history)
+            # and in-window resizes — matching the paper's whole-run count.
+            sim.hbt_resizes = hbt.stats.resizes
+            sim.bounds_forwards = mcu.stats.forwards
+
+        if obs is not None:
+            # Bulk harvest: one pass over the components' stats dataclasses
+            # after the pipeline drains, then a JSON-able snapshot.
+            registry = obs.registry
+            hierarchy.publish_metrics(registry)
+            result.publish_metrics(registry)
+            if mcu is not None:
+                mcu.publish_metrics(registry)
+            if obs.tracer is not None:
+                # Stamp any post-run events at the final commit cycle.
+                obs.tracer.cycle = result.cycles
+                obs.tracer.emit(
+                    "run.done",
+                    instructions=result.instructions,
+                    mechanism=self.config.mechanism,
+                    workload=name,
+                )
+            sim.metrics = obs.snapshot()
+        return sim

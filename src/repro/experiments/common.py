@@ -39,7 +39,6 @@ from ..compiler import LoweredWorkload, lower_trace
 from ..cpu.core import SimulationResult, Simulator
 from ..cpu.pipeline import PipelineResult
 from ..faults.checkpoint import CheckpointStore
-from ..kernel import validate_kernel
 from ..obs import ObsSettings, merge_snapshots
 from ..workloads import WorkloadTrace, generate_trace, get_profile
 
@@ -67,31 +66,12 @@ class RunSettings:
     part of the settings — and therefore of every cache fingerprint — so
     metric-bearing results are never conflated with plain ones in the
     artifact cache or a checkpoint.
-
-    ``kernel`` selects the simulation kernel (``"reference"``, ``"fast"``
-    or ``"specialized"``, see :mod:`repro.kernel`).  Being a settings field
-    it flows into workers and cache fingerprints, so cached artifacts are
-    keyed by the kernel that produced them even though the kernels are
-    result-equivalent by contract.
-
-    ``guard_inject`` is the specialized kernel's deterministic
-    guard-failure injection seam (see
-    :func:`repro.kernel.specialize.parse_injection`): ``""`` (off),
-    ``"entry"`` or ``"after:<N>"``, optionally ``"@<substr>"``-filtered by
-    program name.  Cells it fires on abort to the reference kernel and
-    count ``kernel.guard_abort`` — the seam tests and CI prove the
-    fallback with.
     """
 
     instructions: int = 60_000
     seed: int = 7
     scale: int = 8
     obs: ObsSettings = ObsSettings()
-    kernel: str = "reference"
-    guard_inject: str = ""
-
-    def __post_init__(self) -> None:
-        validate_kernel(self.kernel)
 
 
 def scaled_config(mechanism: str, scale: int) -> SystemConfig:
@@ -129,17 +109,6 @@ def scaled_config(mechanism: str, scale: int) -> SystemConfig:
     return dataclasses.replace(config, memory=memory)
 
 
-def settings_to_payload(settings: RunSettings) -> dict:
-    """JSON-able form of :class:`RunSettings` (queue campaign configs)."""
-    return dataclasses.asdict(settings)
-
-
-def settings_from_payload(payload: dict) -> RunSettings:
-    data = dict(payload)
-    data["obs"] = ObsSettings(**data.get("obs", {}))
-    return RunSettings(**data)
-
-
 def _result_to_payload(result: SimulationResult) -> dict:
     """JSON-able form of a :class:`SimulationResult` (nested dataclasses)."""
     return dataclasses.asdict(result)
@@ -162,16 +131,8 @@ class ExperimentSuite:
         cache: Union[None, str, Path, "ArtifactCache"] = None,
         supervise=None,
         paranoid: bool = False,
-        batch: str = "auto",
     ) -> None:
-        """``batch`` controls cross-cell lockstep batching on
-        :meth:`ensure_cells` prefetches (see
-        :func:`repro.experiments.parallel.run_cells`): ``"auto"`` (the
-        default) batches exactly when ``settings.kernel ==
-        "specialized"``, ``"never"`` forces per-cell runs, ``"always"``
-        forces the batch driver regardless of the settings kernel.
-
-        ``supervise`` attaches the supervision layer to every
+        """``supervise`` attaches the supervision layer to every
         :meth:`ensure_cells` fan-out: ``True`` for the default
         :class:`~repro.supervise.SupervisorConfig`, or a config instance
         for custom deadlines/retry policy.  Each supervised prefetch
@@ -188,7 +149,6 @@ class ExperimentSuite:
         self.settings = settings
         self.jobs = max(1, int(jobs))
         self.paranoid = bool(paranoid)
-        self.batch = batch
         self._supervise = None
         if supervise:
             from ..supervise import SupervisorConfig
@@ -223,7 +183,6 @@ class ExperimentSuite:
                         "instructions": settings.instructions,
                         "seed": settings.seed,
                         "scale": settings.scale,
-                        "kernel": settings.kernel,
                     },
                 )
             for key, payload in self._checkpoint.items():
@@ -349,12 +308,7 @@ class ExperimentSuite:
                     )
                 # A fresh Observability per cell: metric snapshots stay
                 # per-cell and identical to what a pool worker returns.
-                result = Simulator(
-                    config,
-                    obs=self.settings.obs.create(),
-                    kernel=self.settings.kernel,
-                    guard_inject=self.settings.guard_inject,
-                ).run(
+                result = Simulator(config, obs=self.settings.obs.create()).run(
                     lowered, inspect=inspect
                 )
                 self._store_in_cache(workload, mechanism, config, key, result)
@@ -485,11 +439,7 @@ class ExperimentSuite:
             self.supervision_reports.append(report)
         else:
             computed = run_cells(
-                self.settings,
-                pending,
-                jobs=self.jobs,
-                paranoid=self.paranoid,
-                batch=self.batch,
+                self.settings, pending, jobs=self.jobs, paranoid=self.paranoid
             )
         for cell in pending:
             if cell.cache_key not in computed:

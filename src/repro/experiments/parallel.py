@@ -152,7 +152,7 @@ def cell_fingerprint(settings: RunSettings, cell: CellSpec) -> str:
     settings: the file's bytes fully determine the program, so the same
     trace imported under any alias or ``--instructions`` value hits the
     same cache entry, while settings that *do* change the result
-    (configuration, observability, kernel) stay in the key.
+    (configuration, observability) stay in the key.
     """
     config = cell.resolved_config(settings)
     if cell.trace_digest is not None:
@@ -167,7 +167,6 @@ def cell_fingerprint(settings: RunSettings, cell: CellSpec) -> str:
                 "mechanism_token": _mechanism_cache_token(cell.mechanism),
                 "config": dataclasses.asdict(config),
                 "obs": dataclasses.asdict(settings.obs),
-                "kernel": settings.kernel,
             }
         )
         return hashlib.sha256(body.encode()).hexdigest()
@@ -465,54 +464,7 @@ def simulate_cell(
         from ..supervise.oracle import InvariantOracle
 
         inspect = InvariantOracle().inspector(supervised_cell_key(cell))
-    return Simulator(
-        config,
-        obs=settings.obs.create(),
-        kernel=settings.kernel,
-        guard_inject=settings.guard_inject,
-    ).run(lowered, inspect=inspect)
-
-
-def batch_simulate_cells(
-    settings: RunSettings,
-    cells: List[CellSpec],
-    paranoid: bool = False,
-) -> List[SimulationResult]:
-    """Run ``cells`` through the cross-cell lockstep batch driver.
-
-    Builds the same trace → lowering → observability inputs
-    :func:`simulate_cell` would per cell, then advances every cell's
-    specialized kernel in lockstep via :func:`repro.kernel.batch.run_batch`
-    — byte-identical to per-cell runs, but amortising the driver loop and
-    training each (profile × mechanism) specialization once per batch.
-    """
-    from ..kernel.batch import BatchCell, run_batch
-
-    batch: List[BatchCell] = []
-    for cell in cells:
-        config = cell.resolved_config(settings)
-        if cell.trace_path is not None:
-            from ..traces import import_trace
-
-            trace = import_trace(cell.trace_path)
-        else:
-            trace = generate_cell_trace(settings, cell.workload)
-        inspect = None
-        if paranoid:
-            from ..supervise.oracle import InvariantOracle
-
-            inspect = InvariantOracle().inspector(supervised_cell_key(cell))
-        batch.append(
-            BatchCell(
-                label=supervised_cell_key(cell),
-                config=config,
-                lowered=lower_trace(trace, cell.mechanism, config=config),
-                obs=settings.obs.create(),
-                guard_inject=settings.guard_inject,
-                inspect=inspect,
-            )
-        )
-    return run_batch(batch)
+    return Simulator(config, obs=settings.obs.create()).run(lowered, inspect=inspect)
 
 
 def _cell_worker(args: Tuple) -> SimulationResult:
@@ -521,11 +473,6 @@ def _cell_worker(args: Tuple) -> SimulationResult:
     settings, cell = args[0], args[1]
     paranoid = bool(args[2]) if len(args) > 2 else False
     return simulate_cell(settings, cell, paranoid=paranoid)
-
-
-def _batch_worker(args: Tuple) -> List[SimulationResult]:
-    settings, shard, paranoid = args
-    return batch_simulate_cells(settings, list(shard), paranoid=paranoid)
 
 
 def _trace_worker(args: Tuple[RunSettings, str]) -> WorkloadTrace:
@@ -566,56 +513,20 @@ def _fan_out(
     return [by_index[index] for index in range(len(items))]
 
 
-#: ``batch=`` values accepted by :func:`run_cells`.
-BATCH_MODES = ("auto", "never", "always")
-
-
 def run_cells(
     settings: RunSettings,
     cells: Iterable[CellSpec],
     jobs: int = 1,
     progress: Optional[Callable[[CellSpec], None]] = None,
     paranoid: bool = False,
-    batch: str = "auto",
 ) -> Dict[Tuple[str, str], SimulationResult]:
     """Simulate ``cells``, sharded over ``jobs`` worker processes.
 
     Returns ``{cell.cache_key: SimulationResult}`` in input order.  With
     ``jobs=1`` this is exactly the serial loop; with ``jobs>1`` each worker
     rebuilds its cell from the picklable spec, so results are identical.
-
-    ``batch`` selects cross-cell lockstep batching
-    (:mod:`repro.kernel.batch`): ``"auto"`` batches exactly when
-    ``settings.kernel == "specialized"`` (the batch driver is that
-    kernel's lockstep surface), ``"never"`` keeps per-cell runs, and
-    ``"always"`` forces the batch driver.  Batched shards stay contiguous
-    in input order, so same-profile cells (seed sweeps) share one
-    training run per shard; results are byte-identical either way.
     """
-    if batch not in BATCH_MODES:
-        raise ValueError(
-            f"batch must be one of {', '.join(BATCH_MODES)}; got {batch!r}"
-        )
     cells = list(cells)
-    batched = batch == "always" or (
-        batch == "auto" and settings.kernel == "specialized"
-    )
-    if batched and cells:
-        if jobs <= 1 or len(cells) <= 1:
-            shards = [cells]
-        else:
-            width = -(-len(cells) // min(jobs, len(cells)))  # ceil division
-            shards = [cells[i:i + width] for i in range(0, len(cells), width)]
-        shard_results = _fan_out(
-            [(settings, shard, paranoid) for shard in shards],
-            _batch_worker,
-            jobs,
-        )
-        results = [result for shard in shard_results for result in shard]
-        if progress is not None:
-            for cell in cells:
-                progress(cell)
-        return {cell.cache_key: result for cell, result in zip(cells, results)}
     results = _fan_out(
         [(settings, cell, paranoid) for cell in cells],
         _cell_worker,

@@ -1,32 +1,26 @@
-"""Simulation kernels: reference semantics, fast path, and specialization.
+"""Simulation kernels: reference semantics and the fast path.
 
-Three kernels execute a lowered program:
+Two kernels execute a lowered program:
 
-- ``"reference"``   — :class:`repro.cpu.pipeline.PipelineModel`, the readable
-  scoreboard model that defines the simulator's semantics;
-- ``"fast"``        — :func:`repro.kernel.fast.run_fast`, a flattened/inlined
+- ``"reference"`` — :class:`repro.cpu.pipeline.PipelineModel`, the readable
+  scoreboard model that defines the simulator's semantics and serves as
+  the test oracle;
+- ``"fast"``      — :func:`repro.kernel.fast.run_fast`, a flattened/inlined
   transcription of the same arithmetic, byte-identical by contract
-  (``tests/test_kernel_equivalence.py``) and ~2x+ faster;
-- ``"specialized"`` — :mod:`repro.kernel.specialize`, trace-speculative
-  straight-line code generated from a training run (the first run of each
-  workload profile × mechanism trains via the fast kernel), guarded so any
-  behaviour outside the trained envelope falls back to the reference kernel
-  with byte-identical results.
+  (``tests/test_kernel_equivalence.py``) and ~3x faster.
 
-Cross-cell batching (:mod:`repro.kernel.batch`) is not a fourth kernel but a
-driver: it advances many specialized runs in lockstep from one loop.
-
-The kernel is selected per run via ``RunSettings.kernel`` (or the
-``--kernel`` CLI flag) and participates in artifact-cache fingerprints, so
-cached results never silently mix kernels.
+Every untraced run uses ``fast``; a run with an event tracer uses
+``reference``, the only kernel that emits trace events.  No setting
+chooses between them: :class:`repro.cpu.core.Simulator`'s ``kernel``
+argument exists so tests and tools can run the oracle.
 """
 
 from __future__ import annotations
 
 from ..errors import ConfigError
 
-#: Valid kernel names, reference first (the default).
-KERNELS = ("reference", "fast", "specialized")
+#: Valid kernel names, reference (the oracle) first.
+KERNELS = ("reference", "fast")
 
 
 def validate_kernel(name: str) -> str:

@@ -1,9 +1,9 @@
-"""Program flattening for the fast-path and specialized kernels.
+"""Program flattening for the fast-path kernel.
 
 The reference pipeline (:mod:`repro.cpu.pipeline`) touches several
 :class:`~repro.isa.instructions.Instruction` attributes per dynamic
 instruction (``op`` identity tests, ``address``, ``deps``, ``latency``,
-``mispredicted``).  The fast kernels instead walk preallocated parallel
+``mispredicted``).  The fast kernel instead walks preallocated parallel
 columns indexed by instruction position:
 
 - ``kinds``      — one dispatch code per instruction (``bytes``, so
@@ -17,19 +17,9 @@ columns indexed by instruction position:
   as-is: they are already tuples, and most are empty);
 - ``sizes``      — the ``bndstr`` allocation size.
 
-Two summary fields serve the trace-speculative kernel's entry guards
-(:mod:`repro.kernel.specialize`): ``kinds_present`` (which dispatch codes
-occur at all — a specialized kernel trained without e.g. ``wchk`` µops
-refuses a program that has them) and ``max_address`` (whether any operand
-carries metadata above the VA mask — the guard that lets unsigned programs
-drop the whole MCU check path).
-
-All columns are immutable (``bytes``/tuples): the flattened view is shared
-between kernels, cached on the program, and handed to generated code, so
-accidental mutation must raise rather than corrupt a later run.  Derived
-columns (precomputed cache indices, PAC/AHC decompositions, ...) are
-memoized per flattened program via :meth:`FlatProgram.derived`, keyed by
-the geometry that shaped them.
+All columns are immutable (``bytes``/tuples): the flattened view is cached
+on the program and reused by every later run of it, so accidental mutation
+must raise rather than corrupt a later run.
 
 Flattening is pure bookkeeping — no timing decision is made here — and is
 memoized on the (frozen, hashable-by-identity) :class:`Program` so repeated
@@ -38,8 +28,8 @@ runs of one lowered workload flatten once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, Hashable, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from ..isa.instructions import DEFAULT_LATENCY, Op
 from ..isa.program import Program
@@ -68,31 +58,6 @@ class FlatProgram:
     latencies: Tuple[float, ...]
     deps: Tuple[Tuple[int, ...], ...]
     sizes: Tuple[int, ...]
-    #: Which dispatch codes occur at least once (specialization entry guard).
-    kinds_present: FrozenSet[int]
-    #: Largest address operand (0 for an empty program) — compared against
-    #: the VA mask to decide whether any pointer carries signing metadata.
-    max_address: int
-    #: Memo for derived columns, keyed by whatever geometry produced them.
-    #: Lives on the flattened view so one program shared across kernels and
-    #: batch lanes computes each derived column once.
-    _derived: Dict[Hashable, Any] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-
-    def derived(self, key: Hashable, build: Callable[["FlatProgram"], Any]) -> Any:
-        """Return the derived column cached under ``key``, building once.
-
-        ``build(flat)`` runs at most once per key per flattened program;
-        builders must return immutable (or never-mutated) values, since the
-        result is shared across runs and batch lanes.
-        """
-        try:
-            return self._derived[key]
-        except KeyError:
-            value = build(self)
-            self._derived[key] = value
-            return value
 
 
 def _flatten(program: Program) -> FlatProgram:
@@ -140,8 +105,6 @@ def _flatten(program: Program) -> FlatProgram:
         latencies=tuple(latencies),
         deps=tuple(deps),
         sizes=tuple(sizes),
-        kinds_present=frozenset(kinds),
-        max_address=max(addresses) if addresses else 0,
     )
 
 

@@ -50,7 +50,6 @@ _SPECS = (
         description="unprotected glibc-style heap (normalisation denominator)",
         paper="Fig. 14 baseline",
         lowering="baseline",
-        kernel=True,
         oracle=ScenarioOracle(
             spatial=_E.KNOWN_ESCAPE,
             temporal=_E.KNOWN_ESCAPE,
@@ -70,7 +69,6 @@ _SPECS = (
         description="REST-style redzone trip-wires with a quarantine pool",
         paper="REST [8], §IV-C comparison",
         lowering="rest",
-        kernel=True,
         oracle=ScenarioOracle(
             spatial=_E.MAY_DETECT,   # redzone reach depends on stride
             temporal=_E.MAY_DETECT,  # quarantine poisoning
@@ -96,7 +94,6 @@ _SPECS = (
         description="PARTS-style pointer integrity only (no bounds/liveness)",
         paper="PARTS [21], §II-B",
         lowering="pa",
-        kernel=True,
         oracle=ScenarioOracle(
             spatial=_E.KNOWN_ESCAPE,  # pointer integrity only (§II)
             temporal=_E.KNOWN_ESCAPE,
@@ -115,7 +112,6 @@ _SPECS = (
         description="Arm-MTE/ADI-style 4-bit memory tagging",
         paper="§X (memory tagging)",
         lowering="mte",
-        kernel=True,
         oracle=ScenarioOracle(
             spatial=_E.MAY_DETECT,   # 4-bit tags: 1/16 collisions
             temporal=_E.MAY_DETECT,  # retag-on-free may collide
@@ -133,7 +129,6 @@ _SPECS = (
         description="CHERI-style capabilities (no timing lowering: new ISA)",
         paper="§X (capability machines)",
         lowering=None,
-        kernel=False,
         oracle=ScenarioOracle(
             spatial=_E.MUST_DETECT,
             temporal=_E.MAY_DETECT,  # revocation-sweep dependent
@@ -151,7 +146,6 @@ _SPECS = (
         description="Watchdog lock-and-key + bounds check µops",
         paper="Watchdog, Fig. 5a",
         lowering="watchdog",
-        kernel=True,
         oracle=ScenarioOracle(
             spatial=_E.MUST_DETECT,
             temporal=_E.MUST_DETECT,
@@ -169,7 +163,6 @@ _SPECS = (
         description="AOS bounds checking off the critical path (this paper)",
         paper="§IV-§V, Fig. 7",
         lowering="aos",
-        kernel=True,
         oracle=ScenarioOracle(
             spatial=_E.MUST_DETECT,
             temporal=_E.MUST_DETECT,
@@ -190,7 +183,6 @@ _SPECS = (
         description="AOS + PA integrity: autm on load closes §VII-C",
         paper="§VII-B, Fig. 13",
         lowering="pa+aos",
-        kernel=True,
         oracle=ScenarioOracle(
             spatial=_E.MUST_DETECT,
             temporal=_E.MUST_DETECT,
@@ -209,7 +201,6 @@ _SPECS = (
         description="CryptSan-style per-object MACs checked on every access",
         paper="CryptSan (PAPERS.md related work)",
         lowering="cryptsan",
-        kernel=True,
         oracle=ScenarioOracle(
             spatial=_E.MUST_DETECT,   # granule tags catch strided OOB too
             temporal=_E.MUST_DETECT,  # untag-on-free, version-bump on reuse
@@ -228,7 +219,6 @@ _SPECS = (
         description="PACSan-style shadow-metadata PAC checks on every access",
         paper="PACSan (PAPERS.md related work)",
         lowering="pacsan",
-        kernel=True,
         oracle=ScenarioOracle(
             spatial=_E.MUST_DETECT,   # shadow bounds checked per access
             temporal=_E.MUST_DETECT,  # shadow liveness bit
@@ -247,7 +237,6 @@ _SPECS = (
         description="PACTight pointer-identity sealing (no bounds checks)",
         paper="PACTight (PAPERS.md related work)",
         lowering="pactight",
-        kernel=True,
         oracle=ScenarioOracle(
             spatial=_E.KNOWN_ESCAPE,  # sealed pointers wander freely
             temporal=_E.MUST_DETECT,  # identity tag destroyed on free
@@ -266,7 +255,6 @@ _SPECS = (
         description="PACStack authenticated return-address chain, raw heap",
         paper="PACStack (PAPERS.md related work)",
         lowering="pacstack",
-        kernel=True,
         oracle=ScenarioOracle(
             spatial=_E.KNOWN_ESCAPE,   # heap untouched: baseline behaviour
             temporal=_E.KNOWN_ESCAPE,

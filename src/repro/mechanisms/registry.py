@@ -2,10 +2,10 @@
 
 A :class:`MechanismSpec` is the single source of truth for one
 protection scheme: how to build its security adapter, which timing
-lowering (if any) the trace compiler should use, whether the fast
-kernel may run it, what the adversary corpus should expect from it
-(:class:`ScenarioOracle`), which exception types count as a detection,
-its artifact-cache fingerprint token, and a small hardware-cost sketch.
+lowering (if any) the trace compiler should use, what the adversary
+corpus should expect from it (:class:`ScenarioOracle`), which exception
+types count as a detection, its artifact-cache fingerprint token, and a
+small hardware-cost sketch.
 
 The registry is lazily populated: the first enumeration imports
 :mod:`repro.mechanisms.builtin`, which registers the eight legacy
@@ -119,9 +119,6 @@ class MechanismSpec:
     #: Trace-compiler lowering name; ``None`` means untimed (no
     #: normalized-time axis — e.g. cheri changes the ISA itself).
     lowering: Optional[str] = None
-    #: Whether the fast kernel must replay this mechanism
-    #: byte-identically (requires a lowering).
-    kernel: bool = False
     #: Adversary-corpus expectations for this mechanism.
     oracle: ScenarioOracle = field(default_factory=ScenarioOracle)
     #: Token folded into every artifact-cache cell fingerprint so a
@@ -148,11 +145,6 @@ class MechanismSpec:
             raise MechanismRegistryError(
                 f"mechanism {self.name!r}: cache_token is required so the "
                 f"artifact cache can fingerprint its cells"
-            )
-        if self.kernel and self.lowering is None:
-            raise MechanismRegistryError(
-                f"mechanism {self.name!r}: kernel=True requires a timing "
-                f"lowering (the fast kernel replays Op streams)"
             )
 
     @property
@@ -278,12 +270,8 @@ class MechanismRegistry:
         self._ensure_loaded()
         return self._specs.get(name)
 
-    def timed_names(self, kernel_only: bool = False) -> List[str]:
-        return [
-            s.name
-            for s in self.specs()
-            if s.timed and (s.kernel or not kernel_only)
-        ]
+    def timed_names(self) -> List[str]:
+        return [s.name for s in self.specs() if s.timed]
 
     def untimed_names(self) -> List[str]:
         return [s.name for s in self.specs() if not s.timed]
@@ -327,7 +315,7 @@ class MechanismRegistry:
     def fingerprint(self) -> str:
         """Digest of the registered surface — the CI cache key.
 
-        Covers names, cache tokens, lowering/kernel declarations and
+        Covers names, cache tokens, lowering declarations and
         oracle contents: anything that changes which cells exist or
         what they should produce changes the fingerprint.
         """
@@ -339,7 +327,6 @@ class MechanismRegistry:
                         spec.name,
                         spec.cache_token,
                         spec.lowering or "-",
-                        "k" if spec.kernel else "-",
                         ",".join(
                             f"{cat}={spec.oracle.expectation('', cat).value}"
                             for cat in ORACLE_CATEGORIES

@@ -70,69 +70,6 @@ def enqueue_campaign(
     return queue.enqueue(campaign_id, campaign_cell_jobs(config))
 
 
-# ------------------------------------------------------- timing campaigns
-
-
-def timing_cell_jobs(cells):
-    """``(key, payload)`` pairs for a timing sweep's (workload, mechanism)
-    cells, keyed like ``ExperimentSuite``'s memo (workload, key-or-mech)."""
-    for cell in cells:
-        key = [cell.workload, cell.key or cell.mechanism]
-        yield key, {
-            "workload": cell.workload,
-            "mechanism": cell.mechanism,
-            "key": cell.key,
-        }
-
-
-def enqueue_timing_campaign(
-    queue: WorkQueue,
-    campaign_id: str,
-    settings,
-    cells,
-    priority: int = 0,
-    weight: float = 1.0,
-) -> int:
-    """Register a *timing* campaign: plain simulation cells, no faults.
-
-    ``settings`` is a :class:`~repro.experiments.common.RunSettings`;
-    ``cells`` an iterable of bare
-    :class:`~repro.experiments.parallel.CellSpec` (default configs only —
-    explicit configs and ingested traces are not queue-serializable).
-    Workers recognise the ``campaign_kind: "timing"`` config marker and
-    run each *claimed batch* of these cells through the cross-cell
-    lockstep driver (:mod:`repro.kernel.batch`) when the settings select
-    the specialized kernel, so campaigns batch automatically.  Idempotent
-    like :func:`enqueue_campaign`.
-    """
-    from ..experiments.common import settings_to_payload
-
-    cells = list(cells)
-    for cell in cells:
-        if cell.config is not None or cell.trace_path is not None:
-            raise QueueError(
-                "timing campaigns take bare CellSpecs (no explicit config "
-                "or ingested trace); scale-matched configs are rebuilt by "
-                "the workers"
-            )
-    queue.create_campaign(
-        campaign_id,
-        {"campaign_kind": "timing", "settings": settings_to_payload(settings)},
-        priority=priority,
-        weight=weight,
-    )
-    return queue.enqueue(campaign_id, timing_cell_jobs(cells))
-
-
-def collect_timing_campaign(queue: WorkQueue, campaign_id: str) -> Dict[str, dict]:
-    """A timing campaign's acked result payloads, keyed by canonical cell
-    key (``'["workload", "mechanism"]'``), for comparison/merging."""
-    config = queue.campaign_config(campaign_id)
-    if config.get("campaign_kind") != "timing":
-        raise QueueError(f"campaign {campaign_id!r} is not a timing campaign")
-    return queue.results(campaign_id)
-
-
 def collect_campaign(queue: WorkQueue, campaign_id: str) -> CampaignResult:
     """Merge a campaign's queued results into a :class:`CampaignResult`,
     in deterministic sweep order (the serial-equivalence contract)."""

@@ -151,16 +151,7 @@ class QueueWorker:
     # ------------------------------------------------------------- one cell
 
     def run_job(self, job: Job) -> dict:
-        """Run one queued cell; returns its result payload.
-
-        Fault-campaign cells classify through
-        :func:`~repro.faults.campaign.run_campaign_cell`; timing-campaign
-        cells (``campaign_kind: "timing"``) simulate through the same
-        :func:`~repro.experiments.parallel.run_cells` path the serial
-        sweep uses (a one-cell batch here — the claim loop routes
-        multi-cell claims through :meth:`_run_timing_batch` instead, so
-        lockstep batching happens per claimed lease).
-        """
+        """Classify one queued cell; returns the RunResult payload."""
         config_payload = self._campaign_config(job.campaign)
         fingerprint = None
         if self.cache is not None:
@@ -169,87 +160,20 @@ class QueueWorker:
             if cached is not None:
                 self.cache_hits += 1
                 return cached
-        if config_payload.get("campaign_kind") == "timing":
-            encoded = self._timing_payloads(config_payload, [job])[0]
-        else:
-            config = CampaignConfig.from_payload(config_payload)
-            payload = job.payload
-            spec = FaultSpec(
-                kind=FaultKind(payload["kind"]),
-                location=payload["location"],
-                seed=payload["seed"],
-            )
-            result = run_campaign_cell(
-                config, payload["workload"], payload["mechanism"], spec
-            )
-            encoded = result.to_payload()
+        config = CampaignConfig.from_payload(config_payload)
+        payload = job.payload
+        spec = FaultSpec(
+            kind=FaultKind(payload["kind"]),
+            location=payload["location"],
+            seed=payload["seed"],
+        )
+        result = run_campaign_cell(
+            config, payload["workload"], payload["mechanism"], spec
+        )
+        encoded = result.to_payload()
         if self.cache is not None and fingerprint is not None:
             self.cache.put_result(fingerprint, encoded)
         return encoded
-
-    # ------------------------------------------------------- timing batches
-
-    def _timing_payloads(self, config_payload: dict, jobs: List[Job]) -> List[dict]:
-        """Simulate claimed timing cells (lockstep-batched when the
-        campaign's settings select the specialized kernel)."""
-        from ..experiments.common import _result_to_payload, settings_from_payload
-        from ..experiments.parallel import CellSpec, run_cells
-
-        settings = settings_from_payload(config_payload["settings"])
-        cells = [
-            CellSpec(
-                job.payload["workload"],
-                job.payload["mechanism"],
-                key=job.payload.get("key"),
-            )
-            for job in jobs
-        ]
-        results = run_cells(settings, cells, jobs=1)
-        return [_result_to_payload(results[cell.cache_key]) for cell in cells]
-
-    def _run_timing_batch(self, jobs: List[Job], config_payload: dict) -> None:
-        """Run one claimed lease of timing cells as a single lockstep
-        batch, acking each cell individually (cache hits skip the batch)."""
-        pending: List[Job] = []
-        fingerprints: Dict[int, str] = {}
-        for job in jobs:
-            if self.cache is not None:
-                fingerprint = cell_fingerprint(config_payload, job.key)
-                cached = self.cache.get_result(fingerprint)
-                if cached is not None:
-                    self.cache_hits += 1
-                    self._finish_job(job, cached)
-                    continue
-                fingerprints[job.id] = fingerprint
-            pending.append(job)
-        if not pending:
-            return
-        try:
-            payloads = self._timing_payloads(config_payload, pending)
-        except Exception as exc:
-            for job in pending:
-                with self._held_lock:
-                    if job.id in self._held:
-                        self._held.remove(job.id)
-                self.queue.fail(
-                    self.worker_id,
-                    job.id,
-                    f"worker-side error: {type(exc).__name__}: {exc}",
-                )
-            return
-        for job, payload in zip(pending, payloads):
-            if self.cache is not None and job.id in fingerprints:
-                self.cache.put_result(fingerprints[job.id], payload)
-            self._finish_job(job, payload)
-
-    def _finish_job(self, job: Job, payload: dict) -> None:
-        """Ack one completed cell (shared by serial and batched paths)."""
-        with self._held_lock:
-            if job.id in self._held:
-                self._held.remove(job.id)
-        self.queue.ack(self.worker_id, job.id, payload)
-        self.cells_done += 1
-        self._maybe_die()
 
     def _maybe_die(self) -> None:
         kill_after = self.config.kill_after_cells
@@ -293,15 +217,6 @@ class QueueWorker:
                     continue
                 with self._held_lock:
                     self._held = [job.id for job in jobs]
-                config_payload = self._campaign_config(jobs[0].campaign)
-                if config_payload.get("campaign_kind") == "timing" and len(jobs) > 1:
-                    # A claimed lease of timing cells runs as one lockstep
-                    # batch (the whole lease is the in-flight unit: a drain
-                    # request takes effect at the next claim).
-                    self._run_timing_batch(jobs, config_payload)
-                    with self._held_lock:
-                        self._held = []
-                    continue
                 for index, job in enumerate(jobs):
                     if self.draining:
                         released = self.queue.release(

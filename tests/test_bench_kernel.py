@@ -2,7 +2,7 @@
 
 The committed benchmark report is CI's perf-trajectory artifact: the
 kernel-smoke job uploads it and compares fresh runs against it.  Its
-schema (``repro/bench-kernel/v2``) is therefore a contract — these tests
+schema (``repro/bench-kernel/v3``) is therefore a contract — these tests
 pin the committed file's shape and prove ``tools/bench_kernel.py --check``
 exits 2 on any drift or floor violation *without* re-running the bench.
 """
@@ -43,12 +43,10 @@ def report():
 
 
 def test_committed_report_schema(report, tool):
-    assert report["schema"] == tool.SCHEMA == "repro/bench-kernel/v2"
-    for key in ("host", "settings", "cells", "batched", "aggregate"):
+    assert report["schema"] == tool.SCHEMA == "repro/bench-kernel/v3"
+    for key in ("host", "settings", "cells", "aggregate"):
         assert key in report
-    assert report["settings"]["kernels"] == [
-        "reference", "fast", "specialized", "batched"
-    ]
+    assert report["settings"]["kernels"] == ["reference", "fast"]
     grid = {(c["workload"], c["mechanism"]) for c in report["cells"]}
     assert grid == {
         (w, m)
@@ -60,7 +58,6 @@ def test_committed_report_schema(report, tool):
             assert key in cell, f"cell missing {key}"
         assert cell["reference_s"] > 0
         assert cell["fast_speedup"] > 0
-        assert cell["specialized_speedup"] > 0
 
 
 def test_committed_report_passes_check(report, tool):
@@ -68,12 +65,9 @@ def test_committed_report_passes_check(report, tool):
 
 
 def test_committed_aggregates_meet_floors(report):
-    """The committed trajectory: the fast leg holds the 2x floor and the
-    specialized/batched legs hold the 5x milestone it is growing toward."""
+    """The committed trajectory: the fast kernel holds the 2x floor."""
     aggregate = report["aggregate"]
     assert aggregate["fast_speedup"] >= 2.0
-    assert aggregate["specialized_speedup"] >= 5.0
-    assert aggregate["batched_speedup"] >= 5.0
     # v1 compatibility alias (old --against baselines resolve against it).
     assert report["aggregate_speedup"] == aggregate["fast_speedup"]
 
@@ -95,13 +89,13 @@ def test_check_rejects_schema_drift(tmp_path, report, tool):
 
 
 def test_check_rejects_missing_top_level_key(tmp_path, report, tool):
-    path = _mutated(tmp_path, report, lambda r: r.pop("batched"))
+    path = _mutated(tmp_path, report, lambda r: r.pop("aggregate"))
     assert tool.check_report(path, 2.0) == 2
 
 
 def test_check_rejects_malformed_cells(tmp_path, report, tool):
     path = _mutated(tmp_path, report,
-                    lambda r: r["cells"][0].pop("specialized_speedup"))
+                    lambda r: r["cells"][0].pop("fast_speedup"))
     assert tool.check_report(path, 2.0) == 2
     path = _mutated(tmp_path, report, lambda r: r.update(cells=[]))
     assert tool.check_report(path, 2.0) == 2
@@ -110,7 +104,7 @@ def test_check_rejects_malformed_cells(tmp_path, report, tool):
 def test_check_rejects_floor_violation(tmp_path, report, tool):
     path = _mutated(
         tmp_path, report,
-        lambda r: r["aggregate"].update(specialized_speedup=1.2),
+        lambda r: r["aggregate"].update(fast_speedup=1.2),
     )
     assert tool.check_report(path, 2.0) == 2
 

@@ -1,15 +1,12 @@
-"""Conformance harness: every kernel is byte-identical to the reference.
+"""Conformance harness: the fast kernel is byte-identical to the reference.
 
 ``repro.kernel.fast`` is a flattened transcription of the reference
-scoreboard (:mod:`repro.cpu.pipeline`); ``repro.kernel.specialize`` is
-trace-speculative generated code behind guards; ``repro.kernel.batch``
-advances many specialized runs in lockstep.  Their shared contract is
-*bit-exact* equivalence, not statistical agreement.  Every test here runs
-the same lowered workload through all four execution paths — reference,
-fast, specialized (training and steady-state) and batched — and compares
-the JSON-serialised :class:`SimulationResult` payloads byte for byte —
-cycles (floats included), cache summaries, traffic, MCU/HBT/BWB statistics
-and metrics snapshots.
+scoreboard (:mod:`repro.cpu.pipeline`).  Their contract is *bit-exact*
+equivalence, not statistical agreement.  Every test here runs the same
+lowered workload through both kernels and compares the JSON-serialised
+:class:`SimulationResult` payloads byte for byte — cycles (floats
+included), cache summaries, traffic, MCU/HBT/BWB statistics and metrics
+snapshots.
 
 Coverage axes:
 
@@ -21,11 +18,8 @@ Coverage axes:
   counters) and tracing observability (the fast kernel must *delegate*);
 - fault-injected cells through the standard seams (dropped ``bndstr``,
   stalled migration, dropped HBT record);
-- the experiment-suite plumbing (``RunSettings.kernel`` -> workers/cache).
-
-The specialized kernel's own guard machinery (injection seam, fallback
-accounting, the native backend) is covered in tests/test_kernel_specialize.py
-and the lockstep driver in tests/test_kernel_batch.py.
+- the experiment-suite plumbing: untraced cells take the fast kernel and
+  still match the reference.
 """
 
 from __future__ import annotations
@@ -48,7 +42,6 @@ from repro.experiments.common import (
     scaled_config,
 )
 from repro.kernel import KERNELS
-from repro.kernel.batch import BatchCell, run_batch
 from repro.kernel.fast import run_fast
 from repro.mechanisms import REGISTRY
 from repro.obs import ObsSettings
@@ -58,9 +51,9 @@ from repro.workloads.profiles import ALL_PROFILES
 SEED = 7
 SCALE = 8
 
-#: Every registered mechanism that declares kernel support — the cell
-#: grid grows automatically when a mechanism plugin registers.
-ALL_MECHANISMS = list(REGISTRY.timed_names(kernel_only=True))
+#: Every registered mechanism with a timing lowering — the cell grid
+#: grows automatically when a mechanism plugin registers.
+ALL_MECHANISMS = list(REGISTRY.timed_names())
 
 # ----------------------------------------------------------------- helpers
 
@@ -98,26 +91,13 @@ def simulate(kernel, workload, mechanism, instructions, config=None, key=None, o
 
 
 def assert_equivalent(workload, mechanism, instructions, config=None, key=None):
-    """All four execution paths, byte for byte.
-
-    The specialized kernel runs twice: the first call may be the training
-    run (executed on the fast path while the specialization compiles), the
-    second is the steady-state generated code — both must match.  The
-    batched path drives the same cell through the lockstep driver.
-    """
+    """Reference and fast kernels, byte for byte."""
     config = config or scaled_config(mechanism, SCALE)
     reference = simulate("reference", workload, mechanism, instructions, config, key)
     want = payload(reference)
     tag = f"{workload}/{mechanism} ({key or 'default'})"
     fast = simulate("fast", workload, mechanism, instructions, config, key)
     assert payload(fast) == want, f"fast kernel divergence: {tag}"
-    training = simulate("specialized", workload, mechanism, instructions, config, key)
-    assert payload(training) == want, f"specialized (training) divergence: {tag}"
-    steady = simulate("specialized", workload, mechanism, instructions, config, key)
-    assert payload(steady) == want, f"specialized (steady) divergence: {tag}"
-    lowered = get_lowered(workload, mechanism, instructions, config, key=key)
-    [batched] = run_batch([BatchCell(label=tag, config=config, lowered=lowered)])
-    assert payload(batched) == want, f"batched divergence: {tag}"
     return reference
 
 
@@ -285,20 +265,54 @@ def test_equivalence_under_fault_injection(scenario):
 
 
 def test_equivalence_through_experiment_suite():
-    """RunSettings.kernel drives the suite path (workers, cache keys)."""
-    payloads = {}
-    for kernel in KERNELS:
-        suite = ExperimentSuite(RunSettings(instructions=4000, kernel=kernel))
-        payloads[kernel] = payload(suite.result("mcf", "aos"))
-    for kernel in KERNELS:
-        assert payloads[kernel] == payloads["reference"], kernel
+    """A suite cell (fast kernel) matches the reference on the same input."""
+    suite = ExperimentSuite(RunSettings(instructions=4000))
+    got = suite.result("mcf", "aos")
+    config = suite.config_for("aos")
+    want = Simulator(config, kernel="reference").run(suite.lowered("mcf", "aos"))
+    assert payload(got) == payload(want)
+
+
+def test_default_runs_take_fast_kernel_and_traced_runs_take_reference(monkeypatch):
+    """No option picks the kernel: an untraced run — a bare Simulator or an
+    ExperimentSuite cell — executes run_fast; a traced run executes the
+    reference PipelineModel, the only kernel that emits events."""
+    import repro.cpu.core as core
+
+    calls = []
+    real_fast, real_pipeline = core.run_fast, PipelineModel.run
+
+    def spy_fast(*args, **kwargs):
+        calls.append("fast")
+        return real_fast(*args, **kwargs)
+
+    def spy_pipeline(self, program):
+        calls.append("reference")
+        return real_pipeline(self, program)
+
+    monkeypatch.setattr(core, "run_fast", spy_fast)
+    monkeypatch.setattr(PipelineModel, "run", spy_pipeline)
+
+    config = scaled_config("aos", SCALE)
+    lowered = get_lowered("gcc", "aos", 2500, config)
+    Simulator(config).run(lowered)
+    assert calls == ["fast"]
+
+    calls.clear()
+    ExperimentSuite(RunSettings(instructions=2500)).result("mcf", "baseline")
+    assert calls == ["fast"]
+
+    calls.clear()
+    traced = ObsSettings(enabled=True, tracing=True).create()
+    Simulator(config, obs=traced).run(lowered)
+    assert calls == ["reference"]
 
 
 def test_invalid_kernel_rejected():
-    with pytest.raises(ConfigError):
-        RunSettings(kernel="bogus")
-    with pytest.raises(ConfigError):
-        Simulator(scaled_config("aos", SCALE), kernel="turbo")
+    config = scaled_config("aos", SCALE)
+    for name in ("turbo", "bogus"):
+        with pytest.raises(ConfigError):
+            Simulator(config, kernel=name)
 
 
 # ------------------------------------------------------- adversarial corpus
@@ -326,16 +340,9 @@ def test_equivalence_on_corpus_scenarios(scenario):
             scenario, mechanism, seed=SEED, scale=SCALE, config=config
         )
         reference = Simulator(config, kernel="reference").run(lowered)
-        for kernel in ("fast", "specialized", "specialized"):
-            result = Simulator(config, kernel=kernel).run(lowered)
-            assert payload(result) == payload(reference), (
-                f"{kernel} divergence on corpus scenario {scenario}/{mechanism}"
-            )
-        [batched] = run_batch(
-            [BatchCell(label=scenario, config=config, lowered=lowered)]
-        )
-        assert payload(batched) == payload(reference), (
-            f"batched divergence on corpus scenario {scenario}/{mechanism}"
+        fast = Simulator(config, kernel="fast").run(lowered)
+        assert payload(fast) == payload(reference), (
+            f"fast divergence on corpus scenario {scenario}/{mechanism}"
         )
 
 

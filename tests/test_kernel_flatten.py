@@ -1,16 +1,15 @@
 """Property tests for program flattening and its memoisation contract.
 
-:mod:`repro.kernel.flatten` promises three things the kernels lean on:
+:mod:`repro.kernel.flatten` promises three things the fast kernel leans
+on:
 
 - **correctness**: the columnar view agrees with the instruction stream
-  (dispatch codes, addresses, resolved latencies, summary fields) for any
-  program — pinned property-based over random instruction streams;
+  (dispatch codes, addresses, resolved latencies) for any program — pinned
+  property-based over random instruction streams;
 - **memoisation**: ``flatten_program`` runs once per :class:`Program`
-  instance, and :meth:`FlatProgram.derived` builds each derived column
-  exactly once per key — the specialized kernel and every batch lane share
-  the same objects instead of recomputing;
+  instance, so every run of one lowered program shares one view;
 - **immutability**: all columns are ``bytes``/tuples, so a buggy consumer
-  raises instead of corrupting a sibling run.
+  raises instead of corrupting a later run.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from repro.kernel.flatten import (
     KIND_OTHER,
     KIND_STORE,
     KIND_WCHK,
-    FlatProgram,
     flatten_program,
 )
 
@@ -87,8 +85,6 @@ def test_columns_agree_with_instructions(program):
         if expected in (KIND_BNDSTR, KIND_BNDCLR, KIND_BRANCH_MISS, KIND_OTHER):
             want = float(inst.latency or DEFAULT_LATENCY[inst.op])
             assert flat.latencies[i] == want
-    assert flat.kinds_present == frozenset(flat.kinds)
-    assert flat.max_address == (max(flat.addresses) if flat.addresses else 0)
 
 
 @given(_programs)
@@ -101,75 +97,6 @@ def test_distinct_program_instances_flatten_independently():
     instructions = (Instruction(op=Op.LOAD, address=64),)
     a, b = Program(instructions, name="a"), Program(instructions, name="b")
     assert flatten_program(a) is not flatten_program(b)
-
-
-# ----------------------------------------------------------- derived columns
-
-
-def test_derived_builds_once_per_key():
-    flat = flatten_program(
-        Program((Instruction(op=Op.LOAD, address=64),), name="memo")
-    )
-    calls = []
-
-    def build(f: FlatProgram):
-        calls.append(f)
-        return ("column", len(calls))
-
-    first = flat.derived("key-a", build)
-    assert first == ("column", 1)
-    assert flat.derived("key-a", build) is first
-    assert calls == [flat]  # exactly one build, handed the flat view
-    # A different key builds separately.
-    assert flat.derived("key-b", build) == ("column", 2)
-    assert len(calls) == 2
-
-
-def test_derived_does_not_cache_across_programs():
-    instructions = (Instruction(op=Op.STORE, address=128),)
-    flat_a = flatten_program(Program(instructions, name="a"))
-    flat_b = flatten_program(Program(instructions, name="b"))
-    flat_a.derived("k", lambda f: "from-a")
-    assert flat_b.derived("k", lambda f: "from-b") == "from-b"
-
-
-@given(st.integers(min_value=0, max_value=10))
-@settings(max_examples=10, deadline=None)
-def test_derived_exceptions_do_not_poison_the_memo(n):
-    flat = flatten_program(
-        Program(
-            tuple(Instruction(op=Op.ALU) for _ in range(n)), name=f"p{n}"
-        )
-    )
-
-    def broken(f):
-        raise RuntimeError("builder failed")
-
-    with pytest.raises(RuntimeError):
-        flat.derived("volatile", broken)
-    # The failed build left no entry; a working builder still runs.
-    assert flat.derived("volatile", lambda f: "ok") == "ok"
-
-
-def test_spec_columns_memoized_via_derived():
-    """The specialized kernel's column build is keyed through derived():
-    one program, one geometry -> one SpecColumns object, shared."""
-    from repro.compiler import lower_trace
-    from repro.experiments.common import scaled_config
-    from repro.kernel import specialize as sp
-    from repro.workloads import generate_trace, get_profile
-
-    config = scaled_config("aos", 8)
-    trace = generate_trace(
-        get_profile("gcc"), instructions=1500, seed=7, scale=8
-    )
-    lowered = lower_trace(trace, "aos", config=config)
-    flat = flatten_program(lowered.program)
-    layout = sp._mcu_layout(None)
-    first = sp.spec_columns(flat, (1 << 46) - 1, 6, 16, layout)
-    assert sp.spec_columns(flat, (1 << 46) - 1, 6, 16, layout) is first
-    # A different geometry misses the memo and builds fresh columns.
-    assert sp.spec_columns(flat, (1 << 46) - 1, 6, 32, layout) is not first
 
 
 # --------------------------------------------------------------- immutability

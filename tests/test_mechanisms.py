@@ -55,7 +55,6 @@ def dummy_spec(**overrides) -> MechanismSpec:
         factory=DummyAdapter,
         description="test-only plugin",
         lowering="baseline",
-        kernel=True,
         cache_token="dummy-v1",
     )
     kwargs.update(overrides)
@@ -83,10 +82,7 @@ class TestBuiltinRegistry:
 
     def test_cheri_is_the_only_untimed_builtin(self):
         assert REGISTRY.untimed_names() == ["cheri"]
-        assert "cheri" not in REGISTRY.timed_names()
-        assert set(REGISTRY.timed_names(kernel_only=True)) == set(BUILTIN) - {
-            "cheri"
-        }
+        assert set(REGISTRY.timed_names()) == set(BUILTIN) - {"cheri"}
 
     def test_fingerprint_is_stable_hex16(self):
         first = registry_fingerprint()
@@ -141,12 +137,6 @@ class TestStrictErrors:
         with pytest.raises(MechanismRegistryError, match="cache_token"):
             MechanismSpec(name="x", factory=DummyAdapter, cache_token="")
 
-    def test_kernel_requires_lowering(self):
-        with pytest.raises(MechanismRegistryError, match="kernel=True"):
-            MechanismSpec(
-                name="x", factory=DummyAdapter, cache_token="x-v1", kernel=True
-            )
-
     def test_cli_rejects_unknown_mechanism_with_exit_2(self, capsys):
         from repro.cli import main
 
@@ -169,7 +159,6 @@ class TestDummyPluginRoundTrip:
             "dummy",
             description="test-only plugin",
             lowering="baseline",
-            kernel=True,
             cache_token="dummy-v1",
             oracle=ScenarioOracle(),
         )

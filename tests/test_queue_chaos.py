@@ -118,11 +118,22 @@ class TestWorkerCrashChaos:
         queue_root = tmp_path / "q"
         queue = WorkQueue(queue_root, retry=RetryPolicy(max_retries=3))
         enqueue_campaign(queue, "chaos", CHAOS_CONFIG)
-        procs = [
-            spawn_worker(queue_root, "w0", extra=["--kill-after-cells", "1"]),
-            spawn_worker(queue_root, "w1"),
-            spawn_worker(queue_root, "w2"),
-        ]
+        chaos = spawn_worker(queue_root, "w0", extra=["--kill-after-cells", "1"])
+        # The survivors start only once w0 holds a lease (or has already
+        # acked), so they cannot drain the campaign before w0 claims a
+        # cell: w0 is then bound to ack one and kill itself.
+        deadline = time.monotonic() + 60.0
+        while True:
+            exited = chaos.poll() is not None  # read before the counts
+            counts = queue.counts("chaos")
+            if counts.leased or counts.done:
+                break
+            if exited or time.monotonic() > deadline:
+                chaos.kill()
+                out, _ = chaos.communicate()
+                pytest.fail(f"w0 never claimed a cell:\n{out}")
+            time.sleep(0.05)
+        procs = [chaos, spawn_worker(queue_root, "w1"), spawn_worker(queue_root, "w2")]
         outputs = wait_all(procs)
         # The chaos worker must actually have died by SIGKILL.
         assert procs[0].returncode == -signal.SIGKILL, outputs[0]

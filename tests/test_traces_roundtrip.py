@@ -132,5 +132,5 @@ def test_suite_ingestion_matches_direct_simulation(tmp_path):
     assert name == "trace:bzip2.trace"
     result = suite.result(name, "aos")
     # The suite must honour the *trace's* scale (16), not settings.scale.
-    direct = _simulate(trace, suite.settings.kernel)
+    direct = _simulate(trace, "fast")
     assert dataclasses.asdict(result) == dataclasses.asdict(direct)

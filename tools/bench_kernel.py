@@ -1,31 +1,22 @@
-"""Kernel perf-regression gate: reference vs fast vs specialized vs batched.
+"""Kernel perf-regression gate: time reference vs fast on a fixed sweep.
 
-Runs the same lowered workloads through every simulation kernel
+Runs the same lowered workloads through both simulation kernels
 (``repro.kernel``), taking the minimum of ``--repeats`` timed runs per
 cell (min-of-N discards scheduler noise, so the gate tracks the code, not
 the machine), verifies the results are byte-identical while it is at it,
 and writes a machine-readable ``BENCH_kernel.json`` (schema
-``repro/bench-kernel/v2``).
-
-Four legs:
-
-- **reference** / **fast** — per-cell ``Simulator.run``, as in v1;
-- **specialized** — per-cell ``Simulator.run(kernel="specialized")``, after
-  one untimed warm-up pass that trains and compiles the specialization (the
-  steady-state cost is what a sweep pays; training is a one-off);
-- **batched** — one ``run_batch`` call advancing *all* cells in lockstep,
-  timed as a whole (the leg a queue worker actually executes).
+``repro/bench-kernel/v3``).
 
 Gates, all machine-independent because they compare ratios:
 
-- **floor**: the aggregate fast AND specialized speedups must each be at
-  least ``--min-speedup`` (default 2.0x);
+- **floor**: the aggregate fast/reference speedup must be at least
+  ``--min-speedup`` (default 2.0x — the fast kernel's reason to exist);
 - **trend**: with ``--against BENCH_kernel.json`` (the committed baseline),
-  neither aggregate speedup may regress by more than ``--tolerance``
+  the aggregate speedup may not regress by more than ``--tolerance``
   (default 10 %) relative to the committed value;
 - **schema**: ``--check`` validates a committed report *without timing
   anything* — schema identifier, required keys, cell shape, and the
-  recorded floors — and exits 2 on any drift.
+  recorded floor — and exits 2 on any drift.
 
 Usage::
 
@@ -50,7 +41,6 @@ from repro.cpu.core import Simulator  # noqa: E402
 from repro.compiler import lower_trace  # noqa: E402
 from repro.experiments.common import scaled_config, _result_to_payload  # noqa: E402
 from repro.kernel import KERNELS  # noqa: E402
-from repro.kernel.batch import BatchCell, run_batch  # noqa: E402
 from repro.workloads import generate_trace, get_profile  # noqa: E402
 
 #: Cheap but behaviourally distinct cells; gcc is the paper's worst-case
@@ -62,21 +52,17 @@ DEFAULT_MECHANISMS = ["baseline", "aos"]
 SEED = 7
 SCALE = 8
 
-SCHEMA = "repro/bench-kernel/v2"
+SCHEMA = "repro/bench-kernel/v3"
 
 #: ``--check`` contract: these keys must exist with these shapes.
-_CELL_KEYS = (
-    "workload", "mechanism",
-    "reference_s", "fast_s", "specialized_s",
-    "fast_speedup", "specialized_speedup",
-)
-_AGGREGATE_KEYS = ("fast_speedup", "specialized_speedup", "batched_speedup")
+_CELL_KEYS = ("workload", "mechanism", "reference_s", "fast_s", "fast_speedup")
+_AGGREGATE_KEYS = ("fast_speedup",)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bench_kernel",
-        description="Time the simulation kernels against the reference.",
+        description="Time the fast simulation kernel against the reference.",
     )
     parser.add_argument(
         "--instructions",
@@ -105,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--min-speedup",
         type=float,
         default=2.0,
-        help="gate: minimum aggregate fast and specialized speedup (default 2.0)",
+        help="gate: minimum aggregate fast speedup (default 2.0)",
     )
     parser.add_argument(
         "--against",
@@ -151,7 +137,7 @@ def check_report(path: Path, min_speedup: float) -> int:
     schema = report.get("schema")
     if schema != SCHEMA:
         problems.append(f"schema is {schema!r}, expected {SCHEMA!r}")
-    for key in ("host", "settings", "cells", "batched", "aggregate"):
+    for key in ("host", "settings", "cells", "aggregate"):
         if key not in report:
             problems.append(f"missing top-level key {key!r}")
     cells = report.get("cells")
@@ -171,17 +157,13 @@ def check_report(path: Path, min_speedup: float) -> int:
             problems.append(
                 f"aggregate.{key} {value:.2f}x below the {min_speedup:.2f}x floor"
             )
-    batched = report.get("batched", {})
-    if not isinstance(batched.get("total_s"), (int, float)):
-        problems.append("batched.total_s missing or non-numeric")
     if problems:
         for problem in problems:
             print(f"CHECK FAIL: {problem}")
         return 2
     print(
         f"check ok: {path} schema {SCHEMA}, {len(cells)} cells, "
-        f"aggregate {aggregate['specialized_speedup']:.2f}x specialized / "
-        f"{aggregate['batched_speedup']:.2f}x batched"
+        f"aggregate {aggregate['fast_speedup']:.2f}x fast"
     )
     return 0
 
@@ -197,10 +179,6 @@ def time_cell(workload: str, mechanism: str, instructions: int, repeats: int) ->
     payloads: Dict[str, str] = {}
     for kernel in KERNELS:
         simulator = Simulator(config, kernel=kernel)
-        if kernel == "specialized":
-            # Untimed warm-up: the first run trains and compiles; the timed
-            # runs then measure the steady state a sweep actually pays.
-            simulator.run(lowered)
         best = float("inf")
         for _ in range(repeats):
             start = time.perf_counter()
@@ -208,60 +186,18 @@ def time_cell(workload: str, mechanism: str, instructions: int, repeats: int) ->
             best = min(best, time.perf_counter() - start)
         timings[kernel] = best
         payloads[kernel] = json.dumps(_result_to_payload(result), sort_keys=True)
-    for kernel in ("fast", "specialized"):
-        if payloads[kernel] != payloads["reference"]:
-            raise SystemExit(
-                f"FATAL: {kernel} kernel divergence on {workload}/{mechanism} — "
-                "run tests/test_kernel_equivalence.py"
-            )
+    if payloads["fast"] != payloads["reference"]:
+        raise SystemExit(
+            f"FATAL: fast kernel divergence on {workload}/{mechanism} — "
+            "run tests/test_kernel_equivalence.py"
+        )
     return {
         "workload": workload,
         "mechanism": mechanism,
         "reference_s": round(timings["reference"], 6),
         "fast_s": round(timings["fast"], 6),
-        "specialized_s": round(timings["specialized"], 6),
         "fast_speedup": round(timings["reference"] / timings["fast"], 4),
-        "specialized_speedup": round(
-            timings["reference"] / timings["specialized"], 4
-        ),
-        "_payload": payloads["reference"],
     }
-
-
-def time_batched(workloads: List[str], instructions: int, repeats: int,
-                 cells: List[Dict]) -> float:
-    """Min-of-N wall-clock for one lockstep batch over the whole sweep."""
-    lowereds = []
-    for workload in workloads:
-        for mechanism in DEFAULT_MECHANISMS:
-            config = scaled_config(mechanism, SCALE)
-            trace = generate_trace(
-                get_profile(workload), instructions=instructions,
-                seed=SEED, scale=SCALE,
-            )
-            lowered = lower_trace(trace, mechanism, config=config)
-            lowereds.append((f"{workload}/{mechanism}", config, lowered))
-
-    def batch() -> List:
-        return run_batch([
-            BatchCell(label=label, config=config, lowered=lowered)
-            for label, config, lowered in lowereds
-        ])
-
-    results = batch()  # warm-up: trains any cold profiles
-    for cell, result in zip(cells, results):
-        payload = json.dumps(_result_to_payload(result), sort_keys=True)
-        if payload != cell["_payload"]:
-            raise SystemExit(
-                f"FATAL: batched divergence on {cell['workload']}/"
-                f"{cell['mechanism']} — run tests/test_kernel_batch.py"
-            )
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        batch()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def main(argv: List[str] | None = None) -> int:
@@ -281,24 +217,13 @@ def main(argv: List[str] | None = None) -> int:
                 f"{workload:>8}/{mechanism:<8}"
                 f" reference {cell['reference_s']:.3f}s"
                 f"  fast {cell['fast_s']:.3f}s ({cell['fast_speedup']:.2f}x)"
-                f"  specialized {cell['specialized_s']:.3f}s"
-                f" ({cell['specialized_speedup']:.2f}x)"
             )
-
-    batched_s = time_batched(args.workloads, args.instructions, args.repeats, cells)
-    for cell in cells:
-        del cell["_payload"]
 
     # Aggregate over total time, not mean-of-ratios: that is what a full
     # sweep actually pays.
     total_reference = sum(c["reference_s"] for c in cells)
     total_fast = sum(c["fast_s"] for c in cells)
-    total_specialized = sum(c["specialized_s"] for c in cells)
-    aggregate = {
-        "fast_speedup": round(total_reference / total_fast, 4),
-        "specialized_speedup": round(total_reference / total_specialized, 4),
-        "batched_speedup": round(total_reference / batched_s, 4),
-    }
+    aggregate = {"fast_speedup": round(total_reference / total_fast, 4)}
 
     report = {
         "schema": SCHEMA,
@@ -314,40 +239,29 @@ def main(argv: List[str] | None = None) -> int:
             "scale": SCALE,
             "workloads": list(args.workloads),
             "mechanisms": list(DEFAULT_MECHANISMS),
-            "kernels": list(KERNELS) + ["batched"],
+            "kernels": list(KERNELS),
         },
         "cells": cells,
-        "batched": {
-            "total_s": round(batched_s, 6),
-            "speedup": aggregate["batched_speedup"],
-        },
         "aggregate": aggregate,
         # v1 compatibility: the fast-kernel aggregate under its old name,
         # so an old --against baseline still resolves.
         "aggregate_speedup": aggregate["fast_speedup"],
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n")
-    print(
-        f"\naggregate: fast {aggregate['fast_speedup']:.2f}x"
-        f"  specialized {aggregate['specialized_speedup']:.2f}x"
-        f"  batched {aggregate['batched_speedup']:.2f}x -> {args.output}"
-    )
+    print(f"\naggregate: fast {aggregate['fast_speedup']:.2f}x -> {args.output}")
 
     status = 0
-    for leg in ("fast_speedup", "specialized_speedup"):
-        if aggregate[leg] < args.min_speedup:
-            print(
-                f"GATE FAIL: aggregate {leg.replace('_speedup', '')} speedup "
-                f"{aggregate[leg]:.2f}x below the {args.min_speedup:.2f}x floor"
-            )
-            status = 2
+    if aggregate["fast_speedup"] < args.min_speedup:
+        print(
+            f"GATE FAIL: aggregate fast speedup {aggregate['fast_speedup']:.2f}x "
+            f"below the {args.min_speedup:.2f}x floor"
+        )
+        status = 2
     if args.against is not None and args.against.exists():
         committed = json.loads(args.against.read_text())
         committed_aggregate = committed.get("aggregate")
         if committed_aggregate is None:  # v1 baseline: fast leg only
-            committed_aggregate = {
-                "fast_speedup": committed["aggregate_speedup"]
-            }
+            committed_aggregate = {"fast_speedup": committed["aggregate_speedup"]}
         committed_instructions = committed.get("settings", {}).get("instructions")
         if committed_instructions != args.instructions:
             # Speedups are shape-dependent (fixed per-run overhead weighs

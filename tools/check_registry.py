@@ -3,8 +3,8 @@
 
 Every registered :class:`~repro.mechanisms.registry.MechanismSpec` must be
 *complete*: a working adapter factory, an oracle row for every scenario in
-the adversary corpus, a kernel-support declaration consistent with its
-lowering, a cache-fingerprint token, and at least one detection exception
+the adversary corpus, a timing lowering that resolves (if it declares
+one), a cache-fingerprint token, and at least one detection exception
 type.  A plugin that forgets any of these fails here with the exact
 omission named — before a chaos campaign silently mis-classifies its
 cells or the artifact cache serves it stale results.
@@ -55,12 +55,7 @@ def check_registry() -> list:
                 "fault it raises would classify as a robustness bug"
             )
 
-        # -- kernel-support declaration -----------------------------------
-        if spec.kernel and spec.lowering is None:
-            problems.append(
-                f"{where}: kernel=True but no lowering (kernel support "
-                "requires a timing lowering)"
-            )
+        # -- timing lowering ----------------------------------------------
         if spec.lowering is not None:
             try:
                 resolve_lowering(spec.name)
