@@ -16,6 +16,7 @@ from repro.faults import (
     FaultSpec,
     RunOutcome,
 )
+from repro.faults.campaign import run_campaign_cell
 
 
 def test_fault_campaign(benchmark):
@@ -36,6 +37,6 @@ def test_fault_campaign(benchmark):
             assert cell.outcome is RunOutcome.DETECTED, cell
 
     # Benchmark one representative cell: populate + inject + probe.
-    campaign = Campaign(CampaignConfig.quick())
+    config = CampaignConfig.quick()
     spec = FaultSpec(kind=FaultKind.PTR_PAC_FLIP, location=0, seed=7)
-    benchmark(lambda: campaign.run_cell("gcc", "aos", spec))
+    benchmark(lambda: run_campaign_cell(config, "gcc", "aos", spec))

@@ -41,6 +41,7 @@ from ..errors import ExperimentTimeout, ReproError, WorkloadError
 from ..faults.campaign import Deadline
 from ..mechanisms.registry import REGISTRY, parse_mechanisms
 from ..security.adapters import DETECTION_EXCEPTIONS, MECHANISM_ADAPTERS, make_adapter
+from ..supervise import Task, dispatch
 from .scenarios import (
     Expectation,
     ScenarioInstance,
@@ -413,54 +414,32 @@ class ChaosCampaign:
             for mechanism in self.config.mechanism_names()
         ]
 
-    def _payload(self, scenario: str, mechanism: str):
-        return (scenario, mechanism, self.config.seed, self.config.timeout_s)
-
     def run(self, supervise=None, jobs: int = 1, progress=None) -> ScenarioMatrix:
-        """Classify every cell; under ``supervise`` (a
-        :class:`~repro.supervise.SupervisorConfig`) hung or crashing
-        workers are retried with deterministic backoff and repeat
-        offenders become quarantined robustness-bug records."""
-        if supervise is not None:
-            return self._run_supervised(supervise, jobs, progress)
-        matrix = ScenarioMatrix()
-        for scenario, mechanism in self.cells():
-            run = run_scenario_cell(self._payload(scenario, mechanism))
-            matrix.runs.append(run)
-            if progress is not None:
-                progress(run)
-        return matrix
+        """Classify every cell, fanned out over ``jobs`` worker processes.
 
-    def _run_supervised(self, supervise, jobs: int, progress) -> ScenarioMatrix:
-        import dataclasses as _dataclasses
-
-        from ..supervise import Supervisor, Task
-
-        if supervise.jobs < 1:
-            supervise = _dataclasses.replace(supervise, jobs=max(1, jobs))
+        Under ``supervise`` (a :class:`~repro.supervise.SupervisorConfig`)
+        hung or crashing workers are retried with deterministic backoff
+        and repeat offenders become quarantined robustness-bug records."""
         cells = self.cells()
         tasks = [
             Task(
                 key=json.dumps(["scenario", scenario, mechanism]),
-                payload=self._payload(scenario, mechanism),
+                payload=(scenario, mechanism, self.config.seed, self.config.timeout_s),
             )
             for scenario, mechanism in cells
         ]
-        by_key: Dict[str, ScenarioRun] = {}
-
-        def on_result(key: str, run: ScenarioRun) -> None:
-            by_key[key] = run
-            if progress is not None:
-                progress(run)
-
-        _, report = Supervisor(supervise).run(
-            run_scenario_cell, tasks, on_result=on_result
+        runs, report = dispatch(
+            run_scenario_cell,
+            tasks,
+            jobs=jobs,
+            supervise=supervise,
+            on_result=None if progress is None else lambda _, run: progress(run),
         )
         matrix = ScenarioMatrix(supervision=report)
         for task, (scenario, mechanism) in zip(tasks, cells):
-            if task.key in by_key:
-                matrix.runs.append(by_key[task.key])
-            elif task.key in report.quarantined:
+            if task.key in runs:
+                matrix.runs.append(runs[task.key])
+            else:
                 matrix.quarantined.append(
                     {
                         "scenario": scenario,

@@ -307,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     attack.add_argument(
         "--no-supervise", action="store_true",
-        help="attack only: run the corpus serially in-process instead of "
-        "under the supervision layer",
+        help="attack only: run the corpus without the supervision layer "
+        "(an unsupervised pool at --jobs N, in-process at --jobs 1)",
     )
     mech = parser.add_argument_group("mechanisms options")
     mech.add_argument(
@@ -782,7 +782,8 @@ def run_attack(args, profiler: PhaseProfiler) -> int:
 
     # Supervision is the default for chaos campaigns: a scenario that
     # wedges the simulator must land as a quarantined robustness bug, not
-    # hang the sweep.  ``--no-supervise`` opts into a plain serial run.
+    # hang the sweep.  ``--no-supervise`` opts into a plain run: an
+    # unsupervised process pool at ``--jobs N``, in-process at ``--jobs 1``.
     supervise = None
     if not args.no_supervise:
         args.supervise = True

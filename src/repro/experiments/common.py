@@ -4,13 +4,6 @@ The paper runs each SPEC workload once per system configuration; here one
 :class:`ExperimentSuite` instance memoises traces, lowered programs and
 simulation results so Figs. 14/15/17/18 can share work within a session.
 
-Long sweeps can additionally pass ``checkpoint=`` (a path): every computed
-:class:`SimulationResult` is then streamed to disk, and a suite reopened on
-the same path resumes with completed (workload, mechanism) cells already
-in the memo cache instead of re-simulating them.  The checkpoint is keyed
-on the :class:`RunSettings` fingerprint, so changing instructions/seed/
-scale starts fresh rather than mixing incompatible measurements.
-
 Two further layers live in :mod:`repro.experiments.parallel` and are wired
 in here:
 
@@ -19,8 +12,9 @@ in here:
   (every figure driver does).  Results are bit-identical to ``jobs=1``.
 - ``cache=`` attaches a persistent cross-session
   :class:`~repro.experiments.parallel.ArtifactCache`: every lookup goes
-  memo -> checkpoint -> disk cache -> simulate, so a rerun on unchanged
-  code re-simulates nothing.
+  memo -> artifact cache -> simulate, so a rerun on unchanged code
+  re-simulates nothing.  The cache is the suite's only persistence:
+  re-running an interrupted command resumes through it.
 """
 
 from __future__ import annotations
@@ -36,11 +30,10 @@ if TYPE_CHECKING:
 
 from ..config import CacheConfig, MemoryHierarchyConfig, SystemConfig, default_config
 from ..compiler import LoweredWorkload, lower_trace
-from ..cpu.core import SimulationResult, Simulator
+from ..cpu.core import SimulationResult
 from ..cpu.pipeline import PipelineResult
-from ..faults.checkpoint import CheckpointStore
 from ..obs import ObsSettings, merge_snapshots
-from ..workloads import WorkloadTrace, generate_trace, get_profile
+from ..workloads import WorkloadTrace
 
 #: The 16 SPEC CPU 2006 workloads, in the paper's presentation order.
 SPEC_WORKLOADS: List[str] = [
@@ -65,7 +58,7 @@ class RunSettings:
     ``obs`` selects per-cell observability (disabled by default).  It is
     part of the settings — and therefore of every cache fingerprint — so
     metric-bearing results are never conflated with plain ones in the
-    artifact cache or a checkpoint.
+    artifact cache.
     """
 
     instructions: int = 60_000
@@ -126,7 +119,6 @@ class ExperimentSuite:
     def __init__(
         self,
         settings: RunSettings = RunSettings(),
-        checkpoint: Union[None, str, Path, CheckpointStore] = None,
         jobs: int = 1,
         cache: Union[None, str, Path, "ArtifactCache"] = None,
         supervise=None,
@@ -144,7 +136,7 @@ class ExperimentSuite:
         ``paranoid=True`` audits every simulated cell's drained MCU/HBT
         state through the invariant oracle; violations raise
         :class:`~repro.errors.InvariantViolation` instead of admitting a
-        silently-corrupt measurement into memo/checkpoint/cache.
+        silently-corrupt measurement into memo or cache.
         """
         self.settings = settings
         self.jobs = max(1, int(jobs))
@@ -171,28 +163,6 @@ class ExperimentSuite:
             self._cache = (
                 cache if isinstance(cache, ArtifactCache) else ArtifactCache(cache)
             )
-        self._checkpoint: Optional[CheckpointStore] = None
-        if checkpoint is not None:
-            if isinstance(checkpoint, CheckpointStore):
-                self._checkpoint = checkpoint
-            else:
-                self._checkpoint = CheckpointStore(
-                    checkpoint,
-                    meta={
-                        "kind": "experiment-suite",
-                        "instructions": settings.instructions,
-                        "seed": settings.seed,
-                        "scale": settings.scale,
-                    },
-                )
-            for key, payload in self._checkpoint.items():
-                workload, cache_key = key
-                self._results[(workload, cache_key)] = _result_from_payload(payload)
-
-    @property
-    def resumed_cells(self) -> int:
-        """Completed (workload, mechanism) cells restored from checkpoint."""
-        return self._checkpoint.resumed_cells if self._checkpoint else 0
 
     @property
     def cache(self) -> Optional["ArtifactCache"]:
@@ -244,29 +214,38 @@ class ExperimentSuite:
     # ------------------------------------------------------------- building
 
     def trace(self, workload: str) -> WorkloadTrace:
-        if workload not in self._traces and workload in self._ingested:
-            from ..traces import import_trace
+        trace = self._known_trace(workload)
+        if trace is None:
+            from .parallel import generate_cell_trace
 
-            self._traces[workload] = import_trace(self._ingested[workload][0])
+            trace = generate_cell_trace(self.settings, workload)
+            self._store_trace(workload, trace)
+        return trace
+
+    def _known_trace(self, workload: str) -> Optional[WorkloadTrace]:
+        """The memoised, ingested or cached trace (None if it must be
+        generated).  Ingested workloads re-import from their file."""
         if workload not in self._traces:
-            trace = None
-            fingerprint = None
-            if self._cache is not None:
+            if workload in self._ingested:
+                from ..traces import import_trace
+
+                self._traces[workload] = import_trace(self._ingested[workload][0])
+            elif self._cache is not None:
                 from .parallel import trace_fingerprint
 
                 fingerprint = trace_fingerprint(self.settings, workload)
                 trace = self._cache.get_trace(fingerprint)
-            if trace is None:
-                trace = generate_trace(
-                    get_profile(workload),
-                    instructions=self.settings.instructions,
-                    seed=self.settings.seed,
-                    scale=self.settings.scale,
-                )
-                if self._cache is not None:
-                    self._cache.put_trace(fingerprint, trace)
-            self._traces[workload] = trace
-        return self._traces[workload]
+                if trace is not None:
+                    self._traces[workload] = trace
+        return self._traces.get(workload)
+
+    def _store_trace(self, workload: str, trace: WorkloadTrace) -> None:
+        """Install one generated trace into the memo and the artifact cache."""
+        self._traces[workload] = trace
+        if self._cache is not None:
+            from .parallel import trace_fingerprint
+
+            self._cache.put_trace(trace_fingerprint(self.settings, workload), trace)
 
     def lowered(
         self,
@@ -289,45 +268,34 @@ class ExperimentSuite:
         config: Optional[SystemConfig] = None,
         key: Optional[str] = None,
     ) -> SimulationResult:
-        cache_key = (workload, key or mechanism)
-        if cache_key not in self._results:
-            result = self._cached_result(workload, mechanism, config, key)
+        from .parallel import CellSpec, simulate_cell
+
+        cell = self._ingested_cell(CellSpec(workload, mechanism, config=config, key=key))
+        if cell.cache_key not in self._results:
+            result = self._cached_result(cell)
             if result is None:
-                if config is None and workload in self._ingested:
-                    # Ingested traces are configured for their *declared*
-                    # scale, which may differ from the suite settings'.
-                    config = scaled_config(mechanism, self._ingested[workload][2])
-                config = config or self.config_for(mechanism)
-                lowered = self.lowered(workload, mechanism, config=config, key=key)
-                inspect = None
-                if self.paranoid:
-                    from ..supervise import InvariantOracle
-
-                    inspect = InvariantOracle().inspector(
-                        f"{workload}/{key or mechanism}"
-                    )
-                # A fresh Observability per cell: metric snapshots stay
-                # per-cell and identical to what a pool worker returns.
-                result = Simulator(config, obs=self.settings.obs.create()).run(
-                    lowered, inspect=inspect
+                # Ingested traces are configured for their *declared* scale,
+                # which may differ from the suite settings'.
+                lowered = self.lowered(
+                    workload,
+                    mechanism,
+                    config=cell.resolved_config(self.settings),
+                    key=key,
                 )
-                self._store_in_cache(workload, mechanism, config, key, result)
-            self._admit(cache_key, result)
-        return self._results[cache_key]
+                result = simulate_cell(
+                    self.settings, cell, lowered=lowered, paranoid=self.paranoid
+                )
+                self._store(cell, result)
+            else:
+                self._results[cell.cache_key] = result
+        return self._results[cell.cache_key]
 
-    def _cached_result(
-        self,
-        workload: str,
-        mechanism: str,
-        config: Optional[SystemConfig],
-        key: Optional[str],
-    ) -> Optional[SimulationResult]:
+    def _cached_result(self, cell: "CellSpec") -> Optional[SimulationResult]:
         """Disk-cache lookup for one cell (None without a cache, or on miss)."""
         if self._cache is None:
             return None
-        from .parallel import CellSpec, cell_fingerprint
+        from .parallel import cell_fingerprint
 
-        cell = self._ingested_cell(CellSpec(workload, mechanism, config=config, key=key))
         payload = self._cache.get_result(cell_fingerprint(self.settings, cell))
         if payload is None:
             return None
@@ -336,28 +304,15 @@ class ExperimentSuite:
         except (KeyError, TypeError):
             return None  # schema drift not caught by the code digest
 
-    def _store_in_cache(
-        self,
-        workload: str,
-        mechanism: str,
-        config: Optional[SystemConfig],
-        key: Optional[str],
-        result: SimulationResult,
-    ) -> None:
-        if self._cache is None:
-            return
-        from .parallel import CellSpec, cell_fingerprint
+    def _store(self, cell: "CellSpec", result: SimulationResult) -> None:
+        """Install one computed result into the memo and the artifact cache."""
+        self._results[cell.cache_key] = result
+        if self._cache is not None:
+            from .parallel import cell_fingerprint
 
-        cell = self._ingested_cell(CellSpec(workload, mechanism, config=config, key=key))
-        self._cache.put_result(
-            cell_fingerprint(self.settings, cell), _result_to_payload(result)
-        )
-
-    def _admit(self, cache_key: Tuple[str, str], result: SimulationResult) -> None:
-        """Install one computed/loaded result into memo + checkpoint."""
-        self._results[cache_key] = result
-        if self._checkpoint is not None and list(cache_key) not in self._checkpoint:
-            self._checkpoint.put(list(cache_key), _result_to_payload(result))
+            self._cache.put_result(
+                cell_fingerprint(self.settings, cell), _result_to_payload(result)
+            )
 
     # ------------------------------------------------------------ prefetch
 
@@ -369,44 +324,23 @@ class ExperimentSuite:
         is deterministic, so the parallel path is observationally identical
         to calling :meth:`trace` in a loop).
         """
-        from .parallel import generate_traces, trace_fingerprint
+        from .parallel import generate_traces
 
-        missing = [w for w in dict.fromkeys(workloads) if w not in self._traces]
-        # Ingested workloads re-import from their file, never regenerate.
-        for workload in [w for w in missing if w in self._ingested]:
-            self.trace(workload)
-        missing = [w for w in missing if w not in self._ingested]
-        if self._cache is not None:
-            still = []
-            for workload in missing:
-                trace = self._cache.get_trace(
-                    trace_fingerprint(self.settings, workload)
-                )
-                if trace is None:
-                    still.append(workload)
-                else:
-                    self._traces[workload] = trace
-            missing = still
-        if not missing:
-            return
-        for workload, trace in generate_traces(
-            self.settings, missing, jobs=self.jobs
-        ).items():
-            self._traces[workload] = trace
-            if self._cache is not None:
-                self._cache.put_trace(
-                    trace_fingerprint(self.settings, workload), trace
-                )
+        missing = [w for w in dict.fromkeys(workloads) if self._known_trace(w) is None]
+        if missing:
+            traces = generate_traces(self.settings, missing, jobs=self.jobs)
+            for workload, trace in traces.items():
+                self._store_trace(workload, trace)
 
     def ensure_cells(self, cells: Iterable["CellSpec"]) -> None:
         """Compute every cell not already known, sharded over ``jobs``.
 
-        The lookup order per cell is memo -> checkpoint (loaded at open)
-        -> artifact cache -> simulate; only the last bucket is fanned out
-        to worker processes.  Results merge back in deterministic cell
-        order, so a prefetching driver behaves identically at any ``jobs``.
+        The lookup order per cell is memo -> artifact cache -> simulate;
+        only the last bucket is fanned out to worker processes.  Results
+        merge back in deterministic cell order, so a prefetching driver
+        behaves identically at any ``jobs``.
         """
-        from .parallel import cell_fingerprint, run_cells
+        from .parallel import run_cells, run_cells_supervised
 
         pending = []
         seen = set(self._results)
@@ -418,18 +352,14 @@ class ExperimentSuite:
             if cell.cache_key in seen:
                 continue
             seen.add(cell.cache_key)
-            cached = self._cached_result(
-                cell.workload, cell.mechanism, cell.config, cell.key
-            )
+            cached = self._cached_result(cell)
             if cached is not None:
-                self._admit(cell.cache_key, cached)
+                self._results[cell.cache_key] = cached
             else:
                 pending.append(cell)
         if not pending:
             return
         if self._supervise is not None:
-            from .parallel import run_cells_supervised
-
             computed, report = run_cells_supervised(
                 self.settings,
                 pending,
@@ -442,21 +372,14 @@ class ExperimentSuite:
                 self.settings, pending, jobs=self.jobs, paranoid=self.paranoid
             )
         for cell in pending:
-            if cell.cache_key not in computed:
-                continue  # quarantined under supervision: never admitted
-            result = computed[cell.cache_key]
-            self._admit(cell.cache_key, result)
-            if self._cache is not None:
-                self._cache.put_result(
-                    cell_fingerprint(self.settings, cell),
-                    _result_to_payload(result),
-                )
+            if cell.cache_key in computed:  # quarantined cells are never stored
+                self._store(cell, computed[cell.cache_key])
 
     def result_payloads(self) -> Dict[Tuple[str, str], dict]:
         """JSON-able snapshot of every memoised result, keyed by cell.
 
-        ``tools/bench_trend.py`` and the determinism tests use this to
-        compare serial and parallel sweeps cell by cell.
+        The determinism tests and ``perfbench`` use this to compare
+        sweeps cell by cell.
         """
         return {
             key: _result_to_payload(result)
@@ -490,7 +413,8 @@ class ExperimentSuite:
     # The three memo caches grow as O(workloads x mechanisms) and are never
     # evicted — fine for one figure, unbounded for a long campaign looping
     # over settings.  cache_info()/clear_caches() let campaign drivers keep
-    # memory flat between sweeps (results stay recoverable via checkpoint).
+    # memory flat between sweeps (results stay recoverable via the artifact
+    # cache, when one is attached).
 
     def cache_info(self) -> Dict[str, int]:
         """Entry counts of the memo caches (traces / lowered / results)."""

@@ -1,19 +1,20 @@
 """Parallel experiment engine and persistent cross-session artifact cache.
 
 The serial :class:`~repro.experiments.common.ExperimentSuite` computes its
-16-workload x 5-mechanism sweep one cell at a time in one process and, unless
-a checkpoint path is passed, forgets everything when the session ends.  This
-module adds the two missing layers:
+16-workload x 5-mechanism sweep one cell at a time in one process and
+forgets everything when the session ends.  This module adds the two missing
+layers:
 
 **Parallel execution** — :func:`run_cells` shards independent
-(workload, mechanism) simulation cells across a ``ProcessPoolExecutor``.
-Every cell is described by a picklable :class:`CellSpec`; each worker builds
-its own trace, lowering and :class:`~repro.cpu.core.Simulator` from the
+(workload, mechanism) simulation cells over worker processes through
+:func:`repro.supervise.dispatch`.  Every cell is described by a picklable
+:class:`CellSpec`; each worker builds its own trace, lowering and
+:class:`~repro.cpu.core.Simulator` from the
 :class:`~repro.experiments.common.RunSettings` fingerprint via
 :func:`simulate_cell` — the same pure function the serial path uses — so
 parallel results are bit-identical to serial ones and merge back into the
-suite's memo/checkpoint in deterministic cell order regardless of worker
-completion order.
+suite's memo in deterministic cell order regardless of worker completion
+order.
 
 **Persistent artifact cache** — :class:`ArtifactCache` stores generated
 traces and :class:`~repro.cpu.core.SimulationResult` payloads under
@@ -32,12 +33,11 @@ import hashlib
 import json
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Optional, Tuple, Union
 
-from ..compiler import lower_trace
+from ..compiler import LoweredWorkload, lower_trace
 from ..config import SystemConfig
 from ..cpu.core import SimulationResult, Simulator
 from ..workloads import WorkloadTrace, generate_trace, get_profile
@@ -427,15 +427,17 @@ def supervised_cell_key(cell: CellSpec) -> str:
 def simulate_cell(
     settings: RunSettings,
     cell: CellSpec,
-    trace: Optional[WorkloadTrace] = None,
+    lowered: Optional[LoweredWorkload] = None,
     paranoid: bool = False,
 ) -> SimulationResult:
-    """Run one cell from scratch: trace -> lowering -> simulation.
+    """Run one cell: trace -> lowering -> simulation.
 
-    This is the single simulation implementation shared by the serial
-    ``ExperimentSuite`` path and the pool workers, which is what makes the
-    parallel engine bit-identical to the serial one: both call exactly this
-    function with exactly these (deterministic) inputs.
+    This is the single simulation implementation: pool workers, the
+    supervisor and :meth:`ExperimentSuite.result` all call exactly this
+    function with exactly these (deterministic) inputs, which is what
+    makes every executor bit-identical to a serial run.  ``lowered``
+    hands in a lowering the caller already holds (the suite's memo);
+    without it the cell builds its own trace and lowering.
 
     ``paranoid=True`` audits the drained MCU/HBT state through the
     invariant oracle before the result is accepted; a violated invariant
@@ -448,7 +450,7 @@ def simulate_cell(
     — live registries and tracers never cross the process boundary.
     """
     config = cell.resolved_config(settings)
-    if trace is None:
+    if lowered is None:
         if cell.trace_path is not None:
             # Ingested cell: the trace file is the source of truth.  The
             # import is deterministic (pure function of the file bytes),
@@ -458,7 +460,7 @@ def simulate_cell(
             trace = import_trace(cell.trace_path)
         else:
             trace = generate_cell_trace(settings, cell.workload)
-    lowered = lower_trace(trace, cell.mechanism, config=config)
+        lowered = lower_trace(trace, cell.mechanism, config=config)
     inspect = None
     if paranoid:
         from ..supervise.oracle import InvariantOracle
@@ -467,11 +469,8 @@ def simulate_cell(
     return Simulator(config, obs=settings.obs.create()).run(lowered, inspect=inspect)
 
 
-def _cell_worker(args: Tuple) -> SimulationResult:
-    # Accepts (settings, cell) and (settings, cell, paranoid): supervised
-    # payloads carry the flag, plain fan-out payloads predate it.
-    settings, cell = args[0], args[1]
-    paranoid = bool(args[2]) if len(args) > 2 else False
+def _cell_worker(args: Tuple[RunSettings, CellSpec, bool]) -> SimulationResult:
+    settings, cell, paranoid = args
     return simulate_cell(settings, cell, paranoid=paranoid)
 
 
@@ -483,41 +482,35 @@ def _trace_worker(args: Tuple[RunSettings, str]) -> WorkloadTrace:
 # ------------------------------------------------------------------- engine
 
 
-def _fan_out(
-    items: List,
-    worker: Callable,
-    jobs: int,
-    progress: Optional[Callable] = None,
-) -> List:
-    """Map ``worker`` over ``items`` with a process pool, preserving order.
+def _dispatch_cells(
+    settings: RunSettings,
+    cells: Iterable[CellSpec],
+    paranoid: bool,
+    jobs: int = 1,
+    supervise=None,
+):
+    """One :func:`repro.supervise.dispatch` call over ``cells``; returns
+    ``({cell.cache_key: SimulationResult}, report)`` in cell order."""
+    from ..supervise import Task, dispatch
 
-    Results are collected as workers finish but returned in submission
-    order, so callers observe deterministic merges.  ``jobs <= 1`` (or a
-    single item) degrades to an in-process loop with no pool overhead.
-    """
-    if jobs <= 1 or len(items) <= 1:
-        results = []
-        for item in items:
-            results.append(worker(item))
-            if progress is not None:
-                progress(item)
-        return results
-    by_index: Dict[int, object] = {}
-    with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
-        futures = {pool.submit(worker, item): index for index, item in enumerate(items)}
-        for future in as_completed(futures):
-            index = futures[future]
-            by_index[index] = future.result()
-            if progress is not None:
-                progress(items[index])
-    return [by_index[index] for index in range(len(items))]
+    cells = list(cells)
+    tasks = [
+        Task(key=supervised_cell_key(cell), payload=(settings, cell, paranoid))
+        for cell in cells
+    ]
+    results, report = dispatch(_cell_worker, tasks, jobs, supervise)
+    merged = {
+        cell.cache_key: results[task.key]
+        for cell, task in zip(cells, tasks)
+        if task.key in results
+    }
+    return merged, report
 
 
 def run_cells(
     settings: RunSettings,
     cells: Iterable[CellSpec],
     jobs: int = 1,
-    progress: Optional[Callable[[CellSpec], None]] = None,
     paranoid: bool = False,
 ) -> Dict[Tuple[str, str], SimulationResult]:
     """Simulate ``cells``, sharded over ``jobs`` worker processes.
@@ -525,15 +518,9 @@ def run_cells(
     Returns ``{cell.cache_key: SimulationResult}`` in input order.  With
     ``jobs=1`` this is exactly the serial loop; with ``jobs>1`` each worker
     rebuilds its cell from the picklable spec, so results are identical.
+    A failing cell raises the worker's own exception.
     """
-    cells = list(cells)
-    results = _fan_out(
-        [(settings, cell, paranoid) for cell in cells],
-        _cell_worker,
-        jobs,
-        progress=None if progress is None else (lambda args: progress(args[1])),
-    )
-    return {cell.cache_key: result for cell, result in zip(cells, results)}
+    return _dispatch_cells(settings, cells, paranoid, jobs=jobs)[0]
 
 
 def run_cells_supervised(
@@ -541,7 +528,6 @@ def run_cells_supervised(
     cells: Iterable[CellSpec],
     config=None,
     paranoid: bool = False,
-    on_result: Optional[Callable[[str, SimulationResult], None]] = None,
 ):
     """Simulate ``cells`` under the supervision layer.
 
@@ -553,21 +539,10 @@ def run_cells_supervised(
     ``report.quarantined`` (keyed by :func:`supervised_cell_key`), so they
     can never be mistaken for measurements or poison a cache.
     """
-    from ..supervise import Supervisor, SupervisorConfig, Task
+    from ..supervise import SupervisorConfig
 
-    cells = list(cells)
-    tasks = [
-        Task(key=supervised_cell_key(cell), payload=(settings, cell, paranoid))
-        for cell in cells
-    ]
-    supervisor = Supervisor(config if config is not None else SupervisorConfig())
-    results, report = supervisor.run(_cell_worker, tasks, on_result=on_result)
-    merged = {
-        cell.cache_key: results[supervised_cell_key(cell)]
-        for cell in cells
-        if supervised_cell_key(cell) in results
-    }
-    return merged, report
+    supervise = config if config is not None else SupervisorConfig()
+    return _dispatch_cells(settings, cells, paranoid, supervise=supervise)
 
 
 def generate_traces(
@@ -576,8 +551,8 @@ def generate_traces(
     jobs: int = 1,
 ) -> Dict[str, WorkloadTrace]:
     """Generate (deterministic) traces for ``workloads``, in parallel."""
-    workloads = list(workloads)
-    traces = _fan_out(
-        [(settings, workload) for workload in workloads], _trace_worker, jobs
-    )
-    return dict(zip(workloads, traces))
+    from ..supervise import Task, dispatch
+
+    tasks = [Task(key=w, payload=(settings, w)) for w in dict.fromkeys(workloads)]
+    traces, _ = dispatch(_trace_worker, tasks, jobs)
+    return traces

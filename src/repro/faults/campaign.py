@@ -22,17 +22,18 @@ of stalling the sweep.  Host-level errors are retried with a fresh seed
 a :class:`~repro.faults.checkpoint.CheckpointStore` so an interrupted
 campaign resumes without re-running them.
 
-``Campaign.run(jobs=N)`` shards pending cells across worker processes:
-each worker classifies one cell via the same :func:`run_campaign_cell`
-the serial path uses (keeping its per-cell deadline and fresh-seed retry
-machinery), the parent streams finished cells to the checkpoint as they
-land, and the final report lists cells in deterministic sweep order.
+``Campaign.run(jobs=N)`` hands the pending cells to
+:func:`repro.supervise.dispatch`: every worker classifies its cell via the
+same :func:`run_campaign_cell` (keeping its per-cell deadline and
+fresh-seed retry machinery), the parent streams finished cells to the
+checkpoint as they land, and the final report lists cells in
+deterministic sweep order.
 """
 
 from __future__ import annotations
 
+import json
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -42,6 +43,7 @@ from ..core.exceptions import AOSException
 from ..errors import AllocatorError, ExperimentTimeout, FaultInjectionError
 from ..os.handler import HandlerPolicy, ProcessTerminated
 from ..stats.coverage import DetectionCoverage
+from ..supervise import Task, dispatch
 from .checkpoint import CheckpointStore
 from .injector import (
     ALL_KINDS,
@@ -112,8 +114,8 @@ class RunResult:
 
     def stable_payload(self) -> dict:
         """The payload minus wall-clock fields: two runs of the same cell
-        must agree byte-for-byte on this (the determinism tests and
-        ``tools/bench_trend.py`` compare supervised vs serial runs)."""
+        must agree byte-for-byte on this (the determinism tests compare
+        supervised, parallel and serial runs)."""
         data = self.to_payload()
         data.pop("elapsed", None)
         return data
@@ -323,11 +325,10 @@ def run_campaign_cell(
 ) -> RunResult:
     """Inject one fault, probe, classify — with timeout and retry.
 
-    A module-level pure function of picklable arguments, so a
-    ``Campaign.run(jobs=N)`` worker process classifies a cell exactly the
-    way the serial sweep does.  ``injector`` defaults to a fresh
-    :class:`FaultInjector`; the serial path passes the campaign's own so
-    tests can substitute instrumented doubles.
+    A module-level pure function of picklable arguments, so a worker
+    process classifies a cell exactly the way an in-process run does.
+    ``injector`` defaults to a fresh :class:`FaultInjector`; tests pass
+    instrumented doubles.
     """
     injector = injector or FaultInjector()
     seed = spec.seed
@@ -454,6 +455,18 @@ def _cell_worker(args: Tuple[CampaignConfig, str, str, FaultSpec]) -> RunResult:
     return run_campaign_cell(*args)
 
 
+def _quarantined(cell_key: list, reason: str) -> dict:
+    """The :attr:`CampaignResult.quarantined` record of one cell key."""
+    _, workload, mechanism, kind, location = cell_key
+    return {
+        "workload": workload,
+        "mechanism": mechanism,
+        "kind": kind,
+        "location": location,
+        "reason": reason,
+    }
+
+
 class Campaign:
     """Sweeps fault specs across workloads with checkpoint/resume."""
 
@@ -470,7 +483,6 @@ class Campaign:
                     f"fault campaigns target 'aos' or 'pa+aos', not {mechanism!r}"
                 )
         self.config = config
-        self.injector = FaultInjector()
         if checkpoint is None or isinstance(checkpoint, CheckpointStore):
             self.checkpoint = checkpoint
         else:
@@ -505,11 +517,9 @@ class Campaign:
 
     @staticmethod
     def _cell_key(workload: str, mechanism: str, spec: FaultSpec) -> list:
+        """A cell's checkpoint key; ``["quarantine", *key[1:]]`` holds its
+        quarantine record."""
         return ["cell", workload, mechanism, spec.kind.value, spec.location]
-
-    @staticmethod
-    def _quarantine_key(workload: str, mechanism: str, spec: FaultSpec) -> list:
-        return ["quarantine", workload, mechanism, spec.kind.value, spec.location]
 
     def run(
         self,
@@ -520,186 +530,98 @@ class Campaign:
         """Run (or resume) the full sweep; never lets a cell escape the
         outcome taxonomy.
 
-        ``jobs>1`` shards pending cells over worker processes, streaming
-        each finished cell to the checkpoint as it lands (a killed parallel
-        campaign therefore resumes just like a serial one); the result list
-        is assembled in sweep order either way.
+        One resume pass takes every checkpointed cell, then the pending
+        cells go to :meth:`_run_parallel` in one batch, and the result
+        list is assembled in sweep order.  ``jobs>1`` shards the batch
+        over worker processes; each finished cell streams to the
+        checkpoint as it lands, so a killed campaign resumes without
+        re-running it at any ``jobs``.
 
         ``supervise`` (a :class:`~repro.supervise.SupervisorConfig`) runs
-        the pending cells under the supervision layer instead: hung or
-        crashing workers are retried with deterministic backoff, repeat
-        offenders are quarantined *in the checkpoint* (a resumed run skips
-        them), and execution degrades pool -> fresh-pool -> serial if
-        workers keep dying.  Results for surviving cells are identical to
-        a serial run.
+        the batch under the supervision layer instead: hung or crashing
+        workers are retried with deterministic backoff, repeat offenders
+        are quarantined *in the checkpoint* (a resumed supervised run
+        skips them), and execution degrades pool -> fresh-pool -> serial
+        if workers keep dying.  Results for surviving cells are identical
+        to a serial run.
         """
-        if supervise is not None:
-            return self._run_supervised(progress, jobs, supervise)
-        if jobs > 1:
-            return self._run_parallel(progress, jobs)
         outcome = CampaignResult()
+        order: List[str] = []
+        done: Dict[str, RunResult] = {}
+        tasks = []
+        skipped: List[str] = []
         for workload, mechanism, spec in self.cells():
             key = self._cell_key(workload, mechanism, spec)
+            task_key = json.dumps(key)
+            order.append(task_key)
             if self.checkpoint is not None and key in self.checkpoint:
-                result = RunResult.from_payload(self.checkpoint.get(key))
-                outcome.results.append(result)
+                done[task_key] = RunResult.from_payload(self.checkpoint.get(key))
                 outcome.resumed += 1
                 if progress is not None:
-                    progress(result, True)
+                    progress(done[task_key], True)
                 continue
-            result = self.run_cell(workload, mechanism, spec)
-            if self.checkpoint is not None:
-                self.checkpoint.put(key, result.to_payload())
-            outcome.results.append(result)
-            if progress is not None:
-                progress(result, False)
+            quarantine_key = ["quarantine", *key[1:]]
+            if (
+                supervise is not None
+                and self.checkpoint is not None
+                and quarantine_key in self.checkpoint
+            ):
+                stored = self.checkpoint.get(quarantine_key) or {}
+                reason = stored.get("reason", "quarantined")
+                outcome.quarantined.append(_quarantined(key, reason))
+                outcome.skipped_quarantined += 1
+                skipped.append(task_key)
+                continue
+            tasks.append(
+                Task(key=task_key, payload=(self.config, workload, mechanism, spec))
+            )
+        computed, report = self._run_parallel(tasks, progress, jobs, supervise)
+        done.update(computed)
+        if report is not None:
+            report.skipped_quarantined.extend(skipped)
+            for task_key, reason in report.quarantined.items():
+                key = json.loads(task_key)
+                if self.checkpoint is not None:
+                    self.checkpoint.put(["quarantine", *key[1:]], {"reason": reason})
+                outcome.quarantined.append(_quarantined(key, reason))
+            outcome.supervision = report
+        outcome.results = [done[key] for key in order if key in done]
         return outcome
 
     def _run_parallel(
         self,
-        progress: Optional[Callable[[RunResult, bool], None]],
-        jobs: int,
-    ) -> CampaignResult:
-        cells = list(self.cells())
-        outcome = CampaignResult()
-        by_index: Dict[int, RunResult] = {}
-        pending: List[Tuple[int, str, str, FaultSpec]] = []
-        for index, (workload, mechanism, spec) in enumerate(cells):
-            key = self._cell_key(workload, mechanism, spec)
-            if self.checkpoint is not None and key in self.checkpoint:
-                result = RunResult.from_payload(self.checkpoint.get(key))
-                by_index[index] = result
-                outcome.resumed += 1
-                if progress is not None:
-                    progress(result, True)
-            else:
-                pending.append((index, workload, mechanism, spec))
-        if pending:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-                futures = {
-                    pool.submit(
-                        _cell_worker, (self.config, workload, mechanism, spec)
-                    ): index
-                    for index, workload, mechanism, spec in pending
-                }
-                for future in as_completed(futures):
-                    index = futures[future]
-                    workload, mechanism, spec = cells[index]
-                    try:
-                        result = future.result()
-                    except Exception as exc:
-                        # Surface *which* cell killed the worker: a bare
-                        # BrokenProcessPool names no cell, which makes a
-                        # reproduction hunt start from zero.
-                        raise FaultInjectionError(
-                            "parallel campaign worker died on cell "
-                            f"workload={workload} mechanism={mechanism} "
-                            f"kind={spec.kind.value} location={spec.location}: "
-                            f"{type(exc).__name__}: {exc}"
-                        ) from exc
-                    if self.checkpoint is not None:
-                        self.checkpoint.put(
-                            self._cell_key(workload, mechanism, spec),
-                            result.to_payload(),
-                        )
-                    by_index[index] = result
-                    if progress is not None:
-                        progress(result, False)
-        outcome.results = [by_index[index] for index in range(len(cells))]
-        return outcome
-
-    def _run_supervised(
-        self,
+        tasks: List[Task],
         progress: Optional[Callable[[RunResult, bool], None]],
         jobs: int,
         supervise,
-    ) -> CampaignResult:
-        import dataclasses as _dataclasses
-        import json as _json
-
-        from ..supervise import Supervisor
-
-        if supervise.jobs < 1:
-            supervise = _dataclasses.replace(supervise, jobs=max(1, jobs))
-        cells = list(self.cells())
-        outcome = CampaignResult()
-        by_index: Dict[int, RunResult] = {}
-        tasks = []
-        index_by_key: Dict[str, int] = {}
-        skipped_keys: List[str] = []
-        from ..supervise import Task
-
-        for index, (workload, mechanism, spec) in enumerate(cells):
-            key = self._cell_key(workload, mechanism, spec)
-            task_key = _json.dumps(key)
-            if self.checkpoint is not None and key in self.checkpoint:
-                result = RunResult.from_payload(self.checkpoint.get(key))
-                by_index[index] = result
-                outcome.resumed += 1
-                if progress is not None:
-                    progress(result, True)
-                continue
-            quarantine_key = self._quarantine_key(workload, mechanism, spec)
-            if self.checkpoint is not None and quarantine_key in self.checkpoint:
-                stored = self.checkpoint.get(quarantine_key) or {}
-                outcome.quarantined.append(
-                    {
-                        "workload": workload,
-                        "mechanism": mechanism,
-                        "kind": spec.kind.value,
-                        "location": spec.location,
-                        "reason": stored.get("reason", "quarantined"),
-                    }
-                )
-                outcome.skipped_quarantined += 1
-                skipped_keys.append(task_key)
-                continue
-            index_by_key[task_key] = index
-            tasks.append(
-                Task(key=task_key, payload=(self.config, workload, mechanism, spec))
-            )
+    ):
+        """Run the pending cells, streaming each to the checkpoint as it
+        lands; returns :func:`~repro.supervise.dispatch`'s pair."""
 
         def on_result(task_key: str, result: RunResult) -> None:
-            index = index_by_key[task_key]
-            workload, mechanism, spec = cells[index]
             if self.checkpoint is not None:
-                self.checkpoint.put(
-                    self._cell_key(workload, mechanism, spec), result.to_payload()
-                )
-            by_index[index] = result
+                self.checkpoint.put(json.loads(task_key), result.to_payload())
             if progress is not None:
                 progress(result, False)
 
-        supervisor = Supervisor(supervise)
-        _, report = supervisor.run(_cell_worker, tasks, on_result=on_result)
-        report.skipped_quarantined.extend(skipped_keys)
-        for task_key, reason in report.quarantined.items():
-            index = index_by_key[task_key]
-            workload, mechanism, spec = cells[index]
-            if self.checkpoint is not None:
-                self.checkpoint.put(
-                    self._quarantine_key(workload, mechanism, spec),
-                    {"reason": reason},
-                )
-            outcome.quarantined.append(
-                {
-                    "workload": workload,
-                    "mechanism": mechanism,
-                    "kind": spec.kind.value,
-                    "location": spec.location,
-                    "reason": reason,
-                }
-            )
-        outcome.supervision = report
-        outcome.results = [by_index[index] for index in sorted(by_index)]
-        return outcome
+        def on_error(task_key: str, exc: Exception) -> None:
+            # Name *which* cell failed: a bare BrokenProcessPool from a
+            # dead worker names none, so a reproduction hunt would start
+            # from zero.
+            _, workload, mechanism, kind, location = json.loads(task_key)
+            raise FaultInjectionError(
+                f"campaign cell workload={workload} mechanism={mechanism} "
+                f"kind={kind} location={location} failed: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
 
-    # ------------------------------------------------------------ one cell
-
-    def run_cell(self, workload: str, mechanism: str, spec: FaultSpec) -> RunResult:
-        """Inject one fault, probe, classify — with timeout and retry."""
-        return run_campaign_cell(
-            self.config, workload, mechanism, spec, injector=self.injector
+        return dispatch(
+            _cell_worker,
+            tasks,
+            jobs=jobs,
+            supervise=supervise,
+            on_result=on_result,
+            on_error=on_error,
         )
 
 

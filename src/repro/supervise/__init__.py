@@ -10,12 +10,17 @@ run instead of killing it::
     results, report = supervisor.run(worker_fn, tasks)
     print(report.format())
 
+Sweep runners do not pick an executor themselves: they call
+:func:`dispatch`, which runs the batch under :class:`Supervisor` when
+given a config and through one ordered process pool otherwise.
+
 ``InvariantOracle`` is the ``--paranoid`` half: it audits simulator state
 (MCQ FSMs, HBT occupancy, BWB hints, signed-pointer round-trips, shadow
 bounds) after a cell and turns silent corruption into a first-class
 failure.
 """
 
+from .executor import dispatch
 from .heartbeat import HeartbeatBoard, sweep_stale_boards
 from .oracle import InvariantOracle, Violation
 from .policy import LADDER, ExecutionLevel, RetryPolicy, SupervisorConfig
@@ -41,6 +46,7 @@ __all__ = [
     "Task",
     "Violation",
     "WorkerError",
+    "dispatch",
     "sweep_stale_boards",
     "trap_signals",
 ]

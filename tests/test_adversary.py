@@ -1,6 +1,8 @@
 """Adversarial scenario corpus and chaos campaign tests."""
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,12 @@ from repro.errors import WorkloadError
 from repro.faults import Deadline
 from repro.security.adapters import MECHANISM_ADAPTERS
 from repro.supervise import SupervisorConfig
+
+
+def _pid_recording_cell(payload):
+    """run_scenario_cell that leaves its process id in $CHAOS_PID_DIR."""
+    (Path(os.environ["CHAOS_PID_DIR"]) / str(os.getpid())).touch()
+    return run_scenario_cell(payload)
 
 
 # ---------------------------------------------------------------- the corpus
@@ -258,6 +266,25 @@ class TestChaosCampaign:
         assert supervised.supervision.accounts_for(
             [json.dumps(["scenario", s, m]) for s, m in ChaosCampaign(config).cells()]
         )
+
+    def test_unsupervised_jobs_fan_out(self, monkeypatch, tmp_path):
+        """``jobs=2`` without supervision runs cells in worker processes
+        and classifies them exactly as the serial sweep does."""
+        from repro.adversary import chaos
+
+        config = ChaosConfig(
+            scenarios=("heap-overflow-adjacent", "double-free"),
+            mechanisms=("baseline", "aos"),
+        )
+        serial = ChaosCampaign(config).run()
+        monkeypatch.setenv("CHAOS_PID_DIR", str(tmp_path))
+        monkeypatch.setattr(chaos, "run_scenario_cell", _pid_recording_cell)
+        fanned = ChaosCampaign(config).run(jobs=2)
+        assert [r.stable_payload() for r in fanned.runs] == [
+            r.stable_payload() for r in serial.runs
+        ]
+        pids = {int(path.name) for path in tmp_path.iterdir()}
+        assert pids and os.getpid() not in pids
 
     def test_missed_detection_fails_campaign(self, monkeypatch):
         """Force a stale oracle entry: a must-detect the mechanism misses."""

@@ -182,31 +182,3 @@ class TestSuiteCaching:
         # Same (deterministic) simulation under a different memo label.
         assert aliased == pytest.approx(default)
         assert ("gobmk", "baseline-alias") in suite.result_payloads()
-
-
-class TestSuiteCheckpoint:
-    SETTINGS = RunSettings(instructions=4_000, seed=3, scale=8)
-
-    def test_results_resume_from_checkpoint(self, tmp_path):
-        path = tmp_path / "suite.jsonl"
-        first = ExperimentSuite(self.SETTINGS, checkpoint=path)
-        a = first.result("povray", "baseline")
-        assert first.resumed_cells == 0
-
-        second = ExperimentSuite(self.SETTINGS, checkpoint=path)
-        assert second.resumed_cells == 1
-        assert second.cache_info()["results"] == 1
-        b = second.result("povray", "baseline")  # no re-simulation
-        assert b.cycles == a.cycles
-        assert b.network_traffic_bytes == a.network_traffic_bytes
-        assert second.cache_info()["lowered"] == 0  # never lowered anything
-
-    def test_settings_change_invalidates_checkpoint(self, tmp_path):
-        path = tmp_path / "suite.jsonl"
-        first = ExperimentSuite(self.SETTINGS, checkpoint=path)
-        first.result("povray", "baseline")
-
-        other = RunSettings(instructions=4_000, seed=99, scale=8)
-        fresh = ExperimentSuite(other, checkpoint=path)
-        assert fresh.resumed_cells == 0
-        assert fresh.cache_info()["results"] == 0

@@ -18,6 +18,7 @@ from repro.faults import (
     RunOutcome,
     RunResult,
 )
+from repro.faults.campaign import run_campaign_cell
 from repro.stats import DetectionCoverage
 
 #: A small-but-real harness shape shared by the injection tests.
@@ -38,8 +39,10 @@ def small_config(**overrides):
 
 
 def run_one(kind, mechanism="aos", location=0, **config_kw):
-    campaign = Campaign(small_config(kinds=(kind,), **config_kw))
-    return campaign.run_cell("gcc", mechanism, FaultSpec(kind=kind, location=location))
+    config = small_config(kinds=(kind,), **config_kw)
+    return run_campaign_cell(
+        config, "gcc", mechanism, FaultSpec(kind=kind, location=location)
+    )
 
 
 # --------------------------------------------------------------------- deadline
@@ -221,7 +224,6 @@ class TestCampaignResilience:
         assert "wall-clock" in result.detail
 
     def test_host_error_retried_then_crashed(self):
-        campaign = Campaign(small_config(max_retries=2))
         calls = []
 
         class FailingInjector:
@@ -229,9 +231,12 @@ class TestCampaignResilience:
                 calls.append(spec.seed)
                 raise RuntimeError("simulator bug")
 
-        campaign.injector = FailingInjector()
-        result = campaign.run_cell(
-            "gcc", "aos", FaultSpec(kind=FaultKind.PTR_PAC_FLIP, seed=7)
+        result = run_campaign_cell(
+            small_config(max_retries=2),
+            "gcc",
+            "aos",
+            FaultSpec(kind=FaultKind.PTR_PAC_FLIP, seed=7),
+            injector=FailingInjector(),
         )
         assert result.outcome is RunOutcome.CRASHED
         assert result.retries == 2
@@ -240,8 +245,7 @@ class TestCampaignResilience:
         assert calls == [7, 7 + 7919, 7 + 2 * 7919]
 
     def test_host_error_recovers_on_retry(self):
-        campaign = Campaign(small_config(max_retries=2))
-        real = campaign.injector
+        real = FaultInjector()
         attempts = []
 
         class FlakyInjector:
@@ -251,9 +255,12 @@ class TestCampaignResilience:
                     raise OSError("transient")
                 return real.inject(harness, spec)
 
-        campaign.injector = FlakyInjector()
-        result = campaign.run_cell(
-            "gcc", "aos", FaultSpec(kind=FaultKind.PTR_PAC_FLIP, seed=7)
+        result = run_campaign_cell(
+            small_config(max_retries=2),
+            "gcc",
+            "aos",
+            FaultSpec(kind=FaultKind.PTR_PAC_FLIP, seed=7),
+            injector=FlakyInjector(),
         )
         assert result.outcome is RunOutcome.DETECTED
         assert result.retries == 1
@@ -285,7 +292,9 @@ class TestCampaignResume:
         locations=2,
     )
 
-    def test_resume_skips_completed_cells(self, tmp_path):
+    def test_resume_skips_completed_cells(self, tmp_path, monkeypatch):
+        import repro.faults.campaign as campaign_mod
+
         path = tmp_path / "campaign.jsonl"
         config = small_config(**self.CONFIG_KW)
         first = Campaign(config, checkpoint=path).run()
@@ -293,7 +302,8 @@ class TestCampaignResume:
         assert len(first) == 4
 
         resumed = Campaign(config, checkpoint=path)
-        resumed.run_cell = None  # any attempt to re-run a cell would blow up
+        # Any attempt to re-run a cell would blow up.
+        monkeypatch.setattr(campaign_mod, "_cell_worker", None)
         second = resumed.run()
         assert second.resumed == 4
         assert len(second) == 4

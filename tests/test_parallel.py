@@ -21,6 +21,7 @@ from repro.experiments.parallel import (
     trace_fingerprint,
 )
 from repro.faults import Campaign, CampaignConfig, FaultKind
+from repro.supervise import SupervisorConfig
 
 SETTINGS = RunSettings(instructions=4000, seed=7, scale=8)
 
@@ -147,6 +148,19 @@ class TestParallelDeterminism:
             assert dataclasses.asdict(
                 lazy.result(workload, cell.mechanism)
             ) == dataclasses.asdict(eager.result(workload, cell.mechanism))
+        # result() simulates through the suite's memoised lowering.
+        assert lazy.cache_info()["lowered"] == len(SMALL_SWEEP)
+
+    def test_supervised_suite_matches_serial(self):
+        serial = ExperimentSuite(SETTINGS)
+        serial.ensure_cells(SMALL_SWEEP)
+        supervised = ExperimentSuite(
+            SETTINGS, jobs=2, supervise=SupervisorConfig(jobs=2)
+        )
+        supervised.ensure_cells(SMALL_SWEEP)
+        assert supervised.result_payloads() == serial.result_payloads()
+        assert len(supervised.supervision_reports) == 1
+        assert supervised.supervision_reports[0].quarantined == {}
 
 
 # ----------------------------------------------------------- suite-level cache

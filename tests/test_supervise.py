@@ -432,6 +432,18 @@ def _boom_cell(args):
     raise RuntimeError("simulated dead worker")
 
 
+def _die_on_pac_flip(args):
+    """Kill the worker process on the ptr-pac-flip cell; run the rest."""
+    from repro.faults.campaign import run_campaign_cell
+
+    if args[3].kind is FaultKind.PTR_PAC_FLIP:
+        # Let the healthy cell land first, so the broken pool can only
+        # belong to this cell.
+        time.sleep(1.0)
+        os._exit(1)
+    return run_campaign_cell(*args)
+
+
 class TestSupervisedCampaign:
     def test_hang_quarantined_and_resume_skips(self, tmp_path):
         """Satellite: injected hang -> detected -> retried -> quarantined;
@@ -528,6 +540,19 @@ class TestSupervisedCampaign:
         assert "workload=gcc" in message
         assert "kind=" in message and "location=" in message
         assert "RuntimeError" in message
+
+    def test_dead_worker_names_cell(self, monkeypatch):
+        """A worker process that exits mid-cell surfaces as a
+        FaultInjectionError naming that cell, not a bare pool error."""
+        import repro.faults.campaign as campaign_mod
+
+        monkeypatch.setattr(campaign_mod, "_cell_worker", _die_on_pac_flip)
+        with pytest.raises(FaultInjectionError) as excinfo:
+            Campaign(_tiny_campaign_config()).run(jobs=2)
+        message = str(excinfo.value)
+        assert "workload=gcc" in message
+        assert "kind=ptr-pac-flip location=0" in message
+        assert "BrokenProcessPool" in message
 
 
 # ------------------------------------------------------------------ signals
