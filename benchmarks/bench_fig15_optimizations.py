@@ -33,5 +33,5 @@ def test_fig15_optimizations(suite, benchmark):
     config = suite.config_for("aos").with_aos_options(
         l1b_cache=False, bounds_compression=False
     )
-    lowered = suite.lowered("povray", "aos", config=config, key="aos-no-opt")
+    lowered = suite.lowered("povray", "aos", config=config)
     benchmark(lambda: Simulator(config).run(lowered))

@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     sup = parser.add_argument_group("supervision options")
     sup.add_argument(
         "--supervise", action="store_true",
-        help="run simulation cells under the supervisor: per-cell deadlines, "
+        help="run simulation cells under the supervisor: per-task deadlines, "
         "heartbeats, retry with backoff, quarantine, degradation ladder",
     )
     sup.add_argument(
@@ -338,11 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sup.add_argument(
         "--cell-deadline", type=float, default=None, metavar="SECONDS",
-        help="supervised per-cell wall-clock deadline (default 60)",
+        help="supervised per-cell wall-clock deadline; a figure run's trace "
+        "task gets it times the largest trace's cell count (default 60)",
     )
     sup.add_argument(
         "--cell-retries", type=int, default=None, metavar="N",
-        help="supervised retries per cell before quarantine (default 2)",
+        help="supervised retries per task before quarantine (default 2)",
     )
     sup.add_argument(
         "--inject-hang", nargs="?", const="*:*:ptr-pac-flip:0", default=None,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..config import SystemConfig, default_config
 from ..crypto.pac import PACGenerator, PAKeys
@@ -33,6 +33,21 @@ from ..workloads.generator import WorkloadTrace
 MAX_DEP_DISTANCE = 480
 
 
+@dataclass(frozen=True)
+class SignedPreamble:
+    """The AOS preamble live set after ``pacma`` signing, in trace order.
+
+    It depends only on the trace and ``pa.pac_bits``/``pa.key``, so the
+    AOS and PA+AOS lowerings of one trace can share it (see
+    :func:`lower_trace`'s ``preamble``).
+    """
+
+    #: Signed pointer per preamble object.
+    pointers: Tuple[int, ...]
+    #: (pac, address, size) per preamble object: the HBT pre-warm inserts.
+    bounds: Tuple[Tuple[int, int, int], ...]
+
+
 @dataclass
 class LoweredWorkload:
     """A lowered trace plus the state the simulator needs to run it."""
@@ -43,10 +58,12 @@ class LoweredWorkload:
     pointer_layout: Optional[PointerLayout] = None
     #: Builds a *fresh* pre-warmed HBT; called once per simulation run so
     #: repeated runs (pytest-benchmark rounds) don't accumulate state.
-    hbt_factory: Optional[Callable[[], HashedBoundsTable]] = None
+    hbt_factory: Optional["HBTFactory"] = None
     #: Dynamic-instruction count of the unprotected lowering, for
     #: instruction-overhead reporting (§I's "44 % more dynamic instructions").
     trace_events: int = 0
+    #: The AOS lowerings' signed preamble (None for other mechanisms).
+    preamble: Optional[SignedPreamble] = None
 
     @property
     def hbt(self) -> Optional[HashedBoundsTable]:
@@ -85,8 +102,10 @@ class _LoweringBase:
 
     def setup_preamble(self) -> None:
         """Allocate the preamble live set (untimed warm state)."""
-        for obj, size in self.trace.preamble:
-            self.pointers[obj] = self.allocator.malloc(size)
+        sizes = [size for _, size in self.trace.preamble]
+        raws = self.allocator.malloc_many(sizes)
+        for (obj, _), raw in zip(self.trace.preamble, raws):
+            self.pointers[obj] = raw
 
     def lower_malloc(self, obj: int, size: int) -> None:
         self._emit_allocator_work(size)
@@ -553,6 +572,7 @@ class AOSLowering(_LoweringBase):
         address_layout: AddressSpaceLayout = DEFAULT_LAYOUT,
         pa_integrity: bool = False,
         pac_mode: str = "fast",
+        preamble: Optional[SignedPreamble] = None,
     ) -> None:
         if pa_integrity:
             self.mechanism = "pa+aos"
@@ -571,11 +591,9 @@ class AOSLowering(_LoweringBase):
         )
         self.signer = PointerSigner(generator=generator, layout=self.pointer_layout)
         self.sp = address_layout.stack_top - 0x100
-        #: (pac, address, size) triples pre-inserted into every fresh HBT.
-        self._preamble_bounds: List[tuple] = []
-        #: Preamble-warmed HBT the factory clones per run (built lazily on
-        #: the first run instead of re-walking every preamble insert).
-        self._hbt_prototype: Optional[HashedBoundsTable] = None
+        #: The signed preamble: handed in by a lowering of the same trace
+        #: and PA config, or signed by :meth:`setup_preamble`.
+        self.preamble = preamble
 
     # ------------------------------------------------------------- preamble
 
@@ -584,28 +602,32 @@ class AOSLowering(_LoweringBase):
         # sign the whole preamble in one batch: QARMA mode vectorises the
         # PAC computation instead of one scalar permutation per object.
         sizes = [size for _, size in self.trace.preamble]
-        raws = [self.allocator.malloc(size) for size in sizes]
-        layout = self.pointer_layout
-        for (obj, size), signed in zip(
-            self.trace.preamble, self.signer.pacma_batch(raws, self.sp, sizes)
-        ):
-            self.pointers[obj] = signed
-            self._preamble_bounds.append(
-                (layout.pac(signed), layout.address(signed), size)
+        raws = self.allocator.malloc_many(sizes)
+        if self.preamble is None:
+            layout = self.pointer_layout
+            signed = self.signer.pacma_batch(raws, self.sp, sizes)
+            self.preamble = SignedPreamble(
+                pointers=tuple(signed),
+                bounds=tuple(
+                    (layout.pac(pointer), layout.address(pointer), size)
+                    for pointer, size in zip(signed, sizes)
+                ),
             )
+        for (obj, _), pointer in zip(self.trace.preamble, self.preamble.pointers):
+            self.pointers[obj] = pointer
 
-    def _make_hbt(self) -> HashedBoundsTable:
-        if self._hbt_prototype is None:
-            hbt = HashedBoundsTable(
-                pac_bits=self.pac_bits,
-                initial_ways=self.config.hbt.initial_ways,
-                layout=self.address_layout,
-                compression=self.config.aos.bounds_compression,
-            )
-            for pac, address, size in self._preamble_bounds:
-                self._insert_with_resize(hbt, pac, address, size)
-            self._hbt_prototype = hbt
-        return self._hbt_prototype.clone()
+    def _make_hbt(self, config: SystemConfig) -> HashedBoundsTable:
+        """The HBT pre-warm: a table of ``config``'s initial ways and bounds
+        compression holding every preamble bound."""
+        hbt = HashedBoundsTable(
+            pac_bits=self.pac_bits,
+            initial_ways=config.hbt.initial_ways,
+            layout=self.address_layout,
+            compression=config.aos.bounds_compression,
+        )
+        for pac, address, size in self.preamble.bounds:
+            self._insert_with_resize(hbt, pac, address, size)
+        return hbt
 
     @staticmethod
     def _insert_with_resize(
@@ -668,9 +690,35 @@ class AOSLowering(_LoweringBase):
             mechanism=self.mechanism,
             program=self.builder.build(),
             pointer_layout=self.pointer_layout,
-            hbt_factory=self._make_hbt,
+            hbt_factory=HBTFactory(self, self.config),
             trace_events=len(self.trace.events),
+            preamble=self.preamble,
         )
+
+
+class HBTFactory:
+    """Fresh pre-warmed HBTs for one AOS lowering and one HBT geometry.
+
+    The first call pre-warms a prototype (:meth:`AOSLowering._make_hbt`);
+    every call returns a clone of it, so repeated runs never accumulate
+    state and only the first pays for the preamble inserts.
+    """
+
+    def __init__(self, lowering: AOSLowering, config: SystemConfig) -> None:
+        self._lowering = lowering
+        self._config = config
+        self._prototype: Optional[HashedBoundsTable] = None
+
+    def __call__(self) -> HashedBoundsTable:
+        if self._prototype is None:
+            self._prototype = self._lowering._make_hbt(self._config)
+        return self._prototype.clone()
+
+    def for_config(self, config: SystemConfig) -> "HBTFactory":
+        """A factory of the same lowering under ``config``'s HBT geometry
+        (``hbt.initial_ways``, ``aos.bounds_compression``): the only
+        configuration the pre-warm reads that lowering does not."""
+        return HBTFactory(self._lowering, config)
 
 
 _LOWERINGS = {
@@ -714,13 +762,26 @@ def lower_trace(
     mechanism: str,
     config: Optional[SystemConfig] = None,
     pac_mode: str = "fast",
+    preamble: Optional[SignedPreamble] = None,
 ) -> LoweredWorkload:
-    """Lower ``trace`` for one protection mechanism."""
+    """Lower ``trace`` for one protection mechanism.
+
+    Lowering reads only ``pa.pac_bits`` and ``pa.key`` of ``config``; the
+    HBT factory also reads ``hbt.initial_ways`` and
+    ``aos.bounds_compression`` (see :meth:`HBTFactory.for_config`).  An
+    AOS lowering reuses ``preamble`` instead of signing its own; it must
+    come from an AOS lowering of the same trace, PA config and
+    ``pac_mode``.  Other mechanisms ignore it.
+    """
     mechanism = resolve_lowering(mechanism)
     if mechanism in _LOWERINGS:
         lowering = _LOWERINGS[mechanism](trace, config)
-    elif mechanism == "aos":
-        lowering = AOSLowering(trace, config, pa_integrity=False, pac_mode=pac_mode)
     else:
-        lowering = AOSLowering(trace, config, pa_integrity=True, pac_mode=pac_mode)
+        lowering = AOSLowering(
+            trace,
+            config,
+            pa_integrity=mechanism == "pa+aos",
+            pac_mode=pac_mode,
+            preamble=preamble,
+        )
     return lowering.lower()

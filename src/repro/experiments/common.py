@@ -20,16 +20,17 @@ in here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 import dataclasses
 
 if TYPE_CHECKING:
-    from .parallel import ArtifactCache, CellSpec
+    from .parallel import ArtifactCache, CellSpec, TraceMemo
 
 from ..config import CacheConfig, MemoryHierarchyConfig, SystemConfig, default_config
-from ..compiler import LoweredWorkload, lower_trace
+from ..compiler import LoweredWorkload
 from ..cpu.core import SimulationResult
 from ..cpu.pipeline import PipelineResult
 from ..obs import ObsSettings, merge_snapshots
@@ -127,11 +128,15 @@ class ExperimentSuite:
         """``supervise`` attaches the supervision layer to every
         :meth:`ensure_cells` fan-out: ``True`` for the default
         :class:`~repro.supervise.SupervisorConfig`, or a config instance
-        for custom deadlines/retry policy.  Each supervised prefetch
-        appends its :class:`~repro.supervise.SupervisionReport` to
-        :attr:`supervision_reports`; quarantined cells stay uncomputed
-        (a later :meth:`result` call falls back to in-process serial
-        simulation — the last rung of the degradation ladder).
+        for custom deadlines/retry policy.  The supervised unit is one
+        trace's pending cells (retries and quarantine apply to the
+        group; the deadline stays per cell, scaled by the group size).
+        Each supervised prefetch appends its
+        :class:`~repro.supervise.SupervisionReport` to
+        :attr:`supervision_reports`; the cells of a quarantined group
+        stay uncomputed (a later :meth:`result` call falls back to
+        in-process serial simulation — the last rung of the degradation
+        ladder).
 
         ``paranoid=True`` audits every simulated cell's drained MCU/HBT
         state through the invariant oracle; violations raise
@@ -154,7 +159,8 @@ class ExperimentSuite:
         #: Ingested trace workloads: alias -> (file path, sha256, scale).
         self._ingested: Dict[str, Tuple[str, str, int]] = {}
         self._traces: Dict[str, WorkloadTrace] = {}
-        self._lowered: Dict[Tuple[str, str], LoweredWorkload] = {}
+        #: Per-workload lowering memo shared by every cell of the workload.
+        self._memos: Dict[str, "TraceMemo"] = {}
         self._results: Dict[Tuple[str, str], SimulationResult] = {}
         self._cache = None
         if cache is not None:
@@ -247,19 +253,25 @@ class ExperimentSuite:
 
             self._cache.put_trace(trace_fingerprint(self.settings, workload), trace)
 
+    def _memo(self, workload: str) -> "TraceMemo":
+        memo = self._memos.get(workload)
+        if memo is None:
+            from .parallel import TraceMemo
+
+            memo = self._memos[workload] = TraceMemo(partial(self.trace, workload))
+        return memo
+
     def lowered(
         self,
         workload: str,
         mechanism: str,
         config: Optional[SystemConfig] = None,
-        key: Optional[str] = None,
     ) -> LoweredWorkload:
-        cache_key = (workload, key or mechanism)
-        if cache_key not in self._lowered:
-            self._lowered[cache_key] = lower_trace(
-                self.trace(workload), mechanism, config=config
-            )
-        return self._lowered[cache_key]
+        """``mechanism``'s lowering of ``workload`` under ``config``
+        (default: the unscaled Table IV config), from the workload's
+        memo: configs that differ only outside the PA, HBT-geometry and
+        bounds-compression fields share one lowering."""
+        return self._memo(workload).lowered(mechanism, config)
 
     def result(
         self,
@@ -274,16 +286,11 @@ class ExperimentSuite:
         if cell.cache_key not in self._results:
             result = self._cached_result(cell)
             if result is None:
-                # Ingested traces are configured for their *declared* scale,
-                # which may differ from the suite settings'.
-                lowered = self.lowered(
-                    workload,
-                    mechanism,
-                    config=cell.resolved_config(self.settings),
-                    key=key,
-                )
                 result = simulate_cell(
-                    self.settings, cell, lowered=lowered, paranoid=self.paranoid
+                    self.settings,
+                    cell,
+                    memo=self._memo(workload),
+                    paranoid=self.paranoid,
                 )
                 self._store(cell, result)
             else:
@@ -336,7 +343,8 @@ class ExperimentSuite:
         """Compute every cell not already known, sharded over ``jobs``.
 
         The lookup order per cell is memo -> artifact cache -> simulate;
-        only the last bucket is fanned out to worker processes.  Results
+        only the last bucket is fanned out to worker processes, one task
+        per trace, so each trace is generated once per call.  Results
         merge back in deterministic cell order, so a prefetching driver
         behaves identically at any ``jobs``.
         """
@@ -417,10 +425,11 @@ class ExperimentSuite:
     # cache, when one is attached).
 
     def cache_info(self) -> Dict[str, int]:
-        """Entry counts of the memo caches (traces / lowered / results)."""
+        """Entry counts of the memo caches (traces / lowered programs /
+        results)."""
         return {
             "traces": len(self._traces),
-            "lowered": len(self._lowered),
+            "lowered": sum(len(memo) for memo in self._memos.values()),
             "results": len(self._results),
         }
 
@@ -430,7 +439,7 @@ class ExperimentSuite:
         programs and simulation results."""
         if traces:
             self._traces.clear()
-        self._lowered.clear()
+        self._memos.clear()
         self._results.clear()
 
     # ------------------------------------------------------------ measures

@@ -5,16 +5,16 @@ The serial :class:`~repro.experiments.common.ExperimentSuite` computes its
 forgets everything when the session ends.  This module adds the two missing
 layers:
 
-**Parallel execution** — :func:`run_cells` shards independent
-(workload, mechanism) simulation cells over worker processes through
-:func:`repro.supervise.dispatch`.  Every cell is described by a picklable
-:class:`CellSpec`; each worker builds its own trace, lowering and
-:class:`~repro.cpu.core.Simulator` from the
-:class:`~repro.experiments.common.RunSettings` fingerprint via
-:func:`simulate_cell` — the same pure function the serial path uses — so
-parallel results are bit-identical to serial ones and merge back into the
-suite's memo in deterministic cell order regardless of worker completion
-order.
+**Parallel execution** — :func:`run_cells` groups (workload, mechanism)
+simulation cells by trace and shards the groups over worker processes
+through :func:`repro.supervise.dispatch`, one task per trace.  Every cell
+is described by a picklable :class:`CellSpec`; a task generates its trace
+once and runs its cells through :func:`simulate_cell` — the same pure
+function the serial path uses — sharing one :class:`TraceMemo`, so the
+cells of one trace lower each distinct program, signed preamble and HBT
+prototype once.  Results are bit-identical to serial ones and merge back
+into the suite's memo in deterministic cell order regardless of worker
+completion order.
 
 **Persistent artifact cache** — :class:`ArtifactCache` stores generated
 traces and :class:`~repro.cpu.core.SimulationResult` payloads under
@@ -33,12 +33,15 @@ import hashlib
 import json
 import os
 import pickle
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..compiler import LoweredWorkload, lower_trace
-from ..config import SystemConfig
+from ..compiler.passes import SignedPreamble, resolve_lowering
+from ..config import SystemConfig, default_config
 from ..cpu.core import SimulationResult, Simulator
 from ..workloads import WorkloadTrace, generate_trace, get_profile
 from .common import RunSettings, scaled_config
@@ -419,15 +422,125 @@ def generate_cell_trace(settings: RunSettings, workload: str) -> WorkloadTrace:
     )
 
 
+def load_cell_trace(settings: RunSettings, cell: CellSpec) -> WorkloadTrace:
+    """The trace ``cell`` simulates: imported from its file for an ingested
+    cell (a pure function of the file bytes), generated otherwise."""
+    if cell.trace_path is not None:
+        from ..traces import import_trace
+
+        return import_trace(cell.trace_path)
+    return generate_cell_trace(settings, cell.workload)
+
+
+def trace_group_key(cell: CellSpec) -> str:
+    """The trace ``cell`` simulates: its file path for an ingested cell,
+    else its workload.  Cells with one key share a :class:`TraceMemo` and
+    form one dispatch task."""
+    return cell.trace_path if cell.trace_path is not None else cell.workload
+
+
 def supervised_cell_key(cell: CellSpec) -> str:
-    """The stable string key one cell carries through the supervisor."""
+    """The stable string naming one cell, e.g. in invariant-oracle reports.
+
+    The supervisor's unit is the trace group: its tasks, retries and
+    quarantine records are keyed by :func:`trace_group_key`, and by this
+    key only when a sweep has fewer traces than workers and each cell is
+    its own task.
+    """
     return f"{cell.workload}/{cell.key or cell.mechanism}"
+
+
+class TraceMemo:
+    """One trace's shared work across the cells that simulate it.
+
+    Lowering reads only ``pa.pac_bits`` and ``pa.key`` of a cell's config,
+    so the memo builds each product once per distinct key:
+
+    - the trace, on the first cell that needs it;
+    - the signed preamble, per (``pa.pac_bits``, ``pa.key``), shared by
+      the AOS and PA+AOS lowerings;
+    - the lowered program, per (lowering token, ``pa.pac_bits``,
+      ``pa.key``);
+    - the HBT prototype, per that key plus ``hbt.initial_ways`` and
+      ``aos.bounds_compression``.
+
+    ``uses`` lists the (mechanism, config) of every cell the memo will
+    serve; each product is dropped after its last use, so a group holds
+    only the products it still needs.  Without ``uses`` (the suite's
+    memo) products are kept until the memo is dropped.
+    """
+
+    def __init__(
+        self,
+        load_trace: Callable[[], WorkloadTrace],
+        uses: Optional[Iterable[Tuple[str, SystemConfig]]] = None,
+    ) -> None:
+        self._load_trace = load_trace
+        self._trace: Optional[WorkloadTrace] = None
+        self._preambles: Dict[tuple, SignedPreamble] = {}
+        self._lowerings: Dict[tuple, LoweredWorkload] = {}
+        self._products: Dict[tuple, LoweredWorkload] = {}
+        self._remaining: Optional[Counter] = None
+        if uses is not None:
+            self._remaining = Counter()
+            for mechanism, config in uses:
+                self._remaining.update(self._keys(mechanism, config))
+
+    def __len__(self) -> int:
+        """Lowered programs currently held."""
+        return len(self._lowerings)
+
+    @property
+    def trace(self) -> WorkloadTrace:
+        if self._trace is None:
+            self._trace = self._load_trace()
+        return self._trace
+
+    @staticmethod
+    def _keys(mechanism: str, config: SystemConfig) -> Tuple[tuple, tuple, tuple]:
+        """The (signed preamble, lowering, HBT prototype) keys of a cell."""
+        token = resolve_lowering(mechanism)
+        pa = (config.pa.pac_bits, config.pa.key)
+        signing = pa if token in ("aos", "pa+aos") else None
+        lowering = (token, *pa)
+        hbt = lowering + (config.hbt.initial_ways, config.aos.bounds_compression)
+        return signing, lowering, hbt
+
+    def lowered(
+        self, mechanism: str, config: Optional[SystemConfig] = None
+    ) -> LoweredWorkload:
+        """``mechanism``'s lowering under ``config`` (default: the
+        mechanism's Table IV config, as :func:`lower_trace`)."""
+        if config is None:
+            config = default_config(resolve_lowering(mechanism))
+        signing, lowering, hbt = keys = self._keys(mechanism, config)
+        product = self._products.get(hbt)
+        if product is None:
+            base = self._lowerings.get(lowering)
+            if base is None:
+                preamble = self._preambles.get(signing)
+                base = lower_trace(self.trace, mechanism, config, preamble=preamble)
+                self._lowerings[lowering] = base
+                if base.preamble is not None:
+                    self._preambles[signing] = base.preamble
+            if base.hbt_factory is not None:
+                base = dataclasses.replace(
+                    base, hbt_factory=base.hbt_factory.for_config(config)
+                )
+            product = self._products[hbt] = base
+        if self._remaining is not None:
+            self._remaining.subtract(keys)
+            stores = (self._preambles, self._lowerings, self._products)
+            for key, store in zip(keys, stores):
+                if self._remaining[key] <= 0:
+                    store.pop(key, None)
+        return product
 
 
 def simulate_cell(
     settings: RunSettings,
     cell: CellSpec,
-    lowered: Optional[LoweredWorkload] = None,
+    memo: Optional[TraceMemo] = None,
     paranoid: bool = False,
 ) -> SimulationResult:
     """Run one cell: trace -> lowering -> simulation.
@@ -435,9 +548,10 @@ def simulate_cell(
     This is the single simulation implementation: pool workers, the
     supervisor and :meth:`ExperimentSuite.result` all call exactly this
     function with exactly these (deterministic) inputs, which is what
-    makes every executor bit-identical to a serial run.  ``lowered``
-    hands in a lowering the caller already holds (the suite's memo);
-    without it the cell builds its own trace and lowering.
+    makes every executor bit-identical to a serial run.  ``memo`` is the
+    :class:`TraceMemo` of the cell's trace, shared with the other cells of
+    its group (or the suite); without it the cell builds its own trace and
+    lowering.  Either way generation and lowering run inside this call.
 
     ``paranoid=True`` audits the drained MCU/HBT state through the
     invariant oracle before the result is accepted; a violated invariant
@@ -450,17 +564,9 @@ def simulate_cell(
     — live registries and tracers never cross the process boundary.
     """
     config = cell.resolved_config(settings)
-    if lowered is None:
-        if cell.trace_path is not None:
-            # Ingested cell: the trace file is the source of truth.  The
-            # import is deterministic (pure function of the file bytes),
-            # so pool workers stay bit-identical to the serial path.
-            from ..traces import import_trace
-
-            trace = import_trace(cell.trace_path)
-        else:
-            trace = generate_cell_trace(settings, cell.workload)
-        lowered = lower_trace(trace, cell.mechanism, config=config)
+    if memo is None:
+        memo = TraceMemo(partial(load_cell_trace, settings, cell))
+    lowered = memo.lowered(cell.mechanism, config)
     inspect = None
     if paranoid:
         from ..supervise.oracle import InvariantOracle
@@ -469,9 +575,17 @@ def simulate_cell(
     return Simulator(config, obs=settings.obs.create()).run(lowered, inspect=inspect)
 
 
-def _cell_worker(args: Tuple[RunSettings, CellSpec, bool]) -> SimulationResult:
-    settings, cell, paranoid = args
-    return simulate_cell(settings, cell, paranoid=paranoid)
+def _group_worker(args: tuple) -> List[SimulationResult]:
+    """Simulate one trace group ``(settings, cells, paranoid)``: its cells,
+    in order, through one :class:`TraceMemo`."""
+    settings, cells, paranoid = args
+    memo = TraceMemo(
+        partial(load_cell_trace, settings, cells[0]),
+        [(cell.mechanism, cell.resolved_config(settings)) for cell in cells],
+    )
+    return [
+        simulate_cell(settings, cell, memo=memo, paranoid=paranoid) for cell in cells
+    ]
 
 
 def _trace_worker(args: Tuple[RunSettings, str]) -> WorkloadTrace:
@@ -489,22 +603,38 @@ def _dispatch_cells(
     jobs: int = 1,
     supervise=None,
 ):
-    """One :func:`repro.supervise.dispatch` call over ``cells``; returns
+    """One :func:`repro.supervise.dispatch` call with one task per trace
+    group, or per cell when there are fewer traces than workers; returns
     ``({cell.cache_key: SimulationResult}, report)`` in cell order."""
     from ..supervise import Task, dispatch
 
     cells = list(cells)
+    groups: Dict[str, List[CellSpec]] = {}
+    for cell in cells:
+        groups.setdefault(trace_group_key(cell), []).append(cell)
+    workers = supervise.effective_jobs(jobs) if supervise is not None else jobs
+    if len(groups) < workers:
+        # Too few traces to keep every worker busy: one task per cell.
+        groups = {supervised_cell_key(cell): [cell] for cell in cells}
+    if supervise is not None and supervise.deadline_s is not None:
+        # ``deadline_s`` is per cell; a task runs up to the largest group's
+        # cell count of them back to back.
+        longest = max((len(group) for group in groups.values()), default=1)
+        supervise = dataclasses.replace(
+            supervise, deadline_s=supervise.deadline_s * longest
+        )
     tasks = [
-        Task(key=supervised_cell_key(cell), payload=(settings, cell, paranoid))
-        for cell in cells
+        Task(key=key, payload=(settings, tuple(group), paranoid))
+        for key, group in groups.items()
     ]
-    results, report = dispatch(_cell_worker, tasks, jobs, supervise)
-    merged = {
-        cell.cache_key: results[task.key]
-        for cell, task in zip(cells, tasks)
-        if task.key in results
+    results, report = dispatch(_group_worker, tasks, jobs, supervise)
+    computed = {
+        cell.cache_key: result
+        for key, group in groups.items()
+        for cell, result in zip(group, results.get(key, ()))  # quarantined: ()
     }
-    return merged, report
+    ordered = [cell.cache_key for cell in cells if cell.cache_key in computed]
+    return {key: computed[key] for key in ordered}, report
 
 
 def run_cells(
@@ -513,12 +643,14 @@ def run_cells(
     jobs: int = 1,
     paranoid: bool = False,
 ) -> Dict[Tuple[str, str], SimulationResult]:
-    """Simulate ``cells``, sharded over ``jobs`` worker processes.
+    """Simulate ``cells``, one task per trace over ``jobs`` worker processes.
 
-    Returns ``{cell.cache_key: SimulationResult}`` in input order.  With
-    ``jobs=1`` this is exactly the serial loop; with ``jobs>1`` each worker
-    rebuilds its cell from the picklable spec, so results are identical.
-    A failing cell raises the worker's own exception.
+    Returns ``{cell.cache_key: SimulationResult}`` in input order.  The
+    cells of one trace run in one task through one :class:`TraceMemo`;
+    with fewer traces than ``jobs`` each cell is its own task instead, so
+    no worker idles.  Every task rebuilds its cells from the picklable
+    specs, so results are identical at any ``jobs``.  A failing cell
+    raises the worker's own exception.
     """
     return _dispatch_cells(settings, cells, paranoid, jobs=jobs)[0]
 
@@ -531,13 +663,17 @@ def run_cells_supervised(
 ):
     """Simulate ``cells`` under the supervision layer.
 
-    Like :func:`run_cells`, but hung/crashing workers are retried with
-    backoff, repeat offenders are quarantined instead of failing the run,
-    and execution degrades pool -> fresh-pool -> serial if workers keep
-    dying.  Returns ``({cell.cache_key: SimulationResult}, report)``;
-    quarantined cells are *absent* from the results dict and listed in
-    ``report.quarantined`` (keyed by :func:`supervised_cell_key`), so they
-    can never be mistaken for measurements or poison a cache.
+    Like :func:`run_cells`, but the supervised unit is one trace group:
+    a hung or crashing group is retried with backoff, a repeat offender
+    is quarantined instead of failing the run, and execution degrades
+    pool -> fresh-pool -> serial if workers keep dying.  ``deadline_s``
+    keeps its per-cell meaning: a group's task may run for it times the
+    largest group's cell count.  Returns ``({cell.cache_key:
+    SimulationResult}, report)``; every cell of a quarantined group is
+    *absent* from the results dict and ``report.quarantined`` names the
+    group by :func:`trace_group_key` (by :func:`supervised_cell_key` when
+    fewer traces than workers made each cell its own task), so no such
+    cell can be mistaken for a measurement or poison a cache.
     """
     from ..supervise import SupervisorConfig
 

@@ -24,7 +24,7 @@ active chunks).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import AllocatorError
 from .layout import AddressSpaceLayout, DEFAULT_LAYOUT
@@ -179,6 +179,43 @@ class HeapAllocator:
             # for it with the requested size; there is no registry entry.
             self.stats.on_alloc(size - HEADER_SIZE)
         return payload
+
+    def malloc_many(self, requests: Sequence[int]) -> List[int]:
+        """Allocate every request in order: the same payloads, chunk
+        registry, header bytes and stats as calling :meth:`malloc` on each.
+
+        While no freed chunk sits in a tcache, fastbin or bin, every
+        ``malloc`` extends the top chunk, so the chunks are laid out back
+        to back from the frontier in one pass (how a lowering allocates
+        its preamble live set on a fresh heap).  A heap with free chunks,
+        a negative request or a request list the heap cannot hold takes
+        the ``malloc`` loop, which also raises where the loop would.
+        """
+        sizes = [chunk_size_for_request(max(r, 1)) for r in requests]
+        if (
+            any(self._tcache.values())
+            or any(self._fastbins.values())
+            or any(self._bins.values())
+            or min(requests, default=0) < 0
+            or self._brk + sum(sizes) > self.layout.heap_end
+        ):
+            return [self.malloc(request) for request in requests]
+        chunks = self._chunks
+        write_u64 = self.memory.write_u64
+        payloads: List[int] = []
+        address = self._brk
+        for size in sizes:
+            chunks[address] = Chunk(address=address, size=size, in_use=True)
+            write_u64(address + 8, size | PREV_INUSE)
+            payloads.append(address + HEADER_SIZE)
+            address += size
+        self._brk = address
+        stats = self.stats
+        stats.allocations += len(sizes)
+        stats.active += len(sizes)
+        stats.bytes_allocated += sum(sizes) - HEADER_SIZE * len(sizes)
+        stats.max_active = max(stats.max_active, stats.active)
+        return payloads
 
     def _take_cached(self, size: int) -> Optional[int]:
         """Try the tcache then the fastbins (LIFO, no coalescing)."""

@@ -7,6 +7,7 @@ little-endian, matching AArch64.
 
 from __future__ import annotations
 
+import struct
 from typing import Dict
 
 from ..errors import MemoryError_
@@ -14,6 +15,8 @@ from ..errors import MemoryError_
 PAGE_SHIFT = 12
 PAGE_SIZE = 1 << PAGE_SHIFT
 PAGE_MASK = PAGE_SIZE - 1
+_U64 = struct.Struct("<Q")
+_U64_MASK = (1 << 64) - 1
 
 
 class SparseMemory:
@@ -83,7 +86,13 @@ class SparseMemory:
         return int.from_bytes(self.read_bytes(address, 8), "little")
 
     def write_u64(self, address: int, value: int) -> None:
-        self.write_bytes(address, (value & ((1 << 64) - 1)).to_bytes(8, "little"))
+        value &= _U64_MASK
+        offset = address & PAGE_MASK
+        if offset > PAGE_SIZE - 8:  # the word straddles two pages
+            self.write_bytes(address, value.to_bytes(8, "little"))
+            return
+        self._check_range(address, 8)
+        _U64.pack_into(self._page(address >> PAGE_SHIFT), offset, value)
 
     def read_u32(self, address: int) -> int:
         return int.from_bytes(self.read_bytes(address, 4), "little")

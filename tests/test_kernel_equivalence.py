@@ -19,13 +19,16 @@ Coverage axes:
 - fault-injected cells through the standard seams (dropped ``bndstr``,
   stalled migration, dropped HBT record);
 - the experiment-suite plumbing: untraced cells take the fast kernel and
-  still match the reference.
+  still match the reference;
+- the shared trace memo: its keys (which config fields give a separate
+  product, which share one) and memo cells equal to fresh cells.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from functools import partial
 
 import pytest
 
@@ -40,6 +43,13 @@ from repro.experiments.common import (
     RunSettings,
     _result_to_payload,
     scaled_config,
+)
+from repro.experiments.fig15 import VARIANTS as FIG15_VARIANTS
+from repro.experiments.parallel import (
+    CellSpec,
+    TraceMemo,
+    load_cell_trace,
+    simulate_cell,
 )
 from repro.kernel import KERNELS
 from repro.kernel.fast import run_fast
@@ -271,6 +281,97 @@ def test_equivalence_through_experiment_suite():
     config = suite.config_for("aos")
     want = Simulator(config, kernel="reference").run(suite.lowered("mcf", "aos"))
     assert payload(got) == payload(want)
+
+
+# ------------------------------------------------------- shared trace memo
+
+
+MEMO_SETTINGS = RunSettings(instructions=2500, seed=SEED, scale=SCALE)
+
+
+def fig15_cells(workload):
+    """The four Fig. 15 AOS variants of one workload, as `run_fig15` builds them."""
+    base = scaled_config("aos", SCALE)
+    return [
+        CellSpec(
+            workload,
+            "aos",
+            config=base.with_aos_options(l1b_cache=l1b, bounds_compression=compression),
+            key=f"aos-{variant}",
+        )
+        for variant, (l1b, compression) in FIG15_VARIANTS.items()
+    ]
+
+
+def group_memo(cells):
+    """The memo one trace group's task builds for ``cells``."""
+    return TraceMemo(
+        partial(load_cell_trace, MEMO_SETTINGS, cells[0]),
+        [(cell.mechanism, cell.resolved_config(MEMO_SETTINGS)) for cell in cells],
+    )
+
+
+def test_memo_shares_one_program_across_fig15_variants():
+    """L1-B and compression are never read by lowering: the Fig. 14 aos
+    cell and the four Fig. 15 variants share one Program object."""
+    cells = [CellSpec("gcc", "aos")] + fig15_cells("gcc")
+    memo = TraceMemo(partial(load_cell_trace, MEMO_SETTINGS, cells[0]))
+    lowered = [
+        memo.lowered(cell.mechanism, cell.resolved_config(MEMO_SETTINGS))
+        for cell in cells
+    ]
+    assert len({id(item.program) for item in lowered}) == 1
+    assert len(memo) == 1
+    # Compression changes the HBT geometry: two prototypes, not five.
+    factories = {id(item.hbt_factory) for item in lowered}
+    assert len(factories) == 2
+
+
+def _replace_field(config, path, value):
+    section, name = path.split(".")
+    inner = dataclasses.replace(getattr(config, section), **{name: value})
+    return dataclasses.replace(config, **{section: inner})
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        ("pa.pac_bits", 17),
+        ("pa.key", 0x1234),
+        ("hbt.initial_ways", 2),
+        ("aos.bounds_compression", False),
+    ],
+)
+def test_memo_key_fields_give_separate_products(path, value):
+    """Each field lowering or the HBT pre-warm reads is part of a memo key:
+    changing it gives a separate product, equal to a fresh lowering."""
+    base = scaled_config("aos", SCALE)
+    changed = _replace_field(base, path, value)
+    memo = TraceMemo(lambda: get_trace("gcc", 2500))
+    first, second = memo.lowered("aos", base), memo.lowered("aos", changed)
+    assert second.hbt_factory is not first.hbt_factory
+    if path.startswith("pa."):
+        assert second.program is not first.program
+        assert second.preamble != first.preamble
+    else:
+        assert second.program is first.program
+    fresh = lower_trace(get_trace("gcc", 2500), "aos", config=changed)
+    want = payload(Simulator(changed, kernel="reference").run(fresh))
+    assert payload(Simulator(changed, kernel="reference").run(second)) == want
+
+
+def test_memo_cells_match_fresh_cells():
+    """Every timed mechanism plus the Fig. 15 variants through one group
+    memo equal fresh single-cell runs byte for byte, and the memo holds
+    nothing once its last cell ran."""
+    cells = [CellSpec("gcc", mechanism) for mechanism in ALL_MECHANISMS]
+    cells += fig15_cells("gcc")
+    memo = group_memo(cells)
+    for cell in cells:
+        shared = simulate_cell(MEMO_SETTINGS, cell, memo=memo)
+        fresh = simulate_cell(MEMO_SETTINGS, cell)
+        assert payload(shared) == payload(fresh), cell.cache_key
+    assert len(memo) == 0
 
 
 def test_default_runs_take_fast_kernel_and_traced_runs_take_reference(monkeypatch):

@@ -99,3 +99,21 @@ def test_adjacent_writes_do_not_clobber(address):
     mem.write_u64(address, 0xAAAAAAAAAAAAAAAA)
     mem.write_u64(address + 8, 0xBBBBBBBBBBBBBBBB)
     assert mem.read_u64(address) == 0xAAAAAAAAAAAAAAAA
+
+
+@given(
+    st.integers(min_value=0, max_value=1 << 18),
+    st.one_of(
+        st.integers(min_value=PAGE_SIZE - 12, max_value=PAGE_SIZE - 1),
+        st.integers(min_value=0, max_value=PAGE_SIZE - 1),
+    ),
+    st.integers(min_value=-(1 << 65), max_value=1 << 70),
+)
+def test_write_u64_matches_write_bytes(page, offset, value):
+    """In a page or across two, a word write leaves the same pages as
+    writing its masked little-endian bytes."""
+    words, raw = SparseMemory(), SparseMemory()
+    address = page * PAGE_SIZE + offset
+    words.write_u64(address, value)
+    raw.write_bytes(address, (value & ((1 << 64) - 1)).to_bytes(8, "little"))
+    assert words._pages == raw._pages

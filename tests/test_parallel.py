@@ -163,6 +163,97 @@ class TestParallelDeterminism:
         assert supervised.supervision_reports[0].quarantined == {}
 
 
+# ------------------------------------------------------- shared trace work
+
+
+class TestSharedTraceWork:
+    """Each trace's shared work runs once per ``ensure_cells`` call."""
+
+    def test_fig14_and_fig15_do_trace_work_once(self, monkeypatch):
+        from repro.compiler import passes
+        from repro.core.signing import PointerSigner
+        from repro.experiments import SPEC_WORKLOADS, parallel
+        from repro.experiments.fig14 import run_fig14
+        from repro.experiments.fig15 import run_fig15
+        from repro.memory.allocator import HeapAllocator
+
+        generated, signed, preamble_mallocs = [], [], []
+        in_preamble = []
+
+        def counting(fn, record):
+            def wrapper(*args, **kwargs):
+                record.append(args)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def preamble(fn):
+            def wrapper(self):
+                in_preamble.append(self)
+                try:
+                    return fn(self)
+                finally:
+                    in_preamble.pop()
+
+            return wrapper
+
+        real_malloc = HeapAllocator.malloc
+
+        def malloc(self, request):
+            if in_preamble:
+                preamble_mallocs.append(request)
+            return real_malloc(self, request)
+
+        monkeypatch.setattr(
+            parallel, "generate_trace", counting(parallel.generate_trace, generated)
+        )
+        monkeypatch.setattr(
+            PointerSigner, "pacma_batch", counting(PointerSigner.pacma_batch, signed)
+        )
+        monkeypatch.setattr(HeapAllocator, "malloc", malloc)
+        for cls in (passes._LoweringBase, passes.AOSLowering):
+            monkeypatch.setattr(cls, "setup_preamble", preamble(cls.setup_preamble))
+
+        tiny = RunSettings(instructions=1000, seed=7, scale=64)
+        run_fig14(ExperimentSuite(tiny))
+        run_fig15(ExperimentSuite(tiny))
+
+        # One generation per workload per ensure_cells call (Fig. 14, Fig. 15).
+        names = sorted(args[0].name for args in generated)
+        assert names == sorted(SPEC_WORKLOADS * 2)
+        # One signing per (workload, PA config): AOS and PA+AOS share it in
+        # Fig. 14, the four AOS variants in Fig. 15.
+        assert len(signed) == 2 * len(SPEC_WORKLOADS)
+        assert preamble_mallocs == []
+
+    @pytest.mark.parametrize(
+        "workloads, jobs, tasks",
+        [(("gobmk",), 1, 1), (("gobmk",), 2, 2), (("gobmk", "povray"), 2, 2)],
+    )
+    def test_one_task_per_trace_unless_workers_would_idle(
+        self, monkeypatch, workloads, jobs, tasks
+    ):
+        """A task is one trace's cells; with fewer traces than workers,
+        each cell is its own task.  Either way results equal a serial run."""
+        import repro.supervise
+        from repro.experiments import parallel
+
+        cells = [CellSpec(w, m) for w in workloads for m in ("baseline", "aos")]
+        serial = run_cells(SETTINGS, cells, jobs=1)
+        submitted = []
+        real = repro.supervise.dispatch
+
+        def counting(worker, batch, *args, **kwargs):
+            submitted.append([task.key for task in batch])
+            return real(worker, batch, *args, **kwargs)
+
+        monkeypatch.setattr(repro.supervise, "dispatch", counting)
+        results = parallel.run_cells(SETTINGS, cells, jobs=jobs)
+        assert len(submitted[0]) == tasks
+        assert payloads(results) == payloads(serial)
+        assert list(results) == list(serial)
+
+
 # ----------------------------------------------------------- suite-level cache
 
 

@@ -8,6 +8,7 @@ to a fault-free serial run), worker-exception surfacing, and the
 SIGTERM/SIGINT flush path.
 """
 
+import dataclasses
 import json
 import os
 import signal
@@ -553,6 +554,77 @@ class TestSupervisedCampaign:
         assert "workload=gcc" in message
         assert "kind=ptr-pac-flip location=0" in message
         assert "BrokenProcessPool" in message
+
+
+# ------------------------------------------------------ simulation sweeps
+
+
+class TestSupervisedTraceGroups:
+    """The supervised unit of a simulation sweep is one trace's cells."""
+
+    def test_dead_group_quarantined_others_match_serial(self, monkeypatch):
+        """One workload's group dies with ``os._exit`` in every worker (and
+        raises in-process): its cells are absent, the report names the
+        group, and every other workload equals a serial run."""
+        import repro.experiments.parallel as parallel
+        from repro.experiments import CellSpec, RunSettings
+
+        settings = RunSettings(instructions=2000, seed=7, scale=8)
+        cells = [
+            CellSpec(workload, mechanism)
+            for workload in ("gobmk", "povray", "mcf")
+            for mechanism in ("baseline", "aos")
+        ]
+        serial = parallel.run_cells(settings, cells, jobs=1)
+
+        parent = os.getpid()
+        real = parallel.simulate_cell
+
+        def die_on_povray(settings, cell, memo=None, paranoid=False):
+            if cell.workload == "povray":
+                if os.getpid() != parent:
+                    os._exit(1)
+                raise RuntimeError("povray group fails in-process too")
+            return real(settings, cell, memo=memo, paranoid=paranoid)
+
+        monkeypatch.setattr(parallel, "simulate_cell", die_on_povray)
+        # A broken pool charges its bystanders too; enough retries let
+        # them land at the fresh-pool level, where each task has its own
+        # process.
+        config = _fast_config(
+            deadline_s=60.0,
+            retry=RetryPolicy(max_retries=3, backoff_base_s=0.01, backoff_cap_s=0.05),
+        )
+        results, report = parallel.run_cells_supervised(settings, cells, config=config)
+        assert set(report.quarantined) == {"povray"}
+        assert report.accounts_for(["gobmk", "povray", "mcf"])
+        want = {key: value for key, value in serial.items() if key[0] != "povray"}
+        assert list(results) == list(want)
+        for key, result in results.items():
+            assert dataclasses.asdict(result) == dataclasses.asdict(want[key]), key
+
+    def test_deadline_stays_per_cell(self, monkeypatch):
+        """A deadline that fits one cell also fits five-cell groups: each
+        group's task gets it once per cell."""
+        import repro.experiments.parallel as parallel
+        from repro.experiments import CellSpec, RunSettings
+
+        def slow_cell(settings, cell, memo=None, paranoid=False):
+            time.sleep(0.4)
+            return cell.mechanism
+
+        monkeypatch.setattr(parallel, "simulate_cell", slow_cell)
+        mechanisms = ("baseline", "watchdog", "pa", "aos", "pa+aos")
+        cells = [
+            CellSpec(workload, mechanism)
+            for workload in ("gobmk", "mcf")
+            for mechanism in mechanisms
+        ]
+        results, report = parallel.run_cells_supervised(
+            RunSettings(instructions=1000), cells, config=_fast_config(deadline_s=1.0)
+        )
+        assert not report.quarantined
+        assert list(results.values()) == [cell.mechanism for cell in cells]
 
 
 # ------------------------------------------------------------------ signals
