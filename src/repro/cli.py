@@ -327,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     sup = parser.add_argument_group("supervision options")
     sup.add_argument(
         "--supervise", action="store_true",
-        help="run simulation cells under the supervisor: per-task deadlines, "
-        "heartbeats, retry with backoff, quarantine, degradation ladder",
+        help="run simulation cells under the supervisor: every task in a "
+        "worker process with a deadline, retry with backoff, quarantine",
     )
     sup.add_argument(
         "--paranoid", action="store_true",
@@ -783,8 +783,8 @@ def run_attack(args, profiler: PhaseProfiler) -> int:
 
     # Supervision is the default for chaos campaigns: a scenario that
     # wedges the simulator must land as a quarantined robustness bug, not
-    # hang the sweep.  ``--no-supervise`` opts into a plain run: an
-    # unsupervised process pool at ``--jobs N``, in-process at ``--jobs 1``.
+    # hang the sweep.  ``--no-supervise`` opts into a plain run: a
+    # fail-fast worker pool at ``--jobs N``, in-process at ``--jobs 1``.
     supervise = None
     if not args.no_supervise:
         args.supervise = True

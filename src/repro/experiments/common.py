@@ -134,9 +134,8 @@ class ExperimentSuite:
         Each supervised prefetch appends its
         :class:`~repro.supervise.SupervisionReport` to
         :attr:`supervision_reports`; the cells of a quarantined group
-        stay uncomputed (a later :meth:`result` call falls back to
-        in-process serial simulation — the last rung of the degradation
-        ladder).
+        stay uncomputed (a later :meth:`result` call simulates them
+        in-process).
 
         ``paranoid=True`` audits every simulated cell's drained MCU/HBT
         state through the invariant oracle; violations raise

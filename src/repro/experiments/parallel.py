@@ -665,8 +665,8 @@ def run_cells_supervised(
 
     Like :func:`run_cells`, but the supervised unit is one trace group:
     a hung or crashing group is retried with backoff, a repeat offender
-    is quarantined instead of failing the run, and execution degrades
-    pool -> fresh-pool -> serial if workers keep dying.  ``deadline_s``
+    is quarantined instead of failing the run; every group runs in a
+    worker process, so none can take the caller down.  ``deadline_s``
     keeps its per-cell meaning: a group's task may run for it times the
     largest group's cell count.  Returns ``({cell.cache_key:
     SimulationResult}, report)``; every cell of a quarantined group is

@@ -538,12 +538,11 @@ class Campaign:
         re-running it at any ``jobs``.
 
         ``supervise`` (a :class:`~repro.supervise.SupervisorConfig`) runs
-        the batch under the supervision layer instead: hung or crashing
-        workers are retried with deterministic backoff, repeat offenders
-        are quarantined *in the checkpoint* (a resumed supervised run
-        skips them), and execution degrades pool -> fresh-pool -> serial
-        if workers keep dying.  Results for surviving cells are identical
-        to a serial run.
+        the batch under the supervision layer instead: every cell runs in
+        a worker process, a hung or crashing cell is retried with
+        deterministic backoff, and a repeat offender is quarantined *in
+        the checkpoint* (a resumed supervised run skips it).  Results for
+        surviving cells are identical to a serial run.
         """
         outcome = CampaignResult()
         order: List[str] = []
@@ -605,9 +604,8 @@ class Campaign:
                 progress(result, False)
 
         def on_error(task_key: str, exc: Exception) -> None:
-            # Name *which* cell failed: a bare BrokenProcessPool from a
-            # dead worker names none, so a reproduction hunt would start
-            # from zero.
+            # Name *which* cell failed in campaign terms, so a reproduction
+            # hunt starts from the cell, not from a task key.
             _, workload, mechanism, kind, location = json.loads(task_key)
             raise FaultInjectionError(
                 f"campaign cell workload={workload} mechanism={mechanism} "

@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..faults.campaign import Campaign, CampaignConfig, CampaignResult, RunResult
 from ..obs import MetricsRegistry
-from ..supervise.heartbeat import sweep_stale_boards
 from ..supervise.policy import RetryPolicy
 from .store import QueueError, ReclaimEvent, WorkQueue, canonical_key
 
@@ -257,9 +256,8 @@ class CampaignService:
         config = self.config
         report = ServiceReport()
         started = time.monotonic()
-        # Satellite hygiene: boards abandoned by SIGKILLed runs are swept
-        # before this run trusts any stamp it finds.
-        sweep_stale_boards()
+        # Stamps left by SIGKILLed runs are swept before this run trusts
+        # any stamp it finds.
         self.board.sweep_stale(max_age_s=max(60.0, 4 * config.lease_ttl_s))
         respawns_left = config.max_respawns
         for _ in range(config.workers):

@@ -1,11 +1,11 @@
 """Failure-taxonomy roll-up for supervised runs.
 
 Collapses a :class:`~repro.supervise.supervisor.SupervisionReport` (or its
-``to_payload()`` dict) into the four-way taxonomy the docs promise —
-*clean / retried / degraded / quarantined* — plus a level × outcome
-attempt table.  Kept in :mod:`repro.stats` (not :mod:`repro.supervise`)
-because it is pure presentation over plain dicts: anything that records
-attempts with ``(key, attempt, level, outcome)`` can use it.
+``to_payload()`` dict) into the taxonomy the docs promise — *clean /
+retried / quarantined / skipped* — plus one row of attempt-outcome
+counts.  Kept in :mod:`repro.stats` (not :mod:`repro.supervise`) because
+it is pure presentation over plain dicts: anything that records attempts
+with ``(key, attempt, outcome)`` can use it.
 
 Taxonomy, in priority order (one class per task):
 
@@ -13,14 +13,10 @@ Taxonomy, in priority order (one class per task):
     every attempt failed; the task was recorded as a poison cell.
 ``skipped``
     a previous run already quarantined the task; this run never tried it.
-``degraded``
-    the task completed, but only after the supervisor fell down the
-    execution ladder (its successful attempt ran at a lower level than
-    its first attempt).
 ``retried``
-    the task completed on a second or later attempt at the same level.
+    the task completed on a second or later attempt.
 ``clean``
-    first attempt, first level, done.
+    first attempt, done.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from typing import Any, Dict, List, Sequence
 from .report import TableFormatter
 
 #: Presentation order of the taxonomy classes.
-TAXONOMY: Sequence[str] = ("clean", "retried", "degraded", "quarantined", "skipped")
+TAXONOMY: Sequence[str] = ("clean", "retried", "quarantined", "skipped")
 
 #: Presentation order of per-attempt outcomes.
 ATTEMPT_OUTCOMES: Sequence[str] = ("ok", "error", "hang", "crash")
@@ -45,43 +41,26 @@ def _payload(report: Any) -> Dict[str, Any]:
 
 @dataclass
 class SupervisionSummary:
-    """``task -> taxonomy class`` with attempt-level breakdowns."""
+    """``task -> taxonomy class`` with attempt-outcome counts."""
 
     per_task: Dict[str, str] = field(default_factory=dict)
-    #: ``level -> outcome -> attempt count`` (every attempt, not just final).
-    by_level: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    fallbacks: List[str] = field(default_factory=list)
+    #: ``outcome -> attempt count`` (every attempt, not just final).
+    attempt_counts: Dict[str, int] = field(
+        default_factory=lambda: {o: 0 for o in ATTEMPT_OUTCOMES}
+    )
     backoff_s: float = 0.0
-    final_level: str = ""
 
     @classmethod
     def from_report(cls, report: Any) -> "SupervisionSummary":
         data = _payload(report)
-        summary = cls(
-            fallbacks=list(data.get("fallbacks", ())),
-            backoff_s=float(data.get("backoff_s", 0.0)),
-            final_level=str(data.get("final_level", "")),
-        )
-        first_level: Dict[str, str] = {}
-        ok_attempt: Dict[str, Dict[str, Any]] = {}
+        summary = cls(backoff_s=float(data.get("backoff_s", 0.0)))
+        counts = summary.attempt_counts
         for attempt in data.get("attempts", ()):
-            key = attempt["key"]
-            level = attempt["level"]
             outcome = attempt["outcome"]
-            first_level.setdefault(key, level)
-            per_level = summary.by_level.setdefault(
-                level, {o: 0 for o in ATTEMPT_OUTCOMES}
-            )
-            per_level[outcome] = per_level.get(outcome, 0) + 1
+            counts[outcome] = counts.get(outcome, 0) + 1
             if outcome == "ok":
-                ok_attempt[key] = attempt
-        for key, attempt in ok_attempt.items():
-            if attempt["level"] != first_level[key]:
-                summary.per_task[key] = "degraded"
-            elif attempt["attempt"] > 1:
-                summary.per_task[key] = "retried"
-            else:
-                summary.per_task[key] = "clean"
+                retried = attempt["attempt"] > 1
+                summary.per_task[attempt["key"]] = "retried" if retried else "clean"
         for key in data.get("quarantined", {}):
             summary.per_task[key] = "quarantined"
         for key in data.get("skipped_quarantined", ()):
@@ -99,22 +78,18 @@ class SupervisionSummary:
         return sorted(k for k, v in self.per_task.items() if v == klass)
 
     def format_table(self) -> str:
-        """Level × attempt-outcome table (every attempt counted once)."""
+        """One row of attempt-outcome counts (every attempt counted once)."""
         table = TableFormatter(columns=list(ATTEMPT_OUTCOMES), col_width=8)
-        for level, per_level in self.by_level.items():
-            table.add_row(level, dict(per_level))
+        table.add_row("attempts", dict(self.attempt_counts))
         return table.render()
 
     def format(self) -> str:
         counts = self.counts()
-        lines = [
-            "Failure taxonomy: "
-            + "  ".join(f"{name}: {counts[name]}" for name in TAXONOMY),
-            self.format_table(),
-        ]
-        if self.fallbacks:
-            lines.append("degradations: " + "; ".join(self.fallbacks))
-        lines.append(
-            f"backoff slept: {self.backoff_s:.2f}s  final level: {self.final_level}"
+        return "\n".join(
+            [
+                "Failure taxonomy: "
+                + "  ".join(f"{name}: {counts[name]}" for name in TAXONOMY),
+                self.format_table(),
+                f"backoff slept: {self.backoff_s:.2f}s",
+            ]
         )
-        return "\n".join(lines)

@@ -1,8 +1,8 @@
-"""Supervised execution: heartbeats, hang detection, retries, quarantine.
+"""Supervised execution: one worker pool, deadlines, retries, quarantine.
 
 The supervision layer wraps the parallel experiment engine and the fault
-campaigns so a hung, crashing or silently-corrupting cell degrades the
-run instead of killing it::
+campaigns so a hung, crashing or silently-corrupting cell is retried or
+quarantined instead of killing the run::
 
     from repro.supervise import Supervisor, SupervisorConfig, Task
 
@@ -12,7 +12,12 @@ run instead of killing it::
 
 Sweep runners do not pick an executor themselves: they call
 :func:`dispatch`, which runs the batch under :class:`Supervisor` when
-given a config and through one ordered process pool otherwise.
+given a config and fail-fast otherwise (in-process at ``jobs <= 1``),
+both on the same :class:`~repro.supervise.supervisor.WorkerPool` of
+forked, pipe-connected workers.
+
+``HeartbeatBoard`` is the liveness side channel of the durable work
+queue (:mod:`repro.queue`).
 
 ``InvariantOracle`` is the ``--paranoid`` half: it audits simulator state
 (MCQ FSMs, HBT occupancy, BWB hints, signed-pointer round-trips, shadow
@@ -21,9 +26,9 @@ failure.
 """
 
 from .executor import dispatch
-from .heartbeat import HeartbeatBoard, sweep_stale_boards
+from .heartbeat import HeartbeatBoard
 from .oracle import InvariantOracle, Violation
-from .policy import LADDER, ExecutionLevel, RetryPolicy, SupervisorConfig
+from .policy import RetryPolicy, SupervisorConfig
 from .signals import trap_signals
 from .supervisor import (
     AttemptRecord,
@@ -35,10 +40,8 @@ from .supervisor import (
 
 __all__ = [
     "AttemptRecord",
-    "ExecutionLevel",
     "HeartbeatBoard",
     "InvariantOracle",
-    "LADDER",
     "RetryPolicy",
     "SupervisionReport",
     "Supervisor",
@@ -47,6 +50,5 @@ __all__ = [
     "Violation",
     "WorkerError",
     "dispatch",
-    "sweep_stale_boards",
     "trap_signals",
 ]

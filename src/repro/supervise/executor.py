@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from contextlib import ExitStack
-from functools import partial
+from collections import deque
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from .policy import SupervisorConfig
-from .supervisor import SupervisionReport, Supervisor, Task
+from .supervisor import SupervisionReport, Supervisor, Task, WorkerPool
 
 
 def dispatch(
@@ -23,11 +21,11 @@ def dispatch(
     """Run ``worker(task.payload)`` for every task.
 
     The only place that decides *how*: :meth:`Supervisor.run` (deadlines,
-    retry, quarantine, degradation ladder) under ``supervise``, otherwise
-    one process pool of ``jobs`` workers, in-process at ``jobs <= 1`` or
-    for a single task.  Either way each finished result streams to
-    ``on_result(key, result)`` as it lands, so callers checkpoint
-    incrementally without knowing which executor ran.
+    retry, quarantine) under ``supervise``, otherwise a fail-fast
+    :class:`~repro.supervise.supervisor.WorkerPool` of ``jobs`` workers,
+    in-process at ``jobs <= 1`` or for a single task.  Either way each
+    finished result streams to ``on_result(key, result)`` as it lands, so
+    callers checkpoint incrementally without knowing which path ran.
 
     Returns ``({key: result}, report)`` with keys in task order.  With
     ``supervise`` the report is the supervisor's and quarantined keys are
@@ -35,30 +33,40 @@ def dispatch(
     Without it the report is None and the first failing task stops the
     batch: ``on_error(key, exc)`` is called first, so a caller can name
     the task in a more specific error, then the worker's own exception
-    propagates.  A worker process that dies surfaces as the pool's
-    ``BrokenProcessPool``.
+    propagates, or a :class:`~repro.supervise.supervisor.WorkerError`
+    naming the task and the exit code when its worker died.
     """
     if supervise is not None:
         config = dataclasses.replace(supervise, jobs=supervise.effective_jobs(jobs))
         done, report = Supervisor(config).run(worker, tasks, on_result=on_result)
         return {t.key: done[t.key] for t in tasks if t.key in done}, report
     results: Dict[str, Any] = {}
-    with ExitStack() as stack:
-        if jobs <= 1 or len(tasks) <= 1:
-            finished = ((task.key, partial(worker, task.payload)) for task in tasks)
-        else:
-            workers = min(jobs, len(tasks))
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            futures = {pool.submit(worker, task.payload): task.key for task in tasks}
-            finished = ((futures[f], f.result) for f in as_completed(futures))
-        for key, outcome in finished:
+
+    def land(key: str, value: Any) -> None:
+        results[key] = value
+        if on_result is not None:
+            on_result(key, value)
+
+    if jobs <= 1 or len(tasks) <= 1:
+        for task in tasks:
             try:
-                value = outcome()
+                value = worker(task.payload)
             except Exception as exc:
                 if on_error is not None:
-                    on_error(key, exc)
+                    on_error(task.key, exc)
                 raise
-            results[key] = value
-            if on_result is not None:
-                on_result(key, value)
+            land(task.key, value)
+    else:
+        queue = deque(tasks)
+        with WorkerPool(worker, min(jobs, len(tasks))) as pool:
+            while queue or pool.busy:
+                while queue and pool.free:
+                    task = queue.popleft()
+                    pool.send(task.key, task.payload)
+                for done in pool.wait():
+                    if done.outcome != "ok":
+                        if on_error is not None:
+                            on_error(done.key, done.value)
+                        raise done.value
+                    land(done.key, done.value)
     return {task.key: results[task.key] for task in tasks}, None

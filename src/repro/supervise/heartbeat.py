@@ -1,16 +1,15 @@
-"""Filesystem heartbeat board shared between supervisor and pool workers.
+"""Filesystem heartbeat board shared between the work queue and its workers.
 
-``ProcessPoolExecutor`` gives the parent no view of *which* submitted task
-a worker is currently executing, so hang detection needs a side channel.
-Each worker wrapper stamps ``<board>/<task digest>.start`` when it picks a
-task up and refreshes ``.beat`` from a daemon thread while the task runs;
-the parent polls those files to distinguish "queued behind a busy pool"
-(no start stamp — not charged against the deadline) from "started and
-silent for too long" (hung or dead).
+Queue workers (:mod:`repro.queue`) are independent processes that lease
+cells from a durable store, so the service needs a side channel to tell
+a live worker from a dead one.  Each worker stamps
+``<board>/<worker digest>.start`` when it starts and refreshes ``.beat``
+from a daemon thread; the store reclaims the leases of a worker whose
+beat went stale.
 
 Files carry ``time.time()`` as text.  Board and workers always share a
-host (process pools are per-machine), so comparing those stamps against
-the parent's clock is sound.
+host (the queue directory is local), so comparing those stamps against
+the reader's clock is sound.
 """
 
 from __future__ import annotations
@@ -104,42 +103,6 @@ class HeartbeatBoard:
             except OSError:
                 continue  # raced with a concurrent finish_task
         return removed
-
-
-def sweep_stale_boards(
-    parent=None, max_age_s: float = 3600.0, prefix: str = "repro-supervise-"
-) -> int:
-    """Remove abandoned supervisor board directories; returns the count.
-
-    Supervisors create their boards via ``tempfile.mkdtemp(prefix=...)``
-    and remove them on clean exit; a SIGKILLed run leaks the directory.
-    A board whose *newest* stamp is older than ``max_age_s`` (or which is
-    empty) cannot belong to a live run, so supervisor and queue-service
-    startup call this to keep the temp directory honest.
-    """
-    import shutil
-    import tempfile
-
-    root = Path(parent) if parent is not None else Path(tempfile.gettempdir())
-    cutoff = time.time() - max_age_s
-    removed = 0
-    try:
-        candidates = [p for p in root.iterdir() if p.name.startswith(prefix)]
-    except OSError:
-        return 0
-    for board in candidates:
-        if not board.is_dir():
-            continue
-        try:
-            newest = max(
-                (f.stat().st_mtime for f in board.iterdir()), default=0.0
-            )
-        except OSError:
-            continue
-        if newest < cutoff:
-            shutil.rmtree(board, ignore_errors=True)
-            removed += 1
-    return removed
 
 
 def beat_forever(

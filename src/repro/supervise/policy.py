@@ -1,4 +1,4 @@
-"""Supervision policies: retry/backoff, degradation ladder, deadlines.
+"""Supervision policies: retry/backoff and deadlines.
 
 The knobs here are deliberately plain frozen dataclasses so a
 :class:`~repro.supervise.supervisor.Supervisor` run is a pure function of
@@ -13,33 +13,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from enum import Enum
+from typing import Optional
 
 from ..errors import SupervisionError
-
-
-class ExecutionLevel(Enum):
-    """The degradation ladder, most parallel first.
-
-    ========== =========================================================
-    pool        persistent ``ProcessPoolExecutor`` with heartbeat files;
-                a hang tears the whole pool down (workers are reusable,
-                so one wedged worker poisons sibling submissions)
-    fresh-pool  one short-lived ``multiprocessing.Process`` per task:
-                slower, but a hang is terminated precisely without
-                collateral requeues
-    serial      in-process execution; only cooperative deadlines apply,
-                but no pool machinery is left to fail
-    ========== =========================================================
-    """
-
-    POOL = "pool"
-    FRESH_POOL = "fresh-pool"
-    SERIAL = "serial"
-
-
-#: Ladder order used when degrading.
-LADDER = (ExecutionLevel.POOL, ExecutionLevel.FRESH_POOL, ExecutionLevel.SERIAL)
 
 
 @dataclass(frozen=True)
@@ -100,29 +76,14 @@ class SupervisorConfig:
 
     #: Worker processes (values < 1 mean "decided by the caller").
     jobs: int = 1
-    #: Per-task wall-clock deadline; None disables hang detection.
-    deadline_s: float = 60.0
-    #: How often a pool worker refreshes its heartbeat file.
-    heartbeat_interval_s: float = 0.2
-    #: A started task whose heartbeat is older than this is presumed dead
-    #: even if its future is still pending (beat thread killed, worker
-    #: wedged in uninterruptible state).
-    heartbeat_timeout_s: float = 15.0
-    #: Parent-side polling granularity while waiting on workers.
-    poll_interval_s: float = 0.05
+    #: Per-task wall-clock deadline, counted from the send to a worker;
+    #: None disables hang detection.
+    deadline_s: Optional[float] = 60.0
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: Pool-level failures (hangs, broken pools, worker deaths) tolerated
-    #: at one ladder level before degrading to the next.
-    strikes_per_level: int = 2
-    start_level: ExecutionLevel = ExecutionLevel.POOL
 
     def __post_init__(self) -> None:
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise SupervisionError("deadline_s must be positive or None")
-        if self.heartbeat_interval_s <= 0 or self.poll_interval_s <= 0:
-            raise SupervisionError("heartbeat/poll intervals must be positive")
-        if self.strikes_per_level < 1:
-            raise SupervisionError("strikes_per_level must be >= 1")
 
     def effective_jobs(self, fallback: int = 1) -> int:
         return self.jobs if self.jobs >= 1 else max(1, fallback)

@@ -1,56 +1,58 @@
-"""The supervised execution engine: heartbeats, retries, degradation.
+"""The worker pool every dispatch runs on, and the supervisor over it.
 
-:class:`Supervisor` runs a batch of independent, picklable tasks through a
-module-level worker function and refuses to let any single task take the
-run down.  Failures are handled in three layers:
+:class:`WorkerPool` holds up to N forked ``multiprocessing.Process``
+workers, each on its own ``Pipe``.  The parent sends one payload to an
+idle worker and waits on the pipes and the process sentinels together,
+so it always knows which task each worker runs:
 
-1. **Per-task retry** — a task that raises, hangs past its wall-clock
-   deadline, or loses its worker process is retried up to
+* a worker that exits without replying is charged ``crash`` for its own
+  task only, and a fresh worker takes its place;
+* a task past its deadline (counted from the send) gets only its worker
+  killed and replaced, and is charged ``hang``;
+* no other task is ever charged or requeued, and closing the pool (on
+  completion or on an interrupt) never waits for queued work.
+
+:class:`Supervisor` runs a batch of independent, picklable tasks on the
+pool and refuses to let any single task take the run down:
+
+1. **Per-task retry** — a task that raises, hangs past its deadline or
+   loses its worker is retried up to
    :attr:`~repro.supervise.policy.RetryPolicy.max_retries` times with
    exponential backoff and deterministic (seeded) jitter.
 2. **Quarantine** — a task that fails every attempt is recorded as
    quarantined with its failure history instead of failing the run; the
    caller persists the quarantine (e.g. in a campaign checkpoint) so a
    resumed sweep skips the poison cell.
-3. **Degradation ladder** — repeated *pool-level* failures (hangs that
-   tear the pool down, broken pools, silently dying workers) degrade the
-   execution level: persistent process pool -> one fresh process per task
-   -> in-process serial.  Each transition is recorded as a fallback.
 
-Everything that happened is returned in a :class:`SupervisionReport`:
-one :class:`AttemptRecord` per attempt, the quarantine roster, the
-fallback history, and the accumulated backoff — enough to account for
-every retry/fallback/quarantine after the fact.
-
-Workers must be module-level functions of one picklable payload argument
-(the same constraint the plain ``ProcessPoolExecutor`` engine imposes).
-Worker *results* are returned to the parent as-is; a streaming
+Supervised tasks always run in a worker, at any ``jobs``, so a crashing
+task can never take the parent down.  Everything that happened is
+returned in a :class:`SupervisionReport`: one :class:`AttemptRecord` per
+attempt, the quarantine roster and the accumulated backoff.  A streaming
 ``on_result`` callback lets callers checkpoint each success immediately,
 so a supervised run that is later killed resumes like a serial one.
 """
 
 from __future__ import annotations
 
-import shutil
-import tempfile
+import multiprocessing
+import signal
 import time
 import traceback
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
-from concurrent.futures import wait as futures_wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from multiprocessing import Pipe, Process
 from multiprocessing.connection import wait as connection_wait
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..errors import ReproError, SupervisionError
-from .heartbeat import HeartbeatBoard, start_beat_thread, sweep_stale_boards
-from .policy import LADDER, ExecutionLevel, SupervisorConfig
+from .policy import SupervisorConfig
 
 #: Cap on stored failure detail, so a worker traceback cannot bloat
 #: reports/checkpoints.
 _DETAIL_LIMIT = 600
+
+#: Workers are forked: they inherit the parent's modules (and any
+#: instrumentation wrapped around them) without pickling the worker.
+_FORK = multiprocessing.get_context("fork")
 
 
 @dataclass(frozen=True)
@@ -62,11 +64,11 @@ class Task:
 
 
 class WorkerError(ReproError):
-    """A task body raised inside a worker process.
+    """A task failed inside a worker process.
 
-    Wraps the original exception so the parent learns *which* task failed
-    and what it raised even across the pickling boundary (the original
-    exception type may not survive a round-trip; this one always does).
+    Names *which* task failed and how, even across the pickling boundary:
+    a worker that died, a task past its deadline, or an exception that
+    could not be sent back.
     """
 
     def __init__(self, key: str, kind: str, message: str) -> None:
@@ -81,11 +83,10 @@ class WorkerError(ReproError):
 
 @dataclass
 class AttemptRecord:
-    """One attempt of one task, at one ladder level."""
+    """One attempt of one task."""
 
     key: str
     attempt: int  # 1-based
-    level: str  # ExecutionLevel value
     outcome: str  # "ok" | "error" | "hang" | "crash"
     elapsed: float = 0.0
     detail: str = ""
@@ -101,13 +102,10 @@ class SupervisionReport:
     attempts: List[AttemptRecord] = field(default_factory=list)
     #: key -> human-readable reason (terminal failure history).
     quarantined: Dict[str, str] = field(default_factory=dict)
-    #: Ladder transitions, e.g. ``"pool -> fresh-pool: 2 pool failures ..."``.
-    fallbacks: List[str] = field(default_factory=list)
     #: Keys skipped because an earlier run already quarantined them.
     skipped_quarantined: List[str] = field(default_factory=list)
     #: Total deterministic backoff slept before retries.
     backoff_s: float = 0.0
-    final_level: str = ExecutionLevel.POOL.value
 
     def completed_keys(self) -> List[str]:
         return [a.key for a in self.attempts if a.outcome == "ok"]
@@ -145,10 +143,8 @@ class SupervisionReport:
         return {
             "attempts": [a.to_payload() for a in self.attempts],
             "quarantined": dict(self.quarantined),
-            "fallbacks": list(self.fallbacks),
             "skipped_quarantined": list(self.skipped_quarantined),
             "backoff_s": self.backoff_s,
-            "final_level": self.final_level,
         }
 
     def format(self) -> str:
@@ -157,12 +153,8 @@ class SupervisionReport:
             "Supervision report",
             f"  attempts: {len(self.attempts)}  "
             + "  ".join(f"{k}: {v}" for k, v in sorted(counts.items())),
-            f"  retries: {self.retries}  "
-            f"backoff slept: {self.backoff_s:.2f}s  "
-            f"final level: {self.final_level}",
+            f"  retries: {self.retries}  backoff slept: {self.backoff_s:.2f}s",
         ]
-        for transition in self.fallbacks:
-            lines.append(f"  fallback: {transition}")
         for key, reason in self.quarantined.items():
             lines.append(f"  quarantined: {key} ({reason})")
         if self.skipped_quarantined:
@@ -173,40 +165,192 @@ class SupervisionReport:
         return "\n".join(lines)
 
 
-# ------------------------------------------------------------------ workers
+# -------------------------------------------------------------- worker pool
 
 
-def _pool_worker(args: Tuple[str, str, Callable, Any, float]) -> Any:
-    """Heartbeat-wrapped pool worker body (module-level, picklable)."""
-    board_root, key, worker, payload, interval_s = args
-    board = HeartbeatBoard(board_root)
-    stop = start_beat_thread(board, key, interval_s)
-    try:
+def _serve(conn, worker: Callable[[Any], Any]) -> None:
+    """Worker process body: run each payload received until ``None``.
+
+    Replies ``(True, result, "")`` or ``(False, exception, traceback)``;
+    an exception or result that does not pickle is replied as
+    ``(False, None, description)``.
+    """
+    # The parent owns interrupts: it kills its workers when it stops.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    while True:
         try:
-            return worker(payload)
-        except Exception as exc:
-            raise WorkerError(
-                key, type(exc).__name__, f"{exc}\n{traceback.format_exc()}"
-            ) from None
-    finally:
-        stop.set()
-        board.finish_task(key)
-
-
-def _fresh_worker(conn, worker, key, payload) -> None:
-    """Body of a one-shot fresh-pool process; ships (status, value) back."""
-    try:
+            payload = conn.recv()
+        except EOFError:
+            return
+        if payload is None:
+            return
         try:
-            value = worker(payload)
+            reply = (True, worker(payload), "")
         except Exception as exc:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        else:
-            conn.send(("ok", value))
-    finally:
-        conn.close()
+            reply = (False, exc, traceback.format_exc())
+        try:
+            conn.send(reply)
+        except Exception as exc:
+            conn.send((False, None, f"unpicklable reply: {_describe(exc)}"))
 
 
-# --------------------------------------------------------------- internals
+class Finished(NamedTuple):
+    """One task the pool is done with."""
+
+    key: str
+    outcome: str  # "ok" | "error" | "hang" | "crash"
+    #: The result, or the exception that ended the task.
+    value: Any
+    elapsed: float
+
+
+@dataclass
+class _Worker:
+    process: Any
+    conn: Any
+    key: str = ""
+    sent: float = 0.0
+
+
+class WorkerPool:
+    """Up to ``jobs`` forked workers, one pipe each, one task per worker.
+
+    Workers start on demand and are replaced when they die or are killed
+    for a deadline.  :meth:`close` (also on leaving the ``with`` block)
+    stops idle workers and kills busy ones, so it never waits for a task.
+    """
+
+    def __init__(
+        self,
+        worker: Callable[[Any], Any],
+        jobs: int,
+        deadline_s: Optional[float] = None,
+    ) -> None:
+        self.worker = worker
+        self.jobs = jobs
+        self.deadline_s = deadline_s
+        self._idle: List[_Worker] = []
+        self._busy: Dict[str, _Worker] = {}
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    @property
+    def busy(self) -> int:
+        return len(self._busy)
+
+    @property
+    def free(self) -> int:
+        """How many more tasks :meth:`send` accepts right now."""
+        return self.jobs - len(self._busy)
+
+    def _spawn(self) -> _Worker:
+        conn, child = _FORK.Pipe()
+        process = _FORK.Process(target=_serve, args=(child, self.worker))
+        process.start()
+        child.close()
+        return _Worker(process, conn)
+
+    def _retire(self, proc: _Worker) -> Optional[int]:
+        """Kill ``proc`` (a no-op once it exited), reap it and release its
+        pipe; returns its exit code."""
+        proc.process.kill()
+        proc.process.join()
+        code = proc.process.exitcode
+        proc.process.close()
+        proc.conn.close()
+        return code
+
+    def send(self, key: str, payload: Any) -> None:
+        """Start ``key`` on an idle worker (call only while :attr:`free`)."""
+        while True:
+            proc = self._idle.pop() if self._idle else self._spawn()
+            try:
+                proc.conn.send(payload)
+                break
+            except (BrokenPipeError, ConnectionResetError):
+                self._retire(proc)  # died while idle: start another
+        proc.key, proc.sent = key, time.monotonic()
+        self._busy[key] = proc
+
+    def wait(self, timeout: Optional[float] = None) -> List[Finished]:
+        """Block until a busy worker replies, dies or passes its deadline,
+        or ``timeout`` elapses; returns the tasks that finished."""
+        if self.deadline_s is not None and self._busy:
+            first = min(proc.sent for proc in self._busy.values())
+            due = max(0.0, first + self.deadline_s - time.monotonic())
+            timeout = due if timeout is None else min(timeout, due)
+        if not self._busy:
+            time.sleep(timeout or 0.0)
+            return []
+        handles = [proc.conn for proc in self._busy.values()]
+        handles += [proc.process.sentinel for proc in self._busy.values()]
+        ready = set(connection_wait(handles, timeout))
+        now = time.monotonic()
+        finished: List[Finished] = []
+        for key, proc in list(self._busy.items()):
+            elapsed = now - proc.sent
+            if proc.conn in ready or proc.process.sentinel in ready:
+                del self._busy[key]
+                finished.append(self._reply(proc, elapsed))
+            elif self.deadline_s is not None and elapsed >= self.deadline_s:
+                del self._busy[key]
+                self._retire(proc)
+                error = WorkerError(
+                    key,
+                    "hang",
+                    f"killed after {elapsed:.1f}s (deadline {self.deadline_s:.3g}s)",
+                )
+                finished.append(Finished(key, "hang", error, elapsed))
+        return finished
+
+    def _reply(self, proc: _Worker, elapsed: float) -> Finished:
+        """Read the reply of a worker whose pipe or sentinel is ready."""
+        key = proc.key
+        try:
+            ok, value, detail = proc.conn.recv()
+        except (EOFError, OSError):
+            code = self._retire(proc)
+            error = WorkerError(key, "crash", f"worker died with exit code {code}")
+            return Finished(key, "crash", error, elapsed)
+        except Exception as exc:  # the reply does not unpickle here
+            ok, value, detail = False, None, f"{type(exc).__name__}: {exc}"
+        self._idle.append(proc)
+        if ok:
+            return Finished(key, "ok", value, elapsed)
+        if value is None:
+            return Finished(key, "error", WorkerError(key, "error", detail), elapsed)
+        # Keep the worker's traceback, which does not survive pickling.
+        value.__cause__ = WorkerError(key, type(value).__name__, detail)
+        return Finished(key, "error", value, elapsed)
+
+    def close(self) -> None:
+        """Stop idle workers and kill busy ones; returns once all exited."""
+        for proc in self._idle:
+            try:
+                proc.conn.send(None)
+            except OSError:
+                pass
+        for proc in self._idle:
+            proc.process.join(timeout=1.0)
+        for proc in (*self._idle, *self._busy.values()):
+            self._retire(proc)
+        self._idle.clear()
+        self._busy.clear()
+
+
+def _describe(error: BaseException) -> str:
+    """One line naming what ended a task, for reports and checkpoints."""
+    if isinstance(error, WorkerError):
+        return error.message
+    return f"{type(error).__name__}: {error}"
+
+
+# -------------------------------------------------------------- supervisor
 
 
 @dataclass
@@ -218,104 +362,47 @@ class _Pending:
     not_before: float = 0.0  # monotonic time gating the retry backoff
 
 
-class _Degrade(Exception):
-    """Internal: the current level gave up; carries the leftover queue."""
-
-    def __init__(self, leftover: List[_Pending], reason: str) -> None:
-        super().__init__(reason)
-        self.leftover = leftover
-        self.reason = reason
-
-
 def _clip(text: str) -> str:
     text = text.strip()
-    return text if len(text) <= _DETAIL_LIMIT else text[: _DETAIL_LIMIT] + "..."
+    return text if len(text) <= _DETAIL_LIMIT else text[:_DETAIL_LIMIT] + "..."
 
 
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down *now*: cancel queued work, kill live workers."""
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:
-        pass
-    procs = list((getattr(pool, "_processes", None) or {}).values())
-    for proc in procs:
-        try:
-            proc.terminate()
-        except Exception:
-            pass
-    for proc in procs:
-        try:
-            proc.join(timeout=1.0)
-        except Exception:
-            pass
-
-
-# -------------------------------------------------------------- supervisor
+def _pop_ready(queue: "deque[_Pending]", now: float) -> Optional[_Pending]:
+    """Next entry whose backoff has elapsed, preserving queue order."""
+    for _ in range(len(queue)):
+        if queue[0].not_before <= now:
+            return queue.popleft()
+        queue.rotate(-1)
+    return None
 
 
 class Supervisor:
-    """Runs tasks under the configured retry/deadline/degradation policy."""
+    """Runs tasks on a :class:`WorkerPool` under the configured deadline
+    and retry policy."""
 
     def __init__(self, config: SupervisorConfig = SupervisorConfig()) -> None:
         self.config = config
 
-    # ------------------------------------------------------------- plumbing
-
     def _fail(
-        self,
-        pend: _Pending,
-        level: ExecutionLevel,
-        outcome: str,
-        elapsed: float,
-        detail: str,
-        report: SupervisionReport,
+        self, pend: _Pending, done: Finished, report: SupervisionReport
     ) -> Optional[_Pending]:
         """Charge one failed attempt; returns the retry entry or None
         (quarantined)."""
         key = pend.task.key
-        detail = _clip(detail)
+        detail = _clip(_describe(done.value))
         report.attempts.append(
-            AttemptRecord(key, pend.attempt, level.value, outcome, elapsed, detail)
+            AttemptRecord(key, pend.attempt, done.outcome, done.elapsed, detail)
         )
         policy = self.config.retry
         if pend.attempt >= policy.max_attempts:
             report.quarantined[key] = (
-                f"{outcome} on attempt {pend.attempt}/{policy.max_attempts} "
-                f"at level {level.value}: {detail or 'no detail'}"
+                f"{done.outcome} on attempt {pend.attempt}/{policy.max_attempts}: "
+                f"{detail or 'no detail'}"
             )
             return None
         delay = policy.delay(key, pend.attempt)
         report.backoff_s += delay
         return _Pending(pend.task, pend.attempt + 1, time.monotonic() + delay)
-
-    def _ok(
-        self,
-        pend: _Pending,
-        level: ExecutionLevel,
-        elapsed: float,
-        value: Any,
-        results: Dict[str, Any],
-        report: SupervisionReport,
-        on_result: Optional[Callable[[str, Any], None]],
-    ) -> None:
-        report.attempts.append(
-            AttemptRecord(pend.task.key, pend.attempt, level.value, "ok", elapsed)
-        )
-        results[pend.task.key] = value
-        if on_result is not None:
-            on_result(pend.task.key, value)
-
-    @staticmethod
-    def _pop_ready(queue: "deque[_Pending]", now: float) -> Optional[_Pending]:
-        """Next entry whose backoff has elapsed, preserving queue order."""
-        for _ in range(len(queue)):
-            if queue[0].not_before <= now:
-                return queue.popleft()
-            queue.rotate(-1)
-        return None
-
-    # ------------------------------------------------------------------ run
 
     def run(
         self,
@@ -332,383 +419,34 @@ class Supervisor:
         keys = [task.key for task in tasks]
         if len(set(keys)) != len(keys):
             raise SupervisionError("duplicate task keys in supervised batch")
-        # Board hygiene: SIGKILLed earlier runs leak their mkdtemp board
-        # directories; sweep the clearly-abandoned ones before creating
-        # this run's boards so stale stamps never accumulate.
-        sweep_stale_boards()
         report = SupervisionReport()
         results: Dict[str, Any] = {}
         queue = deque(_Pending(task) for task in tasks)
-        level_index = LADDER.index(self.config.start_level)
-        while queue:
-            level = LADDER[level_index]
-            report.final_level = level.value
-            runner = {
-                ExecutionLevel.POOL: self._run_pool_level,
-                ExecutionLevel.FRESH_POOL: self._run_fresh_level,
-                ExecutionLevel.SERIAL: self._run_serial_level,
-            }[level]
-            try:
-                runner(worker, queue, results, report, on_result)
-                break  # queue fully resolved at this level
-            except _Degrade as degrade:
-                next_level = LADDER[level_index + 1]
-                report.fallbacks.append(
-                    f"{level.value} -> {next_level.value}: {degrade.reason}"
-                )
-                queue = deque(degrade.leftover)
-                level_index += 1
-                report.final_level = next_level.value
+        running: Dict[str, _Pending] = {}
+        jobs = min(self.config.effective_jobs(), max(1, len(tasks)))
+        with WorkerPool(worker, jobs, self.config.deadline_s) as pool:
+            while queue or running:
+                now = time.monotonic()
+                while pool.free:
+                    pend = _pop_ready(queue, now)
+                    if pend is None:
+                        break
+                    pool.send(pend.task.key, pend.task.payload)
+                    running[pend.task.key] = pend
+                gate = None
+                if queue and pool.free:
+                    gate = max(0.0, min(p.not_before for p in queue) - now)
+                for done in pool.wait(gate):
+                    pend = running.pop(done.key)
+                    if done.outcome != "ok":
+                        retry = self._fail(pend, done, report)
+                        if retry is not None:
+                            queue.append(retry)
+                        continue
+                    report.attempts.append(
+                        AttemptRecord(done.key, pend.attempt, "ok", done.elapsed)
+                    )
+                    results[done.key] = done.value
+                    if on_result is not None:
+                        on_result(done.key, done.value)
         return results, report
-
-    # ---------------------------------------------------------- pool level
-
-    def _run_pool_level(
-        self,
-        worker: Callable,
-        queue: "deque[_Pending]",
-        results: Dict[str, Any],
-        report: SupervisionReport,
-        on_result: Optional[Callable],
-    ) -> None:
-        """Persistent process pool with heartbeat-based hang detection.
-
-        Runs pool *generations*: a hang/broken pool/stale heartbeat kills
-        the whole pool (workers are reused across submissions, so a wedged
-        worker cannot be excised individually), charges the implicated
-        tasks, requeues innocent bystanders uncharged, and — below the
-        strike limit — rebuilds a fresh pool at the same level.
-        """
-        config = self.config
-        strikes = 0
-        while queue:
-            collapse = self._run_pool_generation(
-                worker, queue, results, report, on_result
-            )
-            if collapse is None:
-                return
-            strikes += 1
-            if strikes >= config.strikes_per_level:
-                raise _Degrade(
-                    list(queue),
-                    f"{strikes} pool failure(s), last: {collapse}",
-                )
-
-    def _run_pool_generation(
-        self,
-        worker: Callable,
-        queue: "deque[_Pending]",
-        results: Dict[str, Any],
-        report: SupervisionReport,
-        on_result: Optional[Callable],
-    ) -> Optional[str]:
-        """One pool lifetime.  Returns None when the queue drained, or the
-        collapse reason after tearing the pool down (queue then holds the
-        requeued survivors)."""
-        config = self.config
-        level = ExecutionLevel.POOL
-        board_dir = tempfile.mkdtemp(prefix="repro-supervise-")
-        board = HeartbeatBoard(board_dir)
-        pool = ProcessPoolExecutor(
-            max_workers=min(config.effective_jobs(), max(1, len(queue)))
-        )
-        futures: Dict[Any, Tuple[_Pending, float]] = {}
-        collapse: Optional[str] = None
-        try:
-            while queue or futures:
-                now = time.monotonic()
-                # Submit every ready task (backoff-gated) up front; the pool
-                # queues internally, and the board tells us which submitted
-                # tasks have actually started.
-                while True:
-                    pend = self._pop_ready(queue, now)
-                    if pend is None:
-                        break
-                    try:
-                        future = pool.submit(
-                            _pool_worker,
-                            (
-                                str(board.root),
-                                pend.task.key,
-                                worker,
-                                pend.task.payload,
-                                config.heartbeat_interval_s,
-                            ),
-                        )
-                    except (BrokenProcessPool, RuntimeError):
-                        queue.appendleft(pend)
-                        collapse = "pool rejected a submission (broken pool)"
-                        break
-                    futures[future] = (pend, time.time())
-                if collapse is not None:
-                    break
-                if not futures:
-                    time.sleep(config.poll_interval_s)
-                    continue
-                done, _ = futures_wait(
-                    list(futures),
-                    timeout=config.poll_interval_s,
-                    return_when=FIRST_COMPLETED,
-                )
-                for future in done:
-                    pend, submitted = futures.pop(future)
-                    key = pend.task.key
-                    started = board.started_at(key)
-                    elapsed = time.time() - (started or submitted)
-                    board.clear(key)
-                    try:
-                        value = future.result()
-                    except WorkerError as exc:
-                        retry = self._fail(
-                            pend, level, "error", elapsed, exc.message, report
-                        )
-                        if retry is not None:
-                            queue.append(retry)
-                    except BrokenProcessPool:
-                        if started is not None:
-                            # This task was live inside the dying pool.
-                            retry = self._fail(
-                                pend,
-                                level,
-                                "crash",
-                                elapsed,
-                                "worker process died (broken pool)",
-                                report,
-                            )
-                            if retry is not None:
-                                queue.append(retry)
-                        else:
-                            queue.append(pend)  # bystander: not charged
-                        collapse = "worker process died (broken pool)"
-                    except Exception as exc:  # cancelled futures, pickling...
-                        retry = self._fail(
-                            pend,
-                            level,
-                            "crash",
-                            elapsed,
-                            f"{type(exc).__name__}: {exc}",
-                            report,
-                        )
-                        if retry is not None:
-                            queue.append(retry)
-                        collapse = f"pool failure: {type(exc).__name__}"
-                    else:
-                        self._ok(
-                            pend, level, elapsed, value, results, report, on_result
-                        )
-                if collapse is not None:
-                    break
-                # Hang / stale-heartbeat scan over still-running futures.
-                wall = time.time()
-                for future, (pend, submitted) in list(futures.items()):
-                    key = pend.task.key
-                    started = board.started_at(key)
-                    if started is None:
-                        continue  # queued behind a busy pool: not charged
-                    age = wall - started
-                    beat = board.last_beat(key) or started
-                    if config.deadline_s is not None and age > config.deadline_s:
-                        outcome, why = "hang", (
-                            f"no result after {age:.1f}s "
-                            f"(deadline {config.deadline_s:.3g}s)"
-                        )
-                    elif wall - beat > config.heartbeat_timeout_s:
-                        outcome, why = "crash", (
-                            f"heartbeat stale for {wall - beat:.1f}s "
-                            f"(worker presumed dead)"
-                        )
-                    else:
-                        continue
-                    futures.pop(future)
-                    board.clear(key)
-                    retry = self._fail(pend, level, outcome, age, why, report)
-                    if retry is not None:
-                        queue.append(retry)
-                    collapse = why
-                if collapse is not None:
-                    break
-        finally:
-            if collapse is not None:
-                _terminate_pool(pool)
-                # Survivors ride the pool down; requeue them uncharged.
-                for pend, _ in futures.values():
-                    board.clear(pend.task.key)
-                    queue.append(pend)
-                futures.clear()
-            else:
-                pool.shutdown(wait=True)
-            shutil.rmtree(board_dir, ignore_errors=True)
-        return collapse
-
-    # ---------------------------------------------------- fresh-pool level
-
-    def _run_fresh_level(
-        self,
-        worker: Callable,
-        queue: "deque[_Pending]",
-        results: Dict[str, Any],
-        report: SupervisionReport,
-        on_result: Optional[Callable],
-    ) -> None:
-        """One short-lived process per task: precise termination, no pool
-        state to poison — the middle rung of the ladder."""
-        config = self.config
-        level = ExecutionLevel.FRESH_POOL
-        strikes = 0
-        inflight: Dict[str, Tuple[_Pending, Process, Any, float]] = {}
-
-        def _reap(key: str) -> Tuple[_Pending, Process, Any, float]:
-            pend, proc, conn, started = inflight.pop(key)
-            try:
-                conn.close()
-            except OSError:
-                pass
-            proc.join(timeout=2.0)
-            return pend, proc, conn, started
-
-        try:
-            while queue or inflight:
-                now = time.monotonic()
-                while len(inflight) < config.effective_jobs():
-                    pend = self._pop_ready(queue, now)
-                    if pend is None:
-                        break
-                    parent_conn, child_conn = Pipe(duplex=False)
-                    proc = Process(
-                        target=_fresh_worker,
-                        args=(child_conn, worker, pend.task.key, pend.task.payload),
-                        daemon=True,
-                    )
-                    proc.start()
-                    child_conn.close()
-                    inflight[pend.task.key] = (
-                        pend,
-                        proc,
-                        parent_conn,
-                        time.monotonic(),
-                    )
-                if not inflight:
-                    time.sleep(config.poll_interval_s)
-                    continue
-                conns = {job[2]: key for key, job in inflight.items()}
-                ready = connection_wait(
-                    list(conns), timeout=config.poll_interval_s
-                )
-                for conn in ready:
-                    key = conns[conn]
-                    pend, proc, _, started = inflight[key]
-                    elapsed = time.monotonic() - started
-                    try:
-                        status, value = conn.recv()
-                    except (EOFError, OSError):
-                        status, value = (
-                            "crash",
-                            f"worker exited (code {proc.exitcode}) "
-                            "without reporting a result",
-                        )
-                    _reap(key)
-                    if status == "ok":
-                        self._ok(
-                            pend, level, elapsed, value, results, report, on_result
-                        )
-                        continue
-                    if status == "crash":
-                        strikes += 1
-                    retry = self._fail(pend, level, status, elapsed, value, report)
-                    if retry is not None:
-                        queue.append(retry)
-                now = time.monotonic()
-                for key, (pend, proc, conn, started) in list(inflight.items()):
-                    elapsed = now - started
-                    if (
-                        config.deadline_s is not None
-                        and elapsed > config.deadline_s
-                    ):
-                        proc.terminate()
-                        _reap(key)
-                        strikes += 1
-                        retry = self._fail(
-                            pend,
-                            level,
-                            "hang",
-                            elapsed,
-                            f"terminated after {elapsed:.1f}s "
-                            f"(deadline {config.deadline_s:.3g}s)",
-                            report,
-                        )
-                        if retry is not None:
-                            queue.append(retry)
-                    elif not proc.is_alive() and not conn.poll():
-                        _reap(key)
-                        strikes += 1
-                        retry = self._fail(
-                            pend,
-                            level,
-                            "crash",
-                            elapsed,
-                            f"worker exited silently (code {proc.exitcode})",
-                            report,
-                        )
-                        if retry is not None:
-                            queue.append(retry)
-                if strikes >= config.strikes_per_level and (queue or inflight):
-                    leftover = list(queue)
-                    for key in list(inflight):
-                        pend, proc, _, _ = inflight[key]
-                        proc.terminate()
-                        _reap(key)
-                        leftover.append(pend)  # bystander: not charged
-                    raise _Degrade(
-                        leftover, f"{strikes} worker failure(s) at fresh-pool level"
-                    )
-        finally:
-            for key in list(inflight):
-                _, proc, _, _ = inflight[key]
-                proc.terminate()
-                _reap(key)
-
-    # -------------------------------------------------------- serial level
-
-    def _run_serial_level(
-        self,
-        worker: Callable,
-        queue: "deque[_Pending]",
-        results: Dict[str, Any],
-        report: SupervisionReport,
-        on_result: Optional[Callable],
-    ) -> None:
-        """Last rung: in-process execution.  Only cooperative deadlines
-        (e.g. the campaign's own :class:`~repro.faults.campaign.Deadline`)
-        can bound a task here, but there is no pool machinery left to
-        fail, so errors reduce to plain retry-then-quarantine."""
-        level = ExecutionLevel.SERIAL
-        while queue:
-            pend = self._pop_ready(queue, time.monotonic())
-            if pend is None:
-                nearest = min(entry.not_before for entry in queue)
-                time.sleep(max(0.0, nearest - time.monotonic()))
-                continue
-            start = time.monotonic()
-            try:
-                value = worker(pend.task.payload)
-            except Exception as exc:
-                retry = self._fail(
-                    pend,
-                    level,
-                    "error",
-                    time.monotonic() - start,
-                    f"{type(exc).__name__}: {exc}",
-                    report,
-                )
-                if retry is not None:
-                    queue.append(retry)
-                continue
-            self._ok(
-                pend,
-                level,
-                time.monotonic() - start,
-                value,
-                results,
-                report,
-                on_result,
-            )

@@ -285,24 +285,3 @@ class TestHeartbeatHygiene:
         removed = board.sweep_stale(max_age_s=3600)
         assert removed == 2  # old-task's .start (+ no .beat) and stale leftovers
         assert board.last_beat("fresh-task") is not None
-
-    def test_sweep_stale_boards_removes_abandoned_dirs(self, tmp_path):
-        from repro.supervise.heartbeat import sweep_stale_boards
-
-        old_dir = tmp_path / "repro-supervise-dead"
-        old_dir.mkdir()
-        stamp = old_dir / "abc.start"
-        stamp.write_text("1")
-        old = time.time() - 7200
-        os.utime(stamp, (old, old))
-        os.utime(old_dir, (old, old))
-        live_dir = tmp_path / "repro-supervise-live"
-        live_dir.mkdir()
-        (live_dir / "xyz.beat").write_text("1")
-        unrelated = tmp_path / "keep-me"
-        unrelated.mkdir()
-        removed = sweep_stale_boards(parent=tmp_path, max_age_s=3600)
-        assert removed == 1
-        assert not old_dir.exists()
-        assert live_dir.exists()
-        assert unrelated.exists()

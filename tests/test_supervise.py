@@ -1,8 +1,8 @@
 """Supervised execution layer tests.
 
 Covers the PR-level guarantees: deterministic retry backoff, hang
-detection + quarantine, the pool -> fresh-pool -> serial degradation
-ladder, crash-atomic checkpoint writes, campaign integration (quarantine
+detection + quarantine charged to the failing task only, crash-atomic
+checkpoint writes, campaign integration (quarantine
 persisted and skipped at resume, non-quarantined results byte-identical
 to a fault-free serial run), worker-exception surfacing, and the
 SIGTERM/SIGINT flush path.
@@ -10,6 +10,7 @@ SIGTERM/SIGINT flush path.
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import signal
 import time
@@ -26,20 +27,18 @@ from repro.faults import (
 )
 from repro.stats import SupervisionSummary
 from repro.supervise import (
-    ExecutionLevel,
     HeartbeatBoard,
-    LADDER,
     RetryPolicy,
     SupervisionReport,
     Supervisor,
     SupervisorConfig,
     Task,
+    dispatch,
     trap_signals,
 )
 from repro.supervise.heartbeat import start_beat_thread
 
 # ----------------------------------------------------------- module workers
-# Pool/fresh-pool workers must be module-level so they pickle by reference.
 
 
 def _double(payload):
@@ -65,22 +64,35 @@ def _crash_once(sentinel):
     os._exit(3)
 
 
-def _ok_only_in_parent(parent_pid):
-    """Succeeds in-process, hard-crashes any worker subprocess."""
-    if os.getpid() != parent_pid:
-        os._exit(3)
-    return "serial-ok"
+def _timed_task(payload):
+    """``(name, path)``: ``hangs`` sleeps 120 s, ``dies`` exits after 0.1 s,
+    ``quick`` sleeps 0.5 s, ``slow`` sleeps 0.9 s then appends a line to
+    ``path``."""
+    name, path = payload
+    if name == "hangs":
+        time.sleep(120)
+    elif name == "dies":
+        time.sleep(0.1)
+        os._exit(1)
+    elif name == "quick":
+        time.sleep(0.5)
+    else:
+        time.sleep(0.9)
+        with open(path, "a") as fh:
+            fh.write(f"{name}\n")
+    return name
+
+
+def _half_second(payload):
+    time.sleep(0.5)
+    return payload
 
 
 def _fast_config(**overrides):
     defaults = dict(
         jobs=2,
         deadline_s=2.0,
-        heartbeat_interval_s=0.05,
-        heartbeat_timeout_s=10.0,
-        poll_interval_s=0.02,
         retry=RetryPolicy(max_retries=1, backoff_base_s=0.01, backoff_cap_s=0.05),
-        strikes_per_level=2,
     )
     defaults.update(overrides)
     return SupervisorConfig(**defaults)
@@ -130,8 +142,6 @@ class TestRetryPolicy:
         with pytest.raises(SupervisionError):
             RetryPolicy(max_retries=-1).delay("k", 1)
         with pytest.raises(SupervisionError):
-            SupervisorConfig(heartbeat_interval_s=0.0)
-        with pytest.raises(SupervisionError):
             SupervisorConfig(deadline_s=0.0)
         # jobs < 1 is legal: it means "decided by the caller at run time".
         assert SupervisorConfig(jobs=0).effective_jobs(fallback=4) == 4
@@ -173,11 +183,10 @@ class TestSupervisorLevels:
         results, report = Supervisor(_fast_config()).run(_double, tasks)
         assert results == {f"t{i}": i * 2 for i in range(6)}
         assert report.quarantined == {}
-        assert report.final_level == ExecutionLevel.POOL.value
         assert report.accounts_for([t.key for t in tasks])
 
     def test_serial_level_retries_then_quarantines(self):
-        config = _fast_config(start_level=ExecutionLevel.SERIAL)
+        config = _fast_config()
         results, report = Supervisor(config).run(_raise, [Task(key="bad", payload=0)])
         assert results == {}
         assert "bad" in report.quarantined
@@ -224,22 +233,20 @@ class TestSupervisorLevels:
         assert outcomes[-1] == "ok"
         assert "crash" in outcomes
 
-    def test_degrades_down_ladder_to_serial(self):
-        """A task every subprocess dies on only completes in-process, two
-        rungs down the ladder — and both fallbacks are recorded."""
-        config = _fast_config(
-            jobs=1,
-            strikes_per_level=1,
-            retry=RetryPolicy(max_retries=4, backoff_base_s=0.01),
-        )
-        results, report = Supervisor(config).run(
-            _ok_only_in_parent, [Task(key="picky", payload=os.getpid())]
-        )
-        assert results == {"picky": "serial-ok"}
-        assert report.final_level == ExecutionLevel.SERIAL.value
-        assert len(report.fallbacks) == 2
-        levels = [a.level for a in report.attempts if a.outcome == "ok"]
-        assert levels == [ExecutionLevel.SERIAL.value]
+    @pytest.mark.parametrize("culprit", ["hangs", "dies"])
+    def test_failure_charges_only_its_own_task(self, tmp_path, culprit):
+        """A hang or a dead worker is charged to that task alone: the
+        task that ran beside it is not charged, and the task sent after it
+        runs exactly once."""
+        path = str(tmp_path / "slow.txt")
+        names = (culprit, "quick", "slow")
+        tasks = [Task(key=name, payload=(name, path)) for name in names]
+        config = _fast_config(deadline_s=1.0, retry=RetryPolicy(max_retries=0))
+        results, report = Supervisor(config).run(_timed_task, tasks)
+        assert results == {"quick": "quick", "slow": "slow"}
+        assert list(report.quarantined) == [culprit]
+        with open(path) as fh:
+            assert fh.read().splitlines() == ["slow"]
 
     def test_on_result_streams_successes(self):
         seen = []
@@ -254,11 +261,10 @@ class TestSupervisorLevels:
 
 class TestSupervisionReport:
     def test_payload_roundtrip_shape(self):
-        config = _fast_config(start_level=ExecutionLevel.SERIAL)
+        config = _fast_config()
         _, report = Supervisor(config).run(_double, [Task(key="a", payload=1)])
         payload = report.to_payload()
         assert payload["attempts"][0]["key"] == "a"
-        assert payload["final_level"] == "serial"
         assert json.dumps(payload)  # JSON-able for checkpoints
 
     def test_accounts_for_missing_key(self):
@@ -270,16 +276,13 @@ class TestSupervisionReport:
 
         report = SupervisionReport(
             attempts=[
-                AttemptRecord("flaky", 1, "pool", "hang"),
-                AttemptRecord("clean", 1, "pool", "ok"),
-                AttemptRecord("flaky", 2, "fresh-pool", "ok"),
+                AttemptRecord("flaky", 1, "hang"),
+                AttemptRecord("clean", 1, "ok"),
+                AttemptRecord("flaky", 2, "ok"),
             ]
         )
         flaky = report.attempts_for("flaky")
-        assert [(a.attempt, a.level, a.outcome) for a in flaky] == [
-            (1, "pool", "hang"),
-            (2, "fresh-pool", "ok"),
-        ]
+        assert [(a.attempt, a.outcome) for a in flaky] == [(1, "hang"), (2, "ok")]
         assert report.attempts_for("never-ran") == []
         assert report.attempt_outcomes() == {
             "flaky": ["hang", "ok"],
@@ -287,14 +290,14 @@ class TestSupervisionReport:
         }
 
     def test_audit_trail_recorded_for_real_run(self):
-        config = _fast_config(start_level=ExecutionLevel.SERIAL)
+        config = _fast_config()
         _, report = Supervisor(config).run(
             _double, [Task(key="a", payload=1), Task(key="b", payload=2)]
         )
         assert report.attempt_outcomes() == {"a": ["ok"], "b": ["ok"]}
 
     def test_format_mentions_quarantine(self):
-        config = _fast_config(start_level=ExecutionLevel.SERIAL)
+        config = _fast_config()
         _, report = Supervisor(config).run(_raise, [Task(key="bad", payload=0)])
         text = report.format()
         assert "quarantined: bad" in text
@@ -302,16 +305,16 @@ class TestSupervisionReport:
 
 class TestSupervisionSummary:
     def test_taxonomy_classification(self):
-        report = SupervisionReport(final_level="serial")
+        report = SupervisionReport()
         from repro.supervise import AttemptRecord
 
         report.attempts = [
-            AttemptRecord("clean", 1, "pool", "ok"),
-            AttemptRecord("retried", 1, "pool", "error"),
-            AttemptRecord("retried", 2, "pool", "ok"),
-            AttemptRecord("degraded", 1, "pool", "hang"),
-            AttemptRecord("degraded", 2, "serial", "ok"),
-            AttemptRecord("dead", 1, "pool", "crash"),
+            AttemptRecord("clean", 1, "ok"),
+            AttemptRecord("retried", 1, "error"),
+            AttemptRecord("retried", 2, "ok"),
+            AttemptRecord("hung", 1, "hang"),
+            AttemptRecord("hung", 2, "ok"),
+            AttemptRecord("dead", 1, "crash"),
         ]
         report.quarantined = {"dead": "crash on attempt 1"}
         report.skipped_quarantined = ["old-poison"]
@@ -319,17 +322,17 @@ class TestSupervisionSummary:
         assert summary.per_task == {
             "clean": "clean",
             "retried": "retried",
-            "degraded": "degraded",
+            "hung": "retried",
             "dead": "quarantined",
             "old-poison": "skipped",
         }
         counts = summary.counts()
         assert counts == {
-            "clean": 1, "retried": 1, "degraded": 1, "quarantined": 1, "skipped": 1,
+            "clean": 1, "retried": 2, "quarantined": 1, "skipped": 1,
         }
-        assert summary.by_level["pool"]["ok"] == 2
+        assert summary.attempt_counts == {"ok": 3, "error": 1, "hang": 1, "crash": 1}
         text = summary.format()
-        assert "quarantined: 1" in text and "pool" in text
+        assert "quarantined: 1" in text and "attempts" in text
 
 
 # --------------------------------------------------- crash-atomic checkpoint
@@ -420,9 +423,6 @@ def _tiny_supervise(**overrides):
     defaults = dict(
         jobs=2,
         deadline_s=1.5,
-        heartbeat_interval_s=0.05,
-        heartbeat_timeout_s=10.0,
-        poll_interval_s=0.02,
         retry=RetryPolicy(max_retries=1, backoff_base_s=0.01),
     )
     defaults.update(overrides)
@@ -438,9 +438,6 @@ def _die_on_pac_flip(args):
     from repro.faults.campaign import run_campaign_cell
 
     if args[3].kind is FaultKind.PTR_PAC_FLIP:
-        # Let the healthy cell land first, so the broken pool can only
-        # belong to this cell.
-        time.sleep(1.0)
         os._exit(1)
     return run_campaign_cell(*args)
 
@@ -544,7 +541,7 @@ class TestSupervisedCampaign:
 
     def test_dead_worker_names_cell(self, monkeypatch):
         """A worker process that exits mid-cell surfaces as a
-        FaultInjectionError naming that cell, not a bare pool error."""
+        FaultInjectionError naming that cell and the exit code."""
         import repro.faults.campaign as campaign_mod
 
         monkeypatch.setattr(campaign_mod, "_cell_worker", _die_on_pac_flip)
@@ -553,7 +550,7 @@ class TestSupervisedCampaign:
         message = str(excinfo.value)
         assert "workload=gcc" in message
         assert "kind=ptr-pac-flip location=0" in message
-        assert "BrokenProcessPool" in message
+        assert "exit code 1" in message
 
 
 # ------------------------------------------------------ simulation sweeps
@@ -588,13 +585,7 @@ class TestSupervisedTraceGroups:
             return real(settings, cell, memo=memo, paranoid=paranoid)
 
         monkeypatch.setattr(parallel, "simulate_cell", die_on_povray)
-        # A broken pool charges its bystanders too; enough retries let
-        # them land at the fresh-pool level, where each task has its own
-        # process.
-        config = _fast_config(
-            deadline_s=60.0,
-            retry=RetryPolicy(max_retries=3, backoff_base_s=0.01, backoff_cap_s=0.05),
-        )
+        config = _fast_config(deadline_s=60.0, retry=RetryPolicy(max_retries=0))
         results, report = parallel.run_cells_supervised(settings, cells, config=config)
         assert set(report.quarantined) == {"povray"}
         assert report.accounts_for(["gobmk", "povray", "mcf"])
@@ -627,6 +618,27 @@ class TestSupervisedTraceGroups:
         assert list(results.values()) == [cell.mechanism for cell in cells]
 
 
+# -------------------------------------------------------------- interrupts
+
+
+@pytest.mark.parametrize(
+    "supervise", [None, SupervisorConfig(jobs=2)], ids=["plain", "supervised"]
+)
+def test_interrupt_does_not_drain_the_queue(supervise):
+    """An interrupt on the first result stops the batch at once: the busy
+    worker is killed, the queued tasks never start, no worker survives."""
+
+    def interrupt(key, value):
+        raise KeyboardInterrupt
+
+    tasks = [Task(key=f"t{i}", payload=i) for i in range(12)]
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        dispatch(_half_second, tasks, jobs=2, supervise=supervise, on_result=interrupt)
+    assert time.monotonic() - start < 1.5
+    assert multiprocessing.active_children() == []
+
+
 # ------------------------------------------------------------------ signals
 
 
@@ -645,10 +657,3 @@ class TestSignals:
         except KeyboardInterrupt:  # pragma: no cover - no signal sent
             pass
         assert signal.getsignal(signal.SIGTERM) is before
-
-
-# ------------------------------------------------------------------- ladder
-
-
-def test_ladder_order_is_fixed():
-    assert [level.value for level in LADDER] == ["pool", "fresh-pool", "serial"]
