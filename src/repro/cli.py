@@ -27,7 +27,6 @@ from typing import List, Optional
 from .experiments import (
     ExperimentSuite,
     RunSettings,
-    default_cache_dir,
     run_fig11,
     run_fig14,
     run_fig15,
@@ -71,17 +70,14 @@ ARTIFACTS = {
     "trace-export": "export a synthetic workload window as a versioned trace file",
     "trace-import": "ingest a JSONL/binary trace file, validate and simulate it",
     "mechanisms": "registered mechanism plugins (--list/--json/--fingerprint)",
-    "serve": "distributed campaign coordinator over a durable work queue",
-    "worker": "lease-based queue worker process (claim/run/ack loop)",
     "cache": "artifact cache maintenance (--stats/--prune)",
 }
 
 #: Artifacts ``all`` must skip: file writers (``trace``, ``trace-export``),
-#: exit-code owners (``attack``, ``trace-import``), and operational faces
-#: that need extra arguments (``serve``, ``worker``, ``cache``).  Run them
-#: directly instead.
+#: exit-code owners (``attack``, ``trace-import``), and the store
+#: maintenance face (``cache``).  Run them directly instead.
 OPERATIONAL_ARTIFACTS = frozenset(
-    ("trace", "attack", "serve", "worker", "cache", "trace-export", "trace-import")
+    ("trace", "attack", "cache", "trace-export", "trace-import")
 )
 
 
@@ -189,12 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the persistent artifact cache for this invocation",
     )
     cache.add_argument(
-        "--cache-backend", choices=["local", "shared", "memory"], default="local",
-        help="cache storage backend: 'local' (classic per-user layout), "
-        "'shared' (content-addressed store with cross-fingerprint dedup, "
-        "for caches shared between workers/users), 'memory' (ephemeral)",
-    )
-    cache.add_argument(
         "--cache-max-bytes", type=int, default=None, metavar="N",
         help="size cap for the artifact cache; least-recently-used entries "
         "are evicted past it (default: $REPRO_CACHE_MAX_BYTES or unlimited)",
@@ -206,67 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache.add_argument(
         "--prune", action="store_true", dest="cache_prune",
         help="cache only: evict LRU entries down to --cache-max-bytes "
-        "(or $REPRO_CACHE_MAX_BYTES) and garbage-collect shared-store blobs",
-    )
-    queue = parser.add_argument_group("queue options (serve/worker)")
-    queue.add_argument(
-        "--queue", default=None, metavar="DIR",
-        help="queue directory (SQLite job store + heartbeat board); workers "
-        "and coordinators sharing it form one campaign service",
-    )
-    queue.add_argument(
-        "--campaign-id", default="campaign", metavar="ID",
-        help="serve only: campaign name inside the queue (default 'campaign')",
-    )
-    queue.add_argument(
-        "--queue-workers", type=int, default=3, metavar="N",
-        help="serve only: worker processes to spawn (default 3)",
-    )
-    queue.add_argument(
-        "--priority", type=int, default=0,
-        help="serve only: campaign priority (higher is served first)",
-    )
-    queue.add_argument(
-        "--weight", type=float, default=1.0,
-        help="serve only: fair-share weight among equal-priority campaigns",
-    )
-    queue.add_argument(
-        "--claim-batch", type=int, default=2, metavar="N",
-        help="cells a worker leases per claim (default 2)",
-    )
-    queue.add_argument(
-        "--lease-ttl", type=float, default=15.0, metavar="SECONDS",
-        help="lease TTL; a dead worker's cells are reclaimed after this "
-        "(live workers refresh their leases at ttl/3; default 15)",
-    )
-    queue.add_argument(
-        "--worker-heartbeat-timeout", type=float, default=5.0, metavar="SECONDS",
-        help="a worker whose board heartbeat is older than this is presumed "
-        "dead and its leases reclaimed early (default 5)",
-    )
-    queue.add_argument(
-        "--worker-id", default=None, metavar="ID",
-        help="worker only: stable identity on the queue (default worker-<pid>)",
-    )
-    queue.add_argument(
-        "--verify-serial", action="store_true",
-        help="serve only: after the distributed run, re-run the campaign "
-        "serially in-process and assert byte-identical merged results",
-    )
-    queue.add_argument(
-        "--queue-fault", default=None, metavar="KIND",
-        help="chaos injection against the queue layer itself: 'worker-kill' "
-        "(SIGKILL the first worker after --kill-after-cells cells) or "
-        "'lease-clock-skew' (skew the first worker's lease clock)",
-    )
-    queue.add_argument(
-        "--kill-after-cells", type=int, default=None, metavar="K",
-        help="worker-kill fault: SIGKILL after acking K cells (default 2)",
-    )
-    queue.add_argument(
-        "--clock-skew", type=float, default=None, metavar="SECONDS",
-        help="lease-clock-skew fault: offset of the skewed worker's clock "
-        "(default -30, i.e. leases stamped 30s in the past)",
+        "(or $REPRO_CACHE_MAX_BYTES)",
     )
     fault = parser.add_argument_group("faultinject options")
     fault.add_argument(
@@ -371,7 +301,7 @@ def supervisor_config(args) -> "SupervisorConfig | None":
 
 
 def campaign_config_from_args(args) -> "CampaignConfig":
-    """The :class:`CampaignConfig` the faultinject/serve flags describe."""
+    """The :class:`CampaignConfig` the faultinject flags describe."""
     from .faults import CampaignConfig
 
     overrides = {}
@@ -835,14 +765,9 @@ def artifact_cache_from_args(args):
     """The :class:`ArtifactCache` the cache flags describe (None = off)."""
     if args.no_cache:
         return None
-    from .experiments.backends import make_backend
     from .experiments.parallel import ArtifactCache
 
-    root = args.cache_dir or default_cache_dir()
-    return ArtifactCache(
-        backend=make_backend(args.cache_backend, root),
-        max_bytes=args.cache_max_bytes,
-    )
+    return ArtifactCache(root=args.cache_dir, max_bytes=args.cache_max_bytes)
 
 
 def run_cache(args) -> int:
@@ -874,156 +799,7 @@ def run_cache(args) -> int:
         lines.append(
             f"  {kind}: {stats['entries']} entries, {stats['bytes']} bytes"
         )
-    dedup = usage.get("dedup")
-    if dedup:
-        lines.append(
-            f"  dedup: {dedup['refs']} refs -> {dedup['objects']} objects, "
-            f"{dedup['deduped_bytes']} bytes saved"
-        )
     print("\n".join(lines))
-    return 0
-
-
-def _worker_cache_from_args(args):
-    """Workers cache cell results only when a store is explicitly named
-    (the queue database is already durable; the artifact store adds
-    cross-campaign and cross-user reuse on top)."""
-    if args.no_cache or not (args.cache_dir or args.cache_backend != "local"):
-        return None
-    return artifact_cache_from_args(args)
-
-
-def run_worker(args) -> int:
-    """The ``worker`` artifact: one lease-based queue worker process."""
-    from .queue import WorkerConfig, worker_main
-
-    if not args.queue:
-        print("repro: error: worker requires --queue DIR", file=sys.stderr)
-        return 2
-    kill_after = None
-    clock_skew = 0.0
-    if args.queue_fault:
-        from .faults import QueueFaultKind, parse_queue_fault_kind
-
-        fault = parse_queue_fault_kind(args.queue_fault)
-        if fault is QueueFaultKind.WORKER_KILL:
-            kill_after = args.kill_after_cells if args.kill_after_cells else 2
-        elif fault is QueueFaultKind.LEASE_CLOCK_SKEW:
-            clock_skew = args.clock_skew if args.clock_skew is not None else -30.0
-    if args.kill_after_cells is not None:
-        kill_after = args.kill_after_cells
-    if args.clock_skew is not None:
-        clock_skew = args.clock_skew
-    config = WorkerConfig(
-        queue_root=args.queue,
-        worker_id=args.worker_id or "",
-        batch=args.claim_batch,
-        lease_ttl_s=args.lease_ttl,
-        heartbeat_timeout_s=args.worker_heartbeat_timeout,
-        kill_after_cells=kill_after,
-        clock_skew_s=clock_skew,
-    )
-    return worker_main(config, cache=_worker_cache_from_args(args))
-
-
-def run_serve(args) -> int:
-    """The ``serve`` artifact: coordinate a distributed campaign.
-
-    Exit codes: 0 on a completed campaign, 130 after a graceful drain
-    (resumable by re-running the same command), 1 when ``--verify-serial``
-    finds a divergence from the serial path.
-    """
-    from .queue import (
-        CampaignService,
-        ServiceConfig,
-        enqueue_campaign,
-        verify_against_serial,
-    )
-
-    if not args.queue:
-        print("repro: error: serve requires --queue DIR", file=sys.stderr)
-        return 2
-    config = campaign_config_from_args(args)
-    kill_after = None
-    clock_skew = 0.0
-    if args.queue_fault:
-        from .faults import QueueFaultKind, parse_queue_fault_kind
-
-        fault = parse_queue_fault_kind(args.queue_fault)
-        if fault is QueueFaultKind.WORKER_KILL:
-            kill_after = args.kill_after_cells if args.kill_after_cells else 2
-        elif fault is QueueFaultKind.LEASE_CLOCK_SKEW:
-            clock_skew = args.clock_skew if args.clock_skew is not None else -30.0
-    worker_args: List[str] = []
-    if args.no_cache:
-        worker_args.append("--no-cache")
-    else:
-        if args.cache_dir:
-            worker_args += ["--cache-dir", args.cache_dir]
-        if args.cache_backend != "local":
-            worker_args += ["--cache-backend", args.cache_backend]
-    service = CampaignService(
-        ServiceConfig(
-            queue_root=args.queue,
-            workers=max(1, args.queue_workers),
-            batch=args.claim_batch,
-            lease_ttl_s=args.lease_ttl,
-            heartbeat_timeout_s=args.worker_heartbeat_timeout,
-            worker_args=tuple(worker_args),
-            kill_worker_after_cells=kill_after,
-            clock_skew_s=clock_skew,
-        )
-    )
-    added = enqueue_campaign(
-        service.queue,
-        args.campaign_id,
-        config,
-        priority=args.priority,
-        weight=args.weight,
-    )
-    counts = service.queue.counts(args.campaign_id)
-    print(
-        f"[serve] campaign {args.campaign_id!r}: {added} cell(s) enqueued, "
-        f"{counts.done} already done, {counts.total} total "
-        f"({args.queue_workers} workers over {args.queue})",
-        flush=True,
-    )
-    if args.queue_fault:
-        detail = (
-            f"kill after {kill_after} cell(s)"
-            if kill_after is not None
-            else f"clock skew {clock_skew:+.1f}s"
-        )
-        print(f"[serve] queue-fault injection: {args.queue_fault} ({detail})")
-    service.install_signal_handlers()
-    report = service.run([args.campaign_id])
-    print(report.format())
-    result = report.results[args.campaign_id]
-    if report.drained:
-        print(
-            "[serve] drained — completed cells are durable in the queue; "
-            "re-run the same command to resume",
-            flush=True,
-        )
-        return 130
-    charged = sum(
-        attempts
-        for _state, attempts in service.queue.job_states(args.campaign_id).values()
-    )
-    print(
-        f"[serve] recovery: {len(report.reclaims)} coordinator reclaim(s), "
-        f"{charged} attempt charge(s) across cells",
-        flush=True,
-    )
-    print()
-    print(result.format_report())
-    if args.verify_serial:
-        mismatch = verify_against_serial(config, result)
-        if mismatch is None:
-            print("serial-equivalence: OK")
-        else:
-            print(f"serial-equivalence: MISMATCH — {mismatch}", file=sys.stderr)
-            return 1
     return 0
 
 
@@ -1082,14 +858,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.artifact == "cache":
         return run_cache(args)
-    if args.artifact == "worker":
-        return run_worker(args)
-    if args.artifact == "serve":
-        try:
-            return run_serve(args)
-        except KeyboardInterrupt:
-            print(_resume_hint(args), file=sys.stderr)
-            return 130
 
     if args.artifact == "trace-export":
         return run_trace_export(args)

@@ -16,13 +16,10 @@ so traces are generated and lowered once per (workload, mechanism).
 """
 
 from .backends import (
-    BACKEND_CHOICES,
     CacheBackend,
     CacheEntry,
     LocalDirBackend,
     MemoryBackend,
-    SharedStoreBackend,
-    make_backend,
 )
 from .common import ExperimentSuite, RunSettings, SPEC_WORKLOADS
 from .parallel import (
@@ -48,7 +45,6 @@ from .tables import run_table1, run_table2, run_table3, run_table4
 
 __all__ = [
     "ArtifactCache",
-    "BACKEND_CHOICES",
     "CacheBackend",
     "CacheEntry",
     "CellSpec",
@@ -58,11 +54,9 @@ __all__ = [
     "PruneReport",
     "RunSettings",
     "SPEC_WORKLOADS",
-    "SharedStoreBackend",
     "cell_fingerprint",
     "default_cache_dir",
     "default_cache_max_bytes",
-    "make_backend",
     "run_cells",
     "run_cells_supervised",
     "simulate_cell",

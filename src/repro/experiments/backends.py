@@ -1,45 +1,32 @@
-"""Pluggable storage backends for the persistent artifact cache.
+"""Storage backends for the persistent artifact cache.
 
-:class:`~repro.experiments.parallel.ArtifactCache` historically *was* a
-directory under ``~/.cache/repro``.  The distributed campaign service
-(:mod:`repro.queue`) shards work across many worker processes that should
-all see each other's computed artifacts, so the storage layer is now a
-:class:`CacheBackend` interface with three implementations:
+:class:`~repro.experiments.parallel.ArtifactCache` keeps its entries in a
+:class:`CacheBackend`, an abstract ``(kind, fingerprint) -> bytes`` store,
+so the cache's serialisation, corrupt-entry accounting and LRU size cap
+are written once and tested against a fake.  Two implementations:
 
 ``LocalDirBackend``
-    The original layout (``<root>/results/<sha>.json``,
+    The on-disk layout every CLI run uses (``<root>/results/<sha>.json``,
     ``<root>/traces/<sha>.pkl``), byte-compatible with caches written by
-    earlier versions — existing entries keep hitting.
+    earlier versions — existing entries keep hitting.  Writes are atomic
+    (temp file + ``os.replace``), so a SIGKILLed run never leaves a torn
+    entry.
 
 ``MemoryBackend``
-    A process-local dict.  Zero I/O; for tests and ephemeral runs.
-
-``SharedStoreBackend``
-    A content-addressed store with dedup: payload bytes live once under
-    ``objects/<digest>`` no matter how many fingerprints reference them,
-    and ``refs/<kind>/<fingerprint>`` files map cache keys to objects.
-    Identical results computed by different workers (or for different
-    settings that happen to collapse to the same payload) share one blob,
-    which is what makes a multi-user shared store affordable.
-
-Backends deal in raw bytes only; serialisation (JSON for results, pickle
-for traces) and corrupt-entry accounting stay in ``ArtifactCache``.  All
-on-disk writes are atomic (temp file + ``os.replace``), so a SIGKILLed
-worker never leaves a torn entry.
+    A process-local dict with a logical access clock: zero I/O, the
+    backend tests substitute for the directory.
 
 Every backend also supports enumeration (:meth:`CacheBackend.entries`)
-and removal, which is what the LRU-by-mtime size cap and the
+and removal, which is what the LRU size cap and the
 ``python -m repro cache --stats/--prune`` subcommand are built on.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 #: kind -> on-disk suffix, kept for byte-compatibility with old caches.
 KIND_SUFFIXES = {"results": ".json", "traces": ".pkl"}
@@ -198,186 +185,3 @@ class MemoryBackend(CacheBackend):
 
     def describe(self) -> str:
         return f"memory ({len(self._data)} entries)"
-
-
-class SharedStoreBackend(CacheBackend):
-    """Content-addressed shared store with cross-fingerprint dedup.
-
-    Layout::
-
-        <root>/objects/<aa>/<sha256-of-bytes>   one blob per unique payload
-        <root>/refs/<kind>/<fingerprint>        text file naming the blob
-
-    Writes store the blob first, then the ref, both atomically, so a
-    reader never follows a ref to a missing object *except* after a
-    pruned blob — that case reads as a miss and drops the dangling ref.
-    ``entries()`` charges each ref its blob's size (the user-facing
-    question is "what does this fingerprint cost me"), while
-    :meth:`dedup_stats` reports the physical savings.
-    """
-
-    name = "shared"
-
-    def __init__(self, root: Union[str, Path]) -> None:
-        self.root = Path(root)
-
-    # ------------------------------------------------------------- layout
-
-    def _object_path(self, digest: str) -> Path:
-        return self.root / "objects" / digest[:2] / digest
-
-    def _ref_path(self, kind: str, fingerprint: str) -> Path:
-        return self.root / "refs" / kind / fingerprint
-
-    # ---------------------------------------------------------------- API
-
-    def read(self, kind: str, fingerprint: str) -> Optional[bytes]:
-        ref = self._ref_path(kind, fingerprint)
-        try:
-            digest = ref.read_text().strip()
-        except OSError:
-            return None
-        obj = self._object_path(digest)
-        try:
-            data = obj.read_bytes()
-        except OSError:
-            # Dangling ref (blob pruned/corrupted away): treat as a miss
-            # and drop the ref so stats stay honest.
-            self.remove(kind, fingerprint)
-            return None
-        now = time.time()
-        for path in (ref, obj):
-            try:
-                os.utime(path, (now, now))  # LRU stamp: refs touch blobs
-            except OSError:
-                pass
-        return data
-
-    def write(self, kind: str, fingerprint: str, data: bytes) -> None:
-        digest = hashlib.sha256(data).hexdigest()
-        obj = self._object_path(digest)
-        if not obj.exists():  # dedup: identical payloads share one blob
-            _atomic_write(obj, data)
-        _atomic_write(self._ref_path(kind, fingerprint), digest.encode())
-
-    def remove(self, kind: str, fingerprint: str) -> None:
-        ref = self._ref_path(kind, fingerprint)
-        try:
-            ref.unlink()
-        except OSError:
-            pass
-
-    def entries(self) -> List[CacheEntry]:
-        found: List[CacheEntry] = []
-        refs_root = self.root / "refs"
-        if not refs_root.exists():
-            return found
-        sizes: Dict[str, int] = {}
-        for kind_dir in sorted(refs_root.iterdir()):
-            if not kind_dir.is_dir():
-                continue
-            for ref in sorted(kind_dir.iterdir()):
-                if ref.name.startswith(".") or not ref.is_file():
-                    continue
-                try:
-                    digest = ref.read_text().strip()
-                    used = ref.stat().st_mtime
-                except OSError:
-                    continue
-                if digest not in sizes:
-                    try:
-                        sizes[digest] = self._object_path(digest).stat().st_size
-                    except OSError:
-                        sizes[digest] = 0
-                found.append(
-                    CacheEntry(kind_dir.name, ref.name, sizes[digest], used)
-                )
-        return found
-
-    def _live_digests(self) -> Iterator[str]:
-        refs_root = self.root / "refs"
-        if not refs_root.exists():
-            return
-        for kind_dir in refs_root.iterdir():
-            if not kind_dir.is_dir():
-                continue
-            for ref in kind_dir.iterdir():
-                if ref.name.startswith(".") or not ref.is_file():
-                    continue
-                try:
-                    yield ref.read_text().strip()
-                except OSError:
-                    continue
-
-    def collect_garbage(self) -> int:
-        """Delete blobs no ref names any more; returns bytes reclaimed.
-
-        Called after pruning refs — dedup means a blob only dies when its
-        *last* referencing fingerprint is evicted.
-        """
-        live = set(self._live_digests())
-        reclaimed = 0
-        objects_root = self.root / "objects"
-        if not objects_root.exists():
-            return 0
-        for shard in objects_root.iterdir():
-            if not shard.is_dir():
-                continue
-            for obj in shard.iterdir():
-                if obj.name.startswith(".") or obj.name in live:
-                    continue
-                try:
-                    size = obj.stat().st_size
-                    obj.unlink()
-                    reclaimed += size
-                except OSError:
-                    pass
-        return reclaimed
-
-    def dedup_stats(self) -> Dict[str, int]:
-        """Physical accounting: refs vs unique blobs vs bytes saved."""
-        refs = 0
-        by_digest: Dict[str, int] = {}
-        for digest in self._live_digests():
-            refs += 1
-            by_digest[digest] = by_digest.get(digest, 0) + 1
-        unique_bytes = 0
-        logical_bytes = 0
-        for digest, count in by_digest.items():
-            try:
-                size = self._object_path(digest).stat().st_size
-            except OSError:
-                size = 0
-            unique_bytes += size
-            logical_bytes += size * count
-        return {
-            "refs": refs,
-            "objects": len(by_digest),
-            "unique_bytes": unique_bytes,
-            "logical_bytes": logical_bytes,
-            "deduped_bytes": logical_bytes - unique_bytes,
-        }
-
-    def describe(self) -> str:
-        return f"shared content-addressed store @ {self.root}"
-
-
-#: CLI spelling -> backend factory taking the cache root.
-BACKEND_CHOICES = ("local", "shared", "memory")
-
-
-def make_backend(name: str, root: Union[None, str, Path]) -> CacheBackend:
-    """Build a backend from its CLI spelling (``--cache-backend``)."""
-    if name == "local":
-        if root is None:
-            raise ValueError("local cache backend requires a root directory")
-        return LocalDirBackend(root)
-    if name == "shared":
-        if root is None:
-            raise ValueError("shared cache backend requires a root directory")
-        return SharedStoreBackend(root)
-    if name == "memory":
-        return MemoryBackend()
-    raise ValueError(
-        f"unknown cache backend {name!r}; choose from {', '.join(BACKEND_CHOICES)}"
-    )

@@ -236,14 +236,11 @@ class PruneReport:
     reclaimed_bytes: int = 0
     remaining_entries: int = 0
     remaining_bytes: int = 0
-    #: Unreferenced blob bytes reclaimed by the shared store's GC pass.
-    gc_bytes: int = 0
 
     def format(self) -> str:
         return (
             f"evicted {self.evicted} entries "
-            f"({self.reclaimed_bytes + self.gc_bytes} bytes reclaimed, "
-            f"{self.gc_bytes} via shared-store GC); "
+            f"({self.reclaimed_bytes} bytes reclaimed); "
             f"{self.remaining_entries} entries / "
             f"{self.remaining_bytes} bytes remain"
         )
@@ -252,13 +249,12 @@ class PruneReport:
 class ArtifactCache:
     """Persistent, content-addressed store for traces and simulation results.
 
-    Storage is a pluggable :class:`~repro.experiments.backends.CacheBackend`
-    (local directory, in-memory, or a deduplicating shared store — see
-    :mod:`repro.experiments.backends`); the default is the classic
-    ``<root>/results/<sha256>.json`` + ``<root>/traces/<sha256>.pkl``
-    per-user directory, byte-compatible with caches written by earlier
-    versions.  Writes are atomic, so a killed run never leaves a torn
-    entry; unreadable or undecodable entries are counted in
+    Entries live in a :class:`~repro.experiments.backends.CacheBackend`:
+    the ``<root>/results/<sha256>.json`` + ``<root>/traces/<sha256>.pkl``
+    directory by default, byte-compatible with caches written by earlier
+    versions, or any backend passed in (the tests pass an in-memory one).
+    Writes are atomic, so a killed run never leaves a torn entry;
+    unreadable or undecodable entries are counted in
     :attr:`CacheStats.corrupt`, removed best-effort, and treated as misses.
 
     ``max_bytes`` (or ``$REPRO_CACHE_MAX_BYTES``) caps total size: after
@@ -355,25 +351,20 @@ class ArtifactCache:
             bucket = by_kind.setdefault(entry.kind, {"entries": 0, "bytes": 0})
             bucket["entries"] += 1
             bucket["bytes"] += entry.size
-        usage: Dict[str, object] = {
+        return {
             "backend": self.backend.describe(),
             "entries": len(entries),
             "bytes": sum(entry.size for entry in entries),
             "max_bytes": self.max_bytes,
             "kinds": {kind: by_kind[kind] for kind in sorted(by_kind)},
         }
-        dedup = getattr(self.backend, "dedup_stats", None)
-        if dedup is not None:
-            usage["dedup"] = dedup()
-        return usage
 
     def prune(self, max_bytes: Optional[int] = None) -> PruneReport:
         """Evict least-recently-used entries until the cache fits.
 
         ``max_bytes=None`` falls back to the instance cap; with neither
-        set the call only runs the shared store's garbage collection (if
-        any) and reports current usage.  ``max_bytes=0`` empties the
-        cache.
+        set the call only reports current usage.  ``max_bytes=0`` empties
+        the cache.
         """
         cap = self.max_bytes if max_bytes is None else max_bytes
         report = PruneReport()
@@ -390,9 +381,6 @@ class ArtifactCache:
                 report.evicted += 1
                 report.reclaimed_bytes += entry.size
             self.stats.evicted += report.evicted
-        collect = getattr(self.backend, "collect_garbage", None)
-        if collect is not None:
-            report.gc_bytes = collect()
         remaining = self.backend.entries()
         report.remaining_entries = len(remaining)
         report.remaining_bytes = sum(entry.size for entry in remaining)

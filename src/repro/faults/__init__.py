@@ -21,7 +21,6 @@ from .campaign import (
 from .checkpoint import CheckpointStore
 from .injector import (
     ALL_KINDS,
-    ALL_QUEUE_KINDS,
     METADATA_KINDS,
     POINTER_CORRUPTION_KINDS,
     RESILIENCE_KINDS,
@@ -32,15 +31,12 @@ from .injector import (
     FaultKind,
     FaultSpec,
     InjectionRecord,
-    QueueFaultKind,
     TrackedObject,
     parse_fault_kind,
-    parse_queue_fault_kind,
 )
 
 __all__ = [
     "ALL_KINDS",
-    "ALL_QUEUE_KINDS",
     "Campaign",
     "CampaignConfig",
     "CampaignResult",
@@ -52,7 +48,6 @@ __all__ = [
     "FaultSpec",
     "InjectionRecord",
     "METADATA_KINDS",
-    "QueueFaultKind",
     "POINTER_CORRUPTION_KINDS",
     "RESILIENCE_KINDS",
     "RunOutcome",
@@ -61,7 +56,6 @@ __all__ = [
     "TEMPORAL_POINTER_KINDS",
     "TrackedObject",
     "parse_fault_kind",
-    "parse_queue_fault_kind",
     "run_campaign_cell",
     "run_quick_campaign",
 ]

@@ -172,34 +172,6 @@ class CampaignConfig:
                 return True
         return False
 
-    def to_payload(self) -> dict:
-        """JSON-able form, for the distributed work queue's campaign row."""
-        return {
-            "workloads": list(self.workloads),
-            "mechanisms": list(self.mechanisms),
-            "kinds": [kind.value for kind in self.kinds],
-            "locations": self.locations,
-            "seed": self.seed,
-            "objects": self.objects,
-            "churn": self.churn,
-            "timeout_s": self.timeout_s,
-            "max_retries": self.max_retries,
-            "max_violations": self.max_violations,
-            "paranoid": self.paranoid,
-            "paranoid_shadow_sample": self.paranoid_shadow_sample,
-            "hang_cells": list(self.hang_cells),
-            "hang_s": self.hang_s,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "CampaignConfig":
-        data = dict(payload)
-        data["workloads"] = tuple(data["workloads"])
-        data["mechanisms"] = tuple(data["mechanisms"])
-        data["kinds"] = tuple(FaultKind(kind) for kind in data["kinds"])
-        data["hang_cells"] = tuple(data.get("hang_cells", ()))
-        return cls(**data)
-
     @classmethod
     def quick(cls, **overrides) -> "CampaignConfig":
         """The ``faultinject --quick`` shape: small but covers every kind."""

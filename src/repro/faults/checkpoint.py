@@ -1,9 +1,8 @@
-"""Crash-atomic JSONL checkpointing for long sweeps.
+"""Crash-safe JSONL checkpointing for long sweeps.
 
 A :class:`CheckpointStore` persists one JSON record per completed cell of
-a sweep (campaign runs, ``ExperimentSuite`` simulation results) so an
-interrupted sweep resumes where it stopped instead of recomputing minutes
-of pure-Python simulation.
+a fault-injection campaign (``faultinject --fault-checkpoint``) so an
+interrupted campaign resumes where it stopped instead of recomputing it.
 
 File format — first line is a header carrying the sweep's configuration
 fingerprint, each following line one completed cell::
@@ -12,14 +11,14 @@ fingerprint, each following line one completed cell::
     {"k": <json key>, "v": <json value>}
     {"k": <json key>, "v": <json value>}
 
-Every :meth:`put` commits the *whole* store to a temp file and atomically
-``os.replace``\\ s it over the previous one, so a crash anywhere inside a
-write leaves the complete previous generation readable — never a torn
-file.  The rewrite is O(cells) per put, which is fine at checkpoint
-granularity (hundreds of multi-second cells; the serialization cost is
-noise next to one simulation).  :meth:`_load` additionally tolerates
-torn/garbage tails, so files appended by pre-atomic versions of this
-class still load.  A header mismatch (different instructions/seed/scale,
+Every :meth:`put` appends its one line to the open file and fsyncs it
+before returning, so a put costs the same on the ten-thousandth cell as
+on the first.  A put that fails partway truncates the file back to where
+it started, and a kill in mid-write leaves at most one torn last line,
+which :meth:`_load` skips and terminates on the next open.  The header
+(a fresh file, or a restart after a mismatch) is written to a temp file
+that ``os.replace`` moves into place, so the file always starts with a
+complete header.  A header mismatch (different instructions/seed/scale,
 different campaign shape) invalidates the file: resuming with stale
 results would silently mix incompatible measurements, which is worse
 than recomputing.
@@ -30,7 +29,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, BinaryIO, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..errors import CheckpointError
 
@@ -61,6 +60,7 @@ class CheckpointStore:
         self.meta = dict(meta or {})
         self._cells: Dict[str, Tuple[Any, Any]] = {}
         self._resumed = 0
+        self._fh: Optional[BinaryIO] = None
         if self.path.exists():
             self._load(on_mismatch)
         else:
@@ -102,25 +102,15 @@ class CheckpointStore:
         self._resumed = len(cells)
 
     def _write_header(self) -> None:
+        """Start an empty store: atomically replace the file with a
+        header-only one (temp file fsynced in full, then ``os.replace``)."""
         self._cells = {}
         self._resumed = 0
-        self._commit()
-
-    def _commit(self) -> None:
-        """Atomically replace the file with the current in-memory state.
-
-        The temp file is written, flushed and fsynced in full before the
-        ``os.replace``, so readers (including a crashed-and-restarted
-        process) only ever observe a complete previous or complete new
-        generation.
-        """
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
         try:
             with open(tmp, "w") as fh:
                 fh.write(json.dumps({"meta": self.meta}) + "\n")
-                for key, value in self._cells.values():
-                    fh.write(json.dumps({"k": key, "v": value}) + "\n")
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, self.path)
@@ -144,22 +134,39 @@ class CheckpointStore:
         return default if cell is None else cell[1]
 
     def put(self, key: Any, value: Any) -> None:
-        """Record one completed cell, durably and crash-atomically.
+        """Record one completed cell durably: append its line and fsync.
 
-        If the commit fails partway (disk full, kill -9 mid-write), the
-        on-disk file still holds the complete previous generation, and
-        the in-memory map is rolled back to match it.
+        If the write fails partway (disk full, a signal mid-write), the
+        file is truncated back to its previous end and the in-memory map
+        is rolled back to match it.
         """
+        line = (json.dumps({"k": key, "v": value}) + "\n").encode()
+        if self._fh is None:
+            self._fh = open(self.path, "ab")
+        offset = self._fh.tell()
         canon = _canonical(key)
         previous = self._cells.get(canon)
         self._cells[canon] = (key, value)
         try:
-            self._commit()
+            self._fh.write(line)
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
         except BaseException:
             if previous is None:
                 self._cells.pop(canon, None)
             else:
                 self._cells[canon] = previous
+            # Close the handle (its retried flush may land or not), then
+            # cut the file back; the next put reopens at the new end.
+            fh, self._fh = self._fh, None
+            try:
+                fh.close()
+            except OSError:
+                pass
+            try:
+                os.truncate(self.path, offset)
+            except OSError:
+                pass
             raise
 
     def items(self) -> Iterator[Tuple[Any, Any]]:

@@ -102,38 +102,6 @@ def parse_fault_kind(value: str) -> FaultKind:
         ) from None
 
 
-class QueueFaultKind(str, Enum):
-    """Faults that attack the *queue layer* rather than the simulator.
-
-    Deliberately a separate enum from :class:`FaultKind`: these are
-    injected into queue workers (``repro.queue``), not through the
-    :class:`FaultInjector` seams, so the injector's handler-completeness
-    contract (one handler per ``FaultKind``) stays intact.
-    """
-
-    #: SIGKILL a worker after it has acked K cells: leases must expire,
-    #: cells must be reclaimed, and nothing may be lost or merged twice.
-    WORKER_KILL = "worker-kill"
-    #: Skew the clock one worker stamps its leases with: a fast clock
-    #: writes already-expired leases (instant reclaim races), a slow one
-    #: writes far-future leases (heartbeat staleness must catch deaths).
-    LEASE_CLOCK_SKEW = "lease-clock-skew"
-
-
-ALL_QUEUE_KINDS: List[QueueFaultKind] = list(QueueFaultKind)
-
-
-def parse_queue_fault_kind(value: str) -> QueueFaultKind:
-    """CLI parser for ``--queue-fault``: value string -> :class:`QueueFaultKind`."""
-    try:
-        return QueueFaultKind(value)
-    except ValueError:
-        raise FaultInjectionError(
-            f"unknown queue fault kind {value!r}; known: "
-            + ", ".join(k.value for k in ALL_QUEUE_KINDS)
-        ) from None
-
-
 @dataclass(frozen=True)
 class FaultSpec:
     """One injection request: what to corrupt, where, with which entropy."""

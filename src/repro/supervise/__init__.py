@@ -16,9 +16,6 @@ given a config and fail-fast otherwise (in-process at ``jobs <= 1``),
 both on the same :class:`~repro.supervise.supervisor.WorkerPool` of
 forked, pipe-connected workers.
 
-``HeartbeatBoard`` is the liveness side channel of the durable work
-queue (:mod:`repro.queue`).
-
 ``InvariantOracle`` is the ``--paranoid`` half: it audits simulator state
 (MCQ FSMs, HBT occupancy, BWB hints, signed-pointer round-trips, shadow
 bounds) after a cell and turns silent corruption into a first-class
@@ -26,7 +23,6 @@ failure.
 """
 
 from .executor import dispatch
-from .heartbeat import HeartbeatBoard
 from .oracle import InvariantOracle, Violation
 from .policy import RetryPolicy, SupervisorConfig
 from .signals import trap_signals
@@ -40,7 +36,6 @@ from .supervisor import (
 
 __all__ = [
     "AttemptRecord",
-    "HeartbeatBoard",
     "InvariantOracle",
     "RetryPolicy",
     "SupervisionReport",

@@ -168,13 +168,18 @@ class SupervisionReport:
 # -------------------------------------------------------------- worker pool
 
 
-def _serve(conn, worker: Callable[[Any], Any]) -> None:
+def _serve(conn, worker: Callable[[Any], Any], parent_ends: List[Any]) -> None:
     """Worker process body: run each payload received until ``None``.
 
     Replies ``(True, result, "")`` or ``(False, exception, traceback)``;
     an exception or result that does not pickle is replied as
-    ``(False, None, description)``.
+    ``(False, None, description)``.  ``parent_ends`` are the parent's
+    ends of this worker's pipe and of every other worker's, inherited by
+    the fork: closing them leaves the parent the only holder of its ends,
+    so a parent that dies without stopping its workers gives each an EOF.
     """
+    for end in parent_ends:
+        end.close()
     # The parent owns interrupts: it kills its workers when it stops.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -191,6 +196,8 @@ def _serve(conn, worker: Callable[[Any], Any]) -> None:
             reply = (False, exc, traceback.format_exc())
         try:
             conn.send(reply)
+        except OSError:
+            return  # the parent is gone
         except Exception as exc:
             conn.send((False, None, f"unpicklable reply: {_describe(exc)}"))
 
@@ -250,7 +257,8 @@ class WorkerPool:
 
     def _spawn(self) -> _Worker:
         conn, child = _FORK.Pipe()
-        process = _FORK.Process(target=_serve, args=(child, self.worker))
+        ends = [conn, *(proc.conn for proc in (*self._idle, *self._busy.values()))]
+        process = _FORK.Process(target=_serve, args=(child, self.worker, ends))
         process.start()
         child.close()
         return _Worker(process, conn)

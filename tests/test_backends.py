@@ -1,28 +1,22 @@
-"""Tests for pluggable cache backends, the LRU size cap, entry-point
-mechanism discovery, and heartbeat-board hygiene — the satellite tasks of
-the distributed campaign service PR."""
+"""Tests for the artifact cache's storage backends, its LRU size cap,
+and entry-point mechanism discovery."""
 
 import os
 import time
 
 import pytest
 
-from repro.experiments import (
-    ArtifactCache,
-    BACKEND_CHOICES,
-    LocalDirBackend,
-    MemoryBackend,
-    SharedStoreBackend,
-    make_backend,
-)
+from repro.experiments import ArtifactCache, LocalDirBackend, MemoryBackend
 
 
 class TestBackendContract:
     """Every backend satisfies the same read/write/remove/entries contract."""
 
-    @pytest.fixture(params=BACKEND_CHOICES)
+    @pytest.fixture(params=["local", "memory"])
     def backend(self, request, tmp_path):
-        return make_backend(request.param, tmp_path / "store")
+        if request.param == "local":
+            return LocalDirBackend(tmp_path / "store")
+        return MemoryBackend()
 
     def test_roundtrip(self, backend):
         assert backend.read("results", "fp") is None
@@ -67,48 +61,6 @@ class TestLocalDirBackend:
         assert [e.fingerprint for e in backend.entries()] == ["fp"]
 
 
-class TestSharedStoreBackend:
-    def test_identical_payloads_share_one_blob(self, tmp_path):
-        backend = SharedStoreBackend(tmp_path / "store")
-        payload = b'{"result": "same"}'
-        backend.write("results", "fp-a", payload)
-        backend.write("results", "fp-b", payload)
-        backend.write("traces", "fp-c", payload)
-        stats = backend.dedup_stats()
-        assert stats["refs"] == 3
-        assert stats["objects"] == 1
-        assert stats["deduped_bytes"] == 2 * len(payload)
-
-    def test_blob_survives_until_last_ref_dies(self, tmp_path):
-        backend = SharedStoreBackend(tmp_path / "store")
-        payload = b"shared-bytes"
-        backend.write("results", "a", payload)
-        backend.write("results", "b", payload)
-        backend.remove("results", "a")
-        assert backend.collect_garbage() == 0  # "b" still references it
-        assert backend.read("results", "b") == payload
-        backend.remove("results", "b")
-        assert backend.collect_garbage() == len(payload)
-
-    def test_dangling_ref_reads_as_miss_and_self_heals(self, tmp_path):
-        backend = SharedStoreBackend(tmp_path / "store")
-        backend.write("results", "fp", b"doomed")
-        # Simulate a GC'd/corrupted-away blob behind a live ref.
-        for shard in (tmp_path / "store" / "objects").iterdir():
-            for obj in shard.iterdir():
-                obj.unlink()
-        assert backend.read("results", "fp") is None
-        assert backend.entries() == [] or all(
-            e.fingerprint != "fp" for e in backend.entries()
-        )
-
-    def test_make_backend_rejects_unknown_and_rootless(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown cache backend"):
-            make_backend("s3", tmp_path)
-        with pytest.raises(ValueError, match="requires a root"):
-            make_backend("shared", None)
-
-
 class TestSizeCapLRU:
     def test_put_evicts_least_recently_used_first(self, tmp_path):
         backend = MemoryBackend()
@@ -134,14 +86,13 @@ class TestSizeCapLRU:
         assert cache.get_result("fresh") is not None
         assert cache.get_result("stale") is None
 
-    def test_prune_zero_empties_and_gc_runs(self, tmp_path):
-        backend = SharedStoreBackend(tmp_path / "store")
+    def test_prune_zero_empties(self, tmp_path):
+        backend = LocalDirBackend(tmp_path / "store")
         cache = ArtifactCache(backend=backend)
         cache.put_result("a", {"v": 1})
-        cache.put_result("b", {"v": 1})  # dedup: same blob
+        cache.put_result("b", {"v": 1})
         report = cache.prune(max_bytes=0)
         assert report.evicted == 2
-        assert report.gc_bytes > 0  # orphaned blob collected
         assert report.remaining_entries == 0
         assert backend.total_bytes() == 0
 
@@ -264,24 +215,3 @@ class TestEntryPointDiscovery:
         from repro.mechanisms import REGISTRY
 
         assert "aos" in REGISTRY.names()
-
-
-class TestHeartbeatHygiene:
-    """Stale heartbeat files from crashed runs are swept, not trusted
-    (satellite: heartbeat hygiene)."""
-
-    def test_sweep_stale_removes_old_stamps_only(self, tmp_path):
-        from repro.supervise import HeartbeatBoard
-
-        board = HeartbeatBoard(tmp_path / "board")
-        board.start_task("fresh-task")
-        board.start_task("old-task")
-        # Age every stamp, then re-stamp the fresh task: what remains old
-        # is exactly old-task's .start/.beat pair.
-        old = time.time() - 7200
-        for stamp in (tmp_path / "board").iterdir():
-            os.utime(stamp, (old, old))
-        board.start_task("fresh-task")
-        removed = board.sweep_stale(max_age_s=3600)
-        assert removed == 2  # old-task's .start (+ no .beat) and stale leftovers
-        assert board.last_beat("fresh-task") is not None

@@ -13,10 +13,14 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import CheckpointError, FaultInjectionError, SupervisionError
 from repro.faults import (
     Campaign,
@@ -27,7 +31,6 @@ from repro.faults import (
 )
 from repro.stats import SupervisionSummary
 from repro.supervise import (
-    HeartbeatBoard,
     RetryPolicy,
     SupervisionReport,
     Supervisor,
@@ -36,7 +39,6 @@ from repro.supervise import (
     dispatch,
     trap_signals,
 )
-from repro.supervise.heartbeat import start_beat_thread
 
 # ----------------------------------------------------------- module workers
 
@@ -145,33 +147,6 @@ class TestRetryPolicy:
             SupervisorConfig(deadline_s=0.0)
         # jobs < 1 is legal: it means "decided by the caller at run time".
         assert SupervisorConfig(jobs=0).effective_jobs(fallback=4) == 4
-
-
-# ---------------------------------------------------------------- heartbeat
-
-
-class TestHeartbeat:
-    def test_start_beat_finish_roundtrip(self, tmp_path):
-        board = HeartbeatBoard(tmp_path)
-        assert board.started_at("k") is None
-        board.start_task("k")
-        board.beat("k")
-        assert board.started_at("k") is not None
-        assert board.last_beat("k") is not None
-        board.finish_task("k")
-        assert board.started_at("k") is None
-        assert board.last_beat("k") is None
-
-    def test_beat_thread_stops(self, tmp_path):
-        board = HeartbeatBoard(tmp_path)
-        stop = start_beat_thread(board, "k", 0.01)
-        time.sleep(0.05)
-        assert board.last_beat("k") is not None
-        stop.set()
-        time.sleep(0.05)
-        last = board.last_beat("k")
-        time.sleep(0.05)
-        assert board.last_beat("k") == last  # no more beats after stop
 
 
 # --------------------------------------------------------------- supervisor
@@ -346,15 +321,15 @@ class TestCheckpointAtomicity:
         store = CheckpointStore(path, meta={"v": 1})
         store.put(["a"], {"n": 1})
 
-        real_replace = os.replace
+        real_fsync = os.fsync
 
-        def exploding_replace(src, dst):
-            raise OSError("disk detached mid-rename")
+        def exploding_fsync(fd):
+            raise OSError("disk detached mid-write")
 
-        monkeypatch.setattr(os, "replace", exploding_replace)
+        monkeypatch.setattr(os, "fsync", exploding_fsync)
         with pytest.raises(OSError):
             store.put(["b"], {"n": 2})
-        monkeypatch.setattr(os, "replace", real_replace)
+        monkeypatch.setattr(os, "fsync", real_fsync)
 
         # In-memory state rolled back; on-disk file is the old generation.
         assert ["b"] not in store
@@ -370,11 +345,26 @@ class TestCheckpointAtomicity:
         store = CheckpointStore(path, meta={})
         store.put(["a"], {"n": 1})
         monkeypatch.setattr(
-            os, "replace", lambda s, d: (_ for _ in ()).throw(OSError("full"))
+            os, "fsync", lambda fd: (_ for _ in ()).throw(OSError("full"))
         )
         with pytest.raises(OSError):
             store.put(["a"], {"n": 2})
         assert store.get(["a"]) == {"n": 1}
+
+    def test_put_appends_one_line_in_place(self, tmp_path):
+        """A put appends its line to the same file instead of rewriting
+        the store, so its cost does not grow with the cells stored."""
+        path = tmp_path / "ck.jsonl"
+        store = CheckpointStore(path, meta={"v": 1})
+        inode = path.stat().st_ino
+        lines = path.read_text().splitlines()
+        for n in range(3):
+            store.put(["cell", n], {"n": n})
+            assert path.stat().st_ino == inode
+            grown = path.read_text().splitlines()
+            assert grown[:-1] == lines
+            assert json.loads(grown[-1]) == {"k": ["cell", n], "v": {"n": n}}
+            lines = grown
 
     def test_no_temp_file_left_behind(self, tmp_path):
         path = tmp_path / "ck.jsonl"
@@ -385,7 +375,7 @@ class TestCheckpointAtomicity:
         assert leftovers == []
 
     def test_interrupted_legacy_append_still_loads(self, tmp_path):
-        """Files torn by the old append-only writer must still open."""
+        """A file whose last append was torn by a kill must still open."""
         path = tmp_path / "ck.jsonl"
         store = CheckpointStore(path, meta={"v": 1})
         store.put(["a"], {"n": 1})
@@ -559,10 +549,16 @@ class TestSupervisedCampaign:
 class TestSupervisedTraceGroups:
     """The supervised unit of a simulation sweep is one trace's cells."""
 
-    def test_dead_group_quarantined_others_match_serial(self, monkeypatch):
-        """One workload's group dies with ``os._exit`` in every worker (and
-        raises in-process): its cells are absent, the report names the
-        group, and every other workload equals a serial run."""
+    @pytest.mark.parametrize("dies", ["always", "once"])
+    def test_dead_group_quarantined_others_match_serial(
+        self, monkeypatch, tmp_path, dies
+    ):
+        """One workload's group dies with ``os._exit`` in its worker (and
+        raises in-process).  ``always``: its cells are absent, the report
+        names the group, and every other workload equals a serial run.
+        ``once``: the worker kills itself on the first attempt only (a
+        marker file); one retry recovers the group, nothing is
+        quarantined, and every cell equals a serial run."""
         import repro.experiments.parallel as parallel
         from repro.experiments import CellSpec, RunSettings
 
@@ -576,20 +572,32 @@ class TestSupervisedTraceGroups:
 
         parent = os.getpid()
         real = parallel.simulate_cell
+        marker = tmp_path / "died"
 
         def die_on_povray(settings, cell, memo=None, paranoid=False):
-            if cell.workload == "povray":
+            if cell.workload == "povray" and not (dies == "once" and marker.exists()):
                 if os.getpid() != parent:
+                    marker.touch()
                     os._exit(1)
                 raise RuntimeError("povray group fails in-process too")
             return real(settings, cell, memo=memo, paranoid=paranoid)
 
         monkeypatch.setattr(parallel, "simulate_cell", die_on_povray)
-        config = _fast_config(deadline_s=60.0, retry=RetryPolicy(max_retries=0))
+        retry = RetryPolicy(
+            max_retries=0 if dies == "always" else 1,
+            backoff_base_s=0.01,
+            backoff_cap_s=0.05,
+        )
+        config = _fast_config(deadline_s=60.0, retry=retry)
         results, report = parallel.run_cells_supervised(settings, cells, config=config)
-        assert set(report.quarantined) == {"povray"}
         assert report.accounts_for(["gobmk", "povray", "mcf"])
-        want = {key: value for key, value in serial.items() if key[0] != "povray"}
+        if dies == "always":
+            assert set(report.quarantined) == {"povray"}
+            want = {key: value for key, value in serial.items() if key[0] != "povray"}
+        else:
+            assert not report.quarantined
+            assert report.retries == 1
+            want = serial
         assert list(results) == list(want)
         for key, result in results.items():
             assert dataclasses.asdict(result) == dataclasses.asdict(want[key]), key
@@ -637,6 +645,68 @@ def test_interrupt_does_not_drain_the_queue(supervise):
         dispatch(_half_second, tasks, jobs=2, supervise=supervise, on_result=interrupt)
     assert time.monotonic() - start < 1.5
     assert multiprocessing.active_children() == []
+
+
+def _proc_state(pid):
+    """The state letter in ``/proc/<pid>/stat``, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return None
+
+
+_ORPHAN_SCRIPT = """
+import os, sys, time
+from repro.supervise.supervisor import WorkerPool
+
+def pid(payload):
+    return os.getpid()
+
+pool = WorkerPool(pid, jobs=2)
+pool.send("a", 0)
+pool.send("b", 1)
+done = []
+while len(done) < 2:
+    done += pool.wait()
+with open(sys.argv[1] + ".tmp", "w") as fh:
+    fh.write(" ".join(str(f.value) for f in done))
+os.replace(sys.argv[1] + ".tmp", sys.argv[1])
+time.sleep(120)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_sigkilled_parent_leaves_no_worker(tmp_path):
+    """Workers of a parent killed with SIGKILL see EOF on their pipe and
+    exit: no forked worker holds a parent end open."""
+    out = tmp_path / "pids"
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    parent = subprocess.Popen([sys.executable, "-c", _ORPHAN_SCRIPT, str(out)], env=env)
+    pids = []
+    try:
+        deadline = time.monotonic() + 30
+        while not out.exists():
+            assert parent.poll() is None, "pool process exited early"
+            assert time.monotonic() < deadline, "pool never reported its pids"
+            time.sleep(0.05)
+        pids = [int(pid) for pid in out.read_text().split()]
+        assert len(set(pids)) == 2
+        parent.kill()
+        parent.wait()
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline:
+            if all(_proc_state(pid) in (None, "Z") for pid in pids):
+                break
+            time.sleep(0.05)
+        states = {pid: _proc_state(pid) for pid in pids}
+        assert all(state in (None, "Z") for state in states.values()), states
+    finally:
+        parent.kill()
+        parent.wait()
+        for pid in pids:
+            if _proc_state(pid) not in (None, "Z"):
+                os.kill(pid, signal.SIGKILL)
 
 
 # ------------------------------------------------------------------ signals
