@@ -1,0 +1,107 @@
+"""Golden pin of every lowered program.
+
+One sha256 per (workload profile, timed mechanism) over what a lowering
+hands the simulator: the instruction stream (``repr`` of the
+``Instruction`` view), the pointer layout, the trace event count and the
+pre-warmed HBT (rows, ways and stats).  REST is pinned twice: with its
+quarantine pool (the registered mechanism) and without it (the
+``ablation_quarantine`` variant).  Any change to what a lowering emits
+shows up here as a named (workload, mechanism) row.
+
+To regenerate the fixture after an *intended* lowering change:
+
+    PYTHONPATH=src python tests/test_lowering_golden.py
+
+and commit the updated ``tests/golden/lowered_programs.json`` together
+with the change that explains it.
+"""
+
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+GOLDEN = Path(__file__).parent / "golden" / "lowered_programs.json"
+
+INSTRUCTIONS = 1000
+SCALE = 64
+SEED = 7
+#: The REST lowering without its quarantine pool.
+REST_NO_QUARANTINE = "rest/no-quarantine"
+
+
+def _digest(lowered) -> str:
+    parts = [
+        repr(lowered.program.instructions),
+        repr(lowered.pointer_layout),
+        repr(lowered.trace_events),
+    ]
+    hbt = lowered.hbt
+    if hbt is not None:
+        parts.append(repr((hbt._rows, hbt.ways, dataclasses.asdict(hbt.stats))))
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+def mechanisms() -> list:
+    from repro.mechanisms import REGISTRY
+
+    return [*REGISTRY.timed_names(), REST_NO_QUARANTINE]
+
+
+def compute_digests(workload: str) -> dict:
+    """``{mechanism: digest}`` for one workload profile."""
+    from repro.compiler import lower_trace
+    from repro.compiler.passes import RESTLowering
+    from repro.experiments.common import scaled_config
+    from repro.workloads import generate_trace, get_profile
+
+    trace = generate_trace(
+        get_profile(workload), instructions=INSTRUCTIONS, seed=SEED, scale=SCALE
+    )
+    digests = {}
+    for mechanism in mechanisms():
+        if mechanism == REST_NO_QUARANTINE:
+            config = scaled_config("rest", SCALE)
+            lowered = RESTLowering(trace, config, quarantine=False).lower()
+        else:
+            config = scaled_config(mechanism, SCALE)
+            lowered = lower_trace(trace, mechanism, config=config)
+        digests[mechanism] = _digest(lowered)
+    return digests
+
+
+def _workloads() -> list:
+    from repro.workloads.profiles import ALL_PROFILES
+
+    return sorted(ALL_PROFILES)
+
+
+def test_fixture_covers_every_profile_and_mechanism():
+    golden = json.loads(GOLDEN.read_text())
+    assert sorted(golden) == _workloads()
+    for workload, rows in golden.items():
+        assert sorted(rows) == sorted(mechanisms()), workload
+
+
+@pytest.mark.parametrize("workload", _workloads())
+def test_lowered_programs_match_golden(workload):
+    expected = json.loads(GOLDEN.read_text())[workload]
+    actual = compute_digests(workload)
+    drifted = sorted(m for m in expected if expected[m] != actual.get(m))
+    assert not drifted, (
+        f"{workload}: lowered programs drifted for {drifted}; if intended, "
+        "regenerate with: PYTHONPATH=src python tests/test_lowering_golden.py"
+    )
+
+
+def _regenerate() -> None:
+    golden = {workload: compute_digests(workload) for workload in _workloads()}
+    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+    GOLDEN.write_text(json.dumps(golden, sort_keys=True, indent=1) + "\n")
+    print(f"wrote {GOLDEN} ({sum(len(rows) for rows in golden.values())} digests)")
+
+
+if __name__ == "__main__":
+    _regenerate()
