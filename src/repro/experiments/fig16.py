@@ -26,7 +26,15 @@ CATEGORIES = [
     "pac*/aut*/xpac*",
 ]
 
-_PAC_OPS = {Op.PACIA, Op.AUTIA, Op.PACDA, Op.AUTDA, Op.PACMA, Op.AUTM, Op.XPAC, Op.XPACM}
+# Op codes of the program's ``ops`` column.
+_LOAD, _STORE = Op.LOAD.value, Op.STORE.value
+_BOUNDS_CODES = frozenset({Op.BNDSTR.value, Op.BNDCLR.value})
+_PAC_CODES = frozenset(
+    op.value
+    for op in (
+        Op.PACIA, Op.AUTIA, Op.PACDA, Op.AUTDA, Op.PACMA, Op.AUTM, Op.XPAC, Op.XPACM
+    )
+)
 
 
 @dataclass
@@ -69,16 +77,17 @@ def run_fig16(
         lowered = suite.lowered(workload, "pa+aos")
         va_mask = lowered.pointer_layout.va_mask
         counts = dict.fromkeys(CATEGORIES, 0)
-        for inst in lowered.program:
-            if inst.op is Op.LOAD:
-                key = "SignedLoad" if inst.address > va_mask else "UnsignedLoad"
+        program = lowered.program
+        for code, address in zip(program.ops, program.addresses):
+            if code == _LOAD:
+                key = "SignedLoad" if address > va_mask else "UnsignedLoad"
                 counts[key] += 1
-            elif inst.op is Op.STORE:
-                key = "SignedStore" if inst.address > va_mask else "UnsignedStore"
+            elif code == _STORE:
+                key = "SignedStore" if address > va_mask else "UnsignedStore"
                 counts[key] += 1
-            elif inst.op in (Op.BNDSTR, Op.BNDCLR):
+            elif code in _BOUNDS_CODES:
                 counts["bndstr/bndclr"] += 1
-            elif inst.op in _PAC_OPS:
+            elif code in _PAC_CODES:
                 counts["pac*/aut*/xpac*"] += 1
 
         total = len(lowered.program)

@@ -11,10 +11,10 @@ through :func:`repro.supervise.dispatch`, one task per trace.  Every cell
 is described by a picklable :class:`CellSpec`; a task generates its trace
 once and runs its cells through :func:`simulate_cell` — the same pure
 function the serial path uses — sharing one :class:`TraceMemo`, so the
-cells of one trace lower each distinct program, signed preamble and HBT
-prototype once.  Results are bit-identical to serial ones and merge back
-into the suite's memo in deterministic cell order regardless of worker
-completion order.
+cells of one trace share one base pass and lower each distinct program,
+signed preamble and HBT prototype once.  Results are bit-identical to
+serial ones and merge back into the suite's memo in deterministic cell
+order regardless of worker completion order.
 
 **Persistent artifact cache** — :class:`ArtifactCache` stores generated
 traces and :class:`~repro.cpu.core.SimulationResult` payloads under
@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..compiler import LoweredWorkload, lower_trace
-from ..compiler.passes import SignedPreamble, resolve_lowering
+from ..compiler.passes import BasePass, HBTFactory, base_policy, resolve_lowering
 from ..config import SystemConfig, default_config
 from ..cpu.core import SimulationResult, Simulator
 from ..workloads import WorkloadTrace, generate_trace, get_profile
@@ -445,12 +445,14 @@ class TraceMemo:
     so the memo builds each product once per distinct key:
 
     - the trace, on the first cell that needs it;
-    - the signed preamble, per (``pa.pac_bits``, ``pa.key``), shared by
-      the AOS and PA+AOS lowerings;
+    - the base pass, per allocator policy (:func:`base_policy`); it also
+      holds the signed preamble per (``pa.pac_bits``, ``pa.key``), shared
+      by the AOS and PA+AOS lowerings;
     - the lowered program, per (lowering token, ``pa.pac_bits``,
       ``pa.key``);
-    - the HBT prototype, per that key plus ``hbt.initial_ways`` and
-      ``aos.bounds_compression``.
+    - the HBT prototype (its :class:`~repro.compiler.passes.HBTFactory`),
+      per (``pa.pac_bits``, ``pa.key``, ``hbt.initial_ways``,
+      ``aos.bounds_compression``), shared by AOS and PA+AOS.
 
     ``uses`` lists the (mechanism, config) of every cell the memo will
     serve; each product is dropped after its last use, so a group holds
@@ -465,8 +467,9 @@ class TraceMemo:
     ) -> None:
         self._load_trace = load_trace
         self._trace: Optional[WorkloadTrace] = None
-        self._preambles: Dict[tuple, SignedPreamble] = {}
+        self._bases: Dict[tuple, BasePass] = {}
         self._lowerings: Dict[tuple, LoweredWorkload] = {}
+        self._factories: Dict[tuple, HBTFactory] = {}
         self._products: Dict[tuple, LoweredWorkload] = {}
         self._remaining: Optional[Counter] = None
         if uses is not None:
@@ -485,14 +488,14 @@ class TraceMemo:
         return self._trace
 
     @staticmethod
-    def _keys(mechanism: str, config: SystemConfig) -> Tuple[tuple, tuple, tuple]:
-        """The (signed preamble, lowering, HBT prototype) keys of a cell."""
+    def _keys(mechanism: str, config: SystemConfig) -> Tuple[tuple, ...]:
+        """The (base pass, lowering, HBT prototype, product) keys of a cell."""
         token = resolve_lowering(mechanism)
         pa = (config.pa.pac_bits, config.pa.key)
-        signing = pa if token in ("aos", "pa+aos") else None
+        geometry = (config.hbt.initial_ways, config.aos.bounds_compression)
         lowering = (token, *pa)
-        hbt = lowering + (config.hbt.initial_ways, config.aos.bounds_compression)
-        return signing, lowering, hbt
+        hbt = (*pa, *geometry) if token in ("aos", "pa+aos") else None
+        return (base_policy(token),), lowering, hbt, lowering + geometry
 
     def lowered(
         self, mechanism: str, config: Optional[SystemConfig] = None
@@ -501,24 +504,26 @@ class TraceMemo:
         mechanism's Table IV config, as :func:`lower_trace`)."""
         if config is None:
             config = default_config(resolve_lowering(mechanism))
-        signing, lowering, hbt = keys = self._keys(mechanism, config)
-        product = self._products.get(hbt)
+        base, lowering, hbt, product_key = keys = self._keys(mechanism, config)
+        product = self._products.get(product_key)
         if product is None:
-            base = self._lowerings.get(lowering)
-            if base is None:
-                preamble = self._preambles.get(signing)
-                base = lower_trace(self.trace, mechanism, config, preamble=preamble)
-                self._lowerings[lowering] = base
-                if base.preamble is not None:
-                    self._preambles[signing] = base.preamble
-            if base.hbt_factory is not None:
-                base = dataclasses.replace(
-                    base, hbt_factory=base.hbt_factory.for_config(config)
+            product = self._lowerings.get(lowering)
+            if product is None:
+                product = lower_trace(
+                    self.trace, mechanism, config, base=self._bases.get(base)
                 )
-            product = self._products[hbt] = base
+                self._lowerings[lowering] = product
+                self._bases[base] = product.base
+            if product.hbt_factory is not None:
+                factory = self._factories.get(hbt)
+                if factory is None:
+                    factory = product.hbt_factory.for_config(config)
+                    self._factories[hbt] = factory
+                product = dataclasses.replace(product, hbt_factory=factory)
+            self._products[product_key] = product
         if self._remaining is not None:
             self._remaining.subtract(keys)
-            stores = (self._preambles, self._lowerings, self._products)
+            stores = (self._bases, self._lowerings, self._factories, self._products)
             for key, store in zip(keys, stores):
                 if self._remaining[key] <= 0:
                     store.pop(key, None)

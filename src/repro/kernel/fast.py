@@ -5,8 +5,9 @@
 disciplines, same counter semantics — while eliminating the per-instruction
 Python overhead the reference pays:
 
-- instruction dispatch reads precomputed kind codes from flattened columns
-  (:mod:`repro.kernel.flatten`) instead of chained ``Op`` identity tests;
+- instruction dispatch reads the precomputed kind codes of the program's
+  columns (:class:`~repro.isa.program.Program`) instead of chained ``Op``
+  identity tests;
 - cache accesses run through closures that inline ``Cache.access`` +
   ``MemoryHierarchy._access_through`` with local counters, flushed into the
   real ``CacheStats``/``TrafficCounters`` objects after the run;
@@ -42,7 +43,6 @@ from ..core.mcu import MemoryCheckUnit
 from ..cpu.pipeline import _FRONTEND_DEPTH, _RING, _RING_MASK, PipelineResult
 from ..errors import SimulationError
 from ..isa.program import Program
-from .flatten import flatten_program
 
 #: Sentinel distinguishing "tag absent" from any stored dirty bit.
 _MISS = object()
@@ -165,12 +165,11 @@ def run_fast(
             "the simulator must route traced runs to the reference kernel"
         )
 
-    flat = flatten_program(program)
-    kinds = flat.kinds
-    addresses = flat.addresses
-    latencies = flat.latencies
-    deps_col = flat.deps
-    sizes = flat.sizes
+    kinds = program.kinds
+    addresses = program.addresses
+    latencies = program.latencies
+    deps_col = program.deps
+    sizes = program.sizes
 
     core = config.core
     fetch_step = 1.0 / core.width
@@ -259,7 +258,7 @@ def run_fast(
     port0 = 0.0
     port1 = 0.0
 
-    for i in range(flat.count):
+    for i in range(len(kinds)):
         kind = kinds[i]
         if kind == 0:  # trace marker
             completion_ring[i & ring_mask] = fetch_time
