@@ -17,7 +17,7 @@ from ..cache.hierarchy import MemoryHierarchy
 from ..core.mcu import MemoryCheckUnit
 from ..isa.program import Program
 from ..kernel import validate_kernel
-from ..kernel.fast import run_fast
+from ..kernel.fast import native, run_fast
 from .pipeline import PipelineModel, PipelineResult
 
 if TYPE_CHECKING:
@@ -71,11 +71,14 @@ class Simulator:
         #: ``None`` (the default) keeps the simulator uninstrumented.
         self.obs = obs
         #: Which simulation kernel executes an untraced program: ``"fast"``
-        #: (the flattened transcription in :mod:`repro.kernel.fast`, the
+        #: (the C scoreboard loop of :mod:`repro.kernel.fast`, built once
+        #: per source digest and ABI into the artifact cache root; the
         #: production kernel) or ``"reference"`` (the readable
         #: PipelineModel, the oracle tests and tools compare against).
         #: Results are byte-identical, enforced by
-        #: tests/test_kernel_equivalence.py.
+        #: tests/test_kernel_equivalence.py.  On a host with no C compiler
+        #: or Python headers, ``"fast"`` runs the reference kernel and
+        #: warns once per process.
         self.kernel = validate_kernel(kernel)
 
     def run(self, lowered, inspect=None) -> SimulationResult:
@@ -128,8 +131,10 @@ class Simulator:
 
         # Event tracing is only wired through the reference kernel (a traced
         # run is a debugging run, not a perf run); every other run takes the
-        # fast kernel unless a test asked for the oracle.
-        if self.kernel == "fast" and (obs is None or obs.tracer is None):
+        # fast kernel unless a test asked for the oracle or the host cannot
+        # build it.
+        untraced = obs is None or obs.tracer is None
+        if self.kernel == "fast" and untraced and native() is not None:
             result = run_fast(self.config, hierarchy, mcu, va_mask, obs, program)
         else:
             pipeline = PipelineModel(

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 #: kind -> on-disk suffix, kept for byte-compatibility with old caches.
-KIND_SUFFIXES = {"results": ".json", "traces": ".pkl"}
+KIND_SUFFIXES = {"results": ".json", "traces": ".pkl", "native": ".so"}
 
 
 @dataclass(frozen=True)

@@ -92,11 +92,12 @@ class CellSpec:
 
 
 def _code_digest() -> str:
-    """Digest of every ``repro`` source file, so cache entries die with the
-    code that produced them."""
+    """Digest of every ``repro`` source file — the Python modules and the
+    C kernel — so cache entries die with the code that produced them."""
     package_root = Path(__file__).resolve().parents[1]
     digest = hashlib.sha256()
-    for path in sorted(package_root.rglob("*.py")):
+    sources = [*package_root.rglob("*.py"), *package_root.rglob("*.c")]
+    for path in sorted(sources):
         digest.update(str(path.relative_to(package_root)).encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()[:16]

@@ -2,7 +2,9 @@
 
 A :class:`Program` is an immutable, lowered dynamic instruction trace ready
 for the timing model.  It holds one column per instruction field, the
-layout the fast kernel (:mod:`repro.kernel.fast`) walks:
+layout the fast kernel walks: its C loop (``repro/kernel/_fast.c``, loaded
+by :mod:`repro.kernel.fast`) reads these ``bytes`` and tuples in place,
+with no copy or conversion pass:
 
 - ``kinds``      — one dispatch code per instruction (``bytes``, so
   indexing yields a small int and dispatch is integer compares instead of

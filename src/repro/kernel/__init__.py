@@ -5,14 +5,19 @@ Two kernels execute a lowered program:
 - ``"reference"`` — :class:`repro.cpu.pipeline.PipelineModel`, the readable
   scoreboard model that defines the simulator's semantics and serves as
   the test oracle;
-- ``"fast"``      — :func:`repro.kernel.fast.run_fast`, a flattened/inlined
-  transcription of the same arithmetic, byte-identical by contract
-  (``tests/test_kernel_equivalence.py``) and ~3x faster.
+- ``"fast"``      — :func:`repro.kernel.fast.run_fast`, the same
+  scoreboard loop in C (``_fast.c``, a CPython extension over the
+  program's columns and the live cache sets), byte-identical by contract
+  (``tests/test_kernel_equivalence.py``, ``tests/test_kernel_native.py``).
 
 Every untraced run uses ``fast``; a run with an event tracer uses
 ``reference``, the only kernel that emits trace events.  No setting
 chooses between them: :class:`repro.cpu.core.Simulator`'s ``kernel``
-argument exists so tests and tools can run the oracle.
+argument exists so tests and tools can run the oracle.  The C module is
+built on the first untraced simulation of a process and cached in the
+artifact cache root under ``native/``, keyed by its source digest and the
+interpreter's ABI tag; a host with no C compiler or Python headers runs
+``reference`` instead and warns once per process.
 """
 
 from __future__ import annotations

@@ -1,152 +1,200 @@
-"""The fast-path simulation kernel.
+"""The fast simulation kernel: the C scoreboard loop and its loader.
 
 ``run_fast`` reproduces :meth:`repro.cpu.pipeline.PipelineModel.run`
 *exactly* — same floating-point operations in the same order, same queue
-disciplines, same counter semantics — while eliminating the per-instruction
-Python overhead the reference pays:
+disciplines, same counter semantics — by running the loop in ``_fast.c``,
+a CPython extension:
 
-- instruction dispatch reads the precomputed kind codes of the program's
-  columns (:class:`~repro.isa.program.Program`) instead of chained ``Op``
-  identity tests;
-- cache accesses run through closures that inline ``Cache.access`` +
-  ``MemoryHierarchy._access_through`` with local counters, flushed into the
-  real ``CacheStats``/``TrafficCounters`` objects after the run;
-- the MCU's selective bounds check (decode, forwarding, BWB lookup, the
-  Fig. 8a way walk, bounds compare) is inlined with local stat counters,
-  skipping the per-check ``SignedPointer``/``MCQEntry``/``ValidationResult``
-  allocations of the reference path;
-- the rare paths — ``bndstr``/``bndclr`` — call straight into the real
-  :class:`~repro.core.mcu.MemoryCheckUnit`, so table mutation, resizing and
-  fault-injection seams behave identically by construction.
+- it walks the program's columns (:class:`~repro.isa.program.Program`):
+  the ``kinds`` bytes and the address, latency, dependency and size
+  tuples, with no copy;
+- the ROB, load/store queues, MCQ and completion ring are C arrays of
+  doubles, and the module is built with ``-ffp-contract=off``, so every
+  float operation is the reference's IEEE double operation;
+- cache accesses operate on the live ``Cache._sets`` dicts through the
+  dict C API, keeping their LRU insertion order, so the kernel and the
+  Python ``bndstr``/``bndclr`` path share one cache state;
+- the MCU's selective bounds check runs in C against the live HBT rows,
+  calling back into exactly the attributes :func:`_bind_mcu` binds below
+  (``bounds_store``/``bounds_clear``, ``hbt._row``/``advance_migration``,
+  the BWB ``OrderedDict`` and the histogram), and re-reads the HBT
+  geometry after every callback.
 
-The equivalence contract is enforced by ``tests/test_kernel_equivalence.py``:
-byte-identical ``SimulationResult`` payloads and metrics snapshots against
-the reference kernel.  Two deliberate boundaries keep that contract simple:
+Counters come back from C and are added into the real ``stats`` objects
+once, after the run.  The equivalence contract is enforced by
+``tests/test_kernel_equivalence.py`` and ``tests/test_kernel_native.py``.
 
-- **event tracing**: a run with a live tracer is not a performance run, so
-  the dispatcher (:meth:`repro.cpu.core.Simulator.run`) routes traced runs
-  to the reference kernel — the fast path would otherwise have to replicate
-  every ``emit`` site.  ``run_fast`` refuses a tracer-bearing ``obs``.
-- **metrics**: counters are accumulated in locals and published through the
-  exact same ``stats`` objects ``publish_metrics`` harvests, so metrics-only
-  observability (``tracing=False``) runs the true fast path.
+**Build.** :func:`native` compiles ``_fast.c`` on the first untraced
+simulation of a process (never at import) with sysconfig's C compiler and
+include directory.  The module is cached in the artifact cache root
+(``$REPRO_CACHE_DIR`` or ``~/.cache/repro``) under ``native/``, named by
+the digest of the C source and flags plus the interpreter's ABI tag, and
+published by atomic rename under a file lock, so concurrent workers build
+it once and never load a half-written file.  On a host with no C compiler
+or no Python headers, :func:`native` returns None and warns once per
+process, and :class:`~repro.cpu.core.Simulator` runs the reference kernel
+instead; a failed build on a host that has both is an error.
+
+Event tracing stays on the reference kernel: a run with a live tracer is
+not a performance run, so :meth:`repro.cpu.core.Simulator.run` routes it
+there, and ``run_fast`` refuses a tracer-bearing ``obs``.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Optional
+import fcntl
+import hashlib
+import importlib.util
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+import sysconfig
+import warnings
+from pathlib import Path
+from types import ModuleType
+from typing import List, Optional
 
 from ..cache.hierarchy import MemoryHierarchy
 from ..config import SystemConfig
 from ..core.mcu import MemoryCheckUnit
-from ..cpu.pipeline import _FRONTEND_DEPTH, _RING, _RING_MASK, PipelineResult
+from ..cpu.pipeline import _FRONTEND_DEPTH, _RING, PipelineResult
 from ..errors import SimulationError
 from ..isa.program import Program
 
-#: Sentinel distinguishing "tag absent" from any stored dirty bit.
-_MISS = object()
+#: The kernel's C source, shipped as package data.
+SOURCE = Path(__file__).with_name("_fast.c")
+
+#: Flags of the build.  ``-ffp-contract=off`` keeps every float operation
+#: unfused, which the byte-identical contract depends on.
+CFLAGS = ("-shared", "-fPIC", "-O2", "-ffp-contract=off")
+if sys.platform == "darwin":
+    CFLAGS += ("-undefined", "dynamic_lookup")
+
+_native: Optional[ModuleType] = None
+_warned = False
+
+_CACHE_FIELDS = ("accesses", "hits", "misses", "evictions", "writebacks")
+_MCU_FIELDS = ("checks", "signed_checks", "forwards", "lines_accessed", "faults")
 
 
-def _make_l1_access(l1, l2, line_bytes, dram_latency, l2c, tr):
-    """Build an inlined L1→L2→DRAM access path for one L1 cache.
+def _compiler() -> Optional[List[str]]:
+    """The command prefix that compiles an extension for this interpreter
+    (sysconfig's C compiler and include directory), or None when the
+    compiler or the Python headers are missing."""
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    include = sysconfig.get_paths()["include"]
+    if not cc or shutil.which(cc[0]) is None:
+        return None
+    if not (Path(include) / "Python.h").is_file():
+        return None
+    return [*cc, "-I", include]
 
-    Returns ``(access, flush)``: ``access(address, is_write) -> latency``
-    replays ``MemoryHierarchy._access_through`` against the cache's real
-    ``_sets`` dictionaries with L1 counters held in closure locals; ``flush``
-    adds those locals into ``l1.stats``.  L2/traffic counters are shared
-    across closures via the ``l2c``/``tr`` lists (two L1s drain into one L2).
-    """
-    l1_sets = l1._sets
-    l1_nsets = l1.num_sets
-    l1_bits = l1.line_bits
-    l1_assoc = l1.assoc
-    l1_lat = l1.hit_latency
-    l2_sets = l2._sets
-    l2_nsets = l2.num_sets
-    l2_bits = l2.line_bits
-    l2_assoc = l2.assoc
-    l2_lat = l2.hit_latency
-    accesses = hits = misses = evictions = writebacks = 0
 
-    def access(address, is_write):
-        nonlocal accesses, hits, misses, evictions, writebacks
-        accesses += 1
-        line = address >> l1_bits
-        index = line % l1_nsets
-        tag = line // l1_nsets
-        s = l1_sets[index]
-        dirty = s.pop(tag, _MISS)
-        if dirty is not _MISS:
-            hits += 1
-            s[tag] = dirty or is_write
-            return l1_lat
-        misses += 1
-        wb_line = -1
-        if len(s) >= l1_assoc:
-            victim_tag = next(iter(s))
-            victim_dirty = s.pop(victim_tag)
-            evictions += 1
-            if victim_dirty:
-                writebacks += 1
-                wb_line = (victim_tag * l1_nsets + index) << l1_bits
-        s[tag] = is_write
-        # L2 refill on behalf of the L1 miss (read, never a write).
-        tr[0] += line_bytes
-        l2c[0] += 1
-        line2 = address >> l2_bits
-        s2 = l2_sets[line2 % l2_nsets]
-        tag2 = line2 // l2_nsets
-        latency = l1_lat + l2_lat
-        dirty2 = s2.pop(tag2, _MISS)
-        if dirty2 is not _MISS:
-            l2c[1] += 1
-            s2[tag2] = dirty2
-        else:
-            l2c[2] += 1
-            if len(s2) >= l2_assoc:
-                victim_dirty2 = s2.pop(next(iter(s2)))
-                l2c[3] += 1
-                if victim_dirty2:
-                    l2c[4] += 1
-                    tr[1] += line_bytes
-            s2[tag2] = False
-            tr[1] += line_bytes
-            tr[2] += 1
-            latency += dram_latency
-        # Dirty L1 victim pushed down into the L2 (write, no latency cost).
-        if wb_line >= 0:
-            tr[0] += line_bytes
-            l2c[0] += 1
-            line3 = wb_line >> l2_bits
-            s3 = l2_sets[line3 % l2_nsets]
-            tag3 = line3 // l2_nsets
-            dirty3 = s3.pop(tag3, _MISS)
-            if dirty3 is not _MISS:
-                l2c[1] += 1
-                s3[tag3] = True
-            else:
-                l2c[2] += 1
-                if len(s3) >= l2_assoc:
-                    victim_dirty3 = s3.pop(next(iter(s3)))
-                    l2c[3] += 1
-                    if victim_dirty3:
-                        l2c[4] += 1
-                        tr[1] += line_bytes
-                s3[tag3] = True
-                tr[1] += line_bytes
-                tr[2] += 1
-        return latency
+def module_path() -> Path:
+    """Where the built module for this source and interpreter lives."""
+    from ..experiments.parallel import default_cache_dir
 
-    def flush():
-        stats = l1.stats
-        stats.accesses += accesses
-        stats.hits += hits
-        stats.misses += misses
-        stats.evictions += evictions
-        stats.writebacks += writebacks
+    digest = hashlib.sha256(SOURCE.read_bytes())
+    digest.update(" ".join(CFLAGS).encode())
+    name = digest.hexdigest()[:16] + sysconfig.get_config_var("EXT_SUFFIX")
+    return default_cache_dir() / "native" / name
 
-    return access, flush
+
+def _build(compiler: List[str]) -> Path:
+    """Compile the module unless the cache holds it; returns its path."""
+    path = module_path()
+    if path.is_file():
+        return path
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path.with_name(f".{path.name}.lock"), "w") as lock:
+        # Concurrent workers wait for one build instead of racing it.
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        if not path.is_file():
+            partial = path.with_name(f".{path.name}.{os.getpid()}")
+            command = [*compiler, *CFLAGS, str(SOURCE), "-o", str(partial)]
+            done = subprocess.run(command, capture_output=True, text=True)
+            if done.returncode != 0:
+                partial.unlink(missing_ok=True)
+                raise SimulationError(
+                    f"building the fast kernel failed: {shlex.join(command)}\n"
+                    f"{done.stderr}"
+                )
+            os.replace(partial, path)
+    return path
+
+
+def native() -> Optional[ModuleType]:
+    """The compiled kernel, built on first use; None, with a warning once
+    per process, when this host has no C compiler or Python headers."""
+    global _native, _warned
+    if _native is None:
+        compiler = _compiler()
+        if compiler is None:
+            if not _warned:
+                _warned = True
+                warnings.warn(
+                    "no C compiler or Python headers: the fast kernel cannot be "
+                    "built, simulating on the reference kernel",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            return None
+        spec = importlib.util.spec_from_file_location(
+            f"{__package__}._fast", _build(compiler)
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        _native = module
+    return _native
+
+
+def _level(cache) -> tuple:
+    """One cache level as the C kernel reads it: its live sets and geometry."""
+    return (
+        cache._sets,
+        cache.num_sets,
+        cache.line_bits,
+        cache.assoc,
+        cache.hit_latency,
+    )
+
+
+def _bind_mcu(mcu: MemoryCheckUnit) -> tuple:
+    """Everything the C bounds check reads or calls back into."""
+    hbt = mcu.hbt
+    layout = mcu.layout
+    bwb = mcu.bwb
+    histogram = mcu._h_lines
+    return (
+        hbt,
+        layout.ahc_shift,
+        (1 << layout.ahc_bits) - 1,
+        layout.pac_shift,
+        (1 << layout.pac_bits) - 1,
+        mcu.options.nonblocking_resize,
+        mcu.options.bounds_forwarding,
+        mcu.MIGRATION_ROWS_PER_OP,
+        mcu.CHECK_PIPELINE_CYCLES,
+        mcu._recent_stores,
+        None if histogram is None else histogram.observe,
+        None if bwb is None else bwb._table,
+        0 if bwb is None else bwb.entries,
+        bwb is not None and bwb.eviction == "lru",
+        hbt._row,
+        hbt.advance_migration,
+        hbt.compression,
+        hbt.slots_per_way,
+        hbt.lines_per_way,
+        mcu.bounds_store,
+        mcu.bounds_clear,
+    )
+
+
+def _add(stats, fields, counts) -> None:
+    for name, count in zip(fields, counts):
+        setattr(stats, name, getattr(stats, name) + count)
 
 
 def run_fast(
@@ -164,364 +212,67 @@ def run_fast(
             "the fast kernel does not trace events; "
             "the simulator must route traced runs to the reference kernel"
         )
-
-    kinds = program.kinds
-    addresses = program.addresses
-    latencies = program.latencies
-    deps_col = program.deps
-    sizes = program.sizes
+    kernel = native()
+    if kernel is None:
+        raise SimulationError(
+            "the fast kernel needs a C compiler and the Python headers"
+        )
 
     core = config.core
-    fetch_step = 1.0 / core.width
-    penalty = core.branch_mispredict_penalty
-    penalty_discounted = penalty * 0.7
-    rob_capacity = core.rob_entries
-    lq_capacity = core.load_queue_entries
-    sq_capacity = core.store_queue_entries
     mcq_capacity = core.mcq_entries
-    mcq_threshold = 0.75 * mcq_capacity
-
-    # Shared L2 / traffic counters: [accesses, hits, misses, evictions,
-    # writebacks] and [l1_l2_bytes, l2_dram_bytes, dram_accesses].
-    l2c = [0, 0, 0, 0, 0]
-    tr = [0, 0, 0]
-    line_bytes = hierarchy.line_bytes
-    dram_latency = hierarchy.config.dram_latency
-    access_data, flush_l1d = _make_l1_access(
-        hierarchy.l1d, hierarchy.l2, line_bytes, dram_latency, l2c, tr
+    penalty = core.branch_mispredict_penalty
+    core_spec = (
+        1.0 / core.width,
+        _FRONTEND_DEPTH,
+        _RING,
+        core.rob_entries,
+        core.load_queue_entries,
+        core.store_queue_entries,
+        mcq_capacity,
+        0.75 * mcq_capacity,
+        penalty,
+        penalty * 0.7,
+        va_mask,
     )
-    if hierarchy.l1b is not None:
-        access_bounds, flush_l1b = _make_l1_access(
-            hierarchy.l1b, hierarchy.l2, line_bytes, dram_latency, l2c, tr
-        )
-    else:
-        access_bounds, flush_l1b = access_data, None
+    l1b = hierarchy.l1b
+    memory = (
+        _level(hierarchy.l1d),
+        None if l1b is None else _level(l1b),
+        _level(hierarchy.l2),
+        hierarchy.line_bytes,
+        hierarchy.config.dram_latency,
+    )
+    (
+        cycles,
+        instructions,
+        mispredicts,
+        mcq_stall,
+        rob_stall,
+        lsq_stall,
+        faults,
+        l1d_counts,
+        l1b_counts,
+        l2_counts,
+        traffic,
+        mcu_counts,
+    ) = kernel.run(program, core_spec, memory, None if mcu is None else _bind_mcu(mcu))
 
-    has_mcu = mcu is not None
-    if has_mcu:
-        hbt = mcu.hbt
-        layout = mcu.layout
-        ahc_shift = layout.ahc_shift
-        ahc_low = (1 << layout.ahc_bits) - 1
-        pac_shift = layout.pac_shift
-        pac_low = (1 << layout.pac_bits) - 1
-        nonblocking = mcu.options.nonblocking_resize
-        forwarding = mcu.options.bounds_forwarding
-        migration_rows = mcu.MIGRATION_ROWS_PER_OP
-        check_base_latency = mcu.CHECK_PIPELINE_CYCLES
-        recent_stores = mcu._recent_stores
-        histogram = mcu._h_lines
-        bwb = mcu.bwb
-        if bwb is not None:
-            bwb_table = bwb._table
-            bwb_entries = bwb.entries
-            bwb_lru = bwb.eviction == "lru"
-        hbt_row = hbt._row
-        hbt_advance = hbt.advance_migration
-        compression = hbt.compression
-        slots_per_way = hbt.slots_per_way
-        lines_per_way = hbt.lines_per_way
-        way_shift = 6 + lines_per_way - 1
-        two_lines = lines_per_way == 2
-        mcu_bounds_store = mcu.bounds_store
-        mcu_bounds_clear = mcu.bounds_clear
-    # The MCU keeps the real bounds-line path (used by bndstr/bndclr via the
-    # hierarchy); redirecting it through the inlined closure keeps the two
-    # paths operating on the same cache state with the same line counters.
-    # (Nothing to redirect: bndstr/bndclr already call hierarchy.access_bounds
-    # which mutates the same Cache._sets; their stats flow through
-    # Cache.stats directly and ours are flushed additively afterwards.)
-
-    # Local MCU/BWB/HBT counters, flushed into the stats objects post-run.
-    m_checks = m_signed = m_forwards = m_lines = m_faults = 0
-    b_lookups = b_hits = 0
-    t_lines_loaded = 0
-
-    completion_ring = [0.0] * _RING
-    ring_mask = _RING_MASK
-    frontend = _FRONTEND_DEPTH
-    rob = deque()
-    load_queue = deque()
-    store_queue = deque()
-    mcq = deque()
-
-    fetch_time = 0.0
-    commit_cursor = 0.0
-    last_commit = 0.0
-    stall_until = 0.0
-    mispredicts = 0
-    mcq_stall = 0.0
-    rob_stall = 0.0
-    lsq_stall = 0.0
-    faults = 0
-    retired = 0
-    port0 = 0.0
-    port1 = 0.0
-
-    for i in range(len(kinds)):
-        kind = kinds[i]
-        if kind == 0:  # trace marker
-            completion_ring[i & ring_mask] = fetch_time
-            continue
-
-        # ---- fetch: bandwidth, branch refill, ROB occupancy --------------
-        if stall_until > fetch_time:
-            fetch_time = stall_until
-        if len(rob) >= rob_capacity:
-            head = rob.popleft()
-            if head > fetch_time:
-                rob_stall += head - fetch_time
-                fetch_time = head
-        fetch_time += fetch_step
-
-        # ---- dependencies ------------------------------------------------
-        ready = fetch_time + frontend
-        deps = deps_col[i]
-        if deps:
-            for d in deps:
-                t = completion_ring[(i - d) & ring_mask]
-                if t > ready:
-                    ready = t
-
-        # ---- structural hazards at issue ---------------------------------
-        if kind == 1:  # load
-            if len(load_queue) >= lq_capacity:
-                head = load_queue.popleft()
-                if head > ready:
-                    lsq_stall += head - ready
-                    ready = head
-        elif kind == 2:  # store
-            if len(store_queue) >= sq_capacity:
-                head = store_queue.popleft()
-                if head > ready:
-                    lsq_stall += head - ready
-                    ready = head
-
-        if has_mcu:
-            enters_mcu = kind <= 2 or kind == 5 or kind == 6
-            if enters_mcu and len(mcq) >= mcq_capacity:
-                head = mcq.popleft()
-                if head > ready:
-                    mcq_stall += head - ready
-                    ready = head
-        else:
-            enters_mcu = False
-
-        issue = ready
-        address = addresses[i]
-
-        # ---- execute -----------------------------------------------------
-        if kind == 1:
-            completion = issue + access_data(address & va_mask, False)
-        elif kind == 2:
-            access_data(address & va_mask, True)
-            completion = issue + 1.0
-        elif kind == 3:  # watchdog check µop: metadata record load
-            completion = issue + access_data(address, False)
-        else:
-            completion = issue + latencies[i]
-
-        # ---- bounds validation (MCU) -------------------------------------
-        check_done = issue
-        mcq_busy_until = 0.0
-        if has_mcu and (kind == 5 or kind == 6 or (kind <= 2 and address > va_mask)):
-            if kind == 5:
-                outcome = mcu_bounds_store(address, sizes[i])
-                if not outcome.ok:
-                    faults += 1
-                mcq_busy_until = issue + outcome.latency
-            elif kind == 6:
-                outcome = mcu_bounds_clear(address)
-                if not outcome.ok:
-                    faults += 1
-                mcq_busy_until = issue + outcome.latency
-            else:
-                # Inlined MemoryCheckUnit.check_access (Fig. 6 + Fig. 8a).
-                m_checks += 1
-                check_latency = 0
-                ahc = (address >> ahc_shift) & ahc_low
-                if ahc != 0:
-                    m_signed += 1
-                    if hbt._resizing and nonblocking:
-                        hbt_advance(migration_rows)
-                    addr = address & va_mask
-                    pac = (address >> pac_shift) & pac_low
-                    forwarded = False
-                    if forwarding:
-                        pending = recent_stores.get(pac)
-                        if pending is not None:
-                            lower = pending[0]
-                            if lower <= addr < lower + pending[1]:
-                                m_forwards += 1
-                                forwarded = True
-                                check_latency = 1
-                    if not forwarded:
-                        # BWB tag (Algorithm 2) + lookup.
-                        if ahc == 1:
-                            window = (addr >> 7) & 0x3FFF
-                        elif ahc == 2:
-                            window = (addr >> 10) & 0x3FFF
-                        else:
-                            window = (addr >> 12) & 0x3FFF
-                        tag = ((pac & 0xFFFF) << 16) | (window << 2) | ahc
-                        ways = hbt.ways
-                        way = 0
-                        if bwb is not None:
-                            b_lookups += 1
-                            hint = bwb_table.get(tag)
-                            if hint is not None:
-                                if hint >= ways:
-                                    del bwb_table[tag]
-                                else:
-                                    b_hits += 1
-                                    if bwb_lru:
-                                        bwb_table.move_to_end(tag)
-                                    way = hint
-                        # Fig. 8a way walk against the real HBT storage.
-                        row = hbt_row(pac)
-                        base = hbt._base
-                        row_offset = pac << (ways.bit_length() - 1 + way_shift)
-                        resizing = hbt._resizing
-                        if resizing:
-                            old_base = hbt._old_base
-                            old_ways = hbt._old_ways
-                            row_ptr = hbt._row_ptr
-                            old_offset = pac << (old_ways.bit_length() - 1 + way_shift)
-                        addr33 = addr & 0x1FFFFFFFF
-                        not_bit32 = 1 - ((addr >> 32) & 1)
-                        check_latency = check_base_latency
-                        count = 0
-                        visits = 0
-                        found_way = -1
-                        while True:
-                            visits += 1
-                            # Fig. 10 steering: old table only for ways the
-                            # old geometry had, in rows not yet migrated.
-                            if resizing and way < old_ways and pac >= row_ptr:
-                                first = old_base + old_offset + (way << way_shift)
-                            else:
-                                first = base + row_offset + (way << way_shift)
-                            check_latency += access_bounds(first, False)
-                            if two_lines:
-                                check_latency += access_bounds(first + 64, False)
-                            t_lines_loaded += lines_per_way
-                            start = way * slots_per_way
-                            hit = False
-                            if compression:
-                                for record in row[start : start + slots_per_way]:
-                                    if record is None:
-                                        continue
-                                    raw = record.raw
-                                    low_field = raw & 0x1FFFFFFF
-                                    lower = low_field << 4
-                                    t_addr = (
-                                        (((low_field >> 28) & 1) & not_bit32) << 33
-                                    ) | addr33
-                                    if lower <= t_addr < lower + ((raw >> 29) & 0xFFFFFFFF):
-                                        hit = True
-                                        break
-                            else:
-                                for record in row[start : start + slots_per_way]:
-                                    if record is not None and record.lower <= addr < record.upper:
-                                        hit = True
-                                        break
-                            if hit:
-                                found_way = way
-                                break
-                            count += 1
-                            if count >= ways:
-                                break
-                            way += 1
-                            if way == ways:
-                                way = 0
-                        lines = visits * lines_per_way
-                        m_lines += lines
-                        if histogram is not None:
-                            histogram.observe(lines)
-                        if found_way < 0:
-                            m_faults += 1
-                            faults += 1
-                        elif bwb is not None:
-                            if tag in bwb_table:
-                                bwb_table[tag] = found_way
-                                if bwb_lru:
-                                    bwb_table.move_to_end(tag)
-                            else:
-                                if len(bwb_table) >= bwb_entries:
-                                    bwb_table.popitem(last=False)
-                                bwb_table[tag] = found_way
-                # Delayed retirement behind the MCU's two check ports
-                # (applies to every validated load/store, signed or not).
-                if port0 <= port1:
-                    check_start = issue if issue > port0 else port0
-                    check_done = check_start + check_latency
-                    port0 = check_done
-                else:
-                    check_start = issue if issue > port1 else port1
-                    check_done = check_start + check_latency
-                    port1 = check_done
-
-        # ---- commit (in-order, width per cycle, delayed retirement) ------
-        ready_commit = completion if completion > check_done else check_done
-        if ready_commit < last_commit:
-            ready_commit = last_commit
-        commit_cursor += fetch_step
-        commit_time = ready_commit if ready_commit > commit_cursor else commit_cursor
-        commit_cursor = commit_time
-        last_commit = commit_time
-
-        rob.append(commit_time)
-        if kind == 1:
-            load_queue.append(commit_time)
-        elif kind == 2:
-            store_queue.append(commit_time)
-        if enters_mcu:
-            mcq.append(commit_time if commit_time > mcq_busy_until else mcq_busy_until)
-
-        # ---- branch resolution -------------------------------------------
-        if kind == 4:
-            mispredicts += 1
-            effective_penalty = penalty
-            if has_mcu:
-                while mcq and mcq[0] <= fetch_time:
-                    mcq.popleft()
-                if len(mcq) >= mcq_threshold:
-                    effective_penalty = penalty_discounted
-            resolve = completion + effective_penalty
-            if resolve > stall_until:
-                stall_until = resolve
-
-        completion_ring[i & ring_mask] = completion
-        retired += 1
-
-    # ---- publish local counters into the real stats objects --------------
-    flush_l1d()
-    if flush_l1b is not None:
-        flush_l1b()
-    l2_stats = hierarchy.l2.stats
-    l2_stats.accesses += l2c[0]
-    l2_stats.hits += l2c[1]
-    l2_stats.misses += l2c[2]
-    l2_stats.evictions += l2c[3]
-    l2_stats.writebacks += l2c[4]
-    hierarchy.traffic.l1_l2_bytes += tr[0]
-    hierarchy.traffic.l2_dram_bytes += tr[1]
-    hierarchy.dram_accesses += tr[2]
-    if has_mcu:
-        stats = mcu.stats
-        stats.checks += m_checks
-        stats.signed_checks += m_signed
-        stats.forwards += m_forwards
-        stats.lines_accessed += m_lines
-        stats.faults += m_faults
-        hbt.stats.lines_loaded += t_lines_loaded
-        if bwb is not None:
-            bwb.stats.lookups += b_lookups
-            bwb.stats.hits += b_hits
+    # ---- publish the C counters into the real stats objects --------------
+    _add(hierarchy.l1d.stats, _CACHE_FIELDS, l1d_counts)
+    if l1b_counts is not None:
+        _add(l1b.stats, _CACHE_FIELDS, l1b_counts)
+    _add(hierarchy.l2.stats, _CACHE_FIELDS, l2_counts)
+    _add(hierarchy.traffic, ("l1_l2_bytes", "l2_dram_bytes"), traffic)
+    hierarchy.dram_accesses += traffic[2]
+    if mcu is not None:
+        _add(mcu.stats, _MCU_FIELDS, mcu_counts)
+        mcu.hbt.stats.lines_loaded += mcu_counts[5]
+        if mcu.bwb is not None:
+            _add(mcu.bwb.stats, ("lookups", "hits"), mcu_counts[6:])
 
     return PipelineResult(
-        cycles=commit_cursor,
-        instructions=retired,
+        cycles=cycles,
+        instructions=instructions,
         branch_mispredicts=mispredicts,
         mcq_stall_cycles=mcq_stall,
         rob_stall_cycles=rob_stall,

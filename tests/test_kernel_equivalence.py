@@ -1,7 +1,11 @@
 """Conformance harness: the fast kernel is byte-identical to the reference.
 
-``repro.kernel.fast`` is a flattened transcription of the reference
-scoreboard (:mod:`repro.cpu.pipeline`).  Their contract is *bit-exact*
+``repro.kernel.fast`` runs the reference scoreboard (:mod:`repro.cpu.pipeline`)
+transcribed to C: ``_fast.c``, a CPython extension built on the first
+untraced simulation and cached in the artifact cache root by source digest
+and ABI tag (a host with no C compiler runs the reference kernel instead
+and warns once; ``tests/test_kernel_native.py`` covers the build, that
+fallback and random programs).  Their contract is *bit-exact*
 equivalence, not statistical agreement.  Every test here runs the same
 lowered workload through both kernels and compares the JSON-serialised
 :class:`SimulationResult` payloads byte for byte — cycles (floats
@@ -52,7 +56,8 @@ from repro.experiments.parallel import (
     simulate_cell,
 )
 from repro.kernel import KERNELS
-from repro.kernel.fast import run_fast
+from repro.kernel.fast import _compiler as native_compiler
+from repro.kernel.fast import native, run_fast
 from repro.mechanisms import REGISTRY
 from repro.obs import ObsSettings
 from repro.workloads import generate_trace, get_profile
@@ -374,34 +379,43 @@ def test_memo_cells_match_fresh_cells():
     assert len(memo) == 0
 
 
+@pytest.mark.skipif(native_compiler() is None, reason="no C compiler")
 def test_default_runs_take_fast_kernel_and_traced_runs_take_reference(monkeypatch):
     """No option picks the kernel: an untraced run — a bare Simulator or an
-    ExperimentSuite cell — executes run_fast; a traced run executes the
-    reference PipelineModel, the only kernel that emits events."""
+    ExperimentSuite cell — executes run_fast, which runs the C extension;
+    a traced run executes the reference PipelineModel, the only kernel
+    that emits events."""
     import repro.cpu.core as core
 
     calls = []
     real_fast, real_pipeline = core.run_fast, PipelineModel.run
+    extension = native()
+    real_native = extension.run
 
     def spy_fast(*args, **kwargs):
         calls.append("fast")
         return real_fast(*args, **kwargs)
+
+    def spy_native(*args):
+        calls.append("native")
+        return real_native(*args)
 
     def spy_pipeline(self, program):
         calls.append("reference")
         return real_pipeline(self, program)
 
     monkeypatch.setattr(core, "run_fast", spy_fast)
+    monkeypatch.setattr(extension, "run", spy_native)
     monkeypatch.setattr(PipelineModel, "run", spy_pipeline)
 
     config = scaled_config("aos", SCALE)
     lowered = get_lowered("gcc", "aos", 2500, config)
     Simulator(config).run(lowered)
-    assert calls == ["fast"]
+    assert calls == ["fast", "native"]
 
     calls.clear()
     ExperimentSuite(RunSettings(instructions=2500)).result("mcf", "baseline")
-    assert calls == ["fast"]
+    assert calls == ["fast", "native"]
 
     calls.clear()
     traced = ObsSettings(enabled=True, tracing=True).create()

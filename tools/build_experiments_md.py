@@ -296,9 +296,12 @@ def kernel_bench_section() -> str:
         "## Engineering — simulation-kernel timings",
         "",
         "Both simulation kernels (`repro.kernel`) produce byte-identical",
-        "results (`tests/test_kernel_equivalence.py`).  The fast kernel runs",
-        "every untraced cell; the reference kernel is the oracle and runs",
-        "traced cells.  Timings below are min-of-N runs from",
+        "results (`tests/test_kernel_equivalence.py`,",
+        "`tests/test_kernel_native.py`).  The fast kernel, the reference's",
+        "scoreboard loop in C (`src/repro/kernel/_fast.c`, built on first use",
+        "and cached in the artifact cache root), runs every untraced cell;",
+        "the reference kernel is the oracle and runs traced cells.  Timings",
+        "below are min-of-N runs of the simulate step alone from",
         "the committed `BENCH_kernel.json` (refresh with",
         "`python tools/bench_kernel.py`; CI fails on a >10% speedup",
         "regression or an aggregate below 2x).",
