@@ -328,6 +328,25 @@ def campaign_config_from_args(args) -> "CampaignConfig":
     return CampaignConfig(**overrides)
 
 
+def plan_artifact(name: str, suite: ExperimentSuite, args) -> list:
+    """The :class:`~repro.experiments.CellSpec` plan of one artifact's
+    timed rows (empty for artifacts without simulation cells)."""
+    from .experiments import ablations, extended, fig14, fig15, fig17, fig18
+
+    plans = {
+        "fig14": fig14.cells,
+        "fig15": fig15.cells,
+        "fig17": fig17.cells,
+        "fig18": fig18.cells,
+        "mte": extended.cells,
+    }
+    if name == "ablations":
+        return ablations.cells(suite)
+    if name in plans:
+        return plans[name](suite, args.workloads)
+    return []
+
+
 def run_artifact(name: str, suite: ExperimentSuite, args) -> str:
     if name == "fig11":
         return run_fig11(n=args.pac_samples).format()
@@ -935,10 +954,20 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.artifact == "all"
         else [args.artifact]
     )
+    from .errors import QuarantinedCellError
+
     try:
         # SIGTERM lands as KeyboardInterrupt, so a killed run flushes and
         # prints the same resume hint as a ^C one.
         with trap_signals():
+            # One dispatch computes every artifact's timed rows; the
+            # drivers then render from the suite's memo.
+            plan = [cell for name in names for cell in plan_artifact(name, suite, args)]
+            if plan:
+                start = time.time()
+                with profiler.phase("cells"):
+                    suite.ensure_cells(plan)
+                print(f"[cells: {time.time() - start:.1f}s]")
             for name in names:
                 start = time.time()
                 with profiler.phase(name):
@@ -947,6 +976,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except KeyboardInterrupt:
         print(_resume_hint(args), file=sys.stderr)
         return 130
+    except QuarantinedCellError as exc:
+        for report in suite.supervision_reports:
+            print(report.format())
+            print()
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 1
     for report in suite.supervision_reports:
         print(report.format())
         print()

@@ -85,6 +85,21 @@ class SupervisionError(ReproError):
     duplicate task keys) — distinct from the task failures it manages."""
 
 
+class QuarantinedCellError(ReproError):
+    """A result was asked of a simulation cell the supervisor quarantined.
+
+    The cell's measurement does not exist: it is never re-simulated in
+    the calling process, where a crash or hang would take the caller down
+    with it.  ``cell`` names it (``workload/key``), ``reason`` is the
+    supervisor's terminal failure history.
+    """
+
+    def __init__(self, cell: str, reason: str):
+        super().__init__(f"cell {cell} was quarantined by the supervisor: {reason}")
+        self.cell = cell
+        self.reason = reason
+
+
 class TraceFormatError(ReproError):
     """A trace file violates the versioned trace schema (`repro.traces`).
 

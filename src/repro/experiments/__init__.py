@@ -11,8 +11,13 @@
 ``security``   The §VII detection matrix
 =============  =========================================================
 
-All timing experiments share an :class:`~repro.experiments.common.ExperimentSuite`
-so traces are generated and lowered once per (workload, mechanism).
+All timing experiments share an :class:`~repro.experiments.common.ExperimentSuite`.
+Each timing driver's ``cells(suite, workloads)`` plans its timed rows as
+:class:`CellSpec` cells; the suite computes a plan in one dispatch, one
+task per trace, in which the trace is generated once and lowered once per
+distinct lowering.  ``repro all`` passes the union of its drivers' plans
+to one :meth:`~repro.experiments.common.ExperimentSuite.ensure_cells`
+call, so each trace is generated once per invocation.
 """
 
 from .backends import (

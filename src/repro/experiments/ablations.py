@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..cpu.core import Simulator
+from ..cpu.core import SimulationResult, Simulator
 from ..security.entropy import entropy_sweep
 from ..stats.report import TableFormatter
 from .common import ExperimentSuite
@@ -41,14 +41,66 @@ class AblationResult:
         return f"{self.title}\n" + table.render()
 
 
-def _run_variant(suite: ExperimentSuite, workload: str, config) -> tuple:
-    """Simulate an AOS variant against the cached lowering; returns
-    (normalized time, SimulationResult)."""
-    suite.ensure_cells([CellSpec(workload, "baseline")])
-    lowered = suite.lowered(workload, "aos", config=suite.config_for("aos"))
-    base = suite.result(workload, "baseline")
-    run = Simulator(config).run(lowered)
-    return run.cycles / base.cycles, run
+def _aos_variants(
+    workload: str, sweep: str, configs: Dict[str, object]
+) -> Dict[str, CellSpec]:
+    """Row name -> AOS cell under the row's config, memo key
+    ``aos-<sweep>-<row>``.  A row on the Table IV config shares the plain
+    AOS cell's simulation (see ``ExperimentSuite.ensure_cells``)."""
+    return {
+        name: CellSpec(workload, "aos", config=config, key=f"aos-{sweep}-{name}")
+        for name, config in configs.items()
+    }
+
+
+def _with_baseline(rows: Dict[str, CellSpec]) -> List[CellSpec]:
+    """``rows``' cells after their workload's baseline, which every row is
+    normalized to."""
+    (workload,) = {cell.workload for cell in rows.values()}
+    return [CellSpec(workload, "baseline"), *rows.values()]
+
+
+def _planned(
+    suite: ExperimentSuite, rows: Dict[str, CellSpec]
+) -> Tuple[SimulationResult, Dict[str, SimulationResult]]:
+    """The baseline result and row name -> result of one sweep's cells,
+    all computed by one :meth:`ExperimentSuite.ensure_cells` call."""
+    plan = _with_baseline(rows)
+    suite.ensure_cells(plan)
+    base, *runs = (
+        suite.result(cell.workload, cell.mechanism, config=cell.config, key=cell.key)
+        for cell in plan
+    )
+    return base, dict(zip(rows, runs))
+
+
+def _ablation(
+    suite: ExperimentSuite,
+    title: str,
+    rows: Dict[str, CellSpec],
+    measures: Dict[str, Callable[[SimulationResult], float]],
+) -> AblationResult:
+    """One planned sweep: each row's time normalized to the baseline, then
+    ``measures`` of its result."""
+    base, runs = _planned(suite, rows)
+    table = {
+        name: {
+            "norm.time": run.cycles / base.cycles,
+            **{column: measure(run) for column, measure in measures.items()},
+        }
+        for name, run in runs.items()
+    }
+    return AblationResult(title=title, rows=table, columns=["norm.time", *measures])
+
+
+def bwb_cells(suite: ExperimentSuite, workload: str = "omnetpp") -> Dict[str, CellSpec]:
+    """Row name -> cell of the BWB size sweep: disabled vs 16/64/256 entries."""
+    aos = suite.config_for("aos")
+    configs = {"disabled": aos.with_aos_options(bwb_enabled=False)}
+    for entries in (16, 64, 256):
+        bwb = dataclasses.replace(aos.bwb, entries=entries)
+        configs[f"{entries} entries"] = dataclasses.replace(aos, bwb=bwb)
+    return _aos_variants(workload, "bwb", configs)
 
 
 def ablation_bwb(
@@ -56,29 +108,27 @@ def ablation_bwb(
 ) -> AblationResult:
     """BWB size sweep (§V-C): disabled vs 16/64/256 entries."""
     suite = suite or ExperimentSuite()
-    base_config = suite.config_for("aos")
-    rows: Dict[str, Dict[str, float]] = {}
-    for entries in (0, 16, 64, 256):
-        if entries == 0:
-            config = base_config.with_aos_options(bwb_enabled=False)
-            name = "disabled"
-        else:
-            config = dataclasses.replace(
-                base_config,
-                bwb=dataclasses.replace(base_config.bwb, entries=entries),
-            )
-            name = f"{entries} entries"
-        time, run = _run_variant(suite, workload, config)
-        rows[name] = {
-            "norm.time": time,
-            "acc/check": run.bounds_accesses_per_check,
-            "hit rate": run.bwb_hit_rate,
-        }
-    return AblationResult(
-        title=f"BWB geometry ablation ({workload}, §V-C)",
-        rows=rows,
-        columns=["norm.time", "acc/check", "hit rate"],
+    return _ablation(
+        suite,
+        f"BWB geometry ablation ({workload}, §V-C)",
+        bwb_cells(suite, workload),
+        {
+            "acc/check": lambda run: run.bounds_accesses_per_check,
+            "hit rate": lambda run: run.bwb_hit_rate,
+        },
     )
+
+
+def mcq_cells(suite: ExperimentSuite, workload: str = "hmmer") -> Dict[str, CellSpec]:
+    """Row name -> cell of the MCQ depth sweep around the 48-entry pick."""
+    aos = suite.config_for("aos")
+    configs = {
+        f"{entries} entries": dataclasses.replace(
+            aos, core=dataclasses.replace(aos.core, mcq_entries=entries)
+        )
+        for entries in (12, 24, 48, 96, 192)
+    }
+    return _aos_variants(workload, "mcq", configs)
 
 
 def ablation_mcq(
@@ -86,22 +136,11 @@ def ablation_mcq(
 ) -> AblationResult:
     """MCQ depth sweep (§V-A): back-pressure around the 48-entry pick."""
     suite = suite or ExperimentSuite()
-    base_config = suite.config_for("aos")
-    rows: Dict[str, Dict[str, float]] = {}
-    for entries in (12, 24, 48, 96, 192):
-        config = dataclasses.replace(
-            base_config,
-            core=dataclasses.replace(base_config.core, mcq_entries=entries),
-        )
-        time, run = _run_variant(suite, workload, config)
-        rows[f"{entries} entries"] = {
-            "norm.time": time,
-            "mcq stalls": run.pipeline.mcq_stall_cycles,
-        }
-    return AblationResult(
-        title=f"MCQ depth ablation ({workload}, §V-A)",
-        rows=rows,
-        columns=["norm.time", "mcq stalls"],
+    return _ablation(
+        suite,
+        f"MCQ depth ablation ({workload}, §V-A)",
+        mcq_cells(suite, workload),
+        {"mcq stalls": lambda run: run.pipeline.mcq_stall_cycles},
     )
 
 
@@ -159,25 +198,41 @@ def ablation_resize(
     )
 
 
+def forwarding_cells(
+    suite: ExperimentSuite, workload: str = "omnetpp"
+) -> Dict[str, CellSpec]:
+    """Row name -> cell of the bounds-forwarding on/off pair."""
+    aos = suite.config_for("aos")
+    configs = {
+        "forwarding": aos.with_aos_options(bounds_forwarding=True),
+        "no forwarding": aos.with_aos_options(bounds_forwarding=False),
+    }
+    return _aos_variants(workload, "forwarding", configs)
+
+
 def ablation_forwarding(
     suite: Optional[ExperimentSuite] = None, workload: str = "omnetpp"
 ) -> AblationResult:
     """Bounds forwarding on/off (§V-F2) on a malloc-heavy workload."""
     suite = suite or ExperimentSuite()
-    base_config = suite.config_for("aos")
-    rows: Dict[str, Dict[str, float]] = {}
-    for forwarding in (True, False):
-        config = base_config.with_aos_options(bounds_forwarding=forwarding)
-        time, run = _run_variant(suite, workload, config)
-        rows["forwarding" if forwarding else "no forwarding"] = {
-            "norm.time": time,
-            "forwards": float(run.bounds_forwards),
-        }
-    return AblationResult(
-        title=f"Bounds forwarding ablation ({workload}, §V-F2)",
-        rows=rows,
-        columns=["norm.time", "forwards"],
+    return _ablation(
+        suite,
+        f"Bounds forwarding ablation ({workload}, §V-F2)",
+        forwarding_cells(suite, workload),
+        {"forwards": lambda run: float(run.bounds_forwards)},
     )
+
+
+def quarantine_cells(
+    suite: ExperimentSuite, workload: str = "omnetpp"
+) -> Dict[str, CellSpec]:
+    """Row name -> cell of the §IV-C comparison's two planned rows; REST
+    without quarantine is a lowering keyword, not a config, so
+    :func:`ablation_quarantine` simulates that row in-process."""
+    return {
+        "rest (quarantine)": CellSpec(workload, "rest"),
+        "aos (re-sign)": CellSpec(workload, "aos"),
+    }
 
 
 def ablation_quarantine(
@@ -192,39 +247,36 @@ def ablation_quarantine(
     suite = suite or ExperimentSuite()
     from ..compiler.passes import RESTLowering
 
-    # The REST variants are lowered in-process; the two suite cells they
-    # compare against can come from the parallel engine / artifact cache.
-    suite.ensure_cells(
-        [CellSpec(workload, "baseline"), CellSpec(workload, "aos")]
-    )
-    trace = suite.trace(workload)
-    base = suite.result(workload, "baseline")
-    rows: Dict[str, Dict[str, float]] = {}
-
-    for quarantine in (True, False):
-        config = suite.config_for("rest")
-        lowered = RESTLowering(trace, config, quarantine=quarantine).lower()
-        run = Simulator(config).run(lowered)
-        name = "rest (quarantine)" if quarantine else "rest (no temporal)"
-        rows[name] = {
+    base, planned = _planned(suite, quarantine_cells(suite, workload))
+    config = suite.config_for("rest")
+    lowered = RESTLowering(suite.trace(workload), config, quarantine=False).lower()
+    runs = {
+        "rest (quarantine)": planned["rest (quarantine)"],
+        "rest (no temporal)": Simulator(config).run(lowered),
+        "aos (re-sign)": planned["aos (re-sign)"],
+    }
+    # A run retires every µop of its program, so ``instructions`` is the
+    # lowered program's length.
+    rows = {
+        name: {
             "norm.time": run.cycles / base.cycles,
-            "instr.ovh": len(lowered.program) / len(
-                suite.lowered(workload, "baseline").program
-            ) - 1.0,
+            "instr.ovh": run.instructions / base.instructions - 1.0,
         }
-
-    aos = suite.result(workload, "aos")
-    rows["aos (re-sign)"] = {
-        "norm.time": aos.cycles / base.cycles,
-        "instr.ovh": len(suite.lowered(workload, "aos").program) / len(
-            suite.lowered(workload, "baseline").program
-        ) - 1.0,
+        for name, run in runs.items()
     }
     return AblationResult(
         title=f"Temporal-safety cost: quarantine vs re-sign ({workload}, §IV-C)",
         rows=rows,
         columns=["norm.time", "instr.ovh"],
     )
+
+
+def cells(suite: ExperimentSuite) -> List[CellSpec]:
+    """The plan of ``repro ablations``: the BWB, MCQ, forwarding and
+    quarantine sweeps' cells on their default workloads, with their
+    baselines.  The resize and entropy ablations have no cells."""
+    sweeps = (bwb_cells, mcq_cells, forwarding_cells, quarantine_cells)
+    return [cell for sweep in sweeps for cell in _with_baseline(sweep(suite))]
 
 
 def ablation_entropy() -> AblationResult:

@@ -4,17 +4,25 @@ The paper runs each SPEC workload once per system configuration; here one
 :class:`ExperimentSuite` instance memoises traces, lowered programs and
 simulation results so Figs. 14/15/17/18 can share work within a session.
 
-Two further layers live in :mod:`repro.experiments.parallel` and are wired
-in here:
+Every timing driver is a plan plus a render: its ``cells(suite,
+workloads)`` lists the :class:`~repro.experiments.parallel.CellSpec` of
+every timed row, its ``run_*`` hands that plan to
+:meth:`ExperimentSuite.ensure_cells` and renders from the memo.  A
+command that runs several drivers (``repro all``) passes the union of
+their plans to one ``ensure_cells`` call first, so each trace is
+generated once per invocation and the drivers' own calls find every
+cell known.  Two further layers live in :mod:`repro.experiments.parallel`
+and are wired in here:
 
-- ``jobs=N`` shards independent cells across worker processes whenever a
-  driver prefetches its sweep through :meth:`ExperimentSuite.ensure_cells`
-  (every figure driver does).  Results are bit-identical to ``jobs=1``.
+- ``jobs=N`` shards the pending cells of an ``ensure_cells`` call across
+  worker processes, one task per trace.  Results are bit-identical to
+  ``jobs=1``.
 - ``cache=`` attaches a persistent cross-session
   :class:`~repro.experiments.parallel.ArtifactCache`: every lookup goes
-  memo -> artifact cache -> simulate, so a rerun on unchanged code
-  re-simulates nothing.  The cache is the suite's only persistence:
-  re-running an interrupted command resumes through it.
+  memo -> artifact cache -> simulate, and each simulated cell is stored
+  as soon as its task lands, so a rerun on unchanged code re-simulates
+  nothing.  The cache is the suite's only persistence: re-running an
+  interrupted command resumes through it.
 """
 
 from __future__ import annotations
@@ -52,9 +60,9 @@ class RunSettings:
     """Simulation scale knobs shared by one experiment session.
 
     ``instructions`` is the window length per workload; ``scale`` divides
-    the preamble live set (and the PAC space with it).  The defaults keep
-    a full 16-workload x 5-mechanism sweep to a few minutes in pure
-    Python; larger values sharpen the statistics.
+    the preamble live set (and the PAC space with it).  Larger values
+    sharpen the statistics at a cost linear in ``instructions``: the CLI
+    runs 40_000 by default, ``--quick`` 12_000.
 
     ``obs`` selects per-cell observability (disabled by default).  It is
     part of the settings — and therefore of every cache fingerprint — so
@@ -131,11 +139,13 @@ class ExperimentSuite:
         for custom deadlines/retry policy.  The supervised unit is one
         trace's pending cells (retries and quarantine apply to the
         group; the deadline stays per cell, scaled by the group size).
-        Each supervised prefetch appends its
+        Each supervised :meth:`ensure_cells` call appends its
         :class:`~repro.supervise.SupervisionReport` to
-        :attr:`supervision_reports`; the cells of a quarantined group
-        stay uncomputed (a later :meth:`result` call simulates them
-        in-process).
+        :attr:`supervision_reports`.  The cells of a quarantined group
+        stay uncomputed and are never simulated in this process: a later
+        :meth:`ensure_cells` skips them and :meth:`result` raises
+        :class:`~repro.errors.QuarantinedCellError`.  A supervised
+        suite's :meth:`result` on an unplanned cell dispatches it too.
 
         ``paranoid=True`` audits every simulated cell's drained MCU/HBT
         state through the invariant oracle; violations raise
@@ -161,6 +171,11 @@ class ExperimentSuite:
         #: Per-workload lowering memo shared by every cell of the workload.
         self._memos: Dict[str, "TraceMemo"] = {}
         self._results: Dict[Tuple[str, str], SimulationResult] = {}
+        #: The same results by what determines them (see :meth:`_identity`),
+        #: so cells that differ only in their memo key simulate once.
+        self._simulated: Dict[tuple, SimulationResult] = {}
+        #: Cells the supervisor quarantined: cache key -> reason.
+        self._quarantined: Dict[Tuple[str, str], str] = {}
         self._cache = None
         if cache is not None:
             from .parallel import ArtifactCache
@@ -279,11 +294,22 @@ class ExperimentSuite:
         config: Optional[SystemConfig] = None,
         key: Optional[str] = None,
     ) -> SimulationResult:
-        from .parallel import CellSpec, simulate_cell
+        """The memoised result of one cell; a miss reads the artifact cache,
+        then simulates in-process (a supervised suite dispatches it).
+        Raises :class:`~repro.errors.QuarantinedCellError` for a cell the
+        supervisor quarantined."""
+        from .parallel import CellSpec, simulate_cell, supervised_cell_key
 
         cell = self._ingested_cell(CellSpec(workload, mechanism, config=config, key=key))
+        if self._supervise is not None:
+            self.ensure_cells([cell])
+        if cell.cache_key in self._quarantined:
+            from ..errors import QuarantinedCellError
+
+            reason = self._quarantined[cell.cache_key]
+            raise QuarantinedCellError(supervised_cell_key(cell), reason)
         if cell.cache_key not in self._results:
-            result = self._cached_result(cell)
+            result = self._known_result(cell)
             if result is None:
                 result = simulate_cell(
                     self.settings,
@@ -293,8 +319,26 @@ class ExperimentSuite:
                 )
                 self._store(cell, result)
             else:
-                self._results[cell.cache_key] = result
+                self._remember(cell, result)
         return self._results[cell.cache_key]
+
+    def _identity(self, cell: "CellSpec") -> tuple:
+        """What determines ``cell``'s result: its trace, mechanism and
+        resolved config (Fig. 15's ``aos-l1b+compression`` is ``aos``)."""
+        from .parallel import trace_group_key
+
+        config = cell.resolved_config(self.settings)
+        return (trace_group_key(cell), cell.mechanism, config)
+
+    def _known_result(self, cell: "CellSpec") -> Optional[SimulationResult]:
+        """The result of an identical cell memoised under another key, or
+        the artifact cache's (None if ``cell`` must be simulated)."""
+        result = self._simulated.get(self._identity(cell))
+        return result if result is not None else self._cached_result(cell)
+
+    def _remember(self, cell: "CellSpec", result: SimulationResult) -> None:
+        self._results[cell.cache_key] = result
+        self._simulated[self._identity(cell)] = result
 
     def _cached_result(self, cell: "CellSpec") -> Optional[SimulationResult]:
         """Disk-cache lookup for one cell (None without a cache, or on miss)."""
@@ -312,7 +356,7 @@ class ExperimentSuite:
 
     def _store(self, cell: "CellSpec", result: SimulationResult) -> None:
         """Install one computed result into the memo and the artifact cache."""
-        self._results[cell.cache_key] = result
+        self._remember(cell, result)
         if self._cache is not None:
             from .parallel import cell_fingerprint
 
@@ -320,7 +364,7 @@ class ExperimentSuite:
                 cell_fingerprint(self.settings, cell), _result_to_payload(result)
             )
 
-    # ------------------------------------------------------------ prefetch
+    # --------------------------------------------------------- planned cells
 
     def ensure_traces(self, workloads: Iterable[str]) -> None:
         """Warm the trace memo for ``workloads``, in parallel when ``jobs>1``.
@@ -339,18 +383,24 @@ class ExperimentSuite:
                 self._store_trace(workload, trace)
 
     def ensure_cells(self, cells: Iterable["CellSpec"]) -> None:
-        """Compute every cell not already known, sharded over ``jobs``.
+        """Compute every cell not already known, in one dispatch over ``jobs``.
 
         The lookup order per cell is memo -> artifact cache -> simulate;
         only the last bucket is fanned out to worker processes, one task
-        per trace, so each trace is generated once per call.  Results
-        merge back in deterministic cell order, so a prefetching driver
-        behaves identically at any ``jobs``.
+        per trace, so each trace is generated once per call.  Each result
+        is stored in the memo and the artifact cache as its task lands.
+        Quarantined cells count as known: they are not dispatched again.
         """
-        from .parallel import run_cells, run_cells_supervised
+        from .parallel import (
+            run_cells,
+            run_cells_supervised,
+            supervised_cell_key,
+            trace_group_key,
+        )
 
-        pending = []
-        seen = set(self._results)
+        # Pending cells with one identity are simulated once, for all.
+        twins: Dict[tuple, List["CellSpec"]] = {}
+        seen = set(self._results) | set(self._quarantined)
         for cell in cells:
             # Figure drivers build bare CellSpecs; stamp ingested-trace
             # identity on them here so fingerprints/workers do the right
@@ -359,28 +409,46 @@ class ExperimentSuite:
             if cell.cache_key in seen:
                 continue
             seen.add(cell.cache_key)
-            cached = self._cached_result(cell)
-            if cached is not None:
-                self._results[cell.cache_key] = cached
+            known = self._known_result(cell)
+            if known is not None:
+                self._remember(cell, known)
             else:
-                pending.append(cell)
-        if not pending:
+                twins.setdefault(self._identity(cell), []).append(cell)
+        if not twins:
             return
-        if self._supervise is not None:
-            computed, report = run_cells_supervised(
+        pending = [same[0] for same in twins.values()]
+        twins_of = {same[0].cache_key: same for same in twins.values()}
+
+        def landed(cell: "CellSpec", result: SimulationResult) -> None:
+            self._store(cell, result)
+            for twin in twins_of[cell.cache_key][1:]:
+                self._remember(twin, result)
+
+        if self._supervise is None:
+            run_cells(
                 self.settings,
                 pending,
-                config=self._supervise,
+                jobs=self.jobs,
                 paranoid=self.paranoid,
+                on_cell=landed,
             )
-            self.supervision_reports.append(report)
-        else:
-            computed = run_cells(
-                self.settings, pending, jobs=self.jobs, paranoid=self.paranoid
-            )
+            return
+        computed, report = run_cells_supervised(
+            self.settings,
+            pending,
+            config=self._supervise,
+            paranoid=self.paranoid,
+            on_cell=landed,
+        )
+        self.supervision_reports.append(report)
         for cell in pending:
-            if cell.cache_key in computed:  # quarantined cells are never stored
-                self._store(cell, computed[cell.cache_key])
+            if cell.cache_key not in computed:  # never stored, never re-run
+                group = trace_group_key(cell)
+                if group not in report.quarantined:  # the cell was its own task
+                    group = supervised_cell_key(cell)
+                reason = report.quarantined.get(group, "")
+                for twin in twins_of[cell.cache_key]:
+                    self._quarantined[twin.cache_key] = reason
 
     def result_payloads(self) -> Dict[Tuple[str, str], dict]:
         """JSON-able snapshot of every memoised result, keyed by cell.
@@ -440,6 +508,7 @@ class ExperimentSuite:
             self._traces.clear()
         self._memos.clear()
         self._results.clear()
+        self._simulated.clear()
 
     # ------------------------------------------------------------ measures
 

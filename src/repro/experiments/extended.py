@@ -47,22 +47,32 @@ class ExtendedComparisonResult:
         )
 
 
+def cells(
+    suite: ExperimentSuite, workloads: Optional[List[str]] = None
+) -> List[CellSpec]:
+    """The extended-comparison plan: each workload's baseline, MTE, AOS and
+    PA+AOS cells."""
+    return [
+        CellSpec(workload, mechanism)
+        for workload in workloads or SPEC_WORKLOADS
+        for mechanism in ["baseline"] + MECHANISMS
+    ]
+
+
 def run_extended_comparison(
     suite: Optional[ExperimentSuite] = None,
     workloads: Optional[List[str]] = None,
 ) -> ExtendedComparisonResult:
     suite = suite or ExperimentSuite()
     workloads = workloads or SPEC_WORKLOADS
-    suite.ensure_cells(
-        CellSpec(workload, mechanism)
-        for workload in workloads
-        for mechanism in ["baseline"] + MECHANISMS
-    )
-    rows: Dict[str, Dict[str, float]] = {}
-    for workload in workloads:
-        rows[workload] = {
-            mech: suite.normalized_time(workload, mech) for mech in MECHANISMS
-        }
+    plan = cells(suite, workloads)
+    suite.ensure_cells(plan)
+    rows: Dict[str, Dict[str, float]] = {workload: {} for workload in workloads}
+    for cell in plan:
+        if cell.mechanism != "baseline":
+            rows[cell.workload][cell.mechanism] = suite.normalized_time(
+                cell.workload, cell.mechanism
+            )
     geomeans = {
         mech: geomean([rows[w][mech] for w in workloads]) for mech in MECHANISMS
     }

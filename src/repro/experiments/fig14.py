@@ -48,31 +48,38 @@ class Fig14Result:
         )
 
 
+def cells(
+    suite: ExperimentSuite, workloads: Optional[List[str]] = None
+) -> List[CellSpec]:
+    """The Fig. 14 plan: every workload under every mechanism, baseline
+    included (Fig. 18 reads the same cells)."""
+    return [
+        CellSpec(workload, mechanism)
+        for workload in workloads or SPEC_WORKLOADS
+        for mechanism in MECHANISMS
+    ]
+
+
 def run_fig14(
     suite: Optional[ExperimentSuite] = None,
     workloads: Optional[List[str]] = None,
 ) -> Fig14Result:
     suite = suite or ExperimentSuite()
     workloads = workloads or SPEC_WORKLOADS
-    mechanisms = [m for m in MECHANISMS if m != "baseline"]
+    plan = cells(suite, workloads)
+    suite.ensure_cells(plan)
 
-    # Prefetch the whole sweep (baseline included) so a ``jobs>1`` suite
-    # shards the independent cells across workers; the loops below then
-    # read from the memo.
-    suite.ensure_cells(
-        CellSpec(workload, mechanism)
-        for workload in workloads
-        for mechanism in MECHANISMS
-    )
-
-    rows: Dict[str, Dict[str, float]] = {}
+    rows: Dict[str, Dict[str, float]] = {workload: {} for workload in workloads}
     resizes: Dict[str, int] = {}
-    for workload in workloads:
-        rows[workload] = {
-            mech: suite.normalized_time(workload, mech) for mech in mechanisms
-        }
-        resizes[workload] = suite.result(workload, "aos").hbt_resizes
+    for cell in plan:
+        if cell.mechanism != "baseline":
+            rows[cell.workload][cell.mechanism] = suite.normalized_time(
+                cell.workload, cell.mechanism
+            )
+        if cell.mechanism == "aos":
+            resizes[cell.workload] = suite.result(cell.workload, "aos").hbt_resizes
 
+    mechanisms = [m for m in MECHANISMS if m != "baseline"]
     geomeans = {
         mech: geomean([rows[w][mech] for w in workloads]) for mech in mechanisms
     }

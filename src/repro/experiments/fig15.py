@@ -39,41 +39,40 @@ class Fig15Result:
         return "Fig. 15 — L1-B cache and bounds-compression ablation\n" + table.render()
 
 
+def cells(
+    suite: ExperimentSuite, workloads: Optional[List[str]] = None
+) -> List[CellSpec]:
+    """The Fig. 15 plan: each workload's baseline, then its four AOS
+    variants in :data:`VARIANTS` order (memo key ``aos-<variant>``)."""
+    workloads = workloads or SPEC_WORKLOADS
+    configs = {
+        variant: suite.config_for("aos").with_aos_options(
+            l1b_cache=l1b, bounds_compression=compression
+        )
+        for variant, (l1b, compression) in VARIANTS.items()
+    }
+    return [CellSpec(workload, "baseline") for workload in workloads] + [
+        CellSpec(workload, "aos", config=config, key=f"aos-{variant}")
+        for workload in workloads
+        for variant, config in configs.items()
+    ]
+
+
 def run_fig15(
     suite: Optional[ExperimentSuite] = None,
     workloads: Optional[List[str]] = None,
 ) -> Fig15Result:
     suite = suite or ExperimentSuite()
     workloads = workloads or SPEC_WORKLOADS
+    plan = cells(suite, workloads)
+    suite.ensure_cells(plan)
 
-    def variant_config(l1b: bool, compression: bool):
-        return suite.config_for("aos").with_aos_options(
-            l1b_cache=l1b, bounds_compression=compression
-        )
-
-    suite.ensure_cells(
-        [CellSpec(workload, "baseline") for workload in workloads]
-        + [
-            CellSpec(
-                workload,
-                "aos",
-                config=variant_config(l1b, compression),
-                key=f"aos-{variant}",
-            )
-            for workload in workloads
-            for variant, (l1b, compression) in VARIANTS.items()
-        ]
-    )
-
-    rows: Dict[str, Dict[str, float]] = {}
-    for workload in workloads:
-        rows[workload] = {}
-        for variant, (l1b, compression) in VARIANTS.items():
-            config = suite.config_for("aos").with_aos_options(
-                l1b_cache=l1b, bounds_compression=compression
-            )
-            rows[workload][variant] = suite.normalized_time(
-                workload, "aos", config=config, key=f"aos-{variant}"
+    rows: Dict[str, Dict[str, float]] = {workload: {} for workload in workloads}
+    variant_of = {f"aos-{variant}": variant for variant in VARIANTS}
+    for cell in plan:
+        if cell.mechanism == "aos":
+            rows[cell.workload][variant_of[cell.key]] = suite.normalized_time(
+                cell.workload, "aos", config=cell.config, key=cell.key
             )
 
     geomeans = {

@@ -36,17 +36,24 @@ class Fig17Result:
         return "Fig. 17 — Bounds-table accesses per check and BWB hit rate\n" + table.render()
 
 
+def cells(
+    suite: ExperimentSuite, workloads: Optional[List[str]] = None
+) -> List[CellSpec]:
+    """The Fig. 17 plan: each workload's AOS cell."""
+    return [CellSpec(workload, "aos") for workload in workloads or SPEC_WORKLOADS]
+
+
 def run_fig17(
     suite: Optional[ExperimentSuite] = None,
     workloads: Optional[List[str]] = None,
 ) -> Fig17Result:
     suite = suite or ExperimentSuite()
-    workloads = workloads or SPEC_WORKLOADS
-    suite.ensure_cells(CellSpec(workload, "aos") for workload in workloads)
+    plan = cells(suite, workloads)
+    suite.ensure_cells(plan)
     accesses = {}
     hits = {}
-    for workload in workloads:
-        result = suite.result(workload, "aos")
-        accesses[workload] = result.bounds_accesses_per_check
-        hits[workload] = result.bwb_hit_rate
+    for cell in plan:
+        result = suite.result(cell.workload, cell.mechanism)
+        accesses[cell.workload] = result.bounds_accesses_per_check
+        hits[cell.workload] = result.bwb_hit_rate
     return Fig17Result(accesses_per_check=accesses, bwb_hit_rate=hits)

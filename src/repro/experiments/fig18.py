@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 
 from ..stats.report import TableFormatter, geomean
 from .common import MECHANISMS, SPEC_WORKLOADS, ExperimentSuite
-from .parallel import CellSpec
+from .fig14 import cells
 
 PAPER_AVERAGE = {"watchdog": 1.31, "pa+aos": 1.18}
 
@@ -44,19 +44,16 @@ def run_fig18(
 ) -> Fig18Result:
     suite = suite or ExperimentSuite()
     workloads = workloads or SPEC_WORKLOADS
+    plan = cells(suite, workloads)  # Fig. 14's cells: one sweep, two measures
+    suite.ensure_cells(plan)
+
+    rows: Dict[str, Dict[str, float]] = {workload: {} for workload in workloads}
+    for cell in plan:
+        if cell.mechanism != "baseline":
+            rows[cell.workload][cell.mechanism] = suite.normalized_traffic(
+                cell.workload, cell.mechanism
+            )
     mechanisms = [m for m in MECHANISMS if m != "baseline"]
-
-    suite.ensure_cells(
-        CellSpec(workload, mechanism)
-        for workload in workloads
-        for mechanism in MECHANISMS
-    )
-
-    rows: Dict[str, Dict[str, float]] = {}
-    for workload in workloads:
-        rows[workload] = {
-            mech: suite.normalized_traffic(workload, mech) for mech in mechanisms
-        }
     geomeans = {
         mech: geomean([max(rows[w][mech], 1e-9) for w in workloads])
         for mech in mechanisms

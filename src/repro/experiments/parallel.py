@@ -596,10 +596,12 @@ def _dispatch_cells(
     paranoid: bool,
     jobs: int = 1,
     supervise=None,
+    on_cell: Optional[Callable[[CellSpec, SimulationResult], None]] = None,
 ):
     """One :func:`repro.supervise.dispatch` call with one task per trace
     group, or per cell when there are fewer traces than workers; returns
-    ``({cell.cache_key: SimulationResult}, report)`` in cell order."""
+    ``({cell.cache_key: SimulationResult}, report)`` in cell order.
+    ``on_cell(cell, result)`` sees each cell as soon as its task lands."""
     from ..supervise import Task, dispatch
 
     cells = list(cells)
@@ -621,7 +623,13 @@ def _dispatch_cells(
         Task(key=key, payload=(settings, tuple(group), paranoid))
         for key, group in groups.items()
     ]
-    results, report = dispatch(_group_worker, tasks, jobs, supervise)
+
+    def landed(key: str, results: List[SimulationResult]) -> None:
+        for cell, result in zip(groups[key], results):
+            on_cell(cell, result)
+
+    on_result = None if on_cell is None else landed
+    results, report = dispatch(_group_worker, tasks, jobs, supervise, on_result)
     computed = {
         cell.cache_key: result
         for key, group in groups.items()
@@ -636,6 +644,7 @@ def run_cells(
     cells: Iterable[CellSpec],
     jobs: int = 1,
     paranoid: bool = False,
+    on_cell: Optional[Callable[[CellSpec, SimulationResult], None]] = None,
 ) -> Dict[Tuple[str, str], SimulationResult]:
     """Simulate ``cells``, one task per trace over ``jobs`` worker processes.
 
@@ -644,9 +653,11 @@ def run_cells(
     with fewer traces than ``jobs`` each cell is its own task instead, so
     no worker idles.  Every task rebuilds its cells from the picklable
     specs, so results are identical at any ``jobs``.  A failing cell
-    raises the worker's own exception.
+    raises the worker's own exception.  ``on_cell(cell, result)`` is
+    called for each cell as its task lands (in completion order), so a
+    caller can persist results before the whole batch is done.
     """
-    return _dispatch_cells(settings, cells, paranoid, jobs=jobs)[0]
+    return _dispatch_cells(settings, cells, paranoid, jobs=jobs, on_cell=on_cell)[0]
 
 
 def run_cells_supervised(
@@ -654,6 +665,7 @@ def run_cells_supervised(
     cells: Iterable[CellSpec],
     config=None,
     paranoid: bool = False,
+    on_cell: Optional[Callable[[CellSpec, SimulationResult], None]] = None,
 ):
     """Simulate ``cells`` under the supervision layer.
 
@@ -668,11 +680,14 @@ def run_cells_supervised(
     group by :func:`trace_group_key` (by :func:`supervised_cell_key` when
     fewer traces than workers made each cell its own task), so no such
     cell can be mistaken for a measurement or poison a cache.
+    ``on_cell`` is as for :func:`run_cells`.
     """
     from ..supervise import SupervisorConfig
 
     supervise = config if config is not None else SupervisorConfig()
-    return _dispatch_cells(settings, cells, paranoid, supervise=supervise)
+    return _dispatch_cells(
+        settings, cells, paranoid, supervise=supervise, on_cell=on_cell
+    )
 
 
 def generate_traces(

@@ -288,6 +288,46 @@ class TestSharedTraceWork:
         assert payloads(results) == payloads(serial)
         assert list(results) == list(serial)
 
+    def test_repro_all_plans_once(self, monkeypatch, capsys):
+        """``repro all`` computes every artifact's timed rows in one
+        dispatch: each workload's trace is generated once there, and
+        only Fig. 16, the REST-without-quarantine row and the resize
+        growth trace generate theirs in the parent."""
+        import repro.supervise
+        import repro.workloads
+        from repro import cli
+        from repro.experiments import parallel
+
+        generated = Counter()
+        real_generate = parallel.generate_trace
+
+        def generate(profile, *args, **kwargs):
+            generated[profile.name] += 1
+            return real_generate(profile, *args, **kwargs)
+
+        dispatched = Counter()
+        real_dispatch = repro.supervise.dispatch
+
+        def dispatch(worker, tasks, *args, **kwargs):
+            dispatched[worker.__name__] += 1
+            return real_dispatch(worker, tasks, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "generate_trace", generate)
+        monkeypatch.setattr(repro.workloads, "generate_trace", generate)
+        monkeypatch.setattr(repro.supervise, "dispatch", dispatch)
+        assert cli.main(["all", "--quick", "--jobs", "1", "--no-cache"]) == 0
+        capsys.readouterr()
+        # gcc/povray/gobmk: the dispatch and Fig. 16; omnetpp: the dispatch,
+        # the REST row and the resize trace; hmmer: the dispatch.
+        assert generated == {
+            "gcc": 2,
+            "povray": 2,
+            "gobmk": 2,
+            "omnetpp": 3,
+            "hmmer": 1,
+        }
+        assert dispatched["_group_worker"] == 1
+
 
 # ----------------------------------------------------------- suite-level cache
 

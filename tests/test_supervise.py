@@ -602,6 +602,58 @@ class TestSupervisedTraceGroups:
         for key, result in results.items():
             assert dataclasses.asdict(result) == dataclasses.asdict(want[key]), key
 
+    @pytest.mark.parametrize("via", ["suite", "cli"])
+    def test_quarantined_cell_is_never_simulated_in_the_parent(
+        self, monkeypatch, capsys, via
+    ):
+        """A figure whose group was quarantined fails with the named
+        error (the CLI prints the supervision report and exits 1); the
+        dead group's cells are never simulated in the calling process,
+        where a dying worker would have taken the run down."""
+        import repro.experiments.parallel as parallel
+        from repro import cli
+        from repro.errors import QuarantinedCellError
+        from repro.experiments import ExperimentSuite, RunSettings
+        from repro.experiments.fig14 import run_fig14
+
+        parent = os.getpid()
+        in_parent = []
+        real = parallel.simulate_cell
+
+        def die_on_povray(settings, cell, memo=None, paranoid=False):
+            if cell.workload == "povray":
+                if os.getpid() != parent:
+                    os._exit(1)
+                in_parent.append(cell)
+                raise RuntimeError("povray simulated in the parent")
+            return real(settings, cell, memo=memo, paranoid=paranoid)
+
+        monkeypatch.setattr(parallel, "simulate_cell", die_on_povray)
+        if via == "suite":
+            config = _fast_config(deadline_s=60.0, retry=RetryPolicy(max_retries=0))
+            suite = ExperimentSuite(
+                RunSettings(instructions=2000, seed=7, scale=8), supervise=config
+            )
+            with pytest.raises(QuarantinedCellError) as excinfo:
+                run_fig14(suite, ["gobmk", "povray"])
+            assert excinfo.value.cell.startswith("povray/")
+            assert "exit code 1" in excinfo.value.reason
+            assert set(suite.supervision_reports[0].quarantined) == {"povray"}
+            # The planned cells are known: a second run dispatches nothing.
+            with pytest.raises(QuarantinedCellError):
+                run_fig14(suite, ["gobmk", "povray"])
+            assert len(suite.supervision_reports) == 1
+        else:
+            code = cli.main(
+                ["fig14", "--workloads", "gobmk", "povray", "--instructions", "2000"]
+                + ["--jobs", "2", "--supervise", "--cell-retries", "0", "--no-cache"]
+            )
+            out, err = capsys.readouterr()
+            assert code == 1
+            assert "quarantined: povray" in out
+            assert "cell povray/" in err and "quarantined" in err
+        assert in_parent == []
+
     def test_deadline_stays_per_cell(self, monkeypatch):
         """A deadline that fits one cell also fits five-cell groups: each
         group's task gets it once per cell."""

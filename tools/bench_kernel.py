@@ -1,11 +1,15 @@
 """Kernel perf-regression gate: time reference vs fast on a fixed sweep.
 
 Runs the same lowered workloads through both simulation kernels
-(``repro.kernel``), taking the minimum of ``--repeats`` timed runs per
-cell (min-of-N discards scheduler noise, so the gate tracks the code, not
-the machine), verifies the results are byte-identical while it is at it,
-and writes a machine-readable ``BENCH_kernel.json`` (schema
-``repro/bench-kernel/v3``).
+(``repro.kernel``), taking the minimum of ``--repeats`` timings per cell
+(min-of-N discards scheduler noise, so the gate tracks the code, not the
+machine).  Each timing is a batch of back-to-back runs lasting at least
+:data:`MIN_TIMING_S`, divided by its run count: a fast cell takes only a
+few milliseconds, where a single run is mostly timer and scheduler
+noise.  The two kernels' batches alternate, so a slow spell of the host
+weighs on both sides of the ratio.  The tool verifies the results are
+byte-identical while it is at it, and writes a machine-readable
+``BENCH_kernel.json`` (schema ``repro/bench-kernel/v3``).
 
 Gates, all machine-independent because they compare ratios:
 
@@ -28,12 +32,15 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import math
 import platform
 import sys
 import time
+from functools import partial
 from pathlib import Path
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -53,6 +60,9 @@ SEED = 7
 SCALE = 8
 
 SCHEMA = "repro/bench-kernel/v3"
+
+#: The least wall-clock one timing covers (a batch of runs of one cell).
+MIN_TIMING_S = 0.25
 
 #: ``--check`` contract: these keys must exist with these shapes.
 _CELL_KEYS = ("workload", "mechanism", "reference_s", "fast_s", "fast_speedup")
@@ -74,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--repeats",
         type=int,
         default=3,
-        help="timed runs per (cell, kernel); the minimum is kept (default 3)",
+        help="timings per (cell, kernel); the minimum is kept (default 3)",
     )
     parser.add_argument(
         "--quick",
@@ -168,24 +178,48 @@ def check_report(path: Path, min_speedup: float) -> int:
     return 0
 
 
+def batch_size(run: Callable[[], object]) -> int:
+    """How many back-to-back ``run()`` calls last ``MIN_TIMING_S``, from
+    one (warm-up) call."""
+    start = time.perf_counter()
+    run()
+    return max(1, math.ceil(MIN_TIMING_S / (time.perf_counter() - start)))
+
+
+def per_run_s(run: Callable[[], object], number: int) -> float:
+    """Seconds per call over one batch of ``number`` calls, with the
+    garbage collector off, as in ``timeit``."""
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        for _ in range(number):
+            run()
+        return (time.perf_counter() - start) / number
+    finally:
+        gc.enable()
+
+
 def time_cell(workload: str, mechanism: str, instructions: int, repeats: int) -> Dict:
-    """Min-of-N wall-clock per kernel for one (workload, mechanism) cell."""
+    """Min-of-N seconds per run for each kernel on one (workload, mechanism)
+    cell.  The kernels' batches alternate, so both see the same machine."""
     config = scaled_config(mechanism, SCALE)
     trace = generate_trace(
         get_profile(workload), instructions=instructions, seed=SEED, scale=SCALE
     )
     lowered = lower_trace(trace, mechanism, config=config)
-    timings: Dict[str, float] = {}
-    payloads: Dict[str, str] = {}
-    for kernel in KERNELS:
-        simulator = Simulator(config, kernel=kernel)
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            result = simulator.run(lowered)
-            best = min(best, time.perf_counter() - start)
-        timings[kernel] = best
-        payloads[kernel] = json.dumps(_result_to_payload(result), sort_keys=True)
+    runs = {
+        kernel: partial(Simulator(config, kernel=kernel).run, lowered)
+        for kernel in KERNELS
+    }
+    numbers = {kernel: batch_size(run) for kernel, run in runs.items()}
+    timings = dict.fromkeys(KERNELS, float("inf"))
+    for _ in range(repeats):
+        for kernel, run in runs.items():
+            timings[kernel] = min(timings[kernel], per_run_s(run, numbers[kernel]))
+    payloads = {
+        kernel: json.dumps(_result_to_payload(run()), sort_keys=True)
+        for kernel, run in runs.items()
+    }
     if payloads["fast"] != payloads["reference"]:
         raise SystemExit(
             f"FATAL: fast kernel divergence on {workload}/{mechanism} — "
