@@ -301,7 +301,7 @@ class ExperimentSuite:
         from .parallel import CellSpec, simulate_cell, supervised_cell_key
 
         cell = self._ingested_cell(CellSpec(workload, mechanism, config=config, key=key))
-        if self._supervise is not None:
+        if self._supervise is not None and cell.cache_key not in self._results:
             self.ensure_cells([cell])
         if cell.cache_key in self._quarantined:
             from ..errors import QuarantinedCellError
