@@ -27,15 +27,16 @@ inside the call.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from ..config import SystemConfig, default_config
 from ..crypto.pac import PACGenerator, PAKeys
-from ..errors import SimulationError, WorkloadError
+from ..errors import WorkloadError
 from ..isa.encoding import PointerLayout
 from ..isa.instructions import Op
 from ..isa.program import Program, ProgramBuilder
@@ -88,18 +89,29 @@ _WMETA = Op.WMETA.value
 _DRAWS = frozenset({"alu", "falu", "ld", "st", "uld", "ust"})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignedPreamble:
-    """The AOS preamble live set after ``pacma`` signing, in trace order.
+    """The AOS preamble live set after ``pacma`` signing: ``uint64``
+    columns with one entry per preamble object, in trace order.
 
     It depends only on the trace and ``pa.pac_bits``/``pa.key``, so the
     AOS and PA+AOS lowerings of one base share it.
     """
 
     #: Signed pointer per preamble object.
-    pointers: Tuple[int, ...]
-    #: (pac, address, size) per preamble object: the HBT pre-warm inserts.
-    bounds: Tuple[Tuple[int, int, int], ...]
+    pointers: np.ndarray
+    #: The HBT pre-warm's records: PAC, address and size per object.
+    pacs: np.ndarray
+    addresses: np.ndarray
+    sizes: np.ndarray
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SignedPreamble):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in ("pointers", "pacs", "addresses", "sizes")
+        )
 
 
 class BasePass:
@@ -739,21 +751,18 @@ class AOSLowering(_LoweringBase):
         if preamble is None:
             layout = self.pointer_layout
             sizes = [size for _, size in self.trace.preamble]
-            signed = self.signer.pacma_batch(base.preamble, self.sp, sizes)
+            signed = np.array(
+                self.signer.pacma_batch(base.preamble, self.sp, sizes), dtype=np.uint64
+            )
             preamble = base.signed_preambles[key] = SignedPreamble(
-                pointers=tuple(signed),
-                bounds=tuple(
-                    (layout.pac(pointer), layout.address(pointer), size)
-                    for pointer, size in zip(signed, sizes)
-                ),
+                pointers=signed,
+                pacs=(signed >> layout.pac_shift) & ((1 << layout.pac_bits) - 1),
+                addresses=signed & layout.va_mask,
+                sizes=np.array(sizes, dtype=np.uint64),
             )
         self.preamble = preamble
-        self._upper = dict(
-            zip(
-                (obj for obj, _ in self.trace.preamble),
-                map(operator.sub, preamble.pointers, base.preamble),
-            )
-        )
+        upper = preamble.pointers - np.array(base.preamble, dtype=np.uint64)
+        self._upper = dict(zip((obj for obj, _ in self.trace.preamble), upper.tolist()))
 
     def _make_hbt(self, config: SystemConfig) -> HashedBoundsTable:
         """The HBT pre-warm: a table of ``config``'s initial ways and bounds
@@ -764,22 +773,11 @@ class AOSLowering(_LoweringBase):
             layout=self.address_layout,
             compression=config.aos.bounds_compression,
         )
-        for pac, address, size in self.preamble.bounds:
-            self._insert_with_resize(hbt, pac, address, size)
+        # Every insertion failure is an AOS exception the OS answers with a
+        # blocking resize (§IV-D): the pre-warm fills all rows in one pass.
+        preamble = self.preamble
+        hbt.prewarm(preamble.pacs, preamble.addresses, preamble.sizes)
         return hbt
-
-    @staticmethod
-    def _insert_with_resize(
-        hbt: HashedBoundsTable, pac: int, lower: int, size: int
-    ) -> None:
-        while True:
-            try:
-                hbt.insert(pac, lower, size)
-                return
-            except SimulationError:
-                # Insertion failure -> AOS exception -> OS resize (§IV-D).
-                hbt.begin_resize()
-                hbt.finish_resize()
 
     # ------------------------------------------------------------ lowerings
 

@@ -123,14 +123,10 @@ class MCQEntry:
 
     def _step_occ_chk(self, table: HashedBoundsTable) -> None:
         self.lines_accessed.extend(table.way_line_addresses(self.pac, self.way))
-        slots = table.read_way(self.pac, self.way)
         if self.entry_type is MCQType.BNDSTR:
-            succeeded = any(record is None for record in slots)
+            succeeded = table.way_has_free_slot(self.pac, self.way)
         else:  # BNDCLR: the loaded lower bound must equal the pointer address
-            target = table._comparable_lower(self.address)
-            succeeded = any(
-                record is not None and record.lower == target for record in slots
-            )
+            succeeded = table.way_has_lower(self.pac, self.way, self.address)
         if succeeded:
             self.result_way = self.way
             self.state = MCQState.BND_STR
@@ -139,8 +135,7 @@ class MCQEntry:
 
     def _step_bnd_chk(self, table: HashedBoundsTable) -> None:
         self.lines_accessed.extend(table.way_line_addresses(self.pac, self.way))
-        slots = table.read_way(self.pac, self.way)
-        if any(record is not None and record.contains(self.address) for record in slots):
+        if table.way_holds(self.pac, self.way, self.address):
             self.result_way = self.way
             self.state = MCQState.DONE
         else:

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..crypto.pac import PACGenerator
+import numpy as np
+
+from ..crypto.pac import MASK64, PACGenerator
 from ..isa.encoding import PointerLayout
 from .ahc import compute_ahc
 from .exceptions import AuthenticationFault, FaultInfo
@@ -46,21 +48,33 @@ class PointerSigner:
         """Sign many pointers under one modifier (preamble bulk signing).
 
         Element-for-element identical to calling :meth:`pacma` in a loop —
-        pinned by ``tests/test_properties.py`` — but routes PAC generation
-        through :meth:`PACGenerator.compute_batch`, which vectorises QARMA
-        mode over the whole batch.
+        pinned by ``tests/test_properties.py`` — but computed over
+        ``uint64`` arrays: the PAC by :meth:`PACGenerator.compute_array`,
+        the AHC (Alg. 1) and the field packing array-wise.
         """
+        if len(pointers) == 0:
+            return []
         layout = self.layout
-        addresses = [layout.address(p) for p in pointers]
-        pacs = self.generator.compute_batch(addresses, modifier, key_name=key)
-        return [
-            layout.sign(
-                address,
-                pac,
-                compute_ahc(address, size if size > 0 else 1, layout.va_bits),
-            )
-            for address, pac, size in zip(addresses, pacs, sizes)
-        ]
+        try:
+            words = np.array(pointers, dtype=np.uint64)
+        except OverflowError:  # wider than 64 bits: reduce like pacma does
+            words = np.array([p & MASK64 for p in pointers], dtype=np.uint64)
+        addresses = words & np.uint64(layout.va_mask)
+        # Algorithm 1 on (address, size or 1): tAddr = Addr ^ (Addr + Size - 1).
+        spans = np.maximum(np.array(sizes, dtype=np.int64), 1).astype(np.uint64)
+        varying = addresses ^ (addresses + (spans - np.uint64(1)))
+        ahc = np.where(
+            varying >> np.uint64(7) == 0,
+            np.uint64(1),
+            np.where(varying >> np.uint64(10) == 0, np.uint64(2), np.uint64(3)),
+        )
+        pacs = self.generator.compute_array(addresses, modifier, key_name=key)
+        signed = (
+            (pacs << np.uint64(layout.pac_shift))
+            | (ahc << np.uint64(layout.ahc_shift))
+            | addresses
+        )
+        return signed.tolist()
 
     def xpacm(self, pointer: int) -> int:
         """Strip both PAC and AHC from the pointer."""

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
+import numpy as np
+
 from .qarma import Qarma64
 
 MASK64 = (1 << 64) - 1
@@ -26,6 +28,14 @@ def _splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
     return x ^ (x >> 31)
+
+
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """:func:`_splitmix64` over a ``uint64`` array (arithmetic wraps mod 2**64)."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
 
 @dataclass
@@ -127,13 +137,28 @@ class PACGenerator:
 
         Semantically ``[self.compute(p, modifier, key_name) for p in
         pointers]`` — the property tests in ``tests/test_properties.py`` pin
-        that equivalence — but QARMA mode runs the NumPy-vectorised
-        :class:`~repro.crypto.qarma_batch.Qarma64Batch` instead of one
-        scalar permutation per pointer.  Fast mode stays scalar: SplitMix64
-        is already two multiplies per pointer.
+        that equivalence — computed by :meth:`compute_array`.
         """
-        if self.mode == "fast" or not pointers:
-            return [self.compute(p, modifier, key_name=key_name) for p in pointers]
+        if len(pointers) == 0:
+            return []
+        words = np.array([p & MASK64 for p in pointers], dtype=np.uint64)
+        return self.compute_array(words, modifier, key_name=key_name).tolist()
+
+    def compute_array(
+        self, pointers: np.ndarray, modifier: int, key_name: str = "ma"
+    ) -> np.ndarray:
+        """:meth:`compute` over a ``uint64`` array of pointers.
+
+        Fast mode runs SplitMix64 array-wise; QARMA mode runs the
+        NumPy-vectorised :class:`~repro.crypto.qarma_batch.Qarma64Batch`
+        instead of one scalar permutation per pointer.
+        """
+        if self.mode == "fast":
+            salt = _splitmix64(
+                (modifier & MASK64) ^ (self.keys.key_for(key_name) & MASK64)
+            )
+            full = _splitmix64_array(pointers ^ np.uint64(salt))
+            return full & np.uint64((1 << self.pac_bits) - 1)
         batch = self._batch_ciphers.get(key_name)
         if batch is None:
             from .qarma_batch import Qarma64Batch
@@ -142,11 +167,7 @@ class PACGenerator:
                 self.keys.key_for(key_name), rounds=self.rounds, sbox=self.sbox
             )
             self._batch_ciphers[key_name] = batch
-        import numpy as np
-
-        plaintexts = np.array([p & MASK64 for p in pointers], dtype=np.uint64)
-        pacs = batch.pacs(plaintexts, modifier & MASK64, pac_bits=self.pac_bits)
-        return [int(p) for p in pacs]
+        return batch.pacs(pointers, modifier & MASK64, pac_bits=self.pac_bits)
 
     @property
     def pac_space(self) -> int:

@@ -623,6 +623,14 @@ def _dispatch_cells(
         Task(key=key, payload=(settings, tuple(group), paranoid))
         for key, group in groups.items()
     ]
+    traced = settings.obs.enabled and settings.obs.tracing
+    forks = supervise is not None or (jobs > 1 and len(tasks) > 1)
+    if tasks and forks and not traced:
+        # The workers fork from this process: build or load the fast kernel
+        # here once, so that every worker inherits it.
+        from ..kernel.fast import native
+
+        native()
 
     def landed(key: str, results: List[SimulationResult]) -> None:
         for cell, result in zip(groups[key], results):

@@ -30,6 +30,7 @@ from ..errors import FaultInjectionError, SimulationError
 from ..os.handler import HandlerPolicy
 from ..os.process import Process
 from ..workloads import get_profile
+from ..workloads.generator import size_table
 
 
 class FaultKind(str, Enum):
@@ -164,6 +165,7 @@ class FaultHarness:
         self.mechanism = mechanism
         self.authenticate = mechanism == "pa+aos"
         self.profile = get_profile(workload)
+        self._sizes, self._cum_weights = size_table(self.profile)
         self.process = Process(
             pac_mode="fast", policy=policy, max_violations=max_violations
         )
@@ -229,9 +231,7 @@ class FaultHarness:
     # ------------------------------------------------------------ population
 
     def _sample_size(self) -> int:
-        sizes = [s for s, _ in self.profile.size_classes]
-        weights = [w for _, w in self.profile.size_classes]
-        return max(16, self.rng.choices(sizes, weights=weights)[0])
+        return max(16, self.rng.choices(self._sizes, cum_weights=self._cum_weights)[0])
 
     def allocate_one(self, write_pattern: bool = True) -> TrackedObject:
         size = self._sample_size()

@@ -101,11 +101,15 @@ class PointerLayout:
         return self.ahc(pointer) != 0
 
     def decode(self, pointer: int) -> "SignedPointer":
+        # address(), pac() and ahc() in one pass (the MCU decodes every
+        # checked pointer).
+        va_bits = self.va_bits
+        pac_shift = va_bits + self.ahc_bits
         return SignedPointer(
             raw=pointer & MASK64,
-            address=self.address(pointer),
-            pac=self.pac(pointer),
-            ahc=self.ahc(pointer),
+            address=pointer & ((1 << va_bits) - 1),
+            pac=(pointer >> pac_shift) & ((1 << self.pac_bits) - 1),
+            ahc=(pointer >> va_bits) & ((1 << self.ahc_bits) - 1),
         )
 
 

@@ -18,12 +18,15 @@
  *   accesses the same dicts, so both paths share one cache state;
  * - the MCU's selective bounds check (forwarding, BWB lookup, the Fig. 8a
  *   way walk with Fig. 10 steering, the bounds compare) runs here against
- *   the live HBT rows, calling back into the Python attributes
- *   repro/kernel/fast.py binds: mcu.bounds_store/bounds_clear,
- *   hbt._row/advance_migration, the BWB OrderedDict's
- *   move_to_end/popitem and the histogram's observe.  The HBT geometry
- *   (ways, _base, _resizing and the old table while resizing) is re-read
- *   after every callback that may change it.
+ *   the HBT's flat slot array (hbt._table: rows x ways x 8 slots of one
+ *   64-bit word, or two when bounds are uncompressed), read through the
+ *   buffer protocol with no Python call.  Only bndstr/bndclr
+ *   (mcu.bounds_store/bounds_clear), hbt.advance_migration, the BWB
+ *   OrderedDict's move_to_end/popitem and the histogram's observe call
+ *   back into the Python attributes repro/kernel/fast.py binds.  After
+ *   every callback that may change the HBT, the kernel re-reads its
+ *   geometry (ways, _base, _resizing and the old table while resizing)
+ *   and releases and re-acquires the slot array, which a resize replaces.
  *
  * Statistics accumulate in C counters and are returned to the caller,
  * which adds them to the real stats objects once, after the run.
@@ -39,9 +42,8 @@ typedef unsigned long long u64;
 
 static PyObject *SimulationError;
 static PyObject *s_ways, *s_base, *s_resizing, *s_old_base, *s_old_ways,
-    *s_row_ptr, *s_raw, *s_lower, *s_upper, *s_ok, *s_latency, *s_kinds,
-    *s_addresses, *s_latencies, *s_deps, *s_sizes, *s_move_to_end,
-    *s_popitem;
+    *s_row_ptr, *s_table, *s_ok, *s_latency, *s_kinds, *s_addresses,
+    *s_latencies, *s_deps, *s_sizes, *s_move_to_end, *s_popitem;
 
 /* ------------------------------------------------------------ integers */
 
@@ -355,25 +357,56 @@ access_through(Memory *m, Level *l1, u64 address, int is_write, double *latency)
 
 typedef struct {
     PyObject *hbt, *migration_rows, *recent_stores, *observe, *bwb_table,
-        *row_of, *advance, *bounds_store, *bounds_clear;
+        *advance, *bounds_store, *bounds_clear;
     int ahc_shift, pac_shift, nonblocking, forwarding, bwb_lru, compression,
         way_shift;
     u64 ahc_low, pac_low;
-    Py_ssize_t bwb_entries, slots_per_way, lines_per_way;
+    Py_ssize_t bwb_entries, slots_per_way, lines_per_way, num_rows;
     double check_base_latency;
-    /* HBT geometry, as of the last callback. */
+    /* HBT geometry and slot array, as of the last callback. */
     long long ways, old_ways, row_ptr;
     u64 base, old_base;
     int resizing;
+    Py_buffer table; /* table.obj is NULL while no array is held */
+    const u64 *words;
+    Py_ssize_t nwords;
     /* MCUStats / HBTStats / BWBStats counters. */
     u64 checks, signed_checks, forwards, lines, faults, lines_loaded,
         bwb_lookups, bwb_hits;
 } MCU;
 
+/* Drop the slot array the kernel holds, if any. */
+static void
+release_table(MCU *u)
+{
+    if (u->table.obj != NULL)
+        PyBuffer_Release(&u->table);
+    u->table.obj = NULL;
+    u->words = NULL;
+    u->nwords = 0;
+}
+
 static int
 read_hbt(MCU *u)
 {
-    PyObject *flag;
+    PyObject *flag, *table;
+    release_table(u);
+    table = PyObject_GetAttr(u->hbt, s_table);
+    if (table == NULL)
+        return -1;
+    if (PyObject_GetBuffer(table, &u->table, PyBUF_C_CONTIGUOUS) < 0) {
+        u->table.obj = NULL;
+        Py_DECREF(table);
+        return -1;
+    }
+    Py_DECREF(table);
+    if (u->table.len % 8 != 0 || ((Py_uintptr_t)u->table.buf & 7) != 0) {
+        release_table(u);
+        PyErr_SetString(PyExc_TypeError, "the HBT slot array must hold aligned 64-bit words");
+        return -1;
+    }
+    u->words = (const u64 *)u->table.buf;
+    u->nwords = u->table.len / 8;
     if (read_ll(u->hbt, s_ways, &u->ways) < 0 ||
         read_u64(u->hbt, s_base, &u->base) < 0)
         return -1;
@@ -394,21 +427,13 @@ read_hbt(MCU *u)
 
 /* Call `fn(arg)` for its side effect on the HBT, then re-read it. */
 static int
-hbt_callback(MCU *u, PyObject *fn, PyObject *arg, PyObject **result)
+hbt_callback(MCU *u, PyObject *fn, PyObject *arg)
 {
     PyObject *r = PyObject_CallOneArg(fn, arg);
     if (r == NULL)
         return -1;
-    if (result != NULL)
-        *result = r;
-    else
-        Py_DECREF(r);
-    if (read_hbt(u) < 0) {
-        if (result != NULL)
-            Py_CLEAR(*result);
-        return -1;
-    }
-    return 0;
+    Py_DECREF(r);
+    return read_hbt(u);
 }
 
 /* Python's `lower <= addr < upper` (upper_or_size is the upper bound) or
@@ -449,53 +474,38 @@ contains(PyObject *lower, PyObject *upper_or_size, int is_size, u64 addr)
     return result;
 }
 
-/* Does one way's slice of `row` hold bounds for `addr`?  1, 0 or -1. */
+/* Does `way` of row `pac` hold bounds for `addr`?  1, 0, or -1 when the
+ * slot array is smaller than the geometry says. */
 static int
-way_hit(MCU *u, PyObject *row, Py_ssize_t start, u64 addr, u64 addr33,
-        u64 not_bit32)
+way_hit(MCU *u, u64 pac, long long way, u64 addr, u64 addr33, u64 not_bit32)
 {
-    Py_ssize_t j, stop = start + u->slots_per_way;
-    for (j = start; j < stop && j < PyList_GET_SIZE(row); j++) {
-        PyObject *record = PyList_GET_ITEM(row, j), *field;
-        int hit;
-        if (record == Py_None)
-            continue;
-        Py_INCREF(record);
-        if (u->compression) {
-            u64 raw, low_field, lower, t_addr;
-            field = PyObject_GetAttr(record, s_raw);
-            hit = field == NULL ? -1 : as_u64(field, &raw);
-            Py_XDECREF(field);
-            if (hit == 0) {
-                low_field = raw & 0x1FFFFFFFULL;
-                lower = low_field << 4;
-                t_addr = ((((low_field >> 28) & 1) & not_bit32) << 33) | addr33;
-                hit = lower <= t_addr &&
-                      t_addr < lower + ((raw >> 29) & 0xFFFFFFFFULL);
-            }
+    Py_ssize_t words_per_slot = u->compression ? 1 : 2;
+    Py_ssize_t width = u->slots_per_way * words_per_slot;
+    Py_ssize_t start = ((Py_ssize_t)pac * (Py_ssize_t)u->ways + (Py_ssize_t)way) * width;
+    const u64 *slot, *stop;
+    if (start < 0 || start + width > u->nwords) {
+        PyErr_SetString(SimulationError, "HBT slot array smaller than its geometry");
+        return -1;
+    }
+    slot = u->words + start;
+    stop = slot + width;
+    if (u->compression) {
+        for (; slot < stop; slot++) {
+            u64 raw = *slot, low_field, lower, t_addr;
+            if (raw == 0)
+                continue;
+            low_field = raw & 0x1FFFFFFFULL;
+            lower = low_field << 4;
+            t_addr = ((((low_field >> 28) & 1) & not_bit32) << 33) | addr33;
+            if (lower <= t_addr && t_addr < lower + ((raw >> 29) & 0xFFFFFFFFULL))
+                return 1;
         }
-        else {
-            PyObject *upper = NULL;
-            field = PyObject_GetAttr(record, s_lower);
-            if (field == NULL)
-                hit = -1;
-            else {
-                /* `record.lower <= addr < record.upper` */
-                long long lo;
-                int fast = small_int(field, &lo);
-                if (fast == 1 && (long long)addr < lo)
-                    hit = 0;
-                else if (fast < 0 || (upper = PyObject_GetAttr(record, s_upper)) == NULL)
-                    hit = -1;
-                else
-                    hit = contains(field, upper, 0, addr);
-                Py_XDECREF(upper);
-                Py_DECREF(field);
-            }
-        }
-        Py_DECREF(record);
-        if (hit != 0)
-            return hit;
+    }
+    else {
+        /* (lower, upper) pairs; a free slot's [0, 0) holds nothing. */
+        for (; slot < stop; slot += 2)
+            if (slot[0] <= addr && addr < slot[1])
+                return 1;
     }
     return 0;
 }
@@ -559,7 +569,7 @@ check_signed(Memory *m, MCU *u, u64 address, u64 ahc, u64 va_mask,
     u64 addr = address & va_mask;
     u64 pac = (address >> u->pac_shift) & u->pac_low;
     u64 window, tag, row_offset, old_offset = 0, first, addr33, not_bit32;
-    PyObject *pac_obj = NULL, *tag_obj = NULL, *row = NULL, *pending;
+    PyObject *pac_obj = NULL, *tag_obj = NULL, *pending;
     long long ways, old_ways = 0, row_ptr = 0, way = 0, count = 0, visits = 0,
               found_way = -1;
     u64 base, old_base = 0;
@@ -569,7 +579,7 @@ check_signed(Memory *m, MCU *u, u64 address, u64 ahc, u64 va_mask,
     u->signed_checks++;
     *failed = 0;
     if (u->resizing && u->nonblocking &&
-        hbt_callback(u, u->advance, u->migration_rows, NULL) < 0)
+        hbt_callback(u, u->advance, u->migration_rows) < 0)
         return -1;
     pac_obj = PyLong_FromUnsignedLongLong(pac);
     if (pac_obj == NULL)
@@ -642,11 +652,11 @@ check_signed(Memory *m, MCU *u, u64 address, u64 ahc, u64 va_mask,
         }
     }
 
-    /* Fig. 8a way walk against the real HBT storage. */
-    if (hbt_callback(u, u->row_of, pac_obj, &row) < 0)
-        goto done;
-    if (!PyList_Check(row)) {
-        PyErr_SetString(PyExc_TypeError, "HBT rows must be lists");
+    /* Fig. 8a way walk against the HBT's slot array. */
+    if (pac >= (u64)u->num_rows) {
+        char hex[24];
+        snprintf(hex, sizeof(hex), "%#llx", pac);
+        PyErr_Format(SimulationError, "PAC %s out of range", hex);
         goto done;
     }
     base = u->base;
@@ -686,8 +696,7 @@ check_signed(Memory *m, MCU *u, u64 address, u64 ahc, u64 va_mask,
             *check_latency += latency;
         }
         u->lines_loaded += u->lines_per_way;
-        hit = way_hit(u, row, (Py_ssize_t)(way * u->slots_per_way), addr, addr33,
-                      not_bit32);
+        hit = way_hit(u, pac, way, addr, addr33, not_bit32);
         if (hit < 0)
             goto done;
         if (hit) {
@@ -720,7 +729,6 @@ check_signed(Memory *m, MCU *u, u64 address, u64 ahc, u64 va_mask,
         goto done;
     status = 0;
 done:
-    Py_XDECREF(row);
     Py_XDECREF(tag_obj);
     Py_DECREF(pac_obj);
     return status;
@@ -865,30 +873,31 @@ fast_run(PyObject *Py_UNUSED(module), PyObject *args)
     memset(&u, 0, sizeof(u));
     has_mcu = mcu_spec != Py_None;
     if (has_mcu) {
-        if (!PyArg_ParseTuple(mcu_spec, "OiO&iO&ppOdO!OOnpOOpnnOO;malformed MCU binding",
+        if (!PyArg_ParseTuple(mcu_spec, "OiO&iO&ppOdO!OOnpOpnnnOO;malformed MCU binding",
                               &u.hbt, &u.ahc_shift, u64_converter, &u.ahc_low,
                               &u.pac_shift, u64_converter, &u.pac_low,
                               &u.nonblocking, &u.forwarding, &u.migration_rows,
                               &u.check_base_latency, &PyDict_Type,
                               &u.recent_stores, &u.observe, &u.bwb_table,
-                              &u.bwb_entries, &u.bwb_lru, &u.row_of, &u.advance,
+                              &u.bwb_entries, &u.bwb_lru, &u.advance,
                               &u.compression, &u.slots_per_way, &u.lines_per_way,
-                              &u.bounds_store, &u.bounds_clear))
+                              &u.num_rows, &u.bounds_store, &u.bounds_clear))
             return NULL;
         if (u.ahc_shift < 0 || u.ahc_shift > 63 || u.pac_shift < 0 ||
             u.pac_shift > 63 || u.slots_per_way < 0 || u.lines_per_way < 1 ||
+            u.num_rows < 1 ||
             (u.bwb_table != Py_None && !PyDict_Check(u.bwb_table))) {
             PyErr_SetString(PyExc_ValueError, "malformed MCU binding");
             return NULL;
         }
         u.way_shift = 6 + (int)u.lines_per_way - 1;
         if (read_hbt(&u) < 0)
-            return NULL;
+            goto error;
     }
 
     kinds_obj = PyObject_GetAttr(program, s_kinds);
     if (kinds_obj == NULL)
-        return NULL;
+        goto error;
     if (!PyBytes_Check(kinds_obj)) {
         PyErr_SetString(PyExc_TypeError, "program kinds must be bytes");
         goto error;
@@ -1086,6 +1095,7 @@ fast_run(PyObject *Py_UNUSED(module), PyObject *args)
                                 u.bwb_lookups, u.bwb_hits)
                 : Py_NewRef(Py_None));
 error:
+    release_table(&u);
     PyMem_Free(ring);
     PyMem_Free(rob.buf);
     PyMem_Free(lq.buf);
@@ -1117,8 +1127,8 @@ PyInit__fast(void)
     struct { PyObject **slot; const char *name; } names[] = {
         {&s_ways, "ways"}, {&s_base, "_base"}, {&s_resizing, "_resizing"},
         {&s_old_base, "_old_base"}, {&s_old_ways, "_old_ways"},
-        {&s_row_ptr, "_row_ptr"}, {&s_raw, "raw"}, {&s_lower, "lower"},
-        {&s_upper, "upper"}, {&s_ok, "ok"}, {&s_latency, "latency"},
+        {&s_row_ptr, "_row_ptr"}, {&s_table, "_table"}, {&s_ok, "ok"},
+        {&s_latency, "latency"},
         {&s_kinds, "kinds"}, {&s_addresses, "addresses"},
         {&s_latencies, "latencies"}, {&s_deps, "deps"}, {&s_sizes, "sizes"},
         {&s_move_to_end, "move_to_end"}, {&s_popitem, "popitem"},

@@ -14,11 +14,13 @@ a CPython extension:
 - cache accesses operate on the live ``Cache._sets`` dicts through the
   dict C API, keeping their LRU insertion order, so the kernel and the
   Python ``bndstr``/``bndclr`` path share one cache state;
-- the MCU's selective bounds check runs in C against the live HBT rows,
-  calling back into exactly the attributes :func:`_bind_mcu` binds below
-  (``bounds_store``/``bounds_clear``, ``hbt._row``/``advance_migration``,
-  the BWB ``OrderedDict`` and the histogram), and re-reads the HBT
-  geometry after every callback.
+- the MCU's selective bounds check runs in C against the HBT's flat slot
+  array (``hbt._table``), which it walks through the buffer protocol with
+  no Python call; only ``bndstr``/``bndclr`` (``bounds_store``/
+  ``bounds_clear``), ``hbt.advance_migration``, the BWB ``OrderedDict``
+  and the histogram call back into the attributes :func:`_bind_mcu` binds
+  below.  After every callback the kernel re-reads the HBT geometry and
+  re-acquires the slot array, which a resize replaces.
 
 Counters come back from C and are added into the real ``stats`` objects
 once, after the run.  The equivalence contract is enforced by
@@ -182,11 +184,11 @@ def _bind_mcu(mcu: MemoryCheckUnit) -> tuple:
         None if bwb is None else bwb._table,
         0 if bwb is None else bwb.entries,
         bwb is not None and bwb.eviction == "lru",
-        hbt._row,
         hbt.advance_migration,
         hbt.compression,
         hbt.slots_per_way,
         hbt.lines_per_way,
+        hbt.num_rows,
         mcu.bounds_store,
         mcu.bounds_clear,
     )

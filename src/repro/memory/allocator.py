@@ -24,7 +24,10 @@ active chunks).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from ..errors import AllocatorError
 from .layout import AddressSpaceLayout, DEFAULT_LAYOUT
@@ -186,36 +189,49 @@ class HeapAllocator:
 
         While no freed chunk sits in a tcache, fastbin or bin, every
         ``malloc`` extends the top chunk, so the chunks are laid out back
-        to back from the frontier in one pass (how a lowering allocates
-        its preamble live set on a fresh heap).  A heap with free chunks,
-        a negative request or a request list the heap cannot hold takes
-        the ``malloc`` loop, which also raises where the loop would.
+        to back from the frontier: their sizes, addresses and header words
+        are computed as arrays and each touched page is written once (how a
+        lowering allocates its preamble live set on a fresh heap).  A heap
+        with free chunks, a negative request or a request list the heap
+        cannot hold takes the ``malloc`` loop, which also raises where the
+        loop would.
         """
-        sizes = [chunk_size_for_request(max(r, 1)) for r in requests]
+        room = self.layout.heap_end - self._brk
         if (
-            any(self._tcache.values())
+            not requests
+            or any(self._tcache.values())
             or any(self._fastbins.values())
             or any(self._bins.values())
-            or min(requests, default=0) < 0
-            or self._brk + sum(sizes) > self.layout.heap_end
+            or min(requests) < 0
+            or max(requests) > room
         ):
             return [self.malloc(request) for request in requests]
-        chunks = self._chunks
-        write_u64 = self.memory.write_u64
-        payloads: List[int] = []
-        address = self._brk
-        for size in sizes:
-            chunks[address] = Chunk(address=address, size=size, in_use=True)
-            write_u64(address + 8, size | PREV_INUSE)
-            payloads.append(address + HEADER_SIZE)
-            address += size
-        self._brk = address
+        wanted = np.array(requests, dtype=np.int64)
+        # chunk_size_for_request(max(request, 1)), array-wise.
+        sizes = np.maximum(
+            (np.maximum(wanted, 1) + (HEADER_SIZE + ALIGNMENT - 1)) & -ALIGNMENT,
+            MIN_CHUNK,
+        )
+        ends = self._brk + np.cumsum(sizes)
+        if int(ends[-1]) > self.layout.heap_end:  # the loop raises part way
+            return [self.malloc(request) for request in requests]
+        addresses = ends - sizes
+        self.memory.write_u64_many(addresses + 8, sizes | PREV_INUSE)
+        chunk_addresses = addresses.tolist()
+        self._chunks.update(
+            zip(
+                chunk_addresses,
+                map(Chunk, chunk_addresses, sizes.tolist(), repeat(True)),
+            )
+        )
+        self._brk = int(ends[-1])
+        count = len(chunk_addresses)
         stats = self.stats
-        stats.allocations += len(sizes)
-        stats.active += len(sizes)
-        stats.bytes_allocated += sum(sizes) - HEADER_SIZE * len(sizes)
+        stats.allocations += count
+        stats.active += count
+        stats.bytes_allocated += int(sizes.sum()) - HEADER_SIZE * count
         stats.max_active = max(stats.max_active, stats.active)
-        return payloads
+        return (addresses + HEADER_SIZE).tolist()
 
     def _take_cached(self, size: int) -> Optional[int]:
         """Try the tcache then the fastbins (LIFO, no coalescing)."""

@@ -10,6 +10,8 @@ from __future__ import annotations
 import struct
 from typing import Dict
 
+import numpy as np
+
 from ..errors import MemoryError_
 
 PAGE_SHIFT = 12
@@ -93,6 +95,22 @@ class SparseMemory:
             return
         self._check_range(address, 8)
         _U64.pack_into(self._page(address >> PAGE_SHIFT), offset, value)
+
+    def write_u64_many(self, addresses: np.ndarray, values: np.ndarray) -> None:
+        """``write_u64(a, v)`` for every pair, the ``addresses`` ascending
+        and 8-byte aligned: each page they touch is written once."""
+        if len(addresses) == 0:
+            return
+        self._check_range(int(addresses[0]), 8)
+        self._check_range(int(addresses[-1]), 8)
+        pages = addresses >> PAGE_SHIFT
+        starts = np.flatnonzero(np.diff(pages, prepend=-1))
+        stops = np.append(starts[1:], len(addresses)).tolist()
+        slots = (addresses & PAGE_MASK) >> 3
+        words = values.astype("<u8")
+        for page_index, start, stop in zip(pages[starts].tolist(), starts.tolist(), stops):
+            page = np.frombuffer(self._page(page_index), dtype="<u8")
+            page[slots[start:stop]] = words[start:stop]
 
     def read_u32(self, address: int) -> int:
         return int.from_bytes(self.read_bytes(address, 4), "little")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 from ..cpu.branch import GShareBranchPredictor
@@ -57,9 +58,11 @@ class WorkloadTrace:
         return len(self.events)
 
 
-def _pick_size(rng: random.Random, profile: WorkloadProfile) -> int:
+def size_table(profile: WorkloadProfile) -> Tuple[Tuple[int, ...], List[float]]:
+    """The profile's size classes and their cumulative weights: what
+    ``Random.choices(sizes, weights=...)`` derives on every call."""
     sizes, weights = zip(*profile.size_classes)
-    return rng.choices(sizes, weights=weights, k=1)[0]
+    return sizes, list(accumulate(weights))
 
 
 def generate_trace(
@@ -109,14 +112,13 @@ def generate_trace(
     # ---- preamble live set --------------------------------------------------
     n_preamble = min(profile.initial_live // scale, MAX_PREAMBLE_OBJECTS)
     n_preamble = max(n_preamble, min(profile.initial_live, 4))
-    object_sizes: Dict[int, int] = {}
-    preamble: List[Tuple[int, int]] = []
-    next_obj = 0
-    for _ in range(n_preamble):
-        size = _pick_size(rng, profile)
-        object_sizes[next_obj] = size
-        preamble.append((next_obj, size))
-        next_obj += 1
+    # One draw for the whole live set: choices() takes one random() per
+    # object, so the stream is that of one draw per object.
+    size_classes, cum_weights = size_table(profile)
+    preamble_sizes = rng.choices(size_classes, cum_weights=cum_weights, k=n_preamble)
+    preamble: List[Tuple[int, int]] = list(enumerate(preamble_sizes))
+    object_sizes: Dict[int, int] = dict(preamble)
+    next_obj = n_preamble
 
     live: List[int] = [oid for oid, _ in preamble]
     live_pos: Dict[int, int] = {oid: i for i, oid in enumerate(live)}
@@ -185,7 +187,7 @@ def generate_trace(
 
         # Low-rate events piggyback on the main draw so event count ~ insts.
         if rng.random() < p_malloc and live:
-            size = _pick_size(rng, profile)
+            size = rng.choices(size_classes, cum_weights=cum_weights)[0]
             object_sizes[next_obj] = size
             events.append(("m", next_obj, size))
             live.append(next_obj)

@@ -71,7 +71,7 @@ def lowering_state(trace, mechanism, config) -> dict:
     state = {"program": program, "heap": heap_state(captured[0])}
     hbt = lowered.hbt
     if hbt is not None:
-        state["hbt"] = (hbt._rows, hbt.ways, dataclasses.asdict(hbt.stats))
+        state["hbt"] = (hbt.records(), hbt.ways, dataclasses.asdict(hbt.stats))
     return state
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import sysconfig
 import warnings
 
@@ -38,12 +39,13 @@ from hypothesis import strategies as st
 
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.compiler import lower_trace
+from repro.compiler.passes import LoweredWorkload
 from repro.core.hbt import HashedBoundsTable
 from repro.core.mcu import MemoryCheckUnit
 from repro.cpu.core import Simulator
 from repro.cpu.pipeline import _RING, PipelineModel
 from repro.errors import SimulationError
-from repro.experiments import parallel
+from repro.experiments import CellSpec, RunSettings, parallel
 from repro.experiments.common import _result_to_payload, scaled_config
 from repro.experiments.parallel import ArtifactCache
 from repro.isa.encoding import PointerLayout
@@ -265,6 +267,98 @@ def test_bndstr_burst_resizes_the_table_on_both_kernels(compression, nonblocking
     assert state["pipeline"]["validation_faults"] == 0
 
 
+def simulated(kernel, program, config, hbt) -> tuple:
+    """Run ``program`` through :class:`Simulator` on one kernel against a
+    clone of ``hbt``; the result payload and the HBT it leaves behind (or
+    the exception the run raised)."""
+    lowered = LoweredWorkload(
+        name=program.name,
+        mechanism="aos",
+        program=program,
+        pointer_layout=LAYOUT,
+        hbt_factory=hbt.clone,
+    )
+    left = {}
+
+    def inspect(mcu, run_hbt):
+        left.update(
+            records=repr(run_hbt.records()),
+            slots=run_hbt._table.tobytes(),
+            stats=dataclasses.asdict(run_hbt.stats),
+            geometry=(run_hbt.ways, run_hbt.old_ways, run_hbt.row_ptr, run_hbt.resizing),
+        )
+
+    try:
+        result = Simulator(config, kernel=kernel).run(lowered, inspect=inspect)
+    except Exception as exc:  # both kernels must fail the same way
+        return f"raised {exc!r}", None
+    return payload(result), left
+
+
+@needs_compiler
+@pytest.mark.parametrize("compression", [True, False])
+def test_mid_run_resize_replaces_the_slot_array_on_both_kernels(compression):
+    """bndstr bursts overflow one row twice under non-blocking resize: each
+    resize replaces the slot array the C kernel walks while it runs, and
+    the checks between the stores walk the new array, on both kernels."""
+    pointers = [
+        LAYOUT.sign(0x2000_0000 + 64 * index, 1, 1 + index % 3) for index in range(20)
+    ]
+    builder = ProgramBuilder("mid-run-resize")
+    for index, pointer in enumerate(pointers):
+        builder.emit_op(Op.BNDSTR, pointer, size=48)
+        builder.emit_op(Op.LOAD, pointers[index // 2] + 8)
+        builder.emit_op(Op.STORE, pointer + 40)
+    for pointer in pointers[::3]:
+        builder.emit_op(Op.BNDCLR, pointer)
+    for pointer in pointers:
+        builder.emit_op(Op.LOAD, pointer + 16)
+    base = scaled_config("aos", 8)
+    config = dataclasses.replace(
+        base,
+        aos=dataclasses.replace(
+            base.aos, bounds_compression=compression, nonblocking_resize=True
+        ),
+    )
+    hbt = HashedBoundsTable(pac_bits=LAYOUT.pac_bits, compression=compression)
+    program = builder.build()
+    want = simulated("reference", program, config, hbt)
+    assert simulated("fast", program, config, hbt) == want
+    result, left = want
+    assert left["stats"]["resizes"] == 2 and left["geometry"][0] == 4
+    assert json.loads(result)["validation_faults"] == 7
+
+
+@needs_compiler
+@pytest.mark.parametrize("compression", [True, False])
+def test_stalled_migration_on_both_kernels(compression):
+    """A table whose migration stalled half way (interrupt_migration): rows
+    below RowPtr are steered to the new table and rows above it to the
+    old one, for checks, bndstr and bndclr alike, on both kernels."""
+    hbt = HashedBoundsTable(pac_bits=LAYOUT.pac_bits, compression=compression)
+    for pac in (3, 40_000):
+        hbt.insert(pac, 0x2000_0000 + pac * 64, 64)
+    frozen = hbt.interrupt_migration()
+    assert 3 < frozen < 40_000
+    builder = ProgramBuilder("stalled")
+    for pac in (3, 40_000, 7, 50_000):
+        pointer = LAYOUT.sign(0x2100_0000 + pac * 64, pac, 1)
+        builder.emit_op(Op.BNDSTR, pointer, size=32)
+        builder.emit_op(Op.LOAD, LAYOUT.sign(0x2000_0000 + pac * 64, pac, 2))
+        builder.emit_op(Op.LOAD, pointer + 24)
+        builder.emit_op(Op.BNDCLR, pointer)
+        builder.emit_op(Op.STORE, pointer + 8)
+    base = scaled_config("aos", 8)
+    config = dataclasses.replace(
+        base, aos=dataclasses.replace(base.aos, bounds_compression=compression)
+    )
+    program = builder.build()
+    want = simulated("reference", program, config, hbt)
+    assert simulated("fast", program, config, hbt) == want
+    _, left = want
+    assert left["geometry"] == (2, 1, frozen, True)
+
+
 # ------------------------------------------------------------------ build
 
 
@@ -304,6 +398,27 @@ def test_build_is_cached_by_digest_and_abi(monkeypatch, tmp_path):
     assert cache.usage()["kinds"]["native"]["entries"] == 1
     cache.prune(0)
     assert not path.exists()
+
+
+@needs_compiler
+def test_pool_workers_inherit_the_kernel_the_parent_built(monkeypatch, tmp_path):
+    """On an empty cache, a ``jobs=2`` run_cells compiles the kernel once,
+    in the parent before the pool forks; no worker builds its own."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(fast, "_native", None)
+    log = tmp_path / "compiler-pids"
+    real_run = fast.subprocess.run
+
+    def logged(command, *args, **kwargs):
+        with open(log, "a") as out:
+            out.write(f"{os.getpid()}\n")
+        return real_run(command, *args, **kwargs)
+
+    monkeypatch.setattr(fast.subprocess, "run", logged)
+    cells = [CellSpec(workload, "aos") for workload in ("gobmk", "povray")]
+    results = parallel.run_cells(RunSettings(instructions=2000, seed=7), cells, jobs=2)
+    assert len(results) == 2
+    assert log.read_text().split() == [str(os.getpid())]
 
 
 def test_failed_build_is_an_error(monkeypatch, tmp_path):

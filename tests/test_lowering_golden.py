@@ -40,7 +40,7 @@ def _digest(lowered) -> str:
     ]
     hbt = lowered.hbt
     if hbt is not None:
-        parts.append(repr((hbt._rows, hbt.ways, dataclasses.asdict(hbt.stats))))
+        parts.append(repr((hbt.records(), hbt.ways, dataclasses.asdict(hbt.stats))))
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
