@@ -34,6 +34,7 @@ so a supervised run that is later killed resumes like a serial one.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing
 import signal
 import time
@@ -167,6 +168,28 @@ class SupervisionReport:
 
 # -------------------------------------------------------------- worker pool
 
+#: glibc's ``mallopt`` parameter number of the heap trim threshold.
+_M_TRIM_THRESHOLD = -1
+#: Free heap a worker keeps at the top of its heap instead of trimming it.
+_WORKER_TRIM_BYTES = 64 << 20
+
+
+def _keep_heap() -> None:
+    """Let this worker keep the heap its tasks free (glibc; else a no-op).
+
+    A task builds and drops tens of MB of short-lived buffers (traces,
+    sparse-memory pages, HBT copies).  Under glibc's default threshold
+    each free at the top of the heap goes back to the kernel, and the
+    next task faults the same memory in again, a zero-filled page at a
+    time, at a cost that follows the host's memory load.  A worker lives
+    for one batch, so it keeps up to :data:`_WORKER_TRIM_BYTES` instead.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_TRIM_THRESHOLD, _WORKER_TRIM_BYTES)
+
 
 def _serve(conn, worker: Callable[[Any], Any], parent_ends: List[Any]) -> None:
     """Worker process body: run each payload received until ``None``.
@@ -180,6 +203,7 @@ def _serve(conn, worker: Callable[[Any], Any], parent_ends: List[Any]) -> None:
     """
     for end in parent_ends:
         end.close()
+    _keep_heap()
     # The parent owns interrupts: it kills its workers when it stops.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)

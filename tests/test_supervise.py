@@ -171,6 +171,26 @@ class TestSupervisorLevels:
         assert all(a.outcome == "error" for a in report.attempts)
         assert report.accounts_for(["bad"])
 
+    def test_worker_keeps_its_heap(self, monkeypatch):
+        from repro.supervise import supervisor
+
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(supervisor.ctypes, "CDLL", lambda name: Libc())
+        supervisor._keep_heap()
+        assert calls == [(supervisor._M_TRIM_THRESHOLD, 64 << 20)]
+
+    def test_keep_heap_is_a_no_op_without_mallopt(self, monkeypatch):
+        from repro.supervise import supervisor
+
+        monkeypatch.setattr(supervisor.ctypes, "CDLL", lambda name: object())
+        supervisor._keep_heap()  # no glibc: nothing to set, nothing raised
+
     def test_duplicate_keys_rejected(self):
         with pytest.raises(SupervisionError):
             Supervisor(_fast_config()).run(
