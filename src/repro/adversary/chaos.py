@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..errors import ExperimentTimeout, ReproError, WorkloadError
 from ..faults.campaign import Deadline
 from ..mechanisms.registry import REGISTRY, parse_mechanisms
-from ..security.adapters import DETECTION_EXCEPTIONS, MECHANISM_ADAPTERS, make_adapter
+from ..security.adapters import make_adapter
 from ..supervise import Task, dispatch
 from .scenarios import (
     Expectation,

@@ -532,7 +532,6 @@ def compile_scenario(
 def export_scenario(
     name: str,
     path,
-    format: str = "jsonl",
     seed: int = 7,
     scale: int = 8,
     profile: str = "gcc",
@@ -552,7 +551,6 @@ def export_scenario(
     record_trace(
         trace,
         path,
-        format=format,
         generator={
             "source": "scenario",
             "scenario": name,

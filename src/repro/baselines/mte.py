@@ -82,9 +82,6 @@ class MTERuntime:
             if tag != exclude:
                 return tag
 
-    def tag_of(self, address: int) -> int:
-        return self._tags.get(address // GRANULE, 0)
-
     # ------------------------------------------------------------------ heap
 
     def malloc(self, size: int) -> TaggedPointer:
@@ -134,7 +131,3 @@ class MTERuntime:
         4-bit tags give 93.75 % — the "94 %" of §X.
         """
         return 1.0 - 1.0 / self.tag_space
-
-    def expected_attempts_for_bypass(self) -> float:
-        """Expected attack attempts until a tag collision slips through."""
-        return float(self.tag_space)

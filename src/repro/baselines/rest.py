@@ -57,12 +57,6 @@ class RestRuntime:
             old_ptr, old_zone = self._quarantine.popleft()
             self.allocator.free(old_ptr - REDZONE_BYTES)
 
-    def _object_span(self, pointer: int) -> Tuple[int, int]:
-        zone = self._redzones.get(pointer)
-        if zone is None:
-            return (0, 0)
-        return zone
-
     def check(self, address: int, size: int = 8) -> None:
         """Trap accesses that touch a redzone or a quarantined chunk."""
         end = address + size

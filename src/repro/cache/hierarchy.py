@@ -110,9 +110,6 @@ class MemoryHierarchy:
         """Baseline-mechanism metadata (shadow records, MPX tables)."""
         return self._access_through(self.l1d, address, is_write)
 
-    def access_instruction(self, address: int) -> int:
-        return self._access_through(self.l1i, address, is_write=False)
-
     # ------------------------------------------------------------ inspection
 
     def summary(self) -> dict:

@@ -96,6 +96,3 @@ class Cache:
     def invalidate_all(self) -> None:
         for set_ in self._sets:
             set_.clear()
-
-    def resident_lines(self) -> int:
-        return sum(len(s) for s in self._sets)

@@ -68,7 +68,7 @@ ARTIFACTS = {
     "attack": "adversarial scenario corpus chaos campaign (§VII, §VII-C)",
     "trace": "cycle-stamped event trace + metrics (Chrome/Perfetto export)",
     "trace-export": "export a synthetic workload window as a versioned trace file",
-    "trace-import": "ingest a JSONL/binary trace file, validate and simulate it",
+    "trace-import": "ingest a JSONL trace file, validate and simulate it",
     "mechanisms": "registered mechanism plugins (--list/--json/--fingerprint)",
     "cache": "artifact cache maintenance (--stats/--prune)",
 }
@@ -161,12 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     traces.add_argument(
         "--trace-file", default=None, metavar="PATH",
-        help="trace-export only: output path "
-        "(default <workload>.trace.<jsonl|bin>)",
-    )
-    traces.add_argument(
-        "--trace-format", choices=["jsonl", "binary"], default="jsonl",
-        help="trace-export only: wire format (default jsonl)",
+        help="trace-export only: output path (default <workload>.trace.jsonl)",
     )
     traces.add_argument(
         "--verify-roundtrip", action="store_true",
@@ -498,12 +493,10 @@ def run_trace_export(args) -> int:
     except (KeyError, WorkloadError):
         print(f"repro: error: unknown workload {workload!r}", file=sys.stderr)
         return 2
-    extension = "jsonl" if args.trace_format == "jsonl" else "bin"
-    path = args.trace_file or f"{workload}.trace.{extension}"
+    path = args.trace_file or f"{workload}.trace.jsonl"
     trace = export_workload(
         workload,
         path,
-        format=args.trace_format,
         instructions=args.instructions,
         seed=args.seed,
         scale=args.scale,
@@ -516,7 +509,7 @@ def run_trace_export(args) -> int:
     )
     print(
         f"  {len(trace.preamble)} preamble objects + {len(trace.events)} "
-        f"events, {os.path.getsize(path)} bytes ({args.trace_format})"
+        f"events, {os.path.getsize(path)} bytes (jsonl)"
     )
     print(f"  sha256: {trace_digest(path)}")
     return 0

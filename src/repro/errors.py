@@ -116,9 +116,10 @@ class TraceVersionError(TraceFormatError):
 
 
 class TraceDecodeError(TraceFormatError):
-    """The byte/line stream itself is malformed: bad magic, truncated
-    frame or line, unknown record kind, missing end-of-trace record,
-    trailing garbage, or a field that fails schema validation."""
+    """The line stream itself is malformed: not a JSONL trace at all, a
+    truncated or undecodable line, unknown record kind, missing
+    end-of-trace record, trailing garbage, or a field that fails schema
+    validation."""
 
 
 class TraceSemanticError(TraceFormatError):

@@ -216,11 +216,6 @@ class ExperimentSuite:
         self._traces[name] = trace
         return name
 
-    def ingested_digest(self, workload: str) -> Optional[str]:
-        """The cache-keying sha256 for an ingested workload (None if not)."""
-        entry = self._ingested.get(workload)
-        return entry[1] if entry else None
-
     def _ingested_cell(self, cell: "CellSpec") -> "CellSpec":
         """Attach ingested-trace identity to a bare cell spec, if needed."""
         entry = self._ingested.get(cell.workload)

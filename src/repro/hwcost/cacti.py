@@ -92,9 +92,6 @@ class SRAMCostModel:
             metric: a * size_bytes**b for metric, (a, b) in self._coeffs.items()
         }
 
-    def coefficient(self, metric: str) -> Tuple[float, float]:
-        return self._coeffs[metric]
-
 
 def estimate_table1(config: SystemConfig = None) -> Dict[str, Dict[str, float]]:
     """Reproduce Table I: per-structure size + estimated cost metrics."""

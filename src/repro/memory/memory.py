@@ -36,10 +36,6 @@ class SparseMemory:
         """Number of pages actually touched (memory-overhead accounting)."""
         return len(self._pages)
 
-    @property
-    def resident_bytes(self) -> int:
-        return len(self._pages) * PAGE_SIZE
-
     def _page(self, page_index: int) -> bytearray:
         page = self._pages.get(page_index)
         if page is None:

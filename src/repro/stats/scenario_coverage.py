@@ -18,7 +18,7 @@ mechanism gets no credit for a run that never produced a verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping
 
 from .coverage import DetectionCoverage
 from .report import TableFormatter

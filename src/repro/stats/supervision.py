@@ -22,7 +22,7 @@ Taxonomy, in priority order (one class per task):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, Sequence
 
 from .report import TableFormatter
 
@@ -73,9 +73,6 @@ class SupervisionSummary:
         for klass in self.per_task.values():
             counts[klass] = counts.get(klass, 0) + 1
         return counts
-
-    def tasks_in(self, klass: str) -> List[str]:
-        return sorted(k for k, v in self.per_task.items() if v == klass)
 
     def format_table(self) -> str:
         """One row of attempt-outcome counts (every attempt counted once)."""

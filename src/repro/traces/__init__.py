@@ -2,7 +2,7 @@
 
 The simulator's workloads no longer have to come from the 22 calibrated
 synthetic profiles: this package defines a versioned trace schema
-(:mod:`~repro.traces.schema`), streaming JSONL/binary codecs
+(:mod:`~repro.traces.schema`), a streaming JSONL codec
 (:mod:`~repro.traces.codec`), an importer that compiles a record stream
 into the same :class:`~repro.workloads.WorkloadTrace` -> ``Program``
 pipeline the generator feeds (:mod:`~repro.traces.importer`), and a
@@ -22,11 +22,9 @@ fingerprints.
 """
 
 from .codec import (
-    FORMATS,
     TraceReader,
     TraceStats,
     TraceWriter,
-    detect_format,
     open_trace,
     scan_trace,
     trace_digest,
@@ -56,7 +54,6 @@ from .schema import (
 )
 
 __all__ = [
-    "FORMATS",
     "RECORD_KINDS",
     "SCHEMA_VERSION",
     "TraceHeader",
@@ -65,7 +62,6 @@ __all__ = [
     "TraceStats",
     "TraceWriter",
     "compile_trace",
-    "detect_format",
     "event_to_record",
     "export_workload",
     "import_trace",

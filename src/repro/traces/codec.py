@@ -1,70 +1,34 @@
-"""Wire formats for the trace schema: streaming JSONL and binary codecs.
+"""The trace wire format: streaming canonical JSONL.
 
-Both formats carry the identical logical stream — one
-:class:`~repro.traces.schema.TraceHeader` then N
-:class:`~repro.traces.schema.TraceRecord` rows then an end-of-trace
-marker carrying N — and both are decoded *incrementally*: the reader
-holds one line/frame at a time, never the whole file, so multi-GB traces
-ingest in bounded memory.
-
-**JSONL** (``.jsonl``): line 1 is the header object, every following line
-one record object (``{"k": "<kind>", ...}``), last line
-``{"k": "end", "records": N}``.  Canonical encoding (sorted keys, no
-spaces) makes re-encoding a decoded stream byte-identical — the golden
-fixture tests pin this.
-
-**Binary** (``.bin``): an 8-byte magic + little-endian ``u16`` framing
-version, a ``u32``-length-prefixed header (the same JSON object as the
-JSONL header line), then ``u32``-length-prefixed frames whose first byte
-is the record kind code, and a final end frame carrying the ``u64``
-record count.  The trailing count converts any truncation — even one at
-a clean frame boundary — into a loud
+A trace file is one :class:`~repro.traces.schema.TraceHeader` line, then
+N :class:`~repro.traces.schema.TraceRecord` lines (``{"k": "<kind>",
+...}``), then an end line ``{"k": "end", "records": N}``.  The canonical
+encoding (sorted keys, no spaces) makes re-encoding a decoded stream
+byte-identical; the golden fixture tests pin this.  The end line's count
+turns any truncation, even one at a clean line boundary, into a loud
 :class:`~repro.errors.TraceDecodeError`.
 
-Every malformed input maps to :class:`~repro.errors.TraceFormatError`
-(or a subclass); decoders never guess, skip, or silently stop early.
+The reader decodes *incrementally*: it holds one line at a time, never
+the whole file, so multi-GB traces ingest in bounded memory.  Every
+malformed input, including a file that is not JSONL at all, maps to
+:class:`~repro.errors.TraceFormatError` (or a subclass) naming the file;
+the decoder never guesses, skips, or silently stops early.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, IO, Iterator, Optional, Union
+from typing import Dict, Iterator, Union
 
 from ..errors import TraceDecodeError, TraceFormatError
-from .schema import (
-    CODE_KINDS,
-    END_CODE,
-    END_KIND,
-    KIND_CODES,
-    TraceHeader,
-    TraceRecord,
-    validate_record,
-)
+from .schema import END_KIND, TraceHeader, TraceRecord, validate_record
 
-#: Binary container magic and framing version (independent of the JSON
-#: header's ``schema_version``, which it also carries and must agree with).
-BINARY_MAGIC = b"RPTRACE0"
-BINARY_VERSION = 1
-
-#: Upper bound on a single frame/line, so a corrupted length prefix (or a
-#: pathological line) cannot ask the decoder to buffer gigabytes.
-MAX_FRAME_BYTES = 16 * 1024 * 1024
-
-FORMATS = ("jsonl", "binary")
-
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-_OBJ = struct.Struct("<QQ")      # obj, alloc: (id, size)
-_FREE = struct.Struct("<Q")      # free: (id,)
-_LOAD = struct.Struct("<QQBB")   # load: (id, offset, ptr, chase)
-_STORE = struct.Struct("<QQB")   # store: (id, offset, ptr)
-_SPACE = struct.Struct("<BQ")    # uload/ustore: (space, offset)
-_FLAG = struct.Struct("<B")      # branch: (mispredict,)
+#: Upper bound on a single line, so a pathological line cannot ask the
+#: decoder to buffer gigabytes.
+MAX_LINE_BYTES = 16 * 1024 * 1024
 
 #: JSONL field sets per kind: (required, optional-with-default).
 _JSON_FIELDS: Dict[str, tuple] = {
@@ -133,163 +97,37 @@ def decode_record_json(payload: object) -> TraceRecord:
     return validate_record(record)
 
 
-def _check_u64(kind: str, name: str, value: int) -> int:
-    if value >= 1 << 64:
-        raise TraceDecodeError(
-            f"{kind}: field {name!r} does not fit the binary u64 encoding"
-        )
-    return value
-
-
-def encode_record_binary(record: TraceRecord) -> bytes:
-    """The binary frame *payload* (kind byte + fields; no length prefix)."""
-    validate_record(record)
-    kind = record.kind
-    code = bytes((KIND_CODES[kind],))
-    if kind in ("obj", "alloc"):
-        return code + _OBJ.pack(
-            _check_u64(kind, "obj", record.obj),
-            _check_u64(kind, "size", record.size),
-        )
-    if kind == "free":
-        return code + _FREE.pack(_check_u64(kind, "obj", record.obj))
-    if kind == "load":
-        return code + _LOAD.pack(
-            _check_u64(kind, "obj", record.obj),
-            _check_u64(kind, "offset", record.offset),
-            int(record.ptr), int(record.chase),
-        )
-    if kind == "store":
-        return code + _STORE.pack(
-            _check_u64(kind, "obj", record.obj),
-            _check_u64(kind, "offset", record.offset),
-            int(record.ptr),
-        )
-    if kind in ("uload", "ustore"):
-        return code + _SPACE.pack(
-            record.space, _check_u64(kind, "offset", record.offset)
-        )
-    if kind == "branch":
-        return code + _FLAG.pack(int(record.mispredict))
-    if kind == "note":
-        return code + record.text.encode("utf-8")
-    return code  # call / ret / ptr / alu / falu: the kind byte alone
-
-
-def _unpack(kind: str, fmt: struct.Struct, body: bytes) -> tuple:
-    if len(body) != fmt.size:
-        raise TraceDecodeError(
-            f"{kind}: frame payload is {len(body)} bytes, expected {fmt.size}"
-        )
-    return fmt.unpack(body)
-
-
-def _flag(kind: str, name: str, value: int) -> bool:
-    if value not in (0, 1):
-        raise TraceDecodeError(f"{kind}: flag {name!r} must be 0 or 1")
-    return bool(value)
-
-
-def decode_record_binary(payload: bytes) -> TraceRecord:
-    """Decode one binary frame payload into a validated record."""
-    if not payload:
-        raise TraceDecodeError("empty record frame")
-    code, body = payload[0], payload[1:]
-    kind = CODE_KINDS.get(code)
-    if kind is None:
-        raise TraceDecodeError(f"unknown record kind code 0x{code:02x}")
-    if kind in ("obj", "alloc"):
-        obj, size = _unpack(kind, _OBJ, body)
-        record = TraceRecord(kind=kind, obj=obj, size=size)
-    elif kind == "free":
-        (obj,) = _unpack(kind, _FREE, body)
-        record = TraceRecord(kind="free", obj=obj)
-    elif kind == "load":
-        obj, offset, ptr, chase = _unpack(kind, _LOAD, body)
-        record = TraceRecord(
-            kind="load", obj=obj, offset=offset,
-            ptr=_flag(kind, "ptr", ptr), chase=_flag(kind, "chase", chase),
-        )
-    elif kind == "store":
-        obj, offset, ptr = _unpack(kind, _STORE, body)
-        record = TraceRecord(
-            kind="store", obj=obj, offset=offset, ptr=_flag(kind, "ptr", ptr)
-        )
-    elif kind in ("uload", "ustore"):
-        space, offset = _unpack(kind, _SPACE, body)
-        record = TraceRecord(kind=kind, space=space, offset=offset)
-    elif kind == "branch":
-        (bit,) = _unpack(kind, _FLAG, body)
-        record = TraceRecord(kind="branch", mispredict=_flag(kind, "mispredict", bit))
-    elif kind == "note":
-        try:
-            record = TraceRecord(kind="note", text=body.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise TraceDecodeError(f"note: payload is not UTF-8 ({exc})") from exc
-    else:
-        if body:
-            raise TraceDecodeError(f"{kind}: unexpected {len(body)}-byte payload")
-        record = TraceRecord(kind=kind)
-    return validate_record(record)
-
-
 # ----------------------------------------------------------------- writing
 
 
 class TraceWriter:
-    """Streaming trace writer for either wire format (context manager).
+    """Streaming trace writer (context manager).
 
-    Records are encoded and flushed to disk as they arrive — the writer
-    never buffers the stream — so a recorder can export traces far larger
-    than memory.  ``close()`` appends the end-of-trace marker with the
-    record count; a writer abandoned without ``close()`` leaves a file
-    that decoders *reject* (missing end record), never one they half-read.
+    Records are encoded and flushed to disk as they arrive (the writer
+    never buffers the stream), so a recorder can export traces far larger
+    than memory.  ``close()`` appends the end line with the record count;
+    a writer abandoned without ``close()`` leaves a file that the reader
+    *rejects* (missing end record), never one it half-reads.
     """
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        header: TraceHeader,
-        format: str = "jsonl",
-    ) -> None:
-        if format not in FORMATS:
-            raise TraceFormatError(
-                f"unknown trace format {format!r}; known: {', '.join(FORMATS)}"
-            )
+    def __init__(self, path: Union[str, Path], header: TraceHeader) -> None:
         self.path = Path(path)
-        self.format = format
         self.header = header
         self.records = 0
         self._closed = False
-        if format == "jsonl":
-            self._fh: IO = open(self.path, "w", encoding="utf-8", newline="\n")
-            self._fh.write(_canonical(header.to_payload()) + "\n")
-        else:
-            self._fh = open(self.path, "wb")
-            self._fh.write(BINARY_MAGIC + _U16.pack(BINARY_VERSION))
-            header_bytes = _canonical(header.to_payload()).encode("utf-8")
-            self._fh.write(_U32.pack(len(header_bytes)) + header_bytes)
+        self._fh = open(self.path, "w", encoding="utf-8", newline="\n")
+        self._fh.write(_canonical(header.to_payload()) + "\n")
 
     def write(self, record: TraceRecord) -> None:
         if self._closed:
             raise TraceFormatError("trace writer is closed")
-        if self.format == "jsonl":
-            self._fh.write(encode_record_json(record) + "\n")
-        else:
-            payload = encode_record_binary(record)
-            self._fh.write(_U32.pack(len(payload)) + payload)
+        self._fh.write(encode_record_json(record) + "\n")
         self.records += 1
 
     def close(self) -> None:
         if self._closed:
             return
-        if self.format == "jsonl":
-            self._fh.write(
-                _canonical({"k": END_KIND, "records": self.records}) + "\n"
-            )
-        else:
-            payload = bytes((END_CODE,)) + _U64.pack(self.records)
-            self._fh.write(_U32.pack(len(payload)) + payload)
+        self._fh.write(_canonical({"k": END_KIND, "records": self.records}) + "\n")
         self._fh.close()
         self._closed = True
 
@@ -297,7 +135,7 @@ class TraceWriter:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        # On error, leave the file end-less (decoders reject it) but closed.
+        # On error, leave the file end-less (the reader rejects it) but closed.
         if exc_type is not None:
             self._fh.close()
             self._closed = True
@@ -308,109 +146,48 @@ class TraceWriter:
 # ----------------------------------------------------------------- reading
 
 
-def detect_format(path: Union[str, Path]) -> str:
-    """Sniff a trace file's wire format from its first bytes."""
-    with open(path, "rb") as fh:
-        head = fh.read(len(BINARY_MAGIC))
-    if head == BINARY_MAGIC:
-        return "binary"
-    if head[:1] == b"{":
-        return "jsonl"
-    raise TraceDecodeError(
-        f"{path}: not a trace file (neither binary magic nor a JSONL header)"
-    )
-
-
 class TraceReader:
     """Streaming trace reader (context manager + iterator of records).
 
     The header is decoded eagerly at construction; records are yielded
     one at a time.  Exhausting the iterator *is* the validation: missing
-    end markers, count mismatches, truncated frames/lines and trailing
-    garbage all raise :class:`~repro.errors.TraceFormatError` from the
-    iterator, so any loop that runs to completion has seen a well-formed
-    file.
+    end records, count mismatches, truncated lines and trailing garbage
+    all raise :class:`~repro.errors.TraceFormatError` from the iterator,
+    so any loop that runs to completion has seen a well-formed file.
     """
 
-    def __init__(self, path: Union[str, Path], format: Optional[str] = None):
+    def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self.format = format or detect_format(self.path)
-        if self.format not in FORMATS:
-            raise TraceFormatError(
-                f"unknown trace format {self.format!r}; known: {', '.join(FORMATS)}"
-            )
-        if self.format == "jsonl":
-            self._fh = open(self.path, "r", encoding="utf-8", newline="\n")
-            try:
-                self.header = self._read_jsonl_header()
-            except Exception:
-                self._fh.close()
-                raise
-        else:
-            self._fh = open(self.path, "rb")
-            try:
-                self.header = self._read_binary_header()
-            except Exception:
-                self._fh.close()
-                raise
-
-    # ------------------------------------------------------------- headers
-
-    def _readline(self) -> str:
+        self._fh = open(self.path, "rb")
         try:
-            return self._fh.readline(MAX_FRAME_BYTES)
-        except UnicodeDecodeError as exc:
-            raise TraceDecodeError(
-                f"{self.path}: trace line is not UTF-8 ({exc})"
-            ) from exc
+            self.header = self._read_header()
+        except Exception:
+            self._fh.close()
+            raise
 
-    def _read_jsonl_header(self) -> TraceHeader:
-        line = self._readline()
+    def _read_header(self) -> TraceHeader:
+        line = self._fh.readline(MAX_LINE_BYTES)
         if not line:
             raise TraceDecodeError(f"{self.path}: empty trace file")
-        return TraceHeader.from_payload(self._parse_line(line, what="header"))
-
-    def _read_binary_header(self) -> TraceHeader:
-        magic = self._fh.read(len(BINARY_MAGIC))
-        if magic != BINARY_MAGIC:
-            raise TraceDecodeError(f"{self.path}: bad binary trace magic")
-        version_bytes = self._fh.read(_U16.size)
-        if len(version_bytes) != _U16.size:
-            raise TraceDecodeError(f"{self.path}: truncated framing version")
-        (version,) = _U16.unpack(version_bytes)
-        if version != BINARY_VERSION:
-            from ..errors import TraceVersionError
-
-            raise TraceVersionError(
-                f"{self.path}: binary framing version {version} is not "
-                f"supported (this decoder speaks version {BINARY_VERSION})"
+        if not line.startswith(b"{"):
+            raise TraceDecodeError(
+                f"{self.path}: not a trace file (no JSONL header line)"
             )
-        length_bytes = self._fh.read(_U32.size)
-        if len(length_bytes) != _U32.size:
-            raise TraceDecodeError(f"{self.path}: truncated header length")
-        (length,) = _U32.unpack(length_bytes)
-        if length == 0 or length > MAX_FRAME_BYTES:
-            raise TraceDecodeError(f"{self.path}: implausible header length {length}")
-        header_bytes = self._fh.read(length)
-        if len(header_bytes) != length:
-            raise TraceDecodeError(f"{self.path}: truncated header")
+        payload = self._parse_line(line, what="header")
         try:
-            payload = json.loads(header_bytes.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise TraceDecodeError(f"{self.path}: undecodable header ({exc})") from exc
-        return TraceHeader.from_payload(payload)
+            return TraceHeader.from_payload(payload)
+        except TraceFormatError as exc:
+            raise type(exc)(f"{self.path}: {exc}") from None
 
-    # ------------------------------------------------------------- records
-
-    def _parse_line(self, line: str, what: str = "record") -> dict:
-        text = line.rstrip("\n")
-        if line and not line.endswith("\n"):
+    def _parse_line(self, line: bytes, what: str = "record") -> dict:
+        if not line.endswith(b"\n"):
             # A final line without its newline is the signature of a file
             # cut mid-write; even if the JSON happens to parse, reject it.
             raise TraceDecodeError(f"{self.path}: truncated {what} line")
         try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+            # Decoded line by line, so a bad byte is charged to its own line.
+            payload = json.loads(line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise TraceDecodeError(
                 f"{self.path}: undecodable {what} line ({exc})"
             ) from exc
@@ -418,10 +195,10 @@ class TraceReader:
             raise TraceDecodeError(f"{self.path}: {what} line must be a JSON object")
         return payload
 
-    def _iter_jsonl(self) -> Iterator[TraceRecord]:
+    def __iter__(self) -> Iterator[TraceRecord]:
         count = 0
         while True:
-            line = self._readline()
+            line = self._fh.readline(MAX_LINE_BYTES)
             if not line:
                 raise TraceDecodeError(
                     f"{self.path}: truncated trace (missing end record)"
@@ -434,58 +211,13 @@ class TraceReader:
                         f"{self.path}: end record declares {declared} records "
                         f"but {count} were read"
                     )
-                try:
-                    trailing = self._fh.read(1)
-                except UnicodeDecodeError:
-                    trailing = "�"
-                if trailing:
+                if self._fh.read(1):
                     raise TraceDecodeError(
                         f"{self.path}: trailing garbage after end record"
                     )
                 return
             yield decode_record_json(payload)
             count += 1
-
-    def _iter_binary(self) -> Iterator[TraceRecord]:
-        count = 0
-        while True:
-            length_bytes = self._fh.read(_U32.size)
-            if not length_bytes:
-                raise TraceDecodeError(
-                    f"{self.path}: truncated trace (missing end frame)"
-                )
-            if len(length_bytes) != _U32.size:
-                raise TraceDecodeError(f"{self.path}: truncated frame length")
-            (length,) = _U32.unpack(length_bytes)
-            if length == 0 or length > MAX_FRAME_BYTES:
-                raise TraceDecodeError(
-                    f"{self.path}: implausible frame length {length}"
-                )
-            payload = self._fh.read(length)
-            if len(payload) != length:
-                raise TraceDecodeError(f"{self.path}: truncated frame")
-            if payload[0] == END_CODE:
-                if len(payload) != 1 + _U64.size:
-                    raise TraceDecodeError(f"{self.path}: malformed end frame")
-                (declared,) = _U64.unpack(payload[1:])
-                if declared != count:
-                    raise TraceDecodeError(
-                        f"{self.path}: end frame declares {declared} records "
-                        f"but {count} were read"
-                    )
-                trailing = self._fh.read(1)
-                if trailing:
-                    raise TraceDecodeError(
-                        f"{self.path}: trailing garbage after end frame"
-                    )
-                return
-            yield decode_record_binary(payload)
-            count += 1
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        if self.format == "jsonl":
-            return self._iter_jsonl()
-        return self._iter_binary()
 
     def close(self) -> None:
         self._fh.close()
@@ -497,9 +229,9 @@ class TraceReader:
         self.close()
 
 
-def open_trace(path: Union[str, Path], format: Optional[str] = None) -> TraceReader:
-    """Open a trace file for streaming decode (format auto-detected)."""
-    return TraceReader(path, format=format)
+def open_trace(path: Union[str, Path]) -> TraceReader:
+    """Open a trace file for streaming decode."""
+    return TraceReader(path)
 
 
 # ------------------------------------------------------- digest and stats
@@ -509,9 +241,9 @@ def trace_digest(path: Union[str, Path], chunk_bytes: int = 1 << 20) -> str:
     """Streamed sha256 of the trace file's raw bytes.
 
     This is the content identity the artifact cache keys ingested cells
-    on — any byte of the file changing (header, records, format) changes
-    the digest, and the digest is computed in ``chunk_bytes`` pieces so
-    hashing a multi-GB trace needs constant memory.
+    on: any byte of the file changing changes the digest, and the digest
+    is computed in ``chunk_bytes`` pieces so hashing a multi-GB trace
+    needs constant memory.
     """
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -528,7 +260,6 @@ class TraceStats:
     """What one streaming pass over a trace file learned."""
 
     path: str
-    format: str
     header: TraceHeader
     records: int = 0
     counts: Dict[str, int] = field(default_factory=dict)
@@ -537,7 +268,7 @@ class TraceStats:
 
     def format_summary(self) -> str:
         parts = [
-            f"{self.path}: {self.format} trace, schema v1, "
+            f"{self.path}: jsonl trace, schema v1, "
             f"{self.records} records, {self.size_bytes} bytes",
             f"  name={self.header.name} scale={self.header.scale} "
             f"seed={self.header.seed} "
@@ -554,9 +285,7 @@ def scan_trace(path: Union[str, Path]) -> TraceStats:
     (decode, then digest); memory use is bounded by one record/chunk."""
     path = Path(path)
     with open_trace(path) as reader:
-        stats = TraceStats(
-            path=str(path), format=reader.format, header=reader.header
-        )
+        stats = TraceStats(path=str(path), header=reader.header)
         for record in reader:
             stats.records += 1
             stats.counts[record.kind] = stats.counts.get(record.kind, 0) + 1

@@ -1,6 +1,6 @@
 """Trace ingestion: record stream -> WorkloadTrace -> runnable Program.
 
-The importer is the bridge from the wire formats to the existing
+The importer is the bridge from the wire format to the existing
 pipeline: it reconstructs exactly the
 :class:`~repro.workloads.WorkloadTrace` object the synthetic generator
 emits, so the compiler passes, both simulation kernels, the supervision
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from ..errors import TraceDecodeError, TraceSemanticError
 from ..workloads.generator import WorkloadTrace
@@ -177,11 +177,9 @@ def trace_from_reader(reader: TraceReader) -> WorkloadTrace:
     )
 
 
-def import_trace(
-    path: Union[str, Path], format: Optional[str] = None
-) -> WorkloadTrace:
-    """Ingest a trace file (either wire format) into a WorkloadTrace."""
-    with open_trace(path, format=format) as reader:
+def import_trace(path: Union[str, Path]) -> WorkloadTrace:
+    """Ingest a trace file into a WorkloadTrace."""
+    with open_trace(path) as reader:
         return trace_from_reader(reader)
 
 
@@ -198,7 +196,6 @@ def compile_trace(
     path: Union[str, Path],
     mechanism: str = "aos",
     config=None,
-    format: Optional[str] = None,
 ):
     """Ingest ``path`` and lower it to a runnable program for ``mechanism``.
 
@@ -211,7 +208,7 @@ def compile_trace(
     from ..compiler import lower_trace
     from ..experiments.common import scaled_config
 
-    trace = import_trace(path, format=format)
+    trace = import_trace(path)
     if config is None:
         config = scaled_config(mechanism, trace.scale)
     return lower_trace(trace, mechanism, config=config)

@@ -48,15 +48,13 @@ def trace_header(
 def record_trace(
     trace: WorkloadTrace,
     path: Union[str, Path],
-    format: str = "jsonl",
     generator: Optional[dict] = None,
     meta: Optional[dict] = None,
 ) -> Path:
-    """Export ``trace`` to ``path`` in the given wire format."""
+    """Export ``trace`` to ``path``."""
     path = Path(path)
-    with TraceWriter(
-        path, trace_header(trace, generator=generator, meta=meta), format=format
-    ) as writer:
+    header = trace_header(trace, generator=generator, meta=meta)
+    with TraceWriter(path, header) as writer:
         for record in trace_records(trace):
             writer.write(record)
     return path
@@ -65,7 +63,6 @@ def record_trace(
 def export_workload(
     workload: str,
     path: Union[str, Path],
-    format: str = "jsonl",
     instructions: int = 40_000,
     seed: int = 7,
     scale: int = 8,
@@ -85,7 +82,6 @@ def export_workload(
     record_trace(
         trace,
         path,
-        format=format,
         generator={
             "source": "synthetic",
             "workload": workload,

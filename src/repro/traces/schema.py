@@ -1,10 +1,9 @@
 """The versioned trace schema: record kinds, header, validation.
 
 A *trace file* is a header followed by a stream of records and a
-terminating end-of-trace marker.  Two wire formats carry the same logical
-stream — line-delimited JSON (:mod:`repro.traces.codec` ``"jsonl"``) and a
-length-prefixed binary framing (``"binary"``) — and both embed an explicit
-``schema_version`` so decoders reject forward-incompatible files with
+terminating end-of-trace marker, written as canonical line-delimited JSON
+(:mod:`repro.traces.codec`).  The header carries an explicit
+``schema_version`` so the reader rejects forward-incompatible files with
 :class:`~repro.errors.TraceVersionError` instead of misreading them.
 
 Record kinds (schema v1):
@@ -25,8 +24,8 @@ Record kinds (schema v1):
 ``ptr``     Pointer arithmetic (Watchdog WMETA / metadata targets).
 ``alu``     Integer ALU work.
 ``falu``    Floating-point ALU work.
-``note``    Free-text annotation; carried by both formats, ignored by
-            the importer when building the runnable program.
+``note``    Free-text annotation; carried in the file, ignored by the
+            importer when building the runnable program.
 ==========  ==========================================================
 
 Offsets past the declared object size and accesses to freed objects are
@@ -51,20 +50,14 @@ SCHEMA_VERSION = 1
 #: file is a trace at all, not some other JSON-lines artifact).
 FORMAT_NAME = "repro-trace"
 
-#: Record kinds, in canonical order.  Binary kind codes are 1-based
-#: positions in this tuple; ``end`` (the stream terminator) is codec
-#: machinery, deliberately not a user-visible record kind.
+#: Record kinds, in canonical order.  ``end`` (the stream terminator) is
+#: codec machinery, deliberately not a user-visible record kind.
 RECORD_KINDS: Tuple[str, ...] = (
     "obj", "alloc", "free", "load", "store", "uload", "ustore",
     "call", "ret", "branch", "ptr", "alu", "falu", "note",
 )
 
-KIND_CODES: Dict[str, int] = {kind: i + 1 for i, kind in enumerate(RECORD_KINDS)}
-CODE_KINDS: Dict[int, str] = {code: kind for kind, code in KIND_CODES.items()}
-
-#: Binary code for the end-of-trace frame (never a TraceRecord kind).
-END_CODE = 0x7F
-#: JSONL kind string for the end-of-trace line.
+#: Kind string of the end-of-trace line.
 END_KIND = "end"
 
 
@@ -105,7 +98,7 @@ _INT_FIELDS: Dict[str, Tuple[str, ...]] = {
 def validate_record(record: TraceRecord) -> TraceRecord:
     """Schema-validate one record; returns it, or raises TraceDecodeError."""
     kind = record.kind
-    if kind not in KIND_CODES:
+    if kind not in RECORD_KINDS:
         raise TraceDecodeError(f"unknown record kind {kind!r}")
     for name in _INT_FIELDS[kind]:
         value = getattr(record, name)
@@ -124,7 +117,7 @@ def validate_record(record: TraceRecord) -> TraceRecord:
 
 @dataclass(frozen=True)
 class TraceHeader:
-    """The trace file's self-description (first line / first frame).
+    """The trace file's self-description (its first line).
 
     ``profile`` optionally embeds the full synthetic
     :class:`~repro.workloads.WorkloadProfile` (as a JSON-able dict) so a
@@ -133,7 +126,7 @@ class TraceHeader:
     neutral profile from the record stream.  ``generator`` carries
     optional provenance (e.g. the synthetic window length) used by
     round-trip verification; ``meta`` is free-form user metadata.  All
-    three survive both wire formats unchanged.
+    three survive a write and a read unchanged.
     """
 
     name: str = "trace"

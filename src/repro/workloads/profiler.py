@@ -27,13 +27,6 @@ class MeasuredProfile:
     bytes_allocated: int
     events: int
 
-    @property
-    def alloc_dealloc_balance(self) -> float:
-        """Deallocations per allocation (~1.0 in steady state)."""
-        if self.allocations == 0:
-            return 0.0
-        return self.deallocations / self.allocations
-
 
 def profile_trace(trace: WorkloadTrace) -> MeasuredProfile:
     """Measure a trace the way Valgrind's --trace-malloc would."""

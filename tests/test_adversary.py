@@ -15,7 +15,6 @@ from repro.adversary import (
     ScenarioOutcome,
     ScenarioRun,
     Step,
-    UnsupportedScenario,
     build_scenario,
     classify_verdict,
     compile_scenario,

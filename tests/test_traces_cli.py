@@ -29,14 +29,6 @@ class TestTraceExport:
         assert "exported bzip2" in out
         assert "sha256:" in out
 
-    def test_binary_format(self, tmp_path, capsys):
-        path = tmp_path / "t.bin"
-        assert main([
-            "trace-export", "bzip2", "--instructions", "1200",
-            "--trace-file", str(path), "--trace-format", "binary",
-        ]) == 0
-        assert path.read_bytes().startswith(b"RPTRACE0")
-
     def test_unknown_workload_exits_2(self, capsys):
         assert main(["trace-export", "nope"]) == 2
         assert "unknown workload" in capsys.readouterr().err

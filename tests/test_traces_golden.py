@@ -2,7 +2,7 @@
 
 ``tools/make_golden_traces.py`` is the single source of the fixtures; the
 drift test regenerates them into a temp directory and byte-compares, so
-any change to the schema, codecs, or generator that would invalidate
+any change to the schema, codec, or generator that would invalidate
 users' existing trace files fails here first (and the fix is either a
 schema version bump or an intentional regeneration, never silence).
 """
@@ -25,12 +25,7 @@ sys.path.insert(0, str(Path(__file__).parent.parent / "tools"))
 
 from make_golden_traces import write_fixtures  # noqa: E402
 
-FIXTURES = [
-    "handwritten.v1.jsonl",
-    "handwritten.v1.bin",
-    "bzip2.v1.jsonl",
-    "bzip2.v1.bin",
-]
+FIXTURES = ["handwritten.v1.jsonl", "bzip2.v1.jsonl"]
 
 
 def test_committed_fixtures_match_regenerator(tmp_path):
@@ -50,26 +45,12 @@ def test_committed_fixtures_match_regenerator(tmp_path):
 def test_decode_reencode_is_byte_identical(name, tmp_path):
     """Canonical encoding: decode -> re-encode reproduces the file."""
     source = GOLDEN / name
-    format = "jsonl" if name.endswith(".jsonl") else "binary"
     copy = tmp_path / name
     with open_trace(source) as reader:
-        with TraceWriter(copy, reader.header, format=format) as writer:
+        with TraceWriter(copy, reader.header) as writer:
             for record in reader:
                 writer.write(record)
     assert copy.read_bytes() == source.read_bytes()
-
-
-@pytest.mark.parametrize("stem", ["handwritten.v1", "bzip2.v1"])
-def test_cross_format_record_equality(stem):
-    """JSONL and binary fixtures carry the identical logical stream."""
-    with open_trace(GOLDEN / f"{stem}.jsonl") as jsonl_reader:
-        jsonl_records = list(jsonl_reader)
-        jsonl_header = jsonl_reader.header
-    with open_trace(GOLDEN / f"{stem}.bin") as binary_reader:
-        binary_records = list(binary_reader)
-        binary_header = binary_reader.header
-    assert jsonl_header == binary_header
-    assert jsonl_records == binary_records
 
 
 def test_handwritten_covers_every_record_kind():
@@ -82,7 +63,7 @@ def test_handwritten_covers_every_record_kind():
 def test_handwritten_import_shape():
     """The no-embedded-profile path: the importer synthesises one from
     the stream, notes are dropped, and the UAF/OOB records survive."""
-    trace = import_trace(GOLDEN / "handwritten.v1.bin")
+    trace = import_trace(GOLDEN / "handwritten.v1.jsonl")
     assert trace.profile.name == "handwritten"
     assert trace.profile.description.startswith("ingested trace")
     assert trace.preamble == [(0, 64), (1, 128)]
@@ -93,7 +74,7 @@ def test_handwritten_import_shape():
     assert len(trace.events) == 18
     assert ("ld", 7, 0, False, False) in trace.events     # use-after-free
     assert ("st", 3, 4096, False) in trace.events         # out-of-bounds
-    header = read_header(GOLDEN / "handwritten.v1.bin")
+    header = read_header(GOLDEN / "handwritten.v1.jsonl")
     assert header.profile is None
     assert header.meta == {"purpose": "golden fixture covering every record kind"}
 
@@ -112,4 +93,3 @@ def test_bzip2_fixture_reimports_as_generated():
         scale=provenance["scale"],
     )
     assert import_trace(GOLDEN / "bzip2.v1.jsonl") == regenerated
-    assert import_trace(GOLDEN / "bzip2.v1.bin") == regenerated

@@ -2,7 +2,7 @@
 
 The package contract: ``simulate(generate(p))`` and
 ``simulate(import(record(generate(p))))`` are byte-identical — for every
-one of the 22 calibrated profiles, on both kernels, in both wire formats.
+one of the 22 calibrated profiles, on both kernels.
 Trace-level dataclass equality is checked first (it is the mechanism that
 *makes* the results identical: ``lower_trace`` is deterministic given an
 equal ``WorkloadTrace``), then the simulation results themselves are
@@ -10,6 +10,7 @@ compared field-for-field via ``dataclasses.asdict``.
 """
 
 import dataclasses
+import json
 
 import pytest
 
@@ -42,27 +43,21 @@ def _simulate(trace, kernel, mechanism="aos"):
 @pytest.mark.parametrize("workload", ALL_PROFILES)
 def test_roundtrip_byte_identical_all_profiles(workload, tmp_path):
     """generate -> export -> import == generate, and the simulation
-    results match byte-for-byte on both kernels, in both formats."""
+    results match byte-for-byte on both kernels."""
     trace = generate_trace(get_profile(workload), **WINDOW)
-    imported = {}
-    for format, extension in (("jsonl", "jsonl"), ("binary", "bin")):
-        path = tmp_path / f"{workload}.{extension}"
-        record_trace(trace, path, format=format)
-        imported[format] = import_trace(path)
-        # Dataclass equality covers profile, preamble, events, sizes,
-        # scale, seed and mispredict rate — the full lowering input.
-        assert imported[format] == trace, format
-    # Cross-format: both wire formats decode to the same logical trace.
-    assert imported["jsonl"] == imported["binary"]
+    path = tmp_path / f"{workload}.jsonl"
+    record_trace(trace, path)
+    imported = import_trace(path)
+    # Dataclass equality covers profile, preamble, events, sizes,
+    # scale, seed and mispredict rate — the full lowering input.
+    assert imported == trace
     for kernel in KERNELS:
         direct = _simulate(trace, kernel)
-        for format in ("jsonl", "binary"):
-            ingested = _simulate(imported[format], kernel)
-            assert dataclasses.asdict(ingested) == dataclasses.asdict(direct), (
-                workload,
-                kernel,
-                format,
-            )
+        ingested = _simulate(imported, kernel)
+        assert dataclasses.asdict(ingested) == dataclasses.asdict(direct), (
+            workload,
+            kernel,
+        )
 
 
 def test_export_workload_embeds_provenance(tmp_path):
@@ -83,12 +78,15 @@ def test_export_workload_embeds_provenance(tmp_path):
 
 
 def test_digest_is_format_and_content_sensitive(tmp_path):
-    """The cache key digest changes with any byte: format, seed, window."""
+    """The cache key digest changes with any byte: the same trace laid out
+    in non-canonical JSON, or another seed."""
     a = tmp_path / "a.jsonl"
-    b = tmp_path / "b.bin"
+    b = tmp_path / "b.jsonl"
     c = tmp_path / "c.jsonl"
     export_workload("bzip2", a, **WINDOW)
-    export_workload("bzip2", b, format="binary", **WINDOW)
+    lines = a.read_text().splitlines()
+    b.write_text("".join(json.dumps(json.loads(line)) + "\n" for line in lines))
+    assert import_trace(b) == import_trace(a)
     export_workload("bzip2", c, **{**WINDOW, "seed": 8})
     digests = {trace_digest(a), trace_digest(b), trace_digest(c)}
     assert len(digests) == 3
@@ -103,8 +101,8 @@ def test_scenario_export_reimports_identically(scenario, tmp_path):
     """Attack traces (UAF/OOB accesses) survive the schema unchanged: the
     exported scenario re-ingests equal and simulates byte-identically to
     the direct compile_scenario path, validation faults included."""
-    path = tmp_path / f"{scenario}.bin"
-    trace = export_scenario(scenario, path, format="binary")
+    path = tmp_path / f"{scenario}.jsonl"
+    trace = export_scenario(scenario, path)
     imported = import_trace(path)
     assert imported == trace
     config = scaled_config("aos", trace.scale)

@@ -1,8 +1,8 @@
 """Schema-robustness tests: malformed trace files raise *named* errors.
 
-Every corruption mode — truncation (even at clean line/frame
-boundaries), trailing garbage, unknown record kinds, version skew,
-impossible semantics — must surface as a :class:`TraceFormatError`
+Every corruption mode — truncation (even at clean line boundaries),
+files that are not JSONL at all, trailing garbage, unknown record kinds,
+version skew, impossible semantics — must surface as a :class:`TraceFormatError`
 subclass, never as a silent partial import, a wrong-typed exception, or
 a half-built ``WorkloadTrace``.  A seeded mutation fuzzer over the
 committed golden fixtures closes the gaps the deterministic cases miss.
@@ -10,6 +10,7 @@ committed golden fixtures closes the gaps the deterministic cases miss.
 
 import json
 import random
+import re
 import struct
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from repro.traces import (
     TraceHeader,
     TraceRecord,
     TraceWriter,
-    detect_format,
     import_trace,
     scan_trace,
 )
@@ -35,8 +35,8 @@ GOLDEN = Path(__file__).parent / "golden" / "traces"
 HEADER = TraceHeader(name="t", scale=2, seed=3)
 
 
-def write_trace(path, records, header=HEADER, format="jsonl"):
-    with TraceWriter(path, header, format=format) as writer:
+def write_trace(path, records, header=HEADER):
+    with TraceWriter(path, header) as writer:
         for record in records:
             writer.write(record)
     return path
@@ -52,12 +52,9 @@ VALID_RECORDS = (
 )
 
 
-@pytest.fixture(params=["jsonl", "binary"])
-def valid_file(request, tmp_path):
-    extension = "jsonl" if request.param == "jsonl" else "bin"
-    return write_trace(
-        tmp_path / f"valid.{extension}", VALID_RECORDS, format=request.param
-    )
+@pytest.fixture
+def valid_file(tmp_path):
+    return write_trace(tmp_path / "valid.jsonl", VALID_RECORDS)
 
 
 # ------------------------------------------------------------- versioning
@@ -70,28 +67,6 @@ def test_jsonl_version_skew_rejected_by_name(tmp_path):
     header["schema_version"] = 2
     path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]))
     with pytest.raises(TraceVersionError, match="version 2 is not supported"):
-        import_trace(path)
-
-
-def test_binary_framing_version_skew_rejected_by_name(tmp_path):
-    path = write_trace(tmp_path / "t.bin", VALID_RECORDS, format="binary")
-    data = bytearray(path.read_bytes())
-    struct.pack_into("<H", data, 8, 9)  # framing version u16 after magic
-    path.write_bytes(bytes(data))
-    with pytest.raises(TraceVersionError, match="version 9"):
-        import_trace(path)
-
-
-def test_binary_embedded_header_version_skew(tmp_path):
-    """The JSON header inside the binary container is checked too."""
-    path = tmp_path / "t.bin"
-    header = json.dumps(
-        {"format": "repro-trace", "schema_version": 3, "name": "t",
-         "scale": 1, "seed": 0, "mispredict_rate": 0.0, "profile": None}
-    ).encode()
-    path.write_bytes(b"RPTRACE0" + struct.pack("<H", 1)
-                     + struct.pack("<I", len(header)) + header)
-    with pytest.raises(TraceVersionError):
         import_trace(path)
 
 
@@ -124,40 +99,29 @@ def test_jsonl_end_count_mismatch(tmp_path):
         import_trace(path)
 
 
-def test_binary_missing_end_frame(tmp_path):
-    path = write_trace(tmp_path / "t.bin", VALID_RECORDS, format="binary")
-    data = path.read_bytes()
-    path.write_bytes(data[: len(data) - (4 + 1 + 8)])  # whole end frame
-    with pytest.raises(TraceDecodeError, match="missing end frame"):
-        import_trace(path)
-
-
-def test_binary_truncated_mid_frame(tmp_path):
-    path = write_trace(tmp_path / "t.bin", VALID_RECORDS, format="binary")
-    data = path.read_bytes()
-    path.write_bytes(data[: len(data) - 3])
-    with pytest.raises(TraceDecodeError):
-        import_trace(path)
-
-
 def test_abandoned_writer_leaves_rejected_file(tmp_path):
     """A writer torn down by an exception must not leave a readable file."""
-    for format, extension in (("jsonl", "jsonl"), ("binary", "bin")):
-        path = tmp_path / f"abandoned.{extension}"
-        with pytest.raises(RuntimeError):
-            with TraceWriter(path, HEADER, format=format) as writer:
-                writer.write(VALID_RECORDS[0])
-                raise RuntimeError("simulated crash mid-export")
-        with pytest.raises(TraceDecodeError):
-            import_trace(path)
+    path = tmp_path / "abandoned.jsonl"
+    with pytest.raises(RuntimeError):
+        with TraceWriter(path, HEADER) as writer:
+            writer.write(VALID_RECORDS[0])
+            raise RuntimeError("simulated crash mid-export")
+    with pytest.raises(TraceDecodeError):
+        import_trace(path)
 
 
 # ------------------------------------------------------- trailing garbage
 
 
-def test_trailing_garbage_rejected(valid_file):
+@pytest.mark.parametrize(
+    "garbage", [b'{"k":"alu"}\n', b"\xff\xfe\x00extra"], ids=["jsonl", "binary"]
+)
+def test_trailing_garbage_rejected(garbage, valid_file):
+    """A well-formed record line and undecodable bytes after the end
+    record are both garbage, charged to the tail and not to a line
+    before it."""
     with open(valid_file, "ab") as fh:
-        fh.write(b"extra")
+        fh.write(garbage)
     with pytest.raises(TraceDecodeError, match="trailing garbage"):
         import_trace(valid_file)
 
@@ -183,17 +147,6 @@ def test_jsonl_unknown_record_field(tmp_path):
         import_trace(path)
 
 
-def test_binary_unknown_kind_code(tmp_path):
-    path = write_trace(tmp_path / "t.bin", VALID_RECORDS[:1], format="binary")
-    data = path.read_bytes()
-    end = data[-(4 + 1 + 8):]
-    body = data[: len(data) - len(end)]
-    frame = struct.pack("<I", 1) + bytes((0x3A,))
-    path.write_bytes(body + frame + end)
-    with pytest.raises(TraceDecodeError, match="unknown record kind code 0x3a"):
-        import_trace(path)
-
-
 def test_unknown_header_field_rejected(tmp_path):
     path = write_trace(tmp_path / "t.jsonl", VALID_RECORDS)
     lines = path.read_text().splitlines(keepends=True)
@@ -208,15 +161,55 @@ def test_not_a_trace_file(tmp_path):
     path = tmp_path / "x.bin"
     path.write_bytes(b"\x00\x01\x02 definitely not a trace")
     with pytest.raises(TraceDecodeError, match="not a trace file"):
-        detect_format(path)
+        import_trace(path)
+
+
+def _retired_binary_trace() -> bytes:
+    """A file in the retired length-prefixed binary format: magic, u16
+    framing version, u32-framed JSON header, one ``alu`` frame and the
+    end frame carrying the record count."""
+    header = json.dumps(HEADER.to_payload()).encode()
+    frames = struct.pack("<IB", 1, 12) + struct.pack("<IBQ", 9, 0x7F, 1)
+    return b"RPTRACE0" + struct.pack("<HI", 1, len(header)) + header + frames
+
+
+_NOISE = bytes(random.Random(5).randrange(256) for _ in range(4096))
+NOT_A_TRACE = {
+    "rptrace0": _retired_binary_trace(),
+    "arbitrary-bytes": _NOISE,
+    "brace-then-bytes": b"{" + _NOISE,
+    "other-jsonl": b'{"kind":"checkpoint","version":1}\n',
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_A_TRACE))
+def test_non_jsonl_file_rejected_naming_path(kind, tmp_path):
+    """Only a JSONL trace is a trace: anything else is a TraceDecodeError
+    naming the file, never a UnicodeDecodeError/JSONDecodeError or a
+    partial trace."""
+    path = tmp_path / f"{kind}.trace"
+    path.write_bytes(NOT_A_TRACE[kind])
+    with pytest.raises(TraceDecodeError, match=re.escape(str(path))):
+        import_trace(path)
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_A_TRACE))
+def test_trace_import_cli_rejects_non_jsonl(kind, tmp_path, capsys):
+    from repro.cli import main
+
+    path = tmp_path / f"{kind}.trace"
+    path.write_bytes(NOT_A_TRACE[kind])
+    assert main(["trace-import", str(path), "--no-cache"]) == 2
+    captured = capsys.readouterr()
+    assert f"TraceDecodeError: {path}: " in captured.err
+    assert "simulated" not in captured.out
 
 
 # --------------------------------------------------------------- semantics
 
 
-def _semantic(tmp_path, records, format="jsonl"):
-    extension = "jsonl" if format == "jsonl" else "bin"
-    return write_trace(tmp_path / f"s.{extension}", records, format=format)
+def _semantic(tmp_path, records):
+    return write_trace(tmp_path / "s.jsonl", records)
 
 
 def test_duplicate_object_id(tmp_path):
@@ -320,8 +313,7 @@ def _mutate(data: bytes, rng: random.Random) -> bytes:
 
 
 @pytest.mark.parametrize(
-    "fixture", ["handwritten.v1.jsonl", "handwritten.v1.bin",
-                "bzip2.v1.jsonl", "bzip2.v1.bin"]
+    "fixture", ["handwritten.v1.jsonl", "bzip2.v1.jsonl"]
 )
 def test_fuzzed_mutations_never_silently_partial(fixture, tmp_path):
     """Property: a mutated golden fixture either raises a TraceFormatError

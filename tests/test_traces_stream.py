@@ -1,6 +1,6 @@
 """Streaming-decode memory bound: multi-GB traces must ingest in O(1) RAM.
 
-Builds a ~100MB binary trace (note records with large payloads make the
+Builds a ~100MB JSONL trace (note records with large payloads make the
 file big without making decode slow), then asserts with ``tracemalloc``
 that a full streaming pass allocates only a small fraction of the file
 size.  ``REPRO_STREAM_TEST_MB`` scales the file for heavier local runs.
@@ -22,15 +22,15 @@ FILE_MB = int(os.environ.get("REPRO_STREAM_TEST_MB", "100"))
 #: Each note payload is 64KiB, so the decoder's working set per record is
 #: tiny relative to the file.
 NOTE_BYTES = 64 * 1024
-#: The decode pass may hold one frame plus interpreter noise — cap its
+#: The decode pass may hold one line plus interpreter noise — cap its
 #: peak at 8MiB, under a tenth of the default file size.
 PEAK_BUDGET = 8 * 1024 * 1024
 
 
 def _build_large_trace(path) -> int:
-    notes = (FILE_MB * 1024 * 1024) // (NOTE_BYTES + 5)  # 5 = frame overhead
+    notes = (FILE_MB * 1024 * 1024) // (NOTE_BYTES + 23)  # 23 = line overhead
     payload = "x" * NOTE_BYTES
-    with TraceWriter(path, TraceHeader(name="big"), format="binary") as writer:
+    with TraceWriter(path, TraceHeader(name="big")) as writer:
         writer.write(TraceRecord(kind="obj", obj=0, size=64))
         for _ in range(notes):
             writer.write(TraceRecord(kind="note", text=payload))
@@ -39,7 +39,7 @@ def _build_large_trace(path) -> int:
 
 
 def test_streaming_decode_is_bounded(tmp_path):
-    path = tmp_path / "big.bin"
+    path = tmp_path / "big.jsonl"
     size = _build_large_trace(path)
     assert size >= FILE_MB * 1024 * 1024 * 95 // 100, "fixture too small"
 
@@ -61,7 +61,7 @@ def test_streaming_decode_is_bounded(tmp_path):
 
 def test_streaming_digest_is_bounded(tmp_path):
     """The cache-key digest hashes in 1MB chunks, never the whole file."""
-    path = tmp_path / "big.bin"
+    path = tmp_path / "big.jsonl"
     _build_large_trace(path)
     tracemalloc.start()
     baseline, _ = tracemalloc.get_traced_memory()

@@ -5,14 +5,14 @@ Run from the repo root after any *intentional* schema or codec change::
 
     PYTHONPATH=src python tools/make_golden_traces.py
 
-Two fixture pairs, each in both wire formats:
+Two fixtures:
 
-- ``handwritten.v1.{jsonl,bin}`` — a hand-assembled stream exercising
+- ``handwritten.v1.jsonl`` — a hand-assembled stream exercising
   every record kind (including ``note``) with *no* embedded profile, so
   the importer's profile synthesis path is pinned too.  The stream also
   contains a use-after-free load and an out-of-bounds offset on purpose:
   both are valid schema (attack traces) and must keep importing cleanly.
-- ``bzip2.v1.{jsonl,bin}`` — a small synthetic export (bzip2, 1200
+- ``bzip2.v1.jsonl`` — a small synthetic export (bzip2, 1200
   instructions, seed 7, scale 8) with the full profile embedded, the
   round-trip anchor.
 
@@ -72,19 +72,15 @@ def write_fixtures(directory) -> list:
     """Write all golden fixtures into ``directory``; returns their paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for format, extension in (("jsonl", "jsonl"), ("binary", "bin")):
-        path = directory / f"handwritten.v1.{extension}"
-        with TraceWriter(path, HANDWRITTEN_HEADER, format=format) as writer:
-            for record in HANDWRITTEN_RECORDS:
-                writer.write(record)
-        paths.append(path)
-        path = directory / f"{SYNTHETIC['workload']}.v1.{extension}"
-        export_workload(SYNTHETIC["workload"], path, format=format, **{
-            k: v for k, v in SYNTHETIC.items() if k != "workload"
-        })
-        paths.append(path)
-    return paths
+    handwritten = directory / "handwritten.v1.jsonl"
+    with TraceWriter(handwritten, HANDWRITTEN_HEADER) as writer:
+        for record in HANDWRITTEN_RECORDS:
+            writer.write(record)
+    synthetic = directory / f"{SYNTHETIC['workload']}.v1.jsonl"
+    export_workload(SYNTHETIC["workload"], synthetic, **{
+        k: v for k, v in SYNTHETIC.items() if k != "workload"
+    })
+    return [handwritten, synthetic]
 
 
 def main() -> int:
