@@ -326,11 +326,12 @@ def campaign_config_from_args(args) -> "CampaignConfig":
 def plan_artifact(name: str, suite: ExperimentSuite, args) -> list:
     """The :class:`~repro.experiments.CellSpec` plan of one artifact's
     timed rows (empty for artifacts without simulation cells)."""
-    from .experiments import ablations, extended, fig14, fig15, fig17, fig18
+    from .experiments import ablations, extended, fig14, fig15, fig16, fig17, fig18
 
     plans = {
         "fig14": fig14.cells,
         "fig15": fig15.cells,
+        "fig16": fig16.cells,
         "fig17": fig17.cells,
         "fig18": fig18.cells,
         "mte": extended.cells,

@@ -484,9 +484,8 @@ class RESTLowering(_LoweringBase):
     chunk.  Those O(object-size) token fills on the free path are exactly
     what the paper credits for most of REST's overhead — "avoiding the use
     of a quarantine pool will be beneficial in terms of performance"
-    (§IV-C).  ``quarantine=False`` gives the ablation without temporal
-    protection.  The pool is the base pass's :data:`QUARANTINE` policy:
-    it decides which chunk the allocator really frees at each free.
+    (§IV-C).  The pool is the base pass's :data:`QUARANTINE` policy: it
+    decides which chunk the allocator really frees at each free.
     """
 
     mechanism = "rest"
@@ -497,11 +496,7 @@ class RESTLowering(_LoweringBase):
     TOKEN_SPAN = 64
     REDZONE = 64
 
-    def __init__(self, *args, quarantine: bool = True, **kwargs) -> None:
-        self.quarantine = quarantine
-        if not quarantine:
-            self.policy = IMMEDIATE
-        super().__init__(*args, **kwargs)
+    def setup_preamble(self) -> None:
         #: Objects poisoned and parked, oldest first, as the base's pool.
         self._pool: deque = deque()
 
@@ -518,7 +513,7 @@ class RESTLowering(_LoweringBase):
     def lower_free(self, obj: int, raw: int, size: int, released) -> None:
         # ``size`` is the allocated chunk's, so a preamble object freed in
         # the window is poisoned and recycled in full.
-        if self.quarantine:
+        if self.policy == QUARANTINE:
             # Poison the whole chunk and park it (deferred free).
             self._emit_tokens(raw, size)
             self._pool.append(obj)
@@ -533,6 +528,15 @@ class RESTLowering(_LoweringBase):
             self._emit_tokens(raw - self.REDZONE, self.REDZONE)
             self._emit_tokens(raw + size, self.REDZONE)
             self._emit_allocator_work(0)
+
+
+class RESTNoQuarantineLowering(RESTLowering):
+    """REST without its quarantine pool: each free clears the chunk's
+    redzones and frees it at once (§IV-C's ablation, lowering token
+    ``rest-noq``).  Not a registered mechanism: it runs on REST's config.
+    """
+
+    policy = IMMEDIATE
 
 
 class MTELowering(_LoweringBase):
@@ -872,6 +876,7 @@ _LOWERINGS = {
     "pa": PALowering,
     "mte": MTELowering,
     "rest": RESTLowering,
+    "rest-noq": RESTNoQuarantineLowering,
     "pacstack": PACStackLowering,
     "pactight": PACTightLowering,
     "pacsan": PACSanLowering,

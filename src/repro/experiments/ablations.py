@@ -11,19 +11,21 @@ these sweeps quantify the remaining §V design decisions:
   workloads;
 - **Tag/PAC entropy** (§VII-E vs §X): detection probability and bypass
   effort across metadata widths.
+
+Every row but the entropy sweep's is a planned cell (:func:`cells`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
-from ..cpu.core import SimulationResult, Simulator
+from ..cpu.core import SimulationResult
 from ..security.entropy import entropy_sweep
 from ..stats.report import TableFormatter
 from .common import ExperimentSuite
-from .parallel import CellSpec
+from .parallel import GROWTH, CellSpec
 
 
 @dataclass
@@ -42,53 +44,43 @@ class AblationResult:
 
 
 def _aos_variants(
-    workload: str, sweep: str, configs: Dict[str, object]
+    workload: str, sweep: str, configs: Dict[str, object], variant=None
 ) -> Dict[str, CellSpec]:
     """Row name -> AOS cell under the row's config, memo key
-    ``aos-<sweep>-<row>``.  A row on the Table IV config shares the plain
-    AOS cell's simulation (see ``ExperimentSuite.ensure_cells``)."""
+    ``aos-<sweep>-<row>``, on trace ``variant``.  A row on the Table IV
+    config shares the plain AOS cell's simulation (see
+    ``ExperimentSuite.ensure_cells``)."""
     return {
-        name: CellSpec(workload, "aos", config=config, key=f"aos-{sweep}-{name}")
+        name: CellSpec(workload, "aos", config, f"aos-{sweep}-{name}", variant=variant)
         for name, config in configs.items()
     }
 
 
 def _with_baseline(rows: Dict[str, CellSpec]) -> List[CellSpec]:
-    """``rows``' cells after their workload's baseline, which every row is
-    normalized to."""
-    (workload,) = {cell.workload for cell in rows.values()}
-    return [CellSpec(workload, "baseline"), *rows.values()]
-
-
-def _planned(
-    suite: ExperimentSuite, rows: Dict[str, CellSpec]
-) -> Tuple[SimulationResult, Dict[str, SimulationResult]]:
-    """The baseline result and row name -> result of one sweep's cells,
-    all computed by one :meth:`ExperimentSuite.ensure_cells` call."""
-    plan = _with_baseline(rows)
-    suite.ensure_cells(plan)
-    base, *runs = (
-        suite.result(cell.workload, cell.mechanism, config=cell.config, key=cell.key)
-        for cell in plan
-    )
-    return base, dict(zip(rows, runs))
+    """``rows``' cells after the baseline of their trace, which every row
+    is normalized to."""
+    ((workload, variant),) = {(cell.workload, cell.variant) for cell in rows.values()}
+    return [CellSpec(workload, "baseline", variant=variant), *rows.values()]
 
 
 def _ablation(
     suite: ExperimentSuite,
     title: str,
     rows: Dict[str, CellSpec],
-    measures: Dict[str, Callable[[SimulationResult], float]],
+    measures: Dict[str, Callable[[SimulationResult, SimulationResult], float]],
 ) -> AblationResult:
-    """One planned sweep: each row's time normalized to the baseline, then
-    ``measures`` of its result."""
-    base, runs = _planned(suite, rows)
+    """One planned sweep, computed by one
+    :meth:`ExperimentSuite.ensure_cells` call: each row's time normalized
+    to the baseline, then ``measures(run, base)`` of its result."""
+    plan = _with_baseline(rows)
+    suite.ensure_cells(plan)
+    base, *runs = (suite.outcome(cell) for cell in plan)
     table = {
         name: {
             "norm.time": run.cycles / base.cycles,
-            **{column: measure(run) for column, measure in measures.items()},
+            **{column: measure(run, base) for column, measure in measures.items()},
         }
-        for name, run in runs.items()
+        for name, run in zip(rows, runs)
     }
     return AblationResult(title=title, rows=table, columns=["norm.time", *measures])
 
@@ -113,8 +105,8 @@ def ablation_bwb(
         f"BWB geometry ablation ({workload}, §V-C)",
         bwb_cells(suite, workload),
         {
-            "acc/check": lambda run: run.bounds_accesses_per_check,
-            "hit rate": lambda run: run.bwb_hit_rate,
+            "acc/check": lambda run, _: run.bounds_accesses_per_check,
+            "hit rate": lambda run, _: run.bwb_hit_rate,
         },
     )
 
@@ -140,8 +132,21 @@ def ablation_mcq(
         suite,
         f"MCQ depth ablation ({workload}, §V-A)",
         mcq_cells(suite, workload),
-        {"mcq stalls": lambda run: run.pipeline.mcq_stall_cycles},
+        {"mcq stalls": lambda run, _: run.pipeline.mcq_stall_cycles},
     )
+
+
+def resize_cells(
+    suite: ExperimentSuite, workload: str = "omnetpp"
+) -> Dict[str, CellSpec]:
+    """Row name -> cell of the resize policy pair, on the workload's
+    growth-phase trace (:data:`~repro.experiments.parallel.GROWTH`)."""
+    aos = suite.config_for("aos")
+    configs = {
+        "non-blocking": aos.with_aos_options(nonblocking_resize=True),
+        "stop-the-world": aos.with_aos_options(nonblocking_resize=False),
+    }
+    return _aos_variants(workload, "resize", configs, variant=GROWTH)
 
 
 def ablation_resize(
@@ -152,49 +157,17 @@ def ablation_resize(
     Uses a *growing-live-set* variant of the workload so the capacity
     overflow (and therefore the resize) happens inside the measured
     window, where the policy difference is visible — steady-state windows
-    absorb their resizes in the untimed preamble.
+    absorb their resizes in the untimed preamble.  At 40k instructions
+    (the CLI default) both rows resize once; the 12k ``--quick`` window
+    ends before the first overflow, so there both rows read 0 resizes
+    and the same time.
     """
     suite = suite or ExperimentSuite()
-    from ..compiler import lower_trace
-    from ..workloads import generate_trace, get_profile
-
-    settings = suite.settings
-    # An allocation *phase*: a small starting heap, a malloc storm, and a
-    # live set that grows through the window — so HBT rows overflow while
-    # the clock is running.  A coarse scale shrinks the PAC space so the
-    # storm reaches overflow within a simulable window.
-    profile = dataclasses.replace(
-        get_profile(workload),
-        mallocs_per_kinst=200.0,
-        initial_live=64,
-    )
-    trace = generate_trace(
-        profile,
-        instructions=settings.instructions,
-        seed=settings.seed,
-        scale=64,
-        grow_live_by=10 * settings.instructions,  # never free: pure growth
-    )
-    base_config = suite.config_for("baseline")
-    baseline = Simulator(base_config).run(
-        lower_trace(trace, "baseline", config=base_config)
-    )
-    rows: Dict[str, Dict[str, float]] = {}
-    for nonblocking in (True, False):
-        config = suite.config_for("aos").with_aos_options(
-            nonblocking_resize=nonblocking
-        )
-        lowered = lower_trace(trace, "aos", config=config)
-        run = Simulator(config).run(lowered)
-        name = "non-blocking" if nonblocking else "stop-the-world"
-        rows[name] = {
-            "norm.time": run.cycles / baseline.cycles,
-            "resizes": float(run.hbt_resizes),
-        }
-    return AblationResult(
-        title=f"HBT resize policy ablation ({workload} growing phase, §V-F3)",
-        rows=rows,
-        columns=["norm.time", "resizes"],
+    return _ablation(
+        suite,
+        f"HBT resize policy ablation ({workload} growing phase, §V-F3)",
+        resize_cells(suite, workload),
+        {"resizes": lambda run, _: float(run.hbt_resizes)},
     )
 
 
@@ -219,18 +192,20 @@ def ablation_forwarding(
         suite,
         f"Bounds forwarding ablation ({workload}, §V-F2)",
         forwarding_cells(suite, workload),
-        {"forwards": lambda run: float(run.bounds_forwards)},
+        {"forwards": lambda run, _: float(run.bounds_forwards)},
     )
 
 
 def quarantine_cells(
     suite: ExperimentSuite, workload: str = "omnetpp"
 ) -> Dict[str, CellSpec]:
-    """Row name -> cell of the §IV-C comparison's two planned rows; REST
-    without quarantine is a lowering keyword, not a config, so
-    :func:`ablation_quarantine` simulates that row in-process."""
+    """Row name -> cell of the §IV-C comparison.  REST without quarantine
+    is the unregistered ``rest-noq`` lowering token on REST's config."""
     return {
         "rest (quarantine)": CellSpec(workload, "rest"),
+        "rest (no temporal)": CellSpec(
+            workload, "rest-noq", config=suite.config_for("rest")
+        ),
         "aos (re-sign)": CellSpec(workload, "aos"),
     }
 
@@ -245,37 +220,21 @@ def ablation_quarantine(
     quarantine pool will be beneficial in terms of performance."
     """
     suite = suite or ExperimentSuite()
-    from ..compiler.passes import RESTLowering
-
-    base, planned = _planned(suite, quarantine_cells(suite, workload))
-    config = suite.config_for("rest")
-    lowered = RESTLowering(suite.trace(workload), config, quarantine=False).lower()
-    runs = {
-        "rest (quarantine)": planned["rest (quarantine)"],
-        "rest (no temporal)": Simulator(config).run(lowered),
-        "aos (re-sign)": planned["aos (re-sign)"],
-    }
     # A run retires every µop of its program, so ``instructions`` is the
     # lowered program's length.
-    rows = {
-        name: {
-            "norm.time": run.cycles / base.cycles,
-            "instr.ovh": run.instructions / base.instructions - 1.0,
-        }
-        for name, run in runs.items()
-    }
-    return AblationResult(
-        title=f"Temporal-safety cost: quarantine vs re-sign ({workload}, §IV-C)",
-        rows=rows,
-        columns=["norm.time", "instr.ovh"],
+    return _ablation(
+        suite,
+        f"Temporal-safety cost: quarantine vs re-sign ({workload}, §IV-C)",
+        quarantine_cells(suite, workload),
+        {"instr.ovh": lambda run, base: run.instructions / base.instructions - 1.0},
     )
 
 
 def cells(suite: ExperimentSuite) -> List[CellSpec]:
-    """The plan of ``repro ablations``: the BWB, MCQ, forwarding and
-    quarantine sweeps' cells on their default workloads, with their
-    baselines.  The resize and entropy ablations have no cells."""
-    sweeps = (bwb_cells, mcq_cells, forwarding_cells, quarantine_cells)
+    """The plan of ``repro ablations``: the BWB, MCQ, resize, forwarding
+    and quarantine sweeps' cells on their default workloads, each after
+    the baseline of its trace.  The entropy ablation has no cells."""
+    sweeps = (bwb_cells, mcq_cells, resize_cells, forwarding_cells, quarantine_cells)
     return [cell for sweep in sweeps for cell in _with_baseline(sweep(suite))]
 
 

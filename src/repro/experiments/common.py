@@ -2,17 +2,19 @@
 
 The paper runs each SPEC workload once per system configuration; here one
 :class:`ExperimentSuite` instance memoises traces, lowered programs and
-simulation results so Figs. 14/15/17/18 can share work within a session.
+simulation results so the figures can share work within a session.
 
-Every timing driver is a plan plus a render: its ``cells(suite,
-workloads)`` lists the :class:`~repro.experiments.parallel.CellSpec` of
-every timed row, its ``run_*`` hands that plan to
+Every driver is a plan plus a render: its ``cells(suite, workloads)``
+lists the :class:`~repro.experiments.parallel.CellSpec` of every row —
+timed rows, the REST-without-quarantine and growth-phase ablation rows,
+and Fig. 16's instruction-mix cells, which count a lowered program
+instead of simulating it — and its ``run_*`` hands that plan to
 :meth:`ExperimentSuite.ensure_cells` and renders from the memo.  A
 command that runs several drivers (``repro all``) passes the union of
 their plans to one ``ensure_cells`` call first, so each trace is
-generated once per invocation and the drivers' own calls find every
-cell known.  Two further layers live in :mod:`repro.experiments.parallel`
-and are wired in here:
+generated once per invocation, in a worker, and the drivers' own calls
+find every cell known.  Two further layers live in
+:mod:`repro.experiments.parallel` and are wired in here:
 
 - ``jobs=N`` shards the pending cells of an ``ensure_cells`` call across
   worker processes, one task per trace.  Results are bit-identical to
@@ -167,10 +169,13 @@ class ExperimentSuite:
         self.supervision_reports: List = []
         #: Ingested trace workloads: alias -> (file path, sha256, scale).
         self._ingested: Dict[str, Tuple[str, str, int]] = {}
-        self._traces: Dict[str, WorkloadTrace] = {}
-        #: Per-workload lowering memo shared by every cell of the workload.
-        self._memos: Dict[str, "TraceMemo"] = {}
+        #: Traces and their lowering memos by (workload, trace variant).
+        self._traces: Dict[Tuple[str, Optional[str]], WorkloadTrace] = {}
+        self._memos: Dict[Tuple[str, Optional[str]], "TraceMemo"] = {}
         self._results: Dict[Tuple[str, str], SimulationResult] = {}
+        #: Fig. 16 instruction counts of the mix cells, kept apart from
+        #: the simulation results.
+        self._mixes: Dict[Tuple[str, str], dict] = {}
         #: The same results by what determines them (see :meth:`_identity`),
         #: so cells that differ only in their memo key simulate once.
         self._simulated: Dict[tuple, SimulationResult] = {}
@@ -213,7 +218,7 @@ class ExperimentSuite:
         if name is None:
             name = f"trace:{Path(path).stem}"
         self._ingested[name] = (path, trace_digest(path), trace.scale)
-        self._traces[name] = trace
+        self._traces[(name, None)] = trace
         return name
 
     def _ingested_cell(self, cell: "CellSpec") -> "CellSpec":
@@ -228,46 +233,34 @@ class ExperimentSuite:
 
     # ------------------------------------------------------------- building
 
-    def trace(self, workload: str) -> WorkloadTrace:
-        trace = self._known_trace(workload)
-        if trace is None:
-            from .parallel import generate_cell_trace
-
-            trace = generate_cell_trace(self.settings, workload)
-            self._store_trace(workload, trace)
-        return trace
-
-    def _known_trace(self, workload: str) -> Optional[WorkloadTrace]:
-        """The memoised, ingested or cached trace (None if it must be
-        generated).  Ingested workloads re-import from their file."""
-        if workload not in self._traces:
+    def trace(self, workload: str, variant: Optional[str] = None) -> WorkloadTrace:
+        """``workload``'s trace (of ``variant``): memoised, ingested,
+        cached or generated."""
+        key = (workload, variant)
+        if key not in self._traces:
             if workload in self._ingested:
                 from ..traces import import_trace
 
-                self._traces[workload] = import_trace(self._ingested[workload][0])
-            elif self._cache is not None:
-                from .parallel import trace_fingerprint
+                self._traces[key] = import_trace(self._ingested[workload][0])
+                return self._traces[key]
+            from .parallel import generate_cell_trace, trace_fingerprint
 
-                fingerprint = trace_fingerprint(self.settings, workload)
-                trace = self._cache.get_trace(fingerprint)
-                if trace is not None:
-                    self._traces[workload] = trace
-        return self._traces.get(workload)
+            fingerprint = trace_fingerprint(self.settings, workload, variant)
+            trace = None if self._cache is None else self._cache.get_trace(fingerprint)
+            if trace is None:
+                trace = generate_cell_trace(self.settings, workload, variant)
+                if self._cache is not None:
+                    self._cache.put_trace(fingerprint, trace)
+            self._traces[key] = trace
+        return self._traces[key]
 
-    def _store_trace(self, workload: str, trace: WorkloadTrace) -> None:
-        """Install one generated trace into the memo and the artifact cache."""
-        self._traces[workload] = trace
-        if self._cache is not None:
-            from .parallel import trace_fingerprint
-
-            self._cache.put_trace(trace_fingerprint(self.settings, workload), trace)
-
-    def _memo(self, workload: str) -> "TraceMemo":
-        memo = self._memos.get(workload)
+    def _memo(self, workload: str, variant: Optional[str] = None) -> "TraceMemo":
+        key = (workload, variant)
+        memo = self._memos.get(key)
         if memo is None:
             from .parallel import TraceMemo
 
-            memo = self._memos[workload] = TraceMemo(partial(self.trace, workload))
+            memo = self._memos[key] = TraceMemo(partial(self.trace, workload, variant))
         return memo
 
     def lowered(
@@ -289,93 +282,85 @@ class ExperimentSuite:
         config: Optional[SystemConfig] = None,
         key: Optional[str] = None,
     ) -> SimulationResult:
-        """The memoised result of one cell; a miss reads the artifact cache,
-        then simulates in-process (a supervised suite dispatches it).
+        """The memoised result of one cell (see :meth:`outcome`)."""
+        from .parallel import CellSpec
+
+        return self.outcome(CellSpec(workload, mechanism, config=config, key=key))
+
+    def outcome(self, cell: "CellSpec") -> Union[SimulationResult, dict]:
+        """The memoised outcome of ``cell``: its :class:`SimulationResult`,
+        or a mix cell's Fig. 16 counts.  A miss reads the artifact cache,
+        then runs the cell in-process (a supervised suite dispatches it).
         Raises :class:`~repro.errors.QuarantinedCellError` for a cell the
         supervisor quarantined."""
-        from .parallel import CellSpec, simulate_cell, supervised_cell_key
+        from .parallel import run_cell, supervised_cell_key
 
-        cell = self._ingested_cell(CellSpec(workload, mechanism, config=config, key=key))
-        if self._supervise is not None and cell.cache_key not in self._results:
+        cell = self._ingested_cell(cell)
+        known = self._mixes if cell.mix else self._results
+        if self._supervise is not None and cell.cache_key not in known:
             self.ensure_cells([cell])
         if cell.cache_key in self._quarantined:
             from ..errors import QuarantinedCellError
 
             reason = self._quarantined[cell.cache_key]
             raise QuarantinedCellError(supervised_cell_key(cell), reason)
-        if cell.cache_key not in self._results:
+        if cell.cache_key not in known:
             result = self._known_result(cell)
             if result is None:
-                result = simulate_cell(
+                result = run_cell(
                     self.settings,
                     cell,
-                    memo=self._memo(workload),
+                    memo=self._memo(cell.workload, cell.variant),
                     paranoid=self.paranoid,
                 )
                 self._store(cell, result)
             else:
                 self._remember(cell, result)
-        return self._results[cell.cache_key]
+        return known[cell.cache_key]
 
     def _identity(self, cell: "CellSpec") -> tuple:
-        """What determines ``cell``'s result: its trace, mechanism and
-        resolved config (Fig. 15's ``aos-l1b+compression`` is ``aos``)."""
+        """What determines ``cell``'s outcome: its trace, mechanism,
+        resolved config and whether it is a mix cell (Fig. 15's
+        ``aos-l1b+compression`` is ``aos``)."""
         from .parallel import trace_group_key
 
         config = cell.resolved_config(self.settings)
-        return (trace_group_key(cell), cell.mechanism, config)
+        return (trace_group_key(cell), cell.mechanism, config, cell.mix)
 
-    def _known_result(self, cell: "CellSpec") -> Optional[SimulationResult]:
-        """The result of an identical cell memoised under another key, or
-        the artifact cache's (None if ``cell`` must be simulated)."""
+    def _known_result(self, cell: "CellSpec"):
+        """The outcome of an identical cell memoised under another key, or
+        the artifact cache's (None if ``cell`` must be computed)."""
         result = self._simulated.get(self._identity(cell))
         return result if result is not None else self._cached_result(cell)
 
-    def _remember(self, cell: "CellSpec", result: SimulationResult) -> None:
-        self._results[cell.cache_key] = result
+    def _remember(self, cell: "CellSpec", result) -> None:
+        (self._mixes if cell.mix else self._results)[cell.cache_key] = result
         self._simulated[self._identity(cell)] = result
 
-    def _cached_result(self, cell: "CellSpec") -> Optional[SimulationResult]:
+    def _cached_result(self, cell: "CellSpec"):
         """Disk-cache lookup for one cell (None without a cache, or on miss)."""
         if self._cache is None:
             return None
         from .parallel import cell_fingerprint
 
         payload = self._cache.get_result(cell_fingerprint(self.settings, cell))
-        if payload is None:
-            return None
+        if payload is None or cell.mix:
+            return payload
         try:
             return _result_from_payload(payload)
         except (KeyError, TypeError):
             return None  # schema drift not caught by the code digest
 
-    def _store(self, cell: "CellSpec", result: SimulationResult) -> None:
-        """Install one computed result into the memo and the artifact cache."""
+    def _store(self, cell: "CellSpec", result) -> None:
+        """Install one computed outcome into the memo and the artifact cache."""
         self._remember(cell, result)
         if self._cache is not None:
             from .parallel import cell_fingerprint
 
-            self._cache.put_result(
-                cell_fingerprint(self.settings, cell), _result_to_payload(result)
-            )
+            payload = result if cell.mix else _result_to_payload(result)
+            self._cache.put_result(cell_fingerprint(self.settings, cell), payload)
 
     # --------------------------------------------------------- planned cells
-
-    def ensure_traces(self, workloads: Iterable[str]) -> None:
-        """Warm the trace memo for ``workloads``, in parallel when ``jobs>1``.
-
-        Traces already memoised or present in the artifact cache are not
-        regenerated; the rest are produced by worker processes (generation
-        is deterministic, so the parallel path is observationally identical
-        to calling :meth:`trace` in a loop).
-        """
-        from .parallel import generate_traces
-
-        missing = [w for w in dict.fromkeys(workloads) if self._known_trace(w) is None]
-        if missing:
-            traces = generate_traces(self.settings, missing, jobs=self.jobs)
-            for workload, trace in traces.items():
-                self._store_trace(workload, trace)
 
     def ensure_cells(self, cells: Iterable["CellSpec"]) -> None:
         """Compute every cell not already known, in one dispatch over ``jobs``.
@@ -393,9 +378,9 @@ class ExperimentSuite:
             trace_group_key,
         )
 
-        # Pending cells with one identity are simulated once, for all.
+        # Pending cells with one identity are computed once, for all.
         twins: Dict[tuple, List["CellSpec"]] = {}
-        seen = set(self._results) | set(self._quarantined)
+        seen = set(self._results) | set(self._mixes) | set(self._quarantined)
         for cell in cells:
             # Figure drivers build bare CellSpecs; stamp ingested-trace
             # identity on them here so fingerprints/workers do the right
@@ -404,17 +389,21 @@ class ExperimentSuite:
             if cell.cache_key in seen:
                 continue
             seen.add(cell.cache_key)
+            identity = self._identity(cell)
+            if identity in twins:  # a pending twin's outcome will do
+                twins[identity].append(cell)
+                continue
             known = self._known_result(cell)
             if known is not None:
                 self._remember(cell, known)
             else:
-                twins.setdefault(self._identity(cell), []).append(cell)
+                twins[identity] = [cell]
         if not twins:
             return
         pending = [same[0] for same in twins.values()]
         twins_of = {same[0].cache_key: same for same in twins.values()}
 
-        def landed(cell: "CellSpec", result: SimulationResult) -> None:
+        def landed(cell: "CellSpec", result) -> None:
             self._store(cell, result)
             for twin in twins_of[cell.cache_key][1:]:
                 self._remember(twin, result)
@@ -503,6 +492,7 @@ class ExperimentSuite:
             self._traces.clear()
         self._memos.clear()
         self._results.clear()
+        self._mixes.clear()
         self._simulated.clear()
 
     # ------------------------------------------------------------ measures

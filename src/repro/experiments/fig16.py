@@ -16,6 +16,7 @@ from typing import Dict, List, Optional
 from ..isa.instructions import Op
 from ..stats.report import TableFormatter
 from .common import SPEC_WORKLOADS, ExperimentSuite
+from .parallel import CellSpec
 
 CATEGORIES = [
     "UnsignedLoad",
@@ -59,45 +60,52 @@ class Fig16Result:
         return "\n".join(lines)
 
 
+def instruction_mix(lowered) -> dict:
+    """The Fig. 16 counts of one lowered program: ``{"counts": {category:
+    count}, "instructions": program length}``, integers only, so a fresh
+    mix and a cached one are equal."""
+    va_mask = lowered.pointer_layout.va_mask
+    counts = dict.fromkeys(CATEGORIES, 0)
+    program = lowered.program
+    for code, address in zip(program.ops, program.addresses):
+        if code == _LOAD:
+            key = "SignedLoad" if address > va_mask else "UnsignedLoad"
+            counts[key] += 1
+        elif code == _STORE:
+            key = "SignedStore" if address > va_mask else "UnsignedStore"
+            counts[key] += 1
+        elif code in _BOUNDS_CODES:
+            counts["bndstr/bndclr"] += 1
+        elif code in _PAC_CODES:
+            counts["pac*/aut*/xpac*"] += 1
+    return {"counts": counts, "instructions": len(program)}
+
+
+def cells(
+    suite: ExperimentSuite, workloads: Optional[List[str]] = None
+) -> List[CellSpec]:
+    """The plan of Fig. 16: one PA+AOS mix cell per workload.  Under
+    ``repro all`` it shares its group's PA+AOS lowering with Fig. 14."""
+    return [CellSpec(w, "pa+aos", mix=True) for w in workloads or SPEC_WORKLOADS]
+
+
 def run_fig16(
     suite: Optional[ExperimentSuite] = None,
     workloads: Optional[List[str]] = None,
 ) -> Fig16Result:
     suite = suite or ExperimentSuite()
-    workloads = workloads or SPEC_WORKLOADS
-
-    # Fig. 16 only needs lowered programs (no simulation); prefetch the
-    # traces — in parallel for a ``jobs>1`` suite, and through the artifact
-    # cache when one is attached — before the serial lowering loop.
-    suite.ensure_traces(workloads)
+    plan = cells(suite, workloads)
+    suite.ensure_cells(plan)
 
     rows: Dict[str, Dict[str, float]] = {}
     signed_fraction: Dict[str, float] = {}
-    for workload in workloads:
-        lowered = suite.lowered(workload, "pa+aos")
-        va_mask = lowered.pointer_layout.va_mask
-        counts = dict.fromkeys(CATEGORIES, 0)
-        program = lowered.program
-        for code, address in zip(program.ops, program.addresses):
-            if code == _LOAD:
-                key = "SignedLoad" if address > va_mask else "UnsignedLoad"
-                counts[key] += 1
-            elif code == _STORE:
-                key = "SignedStore" if address > va_mask else "UnsignedStore"
-                counts[key] += 1
-            elif code in _BOUNDS_CODES:
-                counts["bndstr/bndclr"] += 1
-            elif code in _PAC_CODES:
-                counts["pac*/aut*/xpac*"] += 1
-
-        total = len(lowered.program)
+    for cell in plan:
+        mix = suite.outcome(cell)
+        counts = mix["counts"]
         # Scale to "millions per 1B instructions" like the paper's axis.
-        scale = 1e9 / total / 1e6
-        rows[workload] = {k: v * scale for k, v in counts.items()}
-        mem_ops = (
-            counts["UnsignedLoad"] + counts["UnsignedStore"]
-            + counts["SignedLoad"] + counts["SignedStore"]
-        )
+        scale = 1e9 / mix["instructions"] / 1e6
+        rows[cell.workload] = {k: counts[k] * scale for k in CATEGORIES}
         signed = counts["SignedLoad"] + counts["SignedStore"]
-        signed_fraction[workload] = signed / mem_ops if mem_ops else 0.0
+        mem_ops = signed + counts["UnsignedLoad"] + counts["UnsignedStore"]
+        signed_fraction[cell.workload] = signed / mem_ops if mem_ops else 0.0
     return Fig16Result(rows=rows, signed_fraction=signed_fraction)

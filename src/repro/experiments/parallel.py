@@ -9,10 +9,10 @@ layers:
 simulation cells by trace and shards the groups over worker processes
 through :func:`repro.supervise.dispatch`, one task per trace.  Every cell
 is described by a picklable :class:`CellSpec`; a task generates its trace
-once and runs its cells through :func:`simulate_cell` — the same pure
-function the serial path uses — sharing one :class:`TraceMemo`, so the
-cells of one trace share one base pass and lower each distinct program,
-signed preamble and HBT prototype once.  Results are bit-identical to
+once and runs its cells through :func:`run_cell` — the same pure function
+the serial path uses — sharing one :class:`TraceMemo`, so the cells of
+one trace share one base pass and lower each distinct program, signed
+preamble and HBT prototype once.  Results are bit-identical to
 serial ones and merge back into the suite's memo in deterministic cell
 order regardless of worker completion order.
 
@@ -67,6 +67,10 @@ class CellSpec:
     Workers re-import the file instead of regenerating from a profile,
     and the cache fingerprint is keyed on the streamed sha256 digest of
     the file's bytes rather than on profile/settings fingerprints.
+
+    ``variant`` names a trace recipe (:func:`generate_cell_trace`) and
+    ``mix=True`` makes the task count the lowered program for Fig. 16
+    instead of simulating it; both enter every key and fingerprint.
     """
 
     workload: str
@@ -78,11 +82,17 @@ class CellSpec:
     #: The ingested trace's declared scale (header field); drives the
     #: scale-matched config instead of ``settings.scale`` for these cells.
     trace_scale: Optional[int] = None
+    variant: Optional[str] = None
+    mix: bool = False
 
     @property
     def cache_key(self) -> Tuple[str, str]:
-        """The (workload, key-or-mechanism) memo key used by the suite."""
-        return (self.workload, self.key or self.mechanism)
+        """The (workload, key-or-mechanism) memo key used by the suite,
+        suffixed ``@<variant>`` and ``:mix`` for such cells."""
+        name = self.key or self.mechanism
+        if self.variant is not None:
+            name += f"@{self.variant}"
+        return (self.workload, f"{name}:mix" if self.mix else name)
 
     def resolved_config(self, settings: RunSettings) -> SystemConfig:
         if self.config is not None:
@@ -118,19 +128,20 @@ def _canonical(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def trace_fingerprint(settings: RunSettings, workload: str) -> str:
+def trace_fingerprint(
+    settings: RunSettings, workload: str, variant: Optional[str] = None
+) -> str:
     """Content hash naming one generated trace in the artifact cache."""
     profile = get_profile(workload)
-    body = _canonical(
-        {
-            "schema": CACHE_SCHEMA,
-            "code": code_version(),
-            "kind": "trace",
-            "profile": dataclasses.asdict(profile),
-            "settings": dataclasses.asdict(settings),
-        }
-    )
-    return hashlib.sha256(body.encode()).hexdigest()
+    body = {
+        "schema": CACHE_SCHEMA,
+        "code": code_version(),
+        "kind": "trace",
+        "profile": dataclasses.asdict(profile),
+        "settings": dataclasses.asdict(settings),
+        "variant": variant,
+    }
+    return hashlib.sha256(_canonical(body).encode()).hexdigest()
 
 
 def _mechanism_cache_token(mechanism: str) -> str:
@@ -159,35 +170,29 @@ def cell_fingerprint(settings: RunSettings, cell: CellSpec) -> str:
     (configuration, observability) stay in the key.
     """
     config = cell.resolved_config(settings)
+    body = {
+        "schema": CACHE_SCHEMA,
+        "code": code_version(),
+        "kind": "result",
+        "mechanism": cell.mechanism,
+        "mechanism_token": _mechanism_cache_token(cell.mechanism),
+        "config": dataclasses.asdict(config),
+        "variant": cell.variant,
+        "mix": cell.mix,
+    }
     if cell.trace_digest is not None:
-        body = _canonical(
-            {
-                "schema": CACHE_SCHEMA,
-                "code": code_version(),
-                "kind": "result",
-                "ingested": True,
-                "trace_digest": cell.trace_digest,
-                "mechanism": cell.mechanism,
-                "mechanism_token": _mechanism_cache_token(cell.mechanism),
-                "config": dataclasses.asdict(config),
-                "obs": dataclasses.asdict(settings.obs),
-            }
+        body.update(
+            ingested=True,
+            trace_digest=cell.trace_digest,
+            obs=dataclasses.asdict(settings.obs),
         )
-        return hashlib.sha256(body.encode()).hexdigest()
-    body = _canonical(
-        {
-            "schema": CACHE_SCHEMA,
-            "code": code_version(),
-            "kind": "result",
-            "workload": cell.workload,
-            "mechanism": cell.mechanism,
-            "mechanism_token": _mechanism_cache_token(cell.mechanism),
-            "profile": dataclasses.asdict(get_profile(cell.workload)),
-            "config": dataclasses.asdict(config),
-            "settings": dataclasses.asdict(settings),
-        }
-    )
-    return hashlib.sha256(body.encode()).hexdigest()
+    else:
+        body.update(
+            workload=cell.workload,
+            profile=dataclasses.asdict(get_profile(cell.workload)),
+            settings=dataclasses.asdict(settings),
+        )
+    return hashlib.sha256(_canonical(body).encode()).hexdigest()
 
 
 # --------------------------------------------------------------------- cache
@@ -401,13 +406,34 @@ class ArtifactCache:
 # ----------------------------------------------------------------- simulate
 
 
-def generate_cell_trace(settings: RunSettings, workload: str) -> WorkloadTrace:
-    """The deterministic trace for ``workload`` under ``settings``."""
+#: The trace variant of §V-F3's resize ablation (``CellSpec.variant``).
+GROWTH = "growth"
+
+
+def generate_cell_trace(
+    settings: RunSettings, workload: str, variant: Optional[str] = None
+) -> WorkloadTrace:
+    """The deterministic trace for ``workload`` under ``settings``.
+
+    ``variant=GROWTH`` is an allocation *phase* of the workload: a small
+    starting heap, a malloc storm and a live set that only grows through
+    the window, so HBT rows overflow while the clock is running.  A
+    coarse scale shrinks the PAC space so the storm reaches overflow
+    within a simulable window.
+    """
+    profile = get_profile(workload)
+    scale, grow_live_by = settings.scale, 0
+    if variant == GROWTH:
+        profile = dataclasses.replace(profile, mallocs_per_kinst=200.0, initial_live=64)
+        scale, grow_live_by = 64, 10 * settings.instructions  # never free
+    elif variant is not None:
+        raise ValueError(f"unknown trace variant {variant!r}")
     return generate_trace(
-        get_profile(workload),
+        profile,
         instructions=settings.instructions,
         seed=settings.seed,
-        scale=settings.scale,
+        scale=scale,
+        grow_live_by=grow_live_by,
     )
 
 
@@ -418,14 +444,17 @@ def load_cell_trace(settings: RunSettings, cell: CellSpec) -> WorkloadTrace:
         from ..traces import import_trace
 
         return import_trace(cell.trace_path)
-    return generate_cell_trace(settings, cell.workload)
+    return generate_cell_trace(settings, cell.workload, cell.variant)
 
 
 def trace_group_key(cell: CellSpec) -> str:
     """The trace ``cell`` simulates: its file path for an ingested cell,
-    else its workload.  Cells with one key share a :class:`TraceMemo` and
-    form one dispatch task."""
-    return cell.trace_path if cell.trace_path is not None else cell.workload
+    else its workload (``<workload>@<variant>`` for a trace variant).
+    Cells with one key share a :class:`TraceMemo` and form one dispatch
+    task."""
+    if cell.trace_path is not None:
+        return cell.trace_path
+    return cell.workload if cell.variant is None else f"{cell.workload}@{cell.variant}"
 
 
 def supervised_cell_key(cell: CellSpec) -> str:
@@ -436,7 +465,8 @@ def supervised_cell_key(cell: CellSpec) -> str:
     key only when a sweep has fewer traces than workers and each cell is
     its own task.
     """
-    return f"{cell.workload}/{cell.key or cell.mechanism}"
+    workload, name = cell.cache_key
+    return f"{workload}/{name}"
 
 
 class TraceMemo:
@@ -569,22 +599,33 @@ def simulate_cell(
     return Simulator(config, obs=settings.obs.create()).run(lowered, inspect=inspect)
 
 
-def _group_worker(args: tuple) -> List[SimulationResult]:
-    """Simulate one trace group ``(settings, cells, paranoid)``: its cells,
-    in order, through one :class:`TraceMemo`."""
+def run_cell(
+    settings: RunSettings,
+    cell: CellSpec,
+    memo: Optional[TraceMemo] = None,
+    paranoid: bool = False,
+) -> Union[SimulationResult, dict]:
+    """One cell's outcome: :func:`simulate_cell`'s result, or for a mix
+    cell the Fig. 16 counts of its lowered program (never simulated)."""
+    if not cell.mix:
+        return simulate_cell(settings, cell, memo=memo, paranoid=paranoid)
+    from .fig16 import instruction_mix
+
+    if memo is None:
+        memo = TraceMemo(partial(load_cell_trace, settings, cell))
+    config = cell.resolved_config(settings)
+    return instruction_mix(memo.lowered(cell.mechanism, config))
+
+
+def _group_worker(args: tuple) -> List[Union[SimulationResult, dict]]:
+    """Run one trace group ``(settings, cells, paranoid)``: its cells, in
+    order, through one :class:`TraceMemo`."""
     settings, cells, paranoid = args
     memo = TraceMemo(
         partial(load_cell_trace, settings, cells[0]),
         [(cell.mechanism, cell.resolved_config(settings)) for cell in cells],
     )
-    return [
-        simulate_cell(settings, cell, memo=memo, paranoid=paranoid) for cell in cells
-    ]
-
-
-def _trace_worker(args: Tuple[RunSettings, str]) -> WorkloadTrace:
-    settings, workload = args
-    return generate_cell_trace(settings, workload)
+    return [run_cell(settings, cell, memo=memo, paranoid=paranoid) for cell in cells]
 
 
 # ------------------------------------------------------------------- engine
@@ -696,16 +737,3 @@ def run_cells_supervised(
     return _dispatch_cells(
         settings, cells, paranoid, supervise=supervise, on_cell=on_cell
     )
-
-
-def generate_traces(
-    settings: RunSettings,
-    workloads: Iterable[str],
-    jobs: int = 1,
-) -> Dict[str, WorkloadTrace]:
-    """Generate (deterministic) traces for ``workloads``, in parallel."""
-    from ..supervise import Task, dispatch
-
-    tasks = [Task(key=w, payload=(settings, w)) for w in dict.fromkeys(workloads)]
-    traces, _ = dispatch(_trace_worker, tasks, jobs)
-    return traces

@@ -216,7 +216,12 @@ class TraceReader:
                         f"{self.path}: trailing garbage after end record"
                     )
                 return
-            yield decode_record_json(payload)
+            try:
+                record = decode_record_json(payload)
+            except TraceDecodeError as exc:
+                # Line 1 is the header, so record ``count`` is on line count + 2.
+                raise TraceDecodeError(f"{self.path}:{count + 2}: {exc}") from None
+            yield record
             count += 1
 
     def close(self) -> None:

@@ -97,12 +97,9 @@ class TestAblationDrivers:
         # Every row but the first (BWB disabled) looks the buffer up.
         assert all(lookups(metrics[cell.cache_key]) for cell in rows[1:])
 
-    def test_warm_rerun_simulates_only_in_process_rows(
-        self, monkeypatch, tmp_path, capsys
-    ):
-        """A second ``repro ablations`` on the same cache reads every
-        planned row from it: only REST without quarantine and the resize
-        ablation's three runs (baseline, two policies) simulate."""
+    def test_warm_rerun_simulates_nothing(self, monkeypatch, tmp_path, capsys):
+        """A second ``repro ablations`` on the same cache reads every row
+        from it, REST without quarantine and the resize rows included."""
         from repro import cli
         from repro.cpu.core import Simulator
 
@@ -118,7 +115,7 @@ class TestAblationDrivers:
         monkeypatch.setattr(Simulator, "run", run)
         assert cli.main(argv) == 0
         assert "0 misses, 0 stores" in capsys.readouterr().out
-        assert sorted(runs) == ["aos", "aos", "baseline", "rest"]
+        assert runs == []
 
     def test_entropy_rows_are_static(self):
         result = ablation_entropy()
@@ -141,7 +138,7 @@ class TestRESTLoweringUnits:
         from repro.compiler.passes import RESTLowering
 
         trace = suite.trace("povray")
-        with_q = RESTLowering(trace, suite.config_for("rest"), quarantine=True)
+        with_q = RESTLowering(trace, suite.config_for("rest"))
         with_q.lower()
         # Some chunks must still be parked in the pool at program end.
         assert len(with_q._pool) > 0

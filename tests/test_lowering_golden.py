@@ -5,8 +5,9 @@ hands the simulator: the instruction stream (``repr`` of the
 ``Instruction`` view), the pointer layout, the trace event count and the
 pre-warmed HBT (rows, ways and stats).  REST is pinned twice: with its
 quarantine pool (the registered mechanism) and without it (the
-``ablation_quarantine`` variant).  Any change to what a lowering emits
-shows up here as a named (workload, mechanism) row.
+unregistered ``rest-noq`` lowering token of ``ablation_quarantine``).
+Any change to what a lowering emits shows up here as a named (workload,
+mechanism) row.
 
 To regenerate the fixture after an *intended* lowering change:
 
@@ -53,7 +54,6 @@ def mechanisms() -> list:
 def compute_digests(workload: str) -> dict:
     """``{mechanism: digest}`` for one workload profile."""
     from repro.compiler import lower_trace
-    from repro.compiler.passes import RESTLowering
     from repro.experiments.common import scaled_config
     from repro.workloads import generate_trace, get_profile
 
@@ -64,7 +64,7 @@ def compute_digests(workload: str) -> dict:
     for mechanism in mechanisms():
         if mechanism == REST_NO_QUARANTINE:
             config = scaled_config("rest", SCALE)
-            lowered = RESTLowering(trace, config, quarantine=False).lower()
+            lowered = lower_trace(trace, "rest-noq", config=config)
         else:
             config = scaled_config(mechanism, SCALE)
             lowered = lower_trace(trace, mechanism, config=config)

@@ -16,10 +16,13 @@ import pytest
 from repro.experiments import ArtifactCache, CellSpec, RunSettings, cell_fingerprint
 from repro.experiments.common import ExperimentSuite, scaled_config
 from repro.experiments.parallel import (
+    GROWTH,
     generate_cell_trace,
     run_cells,
     simulate_cell,
+    supervised_cell_key,
     trace_fingerprint,
+    trace_group_key,
 )
 from repro.faults import Campaign, CampaignConfig, FaultKind
 from repro.supervise import SupervisorConfig
@@ -72,6 +75,60 @@ class TestFingerprints:
 
     def test_trace_fingerprint_distinguishes_workloads(self):
         assert trace_fingerprint(SETTINGS, "gcc") != trace_fingerprint(SETTINGS, "mcf")
+
+    def test_trace_fingerprint_distinguishes_variants(self):
+        plain = trace_fingerprint(SETTINGS, "omnetpp")
+        assert plain != trace_fingerprint(SETTINGS, "omnetpp", GROWTH)
+
+
+class TestCellVariants:
+    """A growth-phase cell and a Fig. 16 mix cell never pass for their
+    plain counterparts: every key and fingerprint tells them apart."""
+
+    @staticmethod
+    def keys(cell):
+        suite = ExperimentSuite(SETTINGS)
+        return {
+            "trace_group_key": trace_group_key(cell),
+            "cell_fingerprint": cell_fingerprint(SETTINGS, cell),
+            "cache_key": cell.cache_key,
+            "supervised_cell_key": supervised_cell_key(cell),
+            "identity": suite._identity(cell),
+        }
+
+    def test_growth_cell_keys_differ_from_plain(self):
+        for mechanism in ("baseline", "aos"):
+            plain = self.keys(CellSpec("omnetpp", mechanism))
+            growth = self.keys(CellSpec("omnetpp", mechanism, variant=GROWTH))
+            assert growth["trace_group_key"] == "omnetpp@growth"
+            assert all(growth[name] != plain[name] for name in plain), mechanism
+
+    def test_mix_cell_keys_differ_from_plain(self):
+        plain = self.keys(CellSpec("gcc", "pa+aos"))
+        mix = self.keys(CellSpec("gcc", "pa+aos", mix=True))
+        # One trace group, so a mix cell shares its group's PA+AOS lowering.
+        assert mix.pop("trace_group_key") == plain.pop("trace_group_key")
+        assert all(mix[name] != plain[name] for name in plain)
+
+    def test_growth_baseline_is_its_own_run(self):
+        suite = ExperimentSuite(SETTINGS)
+        plain = CellSpec("omnetpp", "baseline")
+        growth = CellSpec("omnetpp", "baseline", variant=GROWTH)
+        suite.ensure_cells([plain, growth])
+        assert suite.outcome(plain).cycles != suite.outcome(growth).cycles
+
+    def test_mix_cell_round_trips_through_the_cache(self, tmp_path):
+        mix = CellSpec("gobmk", "pa+aos", mix=True)
+        cold = ExperimentSuite(SETTINGS, cache=tmp_path)
+        cold.ensure_cells([mix])
+        counts = cold.outcome(mix)
+        assert set(counts) == {"counts", "instructions"}
+        warm = ExperimentSuite(SETTINGS, cache=tmp_path)
+        warm.ensure_cells([mix])
+        assert warm.cache.stats.misses == 0
+        assert warm.outcome(mix) == counts
+        # Mix counts stay out of the simulation results.
+        assert warm.result_payloads() == {}
 
 
 # ---------------------------------------------------------------- disk cache
@@ -289,14 +346,16 @@ class TestSharedTraceWork:
         assert list(results) == list(serial)
 
     def test_repro_all_plans_once(self, monkeypatch, capsys):
-        """``repro all`` computes every artifact's timed rows in one
-        dispatch: each workload's trace is generated once there, and
-        only Fig. 16, the REST-without-quarantine row and the resize
-        growth trace generate theirs in the parent."""
+        """``repro all`` computes every artifact's rows in one dispatch:
+        each trace is generated once there, Fig. 16's mix cells count the
+        PA+AOS lowering without simulating it, and nothing runs in the
+        parent.  The second dispatch is the fault-injection campaign."""
         import repro.supervise
         import repro.workloads
         from repro import cli
+        from repro.cpu.core import Simulator
         from repro.experiments import parallel
+        from repro.faults import campaign
 
         generated = Counter()
         real_generate = parallel.generate_trace
@@ -312,21 +371,30 @@ class TestSharedTraceWork:
             dispatched[worker.__name__] += 1
             return real_dispatch(worker, tasks, *args, **kwargs)
 
+        runs = []
+        real_run = Simulator.run
+
+        def run(self, *args, **kwargs):
+            runs.append(self.config.mechanism)
+            return real_run(self, *args, **kwargs)
+
         monkeypatch.setattr(parallel, "generate_trace", generate)
         monkeypatch.setattr(repro.workloads, "generate_trace", generate)
         monkeypatch.setattr(repro.supervise, "dispatch", dispatch)
+        monkeypatch.setattr(campaign, "dispatch", dispatch)
+        monkeypatch.setattr(Simulator, "run", run)
         assert cli.main(["all", "--quick", "--jobs", "1", "--no-cache"]) == 0
         capsys.readouterr()
-        # gcc/povray/gobmk: the dispatch and Fig. 16; omnetpp: the dispatch,
-        # the REST row and the resize trace; hmmer: the dispatch.
+        # omnetpp: its plain trace and the resize ablation's growth phase.
         assert generated == {
-            "gcc": 2,
-            "povray": 2,
-            "gobmk": 2,
-            "omnetpp": 3,
+            "gcc": 1,
+            "povray": 1,
+            "gobmk": 1,
+            "omnetpp": 2,
             "hmmer": 1,
         }
-        assert dispatched["_group_worker"] == 1
+        assert dispatched == {"_group_worker": 1, "_cell_worker": 1}
+        assert len(runs) == 44
 
 
 # ----------------------------------------------------------- suite-level cache

@@ -147,6 +147,42 @@ def test_jsonl_unknown_record_field(tmp_path):
         import_trace(path)
 
 
+#: Record lines that parse as JSON but fail the schema: (line, message).
+SCHEMA_FAILURES = {
+    "unknown-kind": ('{"k":"zorp"}', "unknown record kind 'zorp'"),
+    "unknown-field": ('{"k":"alu","surprise":true}', "unknown record fields"),
+    "non-boolean-flag": ('{"k":"load","obj":0,"offset":8,"ptr":1}', "boolean"),
+    "negative-field": ('{"k":"load","obj":0,"offset":-8}', "must be >= 0"),
+}
+
+
+def _schema_failure(tmp_path, kind):
+    """A valid trace with ``kind``'s bad record inserted as line 3."""
+    path = write_trace(tmp_path / f"{kind}.jsonl", VALID_RECORDS[:2])
+    lines = path.read_text().splitlines(keepends=True)
+    lines.insert(2, SCHEMA_FAILURES[kind][0] + "\n")
+    path.write_text("".join(lines))
+    return path
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMA_FAILURES))
+def test_schema_failure_names_path_and_line(kind, tmp_path):
+    path = _schema_failure(tmp_path, kind)
+    with pytest.raises(TraceDecodeError) as raised:
+        import_trace(path)
+    assert str(raised.value).startswith(f"{path}:3: ")
+    assert SCHEMA_FAILURES[kind][1] in str(raised.value)
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMA_FAILURES))
+def test_trace_import_cli_rejects_schema_failure(kind, tmp_path, capsys):
+    from repro.cli import main
+
+    path = _schema_failure(tmp_path, kind)
+    assert main(["trace-import", str(path), "--no-cache"]) == 2
+    assert f"TraceDecodeError: {path}:3: " in capsys.readouterr().err
+
+
 def test_unknown_header_field_rejected(tmp_path):
     path = write_trace(tmp_path / "t.jsonl", VALID_RECORDS)
     lines = path.read_text().splitlines(keepends=True)
