@@ -1,55 +1,36 @@
 #!/usr/bin/env python3
-"""Security analysis: the full §VII attack suite against every mechanism.
+"""Security analysis: the §VII scenario corpus against every mechanism.
 
-Walks through the House-of-Spirit exploit of Fig. 1 step by step on an
-unprotected heap (showing the attack actually *working*), then on AOS
-(showing ``bndclr`` stopping it), and finally prints the complete
-mechanism-vs-attack detection matrix.
+Prints the House-of-Spirit recipe of Fig. 1 step by step, runs it on an
+unprotected heap (where it completes: ``malloc`` hands back the crafted
+chunk) and on AOS (where ``bndclr`` stops the ``free`` of the crafted
+pointer), then prints the complete scenario-vs-mechanism detection
+matrix.
 
 Run with::
 
     python examples/attack_detection.py
 """
 
-from repro.core.exceptions import AOSException
-from repro.security import run_security_analysis
-from repro.security.adapters import AOSAdapter, BaselineAdapter
+from repro.adversary import build_scenario, execute_scenario, run_security_analysis
 
 
 def house_of_spirit_walkthrough() -> None:
     print("=" * 72)
-    print("House of Spirit (Fig. 1) on an unprotected glibc-style heap")
+    print("House of Spirit (Fig. 1)")
     print("=" * 72)
-    victim_heap = BaselineAdapter()
-    layout = victim_heap.allocator.layout
-
-    # The attacker crafts a fake fast_chunk in writable memory: the size
-    # fields must pass free()'s sanity tests (Fig. 1 lines 11-12).
-    fake_chunk = layout.globals_base + 0x1000
-    victim_heap.raw_write(fake_chunk + 8, 0x40)          # fchunk[0].size
-    victim_heap.raw_write(fake_chunk + 0x40 + 8, 0x40)   # fchunk[1].size
-    fake_payload = fake_chunk + 16
-    print(f"crafted fake chunk at {fake_chunk:#x}")
-
-    # free() trusts the in-memory size field -> fastbin insertion.
-    victim_heap.free(fake_payload)
-    print("free(crafted pointer) accepted -> fake chunk in the fastbin")
-
-    # The next malloc of that size returns attacker-controlled memory.
-    stolen = victim_heap.malloc(0x30)
-    print(f"malloc(0x30) returned {stolen:#x} "
-          f"({'ATTACK SUCCEEDED' if stolen == fake_payload else 'missed'})")
-
-    print("\nSame attack against AOS:")
-    protected = AOSAdapter()
-    fake_chunk = layout.globals_base + 0x1000
-    protected.raw_write(fake_chunk + 8, 0x40)
-    crafted = fake_chunk + 16
-    try:
-        protected.free(crafted)
-        print("  free() accepted the crafted pointer (unexpected!)")
-    except AOSException as exc:
-        print(f"  blocked at bndclr before free(): {exc}")
+    instance = build_scenario("house-of-spirit")
+    for index, step in enumerate(instance.steps):
+        args = (
+            f"{name}={value:#x}" if isinstance(value, int) else f"{name}={value}"
+            for name, value in vars(step).items()
+            if value and name != "op"
+        )
+        print(f"  step {index}: {step.op:9s} " + " ".join(args))
+    print()
+    for mechanism in ("baseline", "aos"):
+        outcome, detail = execute_scenario(instance, mechanism)
+        print(f"  {mechanism:8s} {outcome.value:10s} {detail}")
 
 
 def main() -> None:
@@ -59,13 +40,14 @@ def main() -> None:
     print("=" * 72)
     print("Full detection matrix (§VII)")
     print("=" * 72)
-    matrix = run_security_analysis()
-    print(matrix.format_table())
+    print(run_security_analysis().format_grid())
     print()
     print("Notes:")
-    print(" - rest misses the non-adjacent overflow (jumps over redzones, §I)")
+    print(" - rest misses the non-linear overflow (jumps over redzones, §I)")
     print(" - pa detects only pointer corruption, not OOB/UAF (§II-B)")
-    print(" - aos detects every class, incl. PAC/AHC forging via autm (§VII-C)")
+    print(" - aos misses ahc-zero-escape: a zeroed AHC skips bounds checks;")
+    print("   pa+aos closes it with the on-load autm (§VII-C, Fig. 13)")
+    print(" - mte's 4-bit tags fall to metadata-brute-force; 16-bit PACs do not")
 
 
 if __name__ == "__main__":

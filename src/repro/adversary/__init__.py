@@ -1,13 +1,16 @@
-"""Adversarial scenario corpus and chaos campaigns (§VII, ROADMAP item 4).
+"""Adversarial scenario corpus and chaos campaigns (§VII).
 
 :mod:`~repro.adversary.scenarios` is the corpus: named, seeded exploit
-recipes (overflow, OOB, UAF, double free, PAC forgery/replay, the §VII-C
-AHC-zeroing escape) each carrying an expected-verdict oracle per mechanism
-and a compilation path to a runnable :class:`~repro.isa.program.Program`.
+recipes (overflow, OOB, UAF, double and invalid free, House of Spirit,
+PAC forgery/replay/brute force, the §VII-C AHC-zeroing escape) each
+carrying an expected-verdict oracle per mechanism and a compilation path
+to a runnable :class:`~repro.isa.program.Program`.
 
 :mod:`~repro.adversary.chaos` sweeps the corpus across every mechanism
-adapter under the supervision layer and classifies each cell's observed
-outcome against the oracle; ``python -m repro attack`` is the CLI.
+adapter and classifies each cell's observed outcome against the oracle;
+``python -m repro attack`` is the supervised campaign CLI and
+``python -m repro security`` prints the whole corpus as the §VII
+detection matrix.
 """
 
 from .chaos import (
@@ -22,8 +25,10 @@ from .chaos import (
     execute_scenario,
     run_quick_chaos,
     run_scenario_cell,
+    run_security_analysis,
 )
 from .scenarios import (
+    CHAOS_SCENARIOS,
     SCENARIOS,
     Expectation,
     ScenarioInstance,
@@ -36,6 +41,7 @@ from .scenarios import (
 )
 
 __all__ = [
+    "CHAOS_SCENARIOS",
     "SCENARIOS",
     "VERDICTS",
     "ChaosCampaign",
@@ -55,5 +61,6 @@ __all__ = [
     "parse_scenarios",
     "run_quick_chaos",
     "run_scenario_cell",
+    "run_security_analysis",
     "scenario_trace",
 ]

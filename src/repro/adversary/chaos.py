@@ -12,7 +12,9 @@ module-level function serial runs use, so a supervised sweep classifies
 cells identically, and quarantined cells surface as robustness bugs with
 their failure history.  A mechanism adapter that does not model a
 scenario's attacker primitive yields an explicit ``unsupported`` verdict —
-never a silent pass.
+never a silent pass.  :func:`run_security_analysis` is the same campaign
+over the whole corpus, in-process: the §VII detection matrix, printed by
+:meth:`ScenarioMatrix.format_grid`.
 
 The verdict of each cell compares the *observed* outcome against the
 corpus's expected-verdict oracle:
@@ -43,6 +45,7 @@ from ..mechanisms.registry import REGISTRY, parse_mechanisms
 from ..security.adapters import make_adapter
 from ..supervise import Task, dispatch
 from .scenarios import (
+    SCENARIOS,
     Expectation,
     ScenarioInstance,
     Step,
@@ -156,8 +159,39 @@ def _apply_step(adapter, env: Dict[str, Any], step: Step) -> None:
             # still a forgery.
             forged = forge(env[step.obj], step.value ^ 1)
         env[step.obj] = forged
+    elif step.op == "craft":
+        env[step.obj] = getattr(adapter.allocator.layout, step.region) + step.offset
+    elif step.op == "raw-write":
+        adapter.raw_write(env[step.obj] + step.offset, step.value)
+    elif step.op == "brute-force":
+        _brute_force(adapter, env[step.obj], budget=step.value)
     else:  # pragma: no cover - Step.__post_init__ rejects unknown ops
         raise WorkloadError(f"unknown scenario step op {step.op!r}")
+
+
+#: Knuth's multiplicative-hash constant: attempt ``i`` guesses
+#: ``i * _GUESS_STRIDE`` (reduced by the forger to its field's width), an
+#: odd stride that visits every residue of a power-of-two space.
+_GUESS_STRIDE = 2654435761
+
+
+def _brute_force(adapter, pointer, budget: int) -> None:
+    """Dereference up to ``budget`` forged copies of ``pointer``, each
+    detection a retry; re-raise the last detection if no guess lands."""
+    forge = getattr(adapter, "forge_pac", None) or getattr(adapter, "forge_tag", None)
+    if forge is None:
+        raise UnsupportedScenario(
+            f"{adapter.name} carries no guessable pointer metadata"
+        )
+    detections = REGISTRY.detection_exceptions()
+    for attempt in range(budget):
+        try:
+            adapter.load(forge(pointer, attempt * _GUESS_STRIDE))
+        except detections as exc:
+            last = exc
+            continue
+        return
+    raise last
 
 
 def execute_scenario(
@@ -361,6 +395,24 @@ class ScenarioMatrix:
             "ok": self.ok,
         }
 
+    def format_grid(self) -> str:
+        """The §VII detection matrix: one row per scenario, one column per
+        mechanism, ``DETECT`` / ``-`` / ``n/a`` (detected / undetected /
+        unsupported)."""
+        symbol = {"detected": "DETECT", "undetected": "-", "unsupported": "n/a"}
+        cells = {(run.scenario, run.mechanism): run.observed for run in self.runs}
+        scenarios = list(dict.fromkeys(run.scenario for run in self.runs))
+        mechanisms = list(dict.fromkeys(run.mechanism for run in self.runs))
+        header = f"{'attack':24s}" + "".join(f"{m:>12s}" for m in mechanisms)
+        lines = [header, "-" * len(header)]
+        for scenario in scenarios:
+            observed = (cells[scenario, m] for m in mechanisms)
+            lines.append(
+                f"{scenario:24s}"
+                + "".join(f"{symbol.get(o, o):>12s}" for o in observed)
+            )
+        return "\n".join(lines)
+
     def format_report(self) -> str:
         from ..stats.scenario_coverage import ScenarioCoverage
 
@@ -448,6 +500,12 @@ class ChaosCampaign:
                     }
                 )
         return matrix
+
+
+def run_security_analysis() -> ScenarioMatrix:
+    """The §VII detection matrix (``repro security``): every recipe of the
+    corpus against every registered mechanism, unsupervised, in-process."""
+    return ChaosCampaign(ChaosConfig(scenarios=tuple(SCENARIOS))).run()
 
 
 def run_quick_chaos(**overrides) -> ScenarioMatrix:

@@ -1,13 +1,16 @@
 """The adversarial scenario corpus: named exploits with expected verdicts.
 
 Where :mod:`repro.faults` perturbs *simulator state* at random seams, this
-module takes the attacker's seat (ROADMAP item: adversarial scenario
-corpus): each scenario is a deterministic, seeded recipe for one named
-exploit from the paper's §VII security analysis — heap overflow into the
-adjacent chunk, linear and non-linear OOB, use-after-free with and without
-reallocation of the freed slot, double free, intra-object overflow, PAC
-forgery and replay, and the §VII-C AHC-zeroing escape as a first-class
-named scenario.
+module takes the attacker's seat: each scenario is a deterministic, seeded
+recipe for one named exploit from the paper's §VII security analysis —
+heap overflow into the adjacent chunk, adjacent, linear and non-linear
+OOB, intra-object overflow, use-after-free with and without reallocation
+of the freed slot, double and invalid free, House of Spirit (Fig. 1), PAC
+forgery, replay and brute force, the §VII-C AHC-zeroing escape, and
+return-address corruption.  It is the repo's one attack model: the chaos
+campaign (``repro attack``) sweeps :data:`CHAOS_SCENARIOS` and the §VII
+detection matrix (``repro security``) is every recipe in
+:data:`SCENARIOS` against every registered mechanism.
 
 A scenario *instance* carries two executable forms:
 
@@ -56,6 +59,9 @@ STEP_OPS = (
     "call",       # adapter.call()                       [call-stack models]
     "ret",        # adapter.ret()                        [call-stack models]
     "smash-ret",  # adapter.smash_ret(value)             [call-stack models]
+    "craft",      # env[obj] = layout.<region> + offset  (an unsigned integer)
+    "raw-write",  # adapter.raw_write(env[obj] + offset, value)
+    "brute-force",  # up to ``value`` loads of forge_pac/forge_tag guesses
 )
 
 
@@ -69,6 +75,9 @@ class Step:
     offset: int = 0
     size: int = 0
     value: int = 0
+    #: ``craft`` only: the :class:`~repro.memory.layout.AddressSpaceLayout`
+    #: field the crafted address is an offset from.
+    region: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.op not in STEP_OPS:
@@ -92,10 +101,6 @@ class ScenarioInstance:
 
     def expected(self, mechanism: str) -> Expectation:
         return self.expectations.get(mechanism, self.default)
-
-
-#: The signing mechanisms (adapters with forge_pac/forge_ahc_zero/autm).
-_SIGNING = ("aos", "pa+aos")
 
 
 def _oracle(scenario: str, category: str) -> Dict[str, Expectation]:
@@ -143,6 +148,26 @@ def heap_overflow_adjacent(seed: int = 7) -> ScenarioInstance:
         expectations=_oracle("heap-overflow-adjacent", "spatial"),
         seed=seed,
         paper_ref="§VII-A, Fig. 12",
+    )
+
+
+def adjacent_oob_read(seed: int = 7) -> ScenarioInstance:
+    rng = _rng("adjacent-oob-read", seed)
+    size = _size(rng)
+    steps = (
+        Step("malloc", obj="victim", size=size),
+        Step("malloc", obj="neighbour", size=size),
+        # ``varA = ptr[N+1]``: the first byte past the end (Fig. 12 line 6).
+        Step("load", obj="victim", offset=size),
+    )
+    return ScenarioInstance(
+        name="adjacent-oob-read",
+        category="spatial",
+        description="read of the first byte past the allocation end",
+        steps=steps,
+        expectations=_oracle("adjacent-oob-read", "spatial"),
+        seed=seed,
+        paper_ref="§VII-A, Fig. 12 line 6",
     )
 
 
@@ -272,6 +297,53 @@ def double_free(seed: int = 7) -> ScenarioInstance:
     )
 
 
+def invalid_free(seed: int = 7) -> ScenarioInstance:
+    steps = (
+        Step("malloc", obj="live", size=32),
+        # Misaligned and never allocated: free() of a crafted heap address.
+        Step("craft", obj="bogus", region="heap_base", offset=0x100000 + 8),
+        Step("free", obj="bogus"),
+    )
+    return ScenarioInstance(
+        name="invalid-free",
+        category="temporal",
+        description="free() of an address that was never allocated",
+        steps=steps,
+        # glibc's own free() sanity checks reject it: every mechanism,
+        # the unprotected baseline included, must detect it.
+        expectations={},
+        default=Expectation.MUST_DETECT,
+        seed=seed,
+        paper_ref="§IV-D (bndclr)",
+    )
+
+
+def house_of_spirit(seed: int = 7) -> ScenarioInstance:
+    steps = (
+        # A fake fast_chunk in writable globals whose size fields pass
+        # free()'s sanity tests (Fig. 1 lines 11-12).
+        Step("craft", obj="fake", region="globals_base", offset=0x1000),
+        Step("raw-write", obj="fake", offset=8, value=0x40),
+        Step("raw-write", obj="fake", offset=0x40 + 8, value=0x40),
+        # free() the fake payload into a fastbin; the next malloc of that
+        # size returns attacker-controlled memory.
+        Step("craft", obj="payload", region="globals_base", offset=0x1000 + 16),
+        Step("free", obj="payload"),
+        Step("malloc", obj="stolen", size=0x30),
+    )
+    return ScenarioInstance(
+        name="house-of-spirit",
+        category="temporal",
+        description="free() of a crafted fake chunk, then malloc returns it",
+        steps=steps,
+        # A free() of memory the allocator never handed out: the liveness
+        # machinery (bndclr, lock/key, quarantine) decides each claim.
+        expectations=_oracle("house-of-spirit", "temporal"),
+        seed=seed,
+        paper_ref="Fig. 1, §II-A",
+    )
+
+
 def pac_forgery(seed: int = 7) -> ScenarioInstance:
     rng = _rng("pac-forgery", seed)
     size = _size(rng)
@@ -345,6 +417,26 @@ def ahc_zero_escape(seed: int = 7) -> ScenarioInstance:
     )
 
 
+def metadata_brute_force(seed: int = 7) -> ScenarioInstance:
+    rng = _rng("metadata-brute-force", seed)
+    steps = (
+        Step("malloc", obj="victim", size=_size(rng)),
+        # §X vs §VII-E: 4-bit tags fall within 16 guesses; a 16-bit PAC
+        # survives 256 (45 425 attempts for a 50 % hit).
+        Step("brute-force", obj="victim", value=256),
+    )
+    return ScenarioInstance(
+        name="metadata-brute-force",
+        category="metadata",
+        description="256 forged guesses of the pointer's tag or PAC",
+        steps=steps,
+        expectations=_oracle("metadata-brute-force", "metadata"),
+        default=Expectation.UNSUPPORTED,  # no guessable pointer metadata
+        seed=seed,
+        paper_ref="§VII-E, §X",
+    )
+
+
 def ret_addr_corruption(seed: int = 7) -> ScenarioInstance:
     rng = _rng("ret-addr-corruption", seed)
     steps = (
@@ -369,21 +461,43 @@ def ret_addr_corruption(seed: int = 7) -> ScenarioInstance:
     )
 
 
-#: The corpus, in presentation order.  Keys are the scenario names used by
-#: the CLI, the chaos campaign, checkpoints and the scenario-matrix JSON.
+#: The corpus, in presentation order (the rows of the §VII detection
+#: matrix).  Keys are the scenario names used by the CLI, the chaos
+#: campaign, checkpoints and the scenario-matrix JSON.
 SCENARIOS: Dict[str, Callable[[int], ScenarioInstance]] = {
     "heap-overflow-adjacent": heap_overflow_adjacent,
+    "adjacent-oob-read": adjacent_oob_read,
     "linear-oob-write": linear_oob_write,
     "nonlinear-oob-read": nonlinear_oob_read,
     "intra-object-overflow": intra_object_overflow,
     "uaf-stale-load": uaf_stale_load,
     "uaf-after-realloc": uaf_after_realloc,
     "double-free": double_free,
+    "invalid-free": invalid_free,
+    "house-of-spirit": house_of_spirit,
     "pac-forgery": pac_forgery,
     "pac-replay": pac_replay,
     "ahc-zero-escape": ahc_zero_escape,
+    "metadata-brute-force": metadata_brute_force,
     "ret-addr-corruption": ret_addr_corruption,
 }
+
+#: The chaos campaign's default sweep (``repro attack`` without
+#: ``--scenarios``), in order.  The committed ``security_matrix.json`` and
+#: the ``campaigns`` benchmark digest exactly this sweep.
+CHAOS_SCENARIOS: Tuple[str, ...] = (
+    "heap-overflow-adjacent",
+    "linear-oob-write",
+    "nonlinear-oob-read",
+    "intra-object-overflow",
+    "uaf-stale-load",
+    "uaf-after-realloc",
+    "double-free",
+    "pac-forgery",
+    "pac-replay",
+    "ahc-zero-escape",
+    "ret-addr-corruption",
+)
 
 
 def build_scenario(name: str, seed: int = 7) -> ScenarioInstance:
@@ -397,9 +511,9 @@ def build_scenario(name: str, seed: int = 7) -> ScenarioInstance:
 
 
 def parse_scenarios(names: Optional[Sequence[str]]) -> List[str]:
-    """Validate a CLI scenario list (None = the full corpus, in order)."""
+    """Validate a CLI scenario list (None = :data:`CHAOS_SCENARIOS`)."""
     if not names:
-        return list(SCENARIOS)
+        return list(CHAOS_SCENARIOS)
     for name in names:
         if name not in SCENARIOS:
             raise WorkloadError(
@@ -430,8 +544,10 @@ def scenario_trace(
     compiler passes lower it to a :class:`~repro.isa.program.Program` per
     mechanism and the timing kernels execute the exploit for real (OOB and
     stale accesses surface as ``validation_faults``).  Steps the trace ISA
-    cannot express (PAC/AHC forging, a second ``free``) lower to pointer
-    arithmetic so the instruction stream still carries their cost.
+    cannot express (PAC/AHC forging, crafted addresses and raw writes,
+    brute force, a second ``free`` or a ``free`` of a crafted address)
+    lower to pointer arithmetic so the instruction stream still carries
+    their cost.
     """
     rng = random.Random(f"adversary-trace:{instance.name}:{instance.seed}")
     base_profile = get_profile(profile)
@@ -473,10 +589,11 @@ def scenario_trace(
         elif step.op == "alias":
             ids[step.obj] = ids[step.src]
         elif step.op == "free":
-            oid = ids[step.obj]
-            if oid in freed:
-                # The allocator-level second free cannot lower (the heap
-                # executes for real at lowering time); keep its cost.
+            oid = ids.get(step.obj)
+            if oid is None or oid in freed:
+                # A second free, or a free of a crafted address, cannot
+                # lower (the heap executes for real at lowering time);
+                # keep its cost.
                 events.append(("pa",))
             else:
                 freed.add(oid)
@@ -493,7 +610,7 @@ def scenario_trace(
             # The overwrite itself is a plain data store into the stack's
             # saved-return slot; the *detection* cost sits in the return.
             events.append(("ust", 0, 0))
-        else:  # zero-ahc / forge-pac: pointer arithmetic in the trace ISA
+        else:  # forging, crafting, raw writes: pointer arithmetic
             events.append(("pa",))
         pad()
 

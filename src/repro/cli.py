@@ -47,7 +47,6 @@ from .experiments.ablations import (
     ablation_resize,
 )
 from .obs import ObsSettings, PhaseProfiler
-from .security import run_security_analysis
 from .supervise import trap_signals
 
 #: artifact name -> (description, needs timing suite?)
@@ -218,8 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     attack = parser.add_argument_group("attack options")
     attack.add_argument(
         "--scenarios", nargs="+", default=None, metavar="NAME",
-        help="restrict the corpus to these scenarios (default: all; "
-        "e.g. ahc-zero-escape uaf-stale-load)",
+        help="attack only: run these scenarios (default: the 11-scenario "
+        "campaign sweep; any of the 15 `security` rows, e.g. "
+        "ahc-zero-escape house-of-spirit)",
     )
     attack.add_argument(
         "--matrix-out", default=None, metavar="PATH",
@@ -363,7 +363,9 @@ def run_artifact(name: str, suite: ExperimentSuite, args) -> str:
     if name == "table3":
         return run_table3().format()
     if name == "security":
-        return run_security_analysis().format_table()
+        from .adversary import run_security_analysis
+
+        return run_security_analysis().format_grid()
     if name == "mechanisms":
         return format_mechanism_table()
     if name == "mte":

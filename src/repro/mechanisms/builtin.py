@@ -76,6 +76,7 @@ _SPECS = (
             metadata=_E.UNSUPPORTED,
             overrides={
                 "heap-overflow-adjacent": _E.MUST_DETECT,
+                "adjacent-oob-read": _E.MUST_DETECT,
                 "linear-oob-write": _E.MUST_DETECT,
                 # The motivating REST blind spot: strided OOB skips redzones.
                 "nonlinear-oob-read": _E.KNOWN_ESCAPE,
@@ -117,6 +118,8 @@ _SPECS = (
             temporal=_E.MAY_DETECT,  # retag-on-free may collide
             control=_E.UNSUPPORTED,
             metadata=_E.UNSUPPORTED,
+            # §X: 4-bit tags fall to a 16-guess brute force.
+            overrides={"metadata-brute-force": _E.KNOWN_ESCAPE},
         ),
         cache_token="mte-v1",
         detects=(MTEFault, AllocatorError),

@@ -1,25 +1,16 @@
-"""Security analysis (§VII): attacks, mechanism adapters, detection matrix.
+"""Mechanism adapters for the security analysis (§VII).
 
-:mod:`~repro.security.attacks` implements the violation scenarios of
-Fig. 12 (heap OOB read/write, dangling pointer / UAF, double free) plus the
-House-of-Spirit data-oriented attack of Fig. 1, a non-adjacent overflow
-(the REST blind spot), and PAC/AHC forging (§VII-C).
-
-:mod:`~repro.security.adapters` wraps each protection mechanism in a
-uniform interface so :mod:`~repro.security.analysis` can run every attack
-against every mechanism and tabulate who detects what.
+:mod:`~repro.security.adapters` wraps each protection mechanism's
+functional model in a uniform interface, so the scenario recipes of
+:mod:`repro.adversary.scenarios` run against every mechanism;
+``python -m repro security`` tabulates who detects what.
+:mod:`~repro.security.entropy` models the brute-force odds of PACs and
+memory tags.
 """
 
-from .attacks import ATTACKS, AttackOutcome, AttackResult
 from .adapters import MECHANISM_ADAPTERS, make_adapter
-from .analysis import SecurityMatrix, run_security_analysis
 
 __all__ = [
-    "ATTACKS",
-    "AttackOutcome",
-    "AttackResult",
     "MECHANISM_ADAPTERS",
     "make_adapter",
-    "SecurityMatrix",
-    "run_security_analysis",
 ]

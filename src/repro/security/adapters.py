@@ -1,12 +1,16 @@
-"""Uniform mechanism adapters for the security matrix.
+"""Uniform mechanism adapters for the adversary corpus.
 
 Each adapter exposes the same small surface — ``malloc``, ``free``,
-``load``, ``store``, ``offset``, the call-stack ops (``call``, ``ret``,
-``smash_ret``) where the mechanism models one, and capability flags — so
-the attacks in :mod:`~repro.security.attacks` are written once.
+``load``, ``store``, ``offset`` and the attacker's ``raw_write`` — plus
+the optional attacker primitives its mechanism models: ``forge_pac``,
+``forge_ahc_zero``, ``forge_tag`` and the call-stack ops (``call``,
+``ret``, ``smash_ret``).  The scenario recipes of
+:mod:`repro.adversary.scenarios` are written once against this surface;
+a recipe that needs a primitive an adapter lacks is ``unsupported`` for
+that mechanism (``n/a`` in the §VII matrix).
 ``DETECTION_EXCEPTIONS`` is the set of exception types that count as
-"the mechanism detected the violation"; anything else propagates as a
-harness bug.  Enumeration (which mechanisms exist, how to build one)
+"the mechanism detected the violation"; anything else is a robustness
+bug.  Enumeration (which mechanisms exist, how to build one)
 lives in :mod:`repro.mechanisms` — ``MECHANISM_ADAPTERS`` here is a
 live read-only view of that registry, kept for its many call sites.
 """
@@ -59,7 +63,6 @@ class BaselineAdapter:
     """An unprotected glibc-style heap: every attack should succeed."""
 
     name = "baseline"
-    signs_pointers = False
 
     def __init__(self) -> None:
         self.memory = SparseMemory()
@@ -115,10 +118,12 @@ class BaselineAdapter:
 
 
 class AOSAdapter(BaselineAdapter):
-    """AOS-protected heap (Fig. 7 instrumentation via AOSRuntime)."""
+    """AOS-protected heap (Fig. 7 instrumentation via AOSRuntime).
+
+    No on-load authentication: a pointer whose AHC was zeroed looks
+    unsigned and skips bounds checking (the §VII-C escape)."""
 
     name = "aos"
-    signs_pointers = True
 
     def __init__(self, pac_mode: str = "fast") -> None:
         self.runtime = AOSRuntime(pac_mode=pac_mode)
@@ -149,12 +154,11 @@ class AOSAdapter(BaselineAdapter):
         return pointer & ~layout.ahc_mask
 
     def forge_pac(self, pointer: int, new_pac: int) -> int:
+        """Attacker overwrites the PAC field (``new_pac`` mod its width)."""
         layout = self.runtime.signer.layout
-        return (pointer & ~layout.pac_mask) | (new_pac << layout.pac_shift)
-
-    def autm(self, pointer: int) -> int:
-        """The PA+AOS on-load authentication (Fig. 13)."""
-        return self.runtime.signer.autm(pointer)
+        return (pointer & ~layout.pac_mask) | (
+            (new_pac << layout.pac_shift) & layout.pac_mask
+        )
 
 
 class PAAOSAdapter(AOSAdapter):
@@ -165,7 +169,10 @@ class PAAOSAdapter(AOSAdapter):
     every load/store/free, so a zeroed AHC faults before the access."""
 
     name = "pa+aos"
-    signs_pointers = True
+
+    def autm(self, pointer: int) -> int:
+        """The on-load authentication (Fig. 13)."""
+        return self.runtime.signer.autm(pointer)
 
     def free(self, pointer: int):
         return super().free(self.autm(pointer))
@@ -209,7 +216,6 @@ class WatchdogAdapter:
     """Watchdog lock-and-key + bounds."""
 
     name = "watchdog"
-    signs_pointers = False
 
     def __init__(self) -> None:
         self.runtime = WatchdogRuntime()
@@ -248,7 +254,6 @@ class RestAdapter:
     """REST-style redzones with a quarantine pool."""
 
     name = "rest"
-    signs_pointers = False
 
     def __init__(self) -> None:
         self.runtime = RestRuntime()
@@ -279,7 +284,6 @@ class PAAdapter(BaselineAdapter):
     """PA-only pointer integrity: no spatial/temporal protection."""
 
     name = "pa"
-    signs_pointers = False
 
     def __init__(self) -> None:
         self.runtime = PARuntime(pac_mode="fast")
@@ -322,7 +326,6 @@ class MTEAdapter:
     """Arm-MTE/ADI-style 4-bit memory tagging (§X)."""
 
     name = "mte"
-    signs_pointers = False
 
     def __init__(self) -> None:
         self.runtime = MTERuntime(tag_bits=4)
@@ -353,6 +356,12 @@ class MTEAdapter:
     def offset(self, pointer, delta: int):
         return self._as_tagged(pointer).offset(delta)
 
+    def forge_tag(self, pointer, tag: int) -> TaggedPointer:
+        """Attacker rewrites the pointer's key tag (``tag`` mod its width)."""
+        return TaggedPointer(
+            self._as_tagged(pointer).address, tag % self.runtime.tag_space
+        )
+
     def raw_write(self, address: int, value: int) -> None:
         self.memory.write_u64(address, value)
 
@@ -362,7 +371,6 @@ class CheriAdapter:
     temporal safety deferred to revocation sweeps."""
 
     name = "cheri"
-    signs_pointers = False
 
     def __init__(self) -> None:
         self.runtime = CheriRuntime()
@@ -402,7 +410,6 @@ class CryptSanAdapter:
     """CryptSan-style per-object MACs checked on every load/store."""
 
     name = "cryptsan"
-    signs_pointers = False
 
     def __init__(self) -> None:
         self.runtime = CryptSanRuntime()
@@ -445,7 +452,6 @@ class PACSanAdapter:
     """PACSan-style shadow-metadata PAC checks on every access."""
 
     name = "pacsan"
-    signs_pointers = False
 
     def __init__(self) -> None:
         self.runtime = PACSanRuntime()
@@ -486,7 +492,6 @@ class PACTightAdapter:
     """PACTight-style pointer-identity sealing (no bounds checks)."""
 
     name = "pactight"
-    signs_pointers = False
 
     def __init__(self) -> None:
         self.runtime = PACTightRuntime()
@@ -538,7 +543,6 @@ class PACStackAdapter(BaselineAdapter):
     """PACStack-style authenticated return-address chain over a raw heap."""
 
     name = "pacstack"
-    signs_pointers = False
 
     def __init__(self) -> None:
         super().__init__()

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.adversary import (
+    CHAOS_SCENARIOS,
     SCENARIOS,
     ChaosCampaign,
     ChaosConfig,
@@ -74,7 +75,8 @@ class TestCorpus:
             Step("realloc", obj="x")
 
     def test_parse_scenarios(self):
-        assert parse_scenarios(None) == list(SCENARIOS)
+        assert parse_scenarios(None) == list(CHAOS_SCENARIOS)
+        assert parse_scenarios(list(SCENARIOS)) == list(SCENARIOS)
         assert parse_scenarios(["double-free"]) == ["double-free"]
         with pytest.raises(WorkloadError):
             parse_scenarios(["double-free", "bogus"])
@@ -132,6 +134,51 @@ class TestInterpreter:
         outcome, detail = self.run("pac-forgery", "baseline")
         assert outcome is ScenarioOutcome.UNSUPPORTED
         assert "baseline" in detail
+
+    def test_brute_force_unsupported_without_guessable_metadata(self):
+        outcome, detail = self.run("metadata-brute-force", "baseline")
+        assert outcome is ScenarioOutcome.UNSUPPORTED
+        assert "guessable" in detail
+
+    def test_brute_force_reraises_the_last_detection(self, monkeypatch):
+        """Each detection is a retry; an exhausted budget re-raises the
+        last one, so every one of the 256 forged loads was tried."""
+        from repro.security.adapters import AOSAdapter
+
+        loads = []
+        real_load = AOSAdapter.load
+        monkeypatch.setattr(
+            AOSAdapter, "load",
+            lambda self, p, size=8: loads.append(p) or real_load(self, p, size),
+        )
+        outcome, detail = self.run("metadata-brute-force", "aos")
+        assert outcome is ScenarioOutcome.DETECTED
+        assert detail.startswith("step 1 (brute-force)")
+        assert len(set(loads)) == 256
+
+    def test_mte_forges_tags_not_pacs(self):
+        """MTE is judged on brute force (tag guessing) but has no PAC for
+        ``pac-forgery`` to rewrite."""
+        from repro.security.adapters import MTEAdapter
+
+        assert hasattr(MTEAdapter(), "forge_tag")
+        assert not hasattr(MTEAdapter(), "forge_pac")
+        outcome, detail = self.run("metadata-brute-force", "mte")
+        assert outcome is ScenarioOutcome.UNDETECTED
+
+    def test_crafted_address_comes_from_the_layout(self):
+        """``craft`` yields a plain integer in the named layout region:
+        freeing it is what ``invalid-free`` and House of Spirit do."""
+        from repro.adversary.chaos import _apply_step
+        from repro.security.adapters import BaselineAdapter
+
+        adapter, env = BaselineAdapter(), {}
+        _apply_step(
+            adapter, env, Step("craft", obj="x", region="globals_base", offset=16)
+        )
+        assert env["x"] == adapter.allocator.layout.globals_base + 16
+        _apply_step(adapter, env, Step("raw-write", obj="x", offset=8, value=7))
+        assert adapter.load(env["x"] + 8) == 7
 
     def test_uaf_detected_by_temporal_mechanisms(self):
         for mechanism in ("aos", "pa+aos", "watchdog"):
@@ -222,13 +269,13 @@ class TestChaosConfig:
     def test_quick_sweeps_contrasting_mechanisms(self):
         config = ChaosConfig.quick()
         assert config.mechanisms == ("baseline", "aos", "pa+aos")
-        assert config.scenario_names() == list(SCENARIOS)
+        assert config.scenario_names() == list(CHAOS_SCENARIOS)
 
 
 class TestChaosCampaign:
     def test_quick_campaign_matches_oracle(self):
         matrix = run_quick_chaos()
-        assert len(matrix) == 3 * len(SCENARIOS)
+        assert len(matrix) == 3 * len(CHAOS_SCENARIOS)
         assert matrix.ok, matrix.format_report()
         assert not matrix.robustness_bugs()
         # The §VII-C escape is a *named* finding, never a silent pass.
@@ -346,6 +393,18 @@ class TestScenarioCompilation:
         trace = scenario_trace(build_scenario("double-free"))
         ops = [event[0] for event in trace.events]
         assert ops.count("f") == 1  # allocator executes at lowering time
+        assert "pa" in ops
+
+    def test_every_scenario_lowers(self):
+        for name in SCENARIOS:
+            lowered = compile_scenario(name, "aos")
+            assert lowered.program.instructions, name
+
+    def test_crafted_free_lowers_to_pa(self):
+        trace = scenario_trace(build_scenario("house-of-spirit"))
+        ops = [event[0] for event in trace.events]
+        assert ops.count("f") == 0  # the fake chunk is never allocated
+        assert ops.count("m") == 1
         assert "pa" in ops
 
     def test_compiled_exploit_faults_under_aos(self):

@@ -11,7 +11,7 @@ import pathlib
 import pytest
 
 from repro.adversary.chaos import ChaosCampaign, ChaosConfig, run_scenario_cell
-from repro.adversary.scenarios import SCENARIOS, build_scenario, parse_scenarios
+from repro.adversary.scenarios import CHAOS_SCENARIOS, SCENARIOS, build_scenario
 from repro.baselines.cryptsan import CryptSanFault, CryptSanRuntime
 from repro.baselines.pacsan import PACSanFault, PACSanRuntime
 from repro.baselines.pacstack import PACStackFault, PACStackRuntime
@@ -340,7 +340,7 @@ class TestPACStackRuntime:
 class TestRetAddrCorruptionScenario:
     def test_registered_in_the_corpus(self):
         assert "ret-addr-corruption" in SCENARIOS
-        assert "ret-addr-corruption" in parse_scenarios(None)
+        assert "ret-addr-corruption" in CHAOS_SCENARIOS  # the default sweep
         instance = build_scenario("ret-addr-corruption")
         assert instance.category == "control"
         assert [s.op for s in instance.steps] == [

@@ -170,12 +170,38 @@ double free, invalid free and House of Spirit; PAC forging is impractical
 (PA+AOS); trip-wires miss non-adjacent accesses; PA alone has no
 spatial/temporal safety.
 
-**Reproduction:** every attack is executed for real against functional
-models of baseline glibc, REST, PA, MTE, Watchdog, AOS and PA+AOS.  All
-of the paper's claims hold, including the contrast rows: REST misses the
-non-adjacent overflow, PA misses everything spatial/temporal, 4-bit MTE
-falls to a 16-guess brute force while AOS survives a 256-attempt budget.
-**Verdict: matches exactly.**""",
+**Reproduction:** `python -m repro security` runs the adversary corpus —
+one set of 15 seeded exploit recipes, the same ones `python -m repro
+attack` interprets (its default campaign sweeps 11 of them) — against the
+functional models of all 12 registered mechanisms: baseline glibc, REST,
+PA, MTE, CHERI, Watchdog, AOS, PA+AOS, CryptSan, PACSan, PACTight and
+PACStack.  A cell reads `DETECT`, `-` (the attack completed silently) or
+`n/a` (the adapter lacks the attacker primitive the recipe needs).  The
+paper's claims hold: AOS detects adjacent, linear and non-linear OOB,
+UAF with and without reuse, PAC replay, double and invalid free, House
+of Spirit, PAC forgery and a 256-guess brute force; REST misses the
+non-linear overflow, PA catches no spatial or temporal attack beyond
+the invalid free glibc itself rejects, and 4-bit MTE falls to the brute
+force.  Plain AOS's three `-` cells are its
+documented blind spots: intra-object overflow (§III-D), return-address
+corruption (left to PA, §VII-B) and AHC zeroing (§VII-C), which
+PA+AOS's on-load `autm` closes.
+
+This grid used to come from a second, hand-written attack model.
+Against it seven cells moved, all to agree with the paper and the
+corpus: `ahc-zero-escape` on `aos` went from `DETECT` to `-` (the old
+AOS adapter carried PA+AOS's `autm`, contradicting §VII-C), and
+`pac-forgery` and `metadata-brute-force` on CryptSan, PACSan and
+PACTight went from `n/a` to `DETECT` (a flag marked them as not signing
+pointers although their adapters model PAC forgery).  Rows renamed to
+the corpus names: `adjacent-oob-write` → `heap-overflow-adjacent`,
+`nonadjacent-oob-read` → `nonlinear-oob-read`, `use-after-free` →
+`uaf-stale-load`, `uaf-after-reuse` → `uaf-after-realloc`,
+`ahc-forgery` → `ahc-zero-escape`; `linear-oob-write`,
+`intra-object-overflow`, `pac-replay` and `ret-addr-corruption` are new
+rows.  The 11 rows the chaos campaign sweeps equal the `observed` column
+of `security_matrix.json` cell for cell.
+**Verdict: matches §VII, including plain AOS's §VII-C escape.**""",
     ),
     (
         "Adversarial scenario corpus + detection-coverage Pareto (§VII, §VII-C)",

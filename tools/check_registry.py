@@ -30,8 +30,10 @@ from repro.mechanisms import REGISTRY, registry_fingerprint  # noqa: E402
 from repro.mechanisms.registry import ORACLE_CATEGORIES  # noqa: E402
 
 #: The adapter surface every mechanism must expose (the chaos interpreter's
-#: contract); call/ret/smash_ret are optional (no-call-stack mechanisms
-#: yield ``unmodeled`` verdicts instead).
+#: contract).  The attacker primitives ``forge_pac``, ``forge_ahc_zero``,
+#: ``forge_tag`` and the call-stack ops ``call``/``ret``/``smash_ret`` are
+#: optional: a recipe needing one the adapter lacks yields ``unmodeled``
+#: (``n/a`` in the §VII matrix) instead.
 ADAPTER_SURFACE = ("malloc", "free", "load", "store", "offset", "raw_write")
 
 
