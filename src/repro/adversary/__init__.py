@@ -6,8 +6,8 @@ PAC forgery/replay/brute force, the §VII-C AHC-zeroing escape) each
 carrying an expected-verdict oracle per mechanism and a compilation path
 to a runnable :class:`~repro.isa.program.Program`.
 
-:mod:`~repro.adversary.chaos` sweeps the corpus across every mechanism
-adapter and classifies each cell's observed outcome against the oracle;
+:mod:`~repro.adversary.chaos` sweeps the corpus across every mechanism's
+runtime and classifies each cell's observed outcome against the oracle;
 ``python -m repro attack`` is the supervised campaign CLI and
 ``python -m repro security`` prints the whole corpus as the §VII
 detection matrix.

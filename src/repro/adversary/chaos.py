@@ -1,7 +1,7 @@
 """Chaos campaigns: the scenario corpus × every mechanism, supervised.
 
 :func:`run_scenario_cell` interprets one scenario recipe against one
-mechanism adapter and classifies the observed outcome; the interpreter
+mechanism's runtime and classifies the observed outcome; the interpreter
 never lets an exception escape the taxonomy — a scenario that crashes or
 hangs the simulator is a **robustness bug** (a first-class finding of the
 campaign), not a campaign failure.
@@ -10,7 +10,7 @@ campaign), not a campaign failure.
 (deadlines, bounded retries, quarantine): the worker is the same
 module-level function serial runs use, so a supervised sweep classifies
 cells identically, and quarantined cells surface as robustness bugs with
-their failure history.  A mechanism adapter that does not model a
+their failure history.  A mechanism runtime that does not model a
 scenario's attacker primitive yields an explicit ``unsupported`` verdict —
 never a silent pass.  :func:`run_security_analysis` is the same campaign
 over the whole corpus, in-process: the §VII detection matrix, printed by
@@ -27,7 +27,7 @@ missed-detection    a MUST_DETECT scenario went undetected — the only
 surprise-detection  a documented escape was detected after all (the
                     model is *stronger* than claimed: worth a look)
 escape-confirmed    a KNOWN_ESCAPE landed silently, reported by name
-unmodeled           the adapter does not model the attacker primitive
+unmodeled           the runtime does not model the attacker primitive
 robustness-bug      the cell crashed, hung, or was quarantined
 ================== ====================================================
 """
@@ -42,7 +42,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..errors import ExperimentTimeout, ReproError, WorkloadError
 from ..faults.campaign import Deadline
 from ..mechanisms.registry import REGISTRY, parse_mechanisms
-from ..security.adapters import make_adapter
 from ..supervise import Task, dispatch
 from .scenarios import (
     SCENARIOS,
@@ -55,7 +54,14 @@ from .scenarios import (
 
 
 class UnsupportedScenario(ReproError):
-    """The adapter does not expose the attacker primitive a step needs."""
+    """The runtime does not expose the attacker primitive a step needs."""
+
+
+def make_adapter(mechanism: str):
+    """A fresh runtime for ``mechanism`` (strict: an unknown name raises
+    :class:`~repro.mechanisms.registry.UnknownMechanismError` listing the
+    registered choices)."""
+    return REGISTRY.make_adapter(mechanism)
 
 
 class ScenarioOutcome(Enum):
@@ -87,7 +93,7 @@ def classify_verdict(expected: Expectation, observed: ScenarioOutcome) -> str:
     if observed is ScenarioOutcome.UNSUPPORTED:
         return "unmodeled"
     if expected is Expectation.UNSUPPORTED:
-        # The adapter ran a recipe the oracle thought it could not model —
+        # The runtime ran a recipe the oracle thought it could not model —
         # the observation wins, but flag the stale oracle entry loudly.
         return (
             "surprise-detection"
@@ -111,47 +117,47 @@ def classify_verdict(expected: Expectation, observed: ScenarioOutcome) -> str:
 # ------------------------------------------------------------ interpreter
 
 
-def _apply_step(adapter, env: Dict[str, Any], step: Step) -> None:
-    """Execute one attacker action against ``adapter``."""
+def _apply_step(runtime, env: Dict[str, Any], step: Step) -> None:
+    """Execute one attacker action against ``runtime``."""
     if step.op == "malloc":
-        env[step.obj] = adapter.malloc(step.size)
+        env[step.obj] = runtime.malloc(step.size)
     elif step.op == "alias":
         env[step.obj] = env[step.src]
     elif step.op == "free":
         # Deliberately discard free()'s return value: the attacker's copy
         # in ``env`` stays stale (AOS hands back a re-signed locked
         # pointer precisely so honest code *loses* the dangling one).
-        adapter.free(env[step.obj])
+        runtime.free(env[step.obj])
     elif step.op == "load":
-        adapter.load(adapter.offset(env[step.obj], step.offset))
+        runtime.load(runtime.offset(env[step.obj], step.offset))
     elif step.op == "store":
-        adapter.store(adapter.offset(env[step.obj], step.offset), step.value)
+        runtime.store(runtime.offset(env[step.obj], step.offset), step.value)
     elif step.op in ("call", "ret"):
-        action = getattr(adapter, step.op, None)
+        action = getattr(runtime, step.op, None)
         if action is None:
             raise UnsupportedScenario(
-                f"{adapter.name} does not model a call stack"
+                f"{runtime.name} does not model a call stack"
             )
         action()
     elif step.op == "smash-ret":
-        smash = getattr(adapter, "smash_ret", None)
+        smash = getattr(runtime, "smash_ret", None)
         if smash is None:
             raise UnsupportedScenario(
-                f"{adapter.name} does not model a call stack"
+                f"{runtime.name} does not model a call stack"
             )
         smash(step.value)
     elif step.op == "zero-ahc":
-        forge = getattr(adapter, "forge_ahc_zero", None)
+        forge = getattr(runtime, "forge_ahc_zero", None)
         if forge is None:
             raise UnsupportedScenario(
-                f"{adapter.name} has no AHC field to zero"
+                f"{runtime.name} has no AHC field to zero"
             )
         env[step.obj] = forge(env[step.obj])
     elif step.op == "forge-pac":
-        forge = getattr(adapter, "forge_pac", None)
+        forge = getattr(runtime, "forge_pac", None)
         if forge is None:
             raise UnsupportedScenario(
-                f"{adapter.name} has no PAC field to forge"
+                f"{runtime.name} has no PAC field to forge"
             )
         forged = forge(env[step.obj], step.value)
         if forged == env[step.obj]:
@@ -160,11 +166,11 @@ def _apply_step(adapter, env: Dict[str, Any], step: Step) -> None:
             forged = forge(env[step.obj], step.value ^ 1)
         env[step.obj] = forged
     elif step.op == "craft":
-        env[step.obj] = getattr(adapter.allocator.layout, step.region) + step.offset
+        env[step.obj] = getattr(runtime.allocator.layout, step.region) + step.offset
     elif step.op == "raw-write":
-        adapter.raw_write(env[step.obj] + step.offset, step.value)
+        runtime.raw_write(env[step.obj] + step.offset, step.value)
     elif step.op == "brute-force":
-        _brute_force(adapter, env[step.obj], budget=step.value)
+        _brute_force(runtime, env[step.obj], budget=step.value)
     else:  # pragma: no cover - Step.__post_init__ rejects unknown ops
         raise WorkloadError(f"unknown scenario step op {step.op!r}")
 
@@ -175,18 +181,18 @@ def _apply_step(adapter, env: Dict[str, Any], step: Step) -> None:
 _GUESS_STRIDE = 2654435761
 
 
-def _brute_force(adapter, pointer, budget: int) -> None:
+def _brute_force(runtime, pointer, budget: int) -> None:
     """Dereference up to ``budget`` forged copies of ``pointer``, each
     detection a retry; re-raise the last detection if no guess lands."""
-    forge = getattr(adapter, "forge_pac", None) or getattr(adapter, "forge_tag", None)
+    forge = getattr(runtime, "forge_pac", None) or getattr(runtime, "forge_tag", None)
     if forge is None:
         raise UnsupportedScenario(
-            f"{adapter.name} carries no guessable pointer metadata"
+            f"{runtime.name} carries no guessable pointer metadata"
         )
     detections = REGISTRY.detection_exceptions()
     for attempt in range(budget):
         try:
-            adapter.load(forge(pointer, attempt * _GUESS_STRIDE))
+            runtime.load(forge(pointer, attempt * _GUESS_STRIDE))
         except detections as exc:
             last = exc
             continue
@@ -204,7 +210,7 @@ def execute_scenario(
     Only :class:`ExperimentTimeout` propagates (the supervised worker owns
     the timed-out classification); everything else folds into the outcome.
     """
-    adapter = make_adapter(mechanism)
+    runtime = make_adapter(mechanism)
     # Resolved at run time so plugin mechanisms registered after import
     # contribute their fault types to the detection set.
     detections = REGISTRY.detection_exceptions()
@@ -213,7 +219,7 @@ def execute_scenario(
         if deadline is not None:
             deadline.check()
         try:
-            _apply_step(adapter, env, step)
+            _apply_step(runtime, env, step)
         except detections as exc:
             return (
                 ScenarioOutcome.DETECTED,
@@ -502,10 +508,18 @@ class ChaosCampaign:
         return matrix
 
 
-def run_security_analysis() -> ScenarioMatrix:
+def run_security_analysis(
+    scenarios: Sequence[str] = (), mechanisms: Sequence[str] = (), seed: int = 7
+) -> ScenarioMatrix:
     """The §VII detection matrix (``repro security``): every recipe of the
-    corpus against every registered mechanism, unsupervised, in-process."""
-    return ChaosCampaign(ChaosConfig(scenarios=tuple(SCENARIOS))).run()
+    corpus (or ``scenarios``) against every registered mechanism (or
+    ``mechanisms``), unsupervised, in-process."""
+    config = ChaosConfig(
+        scenarios=tuple(scenarios or SCENARIOS),
+        mechanisms=tuple(mechanisms),
+        seed=seed,
+    )
+    return ChaosCampaign(config).run()
 
 
 def run_quick_chaos(**overrides) -> ScenarioMatrix:

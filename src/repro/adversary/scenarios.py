@@ -14,9 +14,9 @@ detection matrix (``repro security``) is every recipe in
 
 A scenario *instance* carries two executable forms:
 
-- an adapter-level **step recipe** the chaos campaign interprets against
-  any :mod:`repro.security.adapters` mechanism to obtain an observed
-  verdict (the attack really runs: allocate, corrupt, dereference);
+- a **step recipe** the chaos campaign interprets against any registered
+  mechanism's runtime (:mod:`repro.memory.runtime` surface) to obtain an
+  observed verdict (the attack really runs: allocate, corrupt, dereference);
 - a **trace compilation** (:func:`scenario_trace` /
   :func:`compile_scenario`) lowering the same access pattern to a
   :class:`~repro.isa.program.Program`, so the timing kernels can run the
@@ -28,7 +28,7 @@ mechanism, whether the scenario *must* be detected (the paper or the
 mechanism's model claims it), *may* be detected (probabilistic, e.g. MTE's
 4-bit tags), is a *known escape* (the mechanism's documented blind spot —
 never a silent pass, always reported by name), or is *unsupported* (the
-adapter does not model the required attacker primitive).
+runtime does not model the required attacker primitive).
 """
 
 from __future__ import annotations
@@ -49,25 +49,25 @@ from ..workloads.generator import WorkloadTrace
 
 #: Step opcodes the chaos interpreter understands.
 STEP_OPS = (
-    "malloc",     # env[obj] = adapter.malloc(size)
-    "free",       # adapter.free(env[obj]); env keeps the stale copy
-    "load",       # adapter.load(adapter.offset(env[obj], offset))
-    "store",      # adapter.store(adapter.offset(env[obj], offset), value)
+    "malloc",     # env[obj] = runtime.malloc(size)
+    "free",       # runtime.free(env[obj]); env keeps the stale copy
+    "load",       # runtime.load(runtime.offset(env[obj], offset))
+    "store",      # runtime.store(runtime.offset(env[obj], offset), value)
     "alias",      # env[obj] = env[src]  (capture a dangling/replayable copy)
-    "zero-ahc",   # env[obj] = adapter.forge_ahc_zero(env[obj])   [signing]
-    "forge-pac",  # env[obj] = adapter.forge_pac(env[obj], wrong) [signing]
-    "call",       # adapter.call()                       [call-stack models]
-    "ret",        # adapter.ret()                        [call-stack models]
-    "smash-ret",  # adapter.smash_ret(value)             [call-stack models]
+    "zero-ahc",   # env[obj] = runtime.forge_ahc_zero(env[obj])   [signing]
+    "forge-pac",  # env[obj] = runtime.forge_pac(env[obj], wrong) [signing]
+    "call",       # runtime.call()                       [call-stack models]
+    "ret",        # runtime.ret()                        [call-stack models]
+    "smash-ret",  # runtime.smash_ret(value)             [call-stack models]
     "craft",      # env[obj] = layout.<region> + offset  (an unsigned integer)
-    "raw-write",  # adapter.raw_write(env[obj] + offset, value)
+    "raw-write",  # runtime.raw_write(env[obj] + offset, value)
     "brute-force",  # up to ``value`` loads of forge_pac/forge_tag guesses
 )
 
 
 @dataclass(frozen=True)
 class Step:
-    """One attacker action, interpreted against a mechanism adapter."""
+    """One attacker action, interpreted against a mechanism's runtime."""
 
     op: str
     obj: Optional[str] = None

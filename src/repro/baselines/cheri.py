@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Flag, auto
 
-from ..memory.allocator import HeapAllocator
 from ..memory.layout import AddressSpaceLayout, DEFAULT_LAYOUT
-from ..memory.memory import SparseMemory
+from ..memory.runtime import HeapRuntime
 
 
 class CheriFault(Exception):
@@ -75,12 +74,13 @@ class Capability:
         return replace(self, tag=False)
 
 
-class CheriRuntime:
+class CheriRuntime(HeapRuntime):
     """A capability-protected heap."""
 
+    name = "cheri"
+
     def __init__(self, layout: AddressSpaceLayout = DEFAULT_LAYOUT) -> None:
-        self.memory = SparseMemory()
-        self.allocator = HeapAllocator(self.memory, layout)
+        super().__init__(layout)
         self.checks = 0
         self.faults = 0
 
@@ -117,10 +117,17 @@ class CheriRuntime:
 
     def load(self, cap: Capability, size: int = 8) -> int:
         self._check(cap, Perm.LOAD, size)
-        return int.from_bytes(self.memory.read_bytes(cap.address, size), "little")
+        return self.read(cap.address, size)
 
     def store(self, cap: Capability, value: int, size: int = 8) -> None:
         self._check(cap, Perm.STORE, size)
-        self.memory.write_bytes(
-            cap.address, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        )
+        self.write(cap.address, value, size)
+
+    def offset(self, pointer, delta: int) -> Capability:
+        if not isinstance(pointer, Capability):
+            # A crafted integer is not a tagged capability; every check traps.
+            pointer = Capability(
+                address=int(pointer), base=int(pointer), length=8,
+                perms=Perm.rw(), tag=False,
+            )
+        return pointer.offset(delta)

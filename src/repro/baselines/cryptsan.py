@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from typing import Dict
 
 from ..crypto.pac import PACGenerator, PAKeys
-from ..memory.allocator import HeapAllocator
 from ..memory.layout import AddressSpaceLayout, DEFAULT_LAYOUT
-from ..memory.memory import SparseMemory
+from ..memory.runtime import HeapRuntime
 
 #: Shadow-tag granularity (bytes of data per MAC tag).
 GRANULE = 16
@@ -53,8 +52,10 @@ class MACPointer:
         return self.address
 
 
-class CryptSanRuntime:
+class CryptSanRuntime(HeapRuntime):
     """A heap whose every access is checked against per-granule MACs."""
+
+    name = "cryptsan"
 
     def __init__(
         self,
@@ -62,8 +63,7 @@ class CryptSanRuntime:
         mac_bits: int = 16,
         pac_mode: str = "fast",
     ) -> None:
-        self.memory = SparseMemory()
-        self.allocator = HeapAllocator(self.memory, layout)
+        super().__init__(layout)
         self.generator = PACGenerator(keys=PAKeys(), pac_bits=mac_bits, mode=pac_mode)
         #: granule index -> owning object's MAC shadow tag.
         self._tags: Dict[int, int] = {}
@@ -94,7 +94,7 @@ class CryptSanRuntime:
             self._tags[granule] = mac
         return MACPointer(address=base, base=base, mac=mac)
 
-    def free(self, pointer: MACPointer) -> MACPointer:
+    def free(self, pointer) -> MACPointer:
         self.check(pointer)
         size = self.allocator.allocated_size(pointer.address)
         self.allocator.free(pointer.address)
@@ -105,7 +105,15 @@ class CryptSanRuntime:
 
     # ---------------------------------------------------------------- checks
 
-    def check(self, pointer: MACPointer, size: int = 8) -> None:
+    @staticmethod
+    def _require_mac(pointer) -> MACPointer:
+        if not isinstance(pointer, MACPointer):
+            # A crafted integer carries no MAC: every granule check fails.
+            raise CryptSanFault("crafted pointer carries no MAC")
+        return pointer
+
+    def check(self, pointer, size: int = 8) -> None:
+        pointer = self._require_mac(pointer)
         self.checks += 1
         for granule in self._granules(pointer.address, size):
             tag = self._tags.get(granule)
@@ -117,13 +125,19 @@ class CryptSanRuntime:
                     f"{pointer.mac:#x} vs granule tag {have}"
                 )
 
-    def load(self, pointer: MACPointer, size: int = 8) -> int:
+    def load(self, pointer, size: int = 8) -> int:
         self.check(pointer, size)
-        return int.from_bytes(self.memory.read_bytes(pointer.address, size), "little")
+        return self.read(pointer.address, size)
 
-    def store(self, pointer: MACPointer, value: int, size: int = 8) -> None:
+    def store(self, pointer, value: int, size: int = 8) -> None:
         self.check(pointer, size)
-        self.memory.write_bytes(
-            pointer.address,
-            (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"),
-        )
+        self.write(pointer.address, value, size)
+
+    def offset(self, pointer, delta: int) -> MACPointer:
+        return self._require_mac(pointer).offset(delta)
+
+    def forge_pac(self, pointer, wrong: int) -> MACPointer:
+        """Attacker flips bits in the pointer's MAC field."""
+        p = self._require_mac(pointer)
+        mask = self.generator.pac_space - 1
+        return MACPointer(p.address, p.base, p.mac ^ ((wrong or 1) & mask))

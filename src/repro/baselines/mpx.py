@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..memory.allocator import HeapAllocator
 from ..memory.layout import AddressSpaceLayout, DEFAULT_LAYOUT
-from ..memory.memory import SparseMemory
+from ..memory.runtime import HeapRuntime
 
 
 @dataclass(frozen=True)
@@ -45,8 +44,13 @@ class MPXFault(Exception):
     """An MPX bounds check failed."""
 
 
-class MPXRuntime:
-    """Two-level (BD -> BT) bounds storage keyed by pointer location."""
+class MPXRuntime(HeapRuntime):
+    """Two-level (BD -> BT) bounds storage keyed by pointer location.
+
+    Not a registered mechanism: ``load``/``store`` take the pointer's
+    storage location as well, which the scenario corpus does not model."""
+
+    name = "mpx"
 
     #: Geometry loosely following MPX on 64-bit: BD indexed by the upper
     #: pointer-location bits, BT entries by the lower ones.
@@ -54,18 +58,11 @@ class MPXRuntime:
     BT_MASK = (1 << 20) - 1
 
     def __init__(self, layout: AddressSpaceLayout = DEFAULT_LAYOUT) -> None:
-        self.memory = SparseMemory()
-        self.allocator = HeapAllocator(self.memory, layout)
+        super().__init__(layout)
         #: Bounds directory: BD index -> bounds table (dict).
         self._directory: Dict[int, Dict[int, Tuple[int, int]]] = {}
         self.table_loads = 0
         self.check_failures = 0
-
-    def malloc(self, size: int) -> int:
-        return self.allocator.malloc(size)
-
-    def free(self, pointer: int) -> None:
-        self.allocator.free(pointer)
 
     # -------------------------------------------------------------- bndstx
 
@@ -104,10 +101,8 @@ class MPXRuntime:
 
     def load(self, pointer_location: int, pointer: int, size: int = 8) -> int:
         self.check(pointer_location, pointer, size)
-        return int.from_bytes(self.memory.read_bytes(pointer, size), "little")
+        return self.read(pointer, size)
 
     def store(self, pointer_location: int, pointer: int, value: int, size: int = 8) -> None:
         self.check(pointer_location, pointer, size)
-        self.memory.write_bytes(
-            pointer, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        )
+        self.write(pointer, value, size)

@@ -21,9 +21,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict
 
-from ..memory.allocator import HeapAllocator
 from ..memory.layout import AddressSpaceLayout, DEFAULT_LAYOUT
-from ..memory.memory import SparseMemory
+from ..memory.runtime import HeapRuntime
 
 #: MTE/ADI granule size.
 GRANULE = 16
@@ -47,8 +46,10 @@ class TaggedPointer:
         return self.address
 
 
-class MTERuntime:
+class MTERuntime(HeapRuntime):
     """A memory-tagging protected heap with ``tag_bits``-wide lock tags."""
+
+    name = "mte"
 
     def __init__(
         self,
@@ -60,8 +61,7 @@ class MTERuntime:
             raise ValueError("tag width must be 1..16 bits")
         self.tag_bits = tag_bits
         self.tag_space = 1 << tag_bits
-        self.memory = SparseMemory()
-        self.allocator = HeapAllocator(self.memory, layout)
+        super().__init__(layout)
         self._rng = random.Random(seed)
         #: granule index -> lock tag.
         self._tags: Dict[int, int] = {}
@@ -82,6 +82,15 @@ class MTERuntime:
             if tag != exclude:
                 return tag
 
+    @staticmethod
+    def _tagged(pointer) -> TaggedPointer:
+        if isinstance(pointer, TaggedPointer):
+            return pointer
+        # An attacker-crafted integer pointer carries whatever key tag the
+        # attacker picked; untagged memory reads as tag 0, so the best
+        # strategy is tag 0 (MTE does not tag non-heap regions).
+        return TaggedPointer(address=int(pointer), tag=0)
+
     # ------------------------------------------------------------------ heap
 
     def malloc(self, size: int) -> TaggedPointer:
@@ -91,9 +100,10 @@ class MTERuntime:
             self._tags[granule] = tag
         return TaggedPointer(address=address, tag=tag)
 
-    def free(self, pointer: TaggedPointer) -> TaggedPointer:
+    def free(self, pointer) -> TaggedPointer:
         """Free and *re-colour* the granules so stale pointers (usually)
         trap — temporal protection with the same 1-in-2^tag_bits escape."""
+        pointer = self._tagged(pointer)
         self.check(pointer)
         size = self.allocator.allocated_size(pointer.address)
         self.allocator.free(pointer.address)
@@ -113,15 +123,22 @@ class MTERuntime:
                     f"{pointer.tag:#x} != memory tag {self._tags.get(granule, 0):#x}"
                 )
 
-    def load(self, pointer: TaggedPointer, size: int = 8) -> int:
+    def load(self, pointer, size: int = 8) -> int:
+        pointer = self._tagged(pointer)
         self.check(pointer, size)
-        return int.from_bytes(self.memory.read_bytes(pointer.address, size), "little")
+        return self.read(pointer.address, size)
 
-    def store(self, pointer: TaggedPointer, value: int, size: int = 8) -> None:
+    def store(self, pointer, value: int, size: int = 8) -> None:
+        pointer = self._tagged(pointer)
         self.check(pointer, size)
-        self.memory.write_bytes(
-            pointer.address, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        )
+        self.write(pointer.address, value, size)
+
+    def offset(self, pointer, delta: int) -> TaggedPointer:
+        return self._tagged(pointer).offset(delta)
+
+    def forge_tag(self, pointer, tag: int) -> TaggedPointer:
+        """Attacker rewrites the pointer's key tag (``tag`` mod its width)."""
+        return TaggedPointer(self._tagged(pointer).address, tag % self.tag_space)
 
     # -------------------------------------------------------------- analysis
 

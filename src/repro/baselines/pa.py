@@ -10,20 +10,23 @@ is precisely the motivation for AOS (§II-B last paragraph).
 
 from __future__ import annotations
 
-
 from ..crypto.pac import PACGenerator, PAKeys
 from ..isa.encoding import PointerLayout
-from ..memory.allocator import HeapAllocator
 from ..memory.layout import AddressSpaceLayout, DEFAULT_LAYOUT
-from ..memory.memory import SparseMemory
+from ..memory.runtime import HeapRuntime, ReturnStack
 
 
 class PAFault(Exception):
     """A PA authentication failed (corrupted pointer)."""
 
 
-class PARuntime:
-    """Return-address and data-pointer signing/authentication."""
+class PARuntime(ReturnStack, HeapRuntime):
+    """Return-address and data-pointer signing/authentication.
+
+    PA does not protect heap objects: ``malloc`` returns a raw pointer and
+    ``free`` frees it unchecked."""
+
+    name = "pa"
 
     def __init__(
         self,
@@ -31,8 +34,7 @@ class PARuntime:
         pac_bits: int = 16,
         pac_mode: str = "qarma",
     ) -> None:
-        self.memory = SparseMemory()
-        self.allocator = HeapAllocator(self.memory, layout)
+        super().__init__(layout)
         self.pointer_layout = PointerLayout(pac_bits=pac_bits)
         self.generator = PACGenerator(keys=PAKeys(), pac_bits=pac_bits, mode=pac_mode)
         self.auth_failures = 0
@@ -72,23 +74,28 @@ class PARuntime:
             raise PAFault(f"autia: return address {address:#x} corrupted")
         return address
 
+    # ----------------------------------------------------------- return path
+    #
+    # PARTS signs return addresses with SP as modifier (Fig. 3).
+
+    def _frame_sp(self, depth: int) -> int:
+        return self.allocator.layout.stack_top - 16 * depth
+
+    def call(self) -> None:
+        depth = len(self._frames)
+        self._frames.append([self.pacia(self.call_site(), self._frame_sp(depth))])
+
+    def ret(self) -> int:
+        if not self._frames:
+            return 0
+        (signed,) = self._frames.pop()
+        return self.autia(signed, self._frame_sp(len(self._frames)))
+
     # ------------------------------------------------------------ heap shim
-
-    def malloc(self, size: int) -> int:
-        """PA does not protect heap objects; malloc returns a raw pointer."""
-        return self.allocator.malloc(size)
-
-    def free(self, pointer: int) -> None:
-        self.allocator.free(pointer)
 
     def load(self, pointer: int, size: int = 8) -> int:
         """Unchecked: PA performs no bounds or liveness checks on access."""
-        return int.from_bytes(
-            self.memory.read_bytes(self.pointer_layout.address(pointer), size), "little"
-        )
+        return self.read(self.pointer_layout.address(pointer), size)
 
     def store(self, pointer: int, value: int, size: int = 8) -> None:
-        self.memory.write_bytes(
-            self.pointer_layout.address(pointer),
-            (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"),
-        )
+        self.write(self.pointer_layout.address(pointer), value, size)

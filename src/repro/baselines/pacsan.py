@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Dict
 
 from ..crypto.pac import PACGenerator, PAKeys
-from ..memory.allocator import HeapAllocator
 from ..memory.layout import AddressSpaceLayout, DEFAULT_LAYOUT
-from ..memory.memory import SparseMemory
+from ..memory.runtime import HeapRuntime
 
 
 class PACSanFault(Exception):
@@ -46,8 +45,10 @@ class _ShadowEntry:
     alive: bool
 
 
-class PACSanRuntime:
+class PACSanRuntime(HeapRuntime):
     """Shadow-metadata table + per-pointer signatures."""
+
+    name = "pacsan"
 
     def __init__(
         self,
@@ -55,8 +56,7 @@ class PACSanRuntime:
         pac_bits: int = 16,
         pac_mode: str = "fast",
     ) -> None:
-        self.memory = SparseMemory()
-        self.allocator = HeapAllocator(self.memory, layout)
+        super().__init__(layout)
         self.generator = PACGenerator(keys=PAKeys(), pac_bits=pac_bits, mode=pac_mode)
         self._shadow: Dict[int, _ShadowEntry] = {}
         self._next_oid = 1
@@ -67,6 +67,12 @@ class PACSanRuntime:
 
     def _sign(self, base: int, oid: int) -> int:
         return self.generator.compute(base, oid, key_name="da")
+
+    @staticmethod
+    def _require_signed(pointer) -> SignedPointer:
+        if not isinstance(pointer, SignedPointer):
+            raise PACSanFault("crafted pointer carries no signature")
+        return pointer
 
     def _authenticate(self, pointer: SignedPointer) -> _ShadowEntry:
         entry = self._shadow.get(pointer.oid)
@@ -91,7 +97,8 @@ class PACSanRuntime:
         self._shadow[oid] = _ShadowEntry(base=base, size=size, alive=True)
         return SignedPointer(address=base, oid=oid, pac=self._sign(base, oid))
 
-    def free(self, pointer: SignedPointer) -> SignedPointer:
+    def free(self, pointer) -> SignedPointer:
+        pointer = self._require_signed(pointer)
         entry = self._authenticate(pointer)
         if not entry.alive:
             raise PACSanFault(
@@ -109,7 +116,8 @@ class PACSanRuntime:
 
     # ---------------------------------------------------------------- checks
 
-    def check(self, pointer: SignedPointer, size: int = 8) -> None:
+    def check(self, pointer, size: int = 8) -> None:
+        pointer = self._require_signed(pointer)
         self.checks += 1
         entry = self._authenticate(pointer)
         if not entry.alive:
@@ -124,13 +132,18 @@ class PACSanRuntime:
                 f"[{entry.base:#x}, {entry.base + entry.size:#x})"
             )
 
-    def load(self, pointer: SignedPointer, size: int = 8) -> int:
+    def load(self, pointer, size: int = 8) -> int:
         self.check(pointer, size)
-        return int.from_bytes(self.memory.read_bytes(pointer.address, size), "little")
+        return self.read(pointer.address, size)
 
-    def store(self, pointer: SignedPointer, value: int, size: int = 8) -> None:
+    def store(self, pointer, value: int, size: int = 8) -> None:
         self.check(pointer, size)
-        self.memory.write_bytes(
-            pointer.address,
-            (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"),
-        )
+        self.write(pointer.address, value, size)
+
+    def offset(self, pointer, delta: int) -> SignedPointer:
+        return self._require_signed(pointer).offset(delta)
+
+    def forge_pac(self, pointer, wrong: int) -> SignedPointer:
+        p = self._require_signed(pointer)
+        mask = self.generator.pac_space - 1
+        return SignedPointer(p.address, p.oid, p.pac ^ ((wrong or 1) & mask))

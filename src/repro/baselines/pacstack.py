@@ -15,44 +15,37 @@ ignores and nothing else.
 
 from __future__ import annotations
 
-from typing import List
-
 from ..crypto.pac import PACGenerator, PAKeys
+from ..memory.runtime import HeapRuntime, ReturnStack
 
 
 class PACStackFault(Exception):
     """Return-address chain authentication failed."""
 
 
-class PACStackRuntime:
-    """The authenticated call-stack chain (no heap involvement)."""
+class PACStackRuntime(ReturnStack, HeapRuntime):
+    """The authenticated call-stack chain over an unprotected heap.
+
+    A ``smash_ret`` overwrite of the topmost saved return address cannot
+    recompute the chained token without the key."""
+
+    name = "pacstack"
 
     #: Chain root: stands in for the per-thread boot-time secret.
     ROOT_TOKEN = 0x0A05
 
     def __init__(self, pac_bits: int = 16, pac_mode: str = "fast") -> None:
+        super().__init__()
         self.generator = PACGenerator(keys=PAKeys(), pac_bits=pac_bits, mode=pac_mode)
-        #: Mutable (return_address, token) frames, oldest first.
-        self._frames: List[List[int]] = []
         self.auth_failures = 0
 
     def _token(self, return_address: int, previous: int) -> int:
         return self.generator.compute(return_address, previous, key_name="ia")
 
-    @property
-    def depth(self) -> int:
-        return len(self._frames)
-
-    def call(self, return_address: int) -> None:
+    def call(self) -> None:
+        return_address = self.call_site()
         previous = self._frames[-1][1] if self._frames else self.ROOT_TOKEN
         self._frames.append([return_address, self._token(return_address, previous)])
-
-    def smash_return(self, value: int) -> None:
-        """Attacker overwrite of the topmost saved return address; the
-        chained token cannot be recomputed without the key."""
-        if self._frames:
-            frame = self._frames[-1]
-            frame[0] = value if value != frame[0] else value ^ 0x10
 
     def ret(self) -> int:
         if not self._frames:

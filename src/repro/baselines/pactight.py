@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from ..crypto.pac import PACGenerator, PAKeys
-from ..memory.allocator import HeapAllocator
 from ..memory.layout import AddressSpaceLayout, DEFAULT_LAYOUT
-from ..memory.memory import SparseMemory
+from ..memory.runtime import HeapRuntime, ReturnStack
 
 
 class PACTightFault(Exception):
@@ -42,8 +41,10 @@ class SealedPointer:
         return self.address
 
 
-class PACTightRuntime:
+class PACTightRuntime(ReturnStack, HeapRuntime):
     """Identity-sealed pointers over a raw heap (no bounds checks)."""
+
+    name = "pactight"
 
     def __init__(
         self,
@@ -52,15 +53,11 @@ class PACTightRuntime:
         pac_mode: str = "fast",
         seed: int = 0x71647,
     ) -> None:
-        self.memory = SparseMemory()
-        self.allocator = HeapAllocator(self.memory, layout)
+        super().__init__(layout)
         self.generator = PACGenerator(keys=PAKeys(), pac_bits=pac_bits, mode=pac_mode)
         self._rng = random.Random(seed)
         #: object base -> live identity tag (absent once freed).
         self._tags: Dict[int, int] = {}
-        #: sealed return-address stack (address, seal) — mutable frames so
-        #: an attacker overwrite is representable.
-        self._frames: List[List[int]] = []
         self.auth_failures = 0
 
     # -------------------------------------------------------------- sealing
@@ -68,7 +65,14 @@ class PACTightRuntime:
     def _seal(self, address: int, tag: int) -> int:
         return self.generator.compute(address, tag, key_name="da")
 
-    def authenticate(self, pointer: SealedPointer) -> int:
+    @staticmethod
+    def _require_sealed(pointer) -> SealedPointer:
+        if not isinstance(pointer, SealedPointer):
+            raise PACTightFault("crafted pointer carries no identity seal")
+        return pointer
+
+    def authenticate(self, pointer) -> int:
+        pointer = self._require_sealed(pointer)
         tag = self._tags.get(pointer.base)
         if tag is None:
             self.auth_failures += 1
@@ -92,40 +96,35 @@ class PACTightRuntime:
         self._tags[base] = tag
         return SealedPointer(address=base, base=base, pac=self._seal(base, tag))
 
-    def free(self, pointer: SealedPointer) -> SealedPointer:
+    def free(self, pointer) -> SealedPointer:
         self.authenticate(pointer)
         self.allocator.free(pointer.base)
         del self._tags[pointer.base]
         return pointer
 
-    def load(self, pointer: SealedPointer, size: int = 8) -> int:
-        address = self.authenticate(pointer)
-        return int.from_bytes(self.memory.read_bytes(address, size), "little")
+    def load(self, pointer, size: int = 8) -> int:
+        return self.read(self.authenticate(pointer), size)
 
-    def store(self, pointer: SealedPointer, value: int, size: int = 8) -> None:
-        address = self.authenticate(pointer)
-        self.memory.write_bytes(
-            address, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        )
+    def store(self, pointer, value: int, size: int = 8) -> None:
+        self.write(self.authenticate(pointer), value, size)
+
+    def offset(self, pointer, delta: int) -> SealedPointer:
+        return self._require_sealed(pointer).offset(delta)
+
+    def forge_pac(self, pointer, wrong: int) -> SealedPointer:
+        p = self._require_sealed(pointer)
+        mask = self.generator.pac_space - 1
+        return SealedPointer(p.address, p.base, p.pac ^ ((wrong or 1) & mask))
 
     # ---------------------------------------------------------- return path
+    #
+    # Return addresses are sealed too (PACTight's pcptr class); a
+    # ``smash_ret`` data write cannot recompute the seal without the key.
 
-    @property
-    def depth(self) -> int:
-        return len(self._frames)
-
-    def call(self, return_address: int) -> None:
-        seal = self.generator.compute(
-            return_address, len(self._frames), key_name="ia"
-        )
-        self._frames.append([return_address, seal])
-
-    def smash_return(self, value: int) -> None:
-        """Attacker overwrite of the saved return address (data write —
-        the seal cannot be recomputed without the key)."""
-        if self._frames:
-            frame = self._frames[-1]
-            frame[0] = value if value != frame[0] else value ^ 0x10
+    def call(self) -> None:
+        address = self.call_site()
+        seal = self.generator.compute(address, len(self._frames), key_name="ia")
+        self._frames.append([address, seal])
 
     def ret(self) -> int:
         if not self._frames:

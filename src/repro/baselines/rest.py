@@ -12,9 +12,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Tuple
 
-from ..memory.allocator import HeapAllocator
 from ..memory.layout import AddressSpaceLayout, DEFAULT_LAYOUT
-from ..memory.memory import SparseMemory
+from ..memory.runtime import HeapRuntime
 
 REDZONE_BYTES = 64
 
@@ -23,16 +22,17 @@ class RedzoneFault(Exception):
     """An access touched a blacklisted (redzone or quarantined) region."""
 
 
-class RestRuntime:
+class RestRuntime(HeapRuntime):
     """Redzone-protected heap with a quarantine pool."""
+
+    name = "rest"
 
     def __init__(
         self,
         layout: AddressSpaceLayout = DEFAULT_LAYOUT,
         quarantine_chunks: int = 64,
     ) -> None:
-        self.memory = SparseMemory()
-        self.allocator = HeapAllocator(self.memory, layout)
+        super().__init__(layout)
         #: Blacklisted byte ranges: set of (start, end) tuples.
         self._redzones: Dict[int, Tuple[int, int]] = {}
         self._quarantine: Deque[Tuple[int, Tuple[int, int]]] = deque()
@@ -46,7 +46,7 @@ class RestRuntime:
         self._redzones[base] = (padded, padded + REDZONE_BYTES + size + REDZONE_BYTES)
         return base
 
-    def free(self, pointer: int) -> None:
+    def free(self, pointer: int) -> int:
         """Quarantine the chunk: the whole object becomes a trip-wire until
         it is recycled (the quarantine pool whose cost §IV-C calls out)."""
         zone = self._redzones.pop(pointer, None)
@@ -56,6 +56,7 @@ class RestRuntime:
         while len(self._quarantine) > self.quarantine_chunks:
             old_ptr, old_zone = self._quarantine.popleft()
             self.allocator.free(old_ptr - REDZONE_BYTES)
+        return pointer
 
     def check(self, address: int, size: int = 8) -> None:
         """Trap accesses that touch a redzone or a quarantined chunk."""
@@ -76,10 +77,8 @@ class RestRuntime:
 
     def load(self, address: int, size: int = 8) -> int:
         self.check(address, size)
-        return int.from_bytes(self.memory.read_bytes(address, size), "little")
+        return self.read(address, size)
 
     def store(self, address: int, value: int, size: int = 8) -> None:
         self.check(address, size)
-        self.memory.write_bytes(
-            address, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        )
+        self.write(address, value, size)

@@ -18,9 +18,8 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Dict
 
-from ..memory.allocator import HeapAllocator
 from ..memory.layout import AddressSpaceLayout, DEFAULT_LAYOUT
-from ..memory.memory import SparseMemory
+from ..memory.runtime import HeapRuntime
 
 INVALID_KEY = 0
 
@@ -48,12 +47,13 @@ class WatchdogPointer:
         return self.address
 
 
-class WatchdogRuntime:
+class WatchdogRuntime(HeapRuntime):
     """A Watchdog-protected heap."""
 
+    name = "watchdog"
+
     def __init__(self, layout: AddressSpaceLayout = DEFAULT_LAYOUT) -> None:
-        self.memory = SparseMemory()
-        self.allocator = HeapAllocator(self.memory, layout)
+        super().__init__(layout)
         self.layout = layout
         self._key_source = itertools.count(1)
         #: lock address -> current key value ("lock locations").
@@ -78,17 +78,28 @@ class WatchdogRuntime:
             lock_address=lock_address,
         )
 
-    def free(self, pointer: WatchdogPointer) -> None:
+    @staticmethod
+    def _require_fat(pointer) -> WatchdogPointer:
+        if not isinstance(pointer, WatchdogPointer):
+            # An attacker-crafted integer has no register metadata: every
+            # Watchdog check µop on it fails by construction.
+            raise WatchdogFault("crafted pointer carries no lock/key metadata")
+        return pointer
+
+    def free(self, pointer) -> WatchdogPointer:
         """Invalidate the lock, then free (Fig. 5a ­: *(id.lock) = INVALID)."""
+        pointer = self._require_fat(pointer)
         if self._locks.get(pointer.lock_address, INVALID_KEY) != pointer.key:
             raise WatchdogFault("free(): stale or double free detected")
         self._locks[pointer.lock_address] = INVALID_KEY
         self.allocator.free(pointer.base)
+        return pointer
 
     # ---------------------------------------------------------------- checks
 
-    def check(self, pointer: WatchdogPointer) -> None:
+    def check(self, pointer) -> None:
         """The check µop inserted before every dereference (Fig. 5a ®¯)."""
+        pointer = self._require_fat(pointer)
         self.checks += 1
         if self._locks.get(pointer.lock_address, INVALID_KEY) != pointer.key:
             self.check_failures += 1
@@ -103,12 +114,13 @@ class WatchdogRuntime:
                 f"[{pointer.base:#x}, {pointer.bound:#x})"
             )
 
-    def load(self, pointer: WatchdogPointer, size: int = 8) -> int:
+    def load(self, pointer, size: int = 8) -> int:
         self.check(pointer)
-        return int.from_bytes(self.memory.read_bytes(pointer.address, size), "little")
+        return self.read(pointer.address, size)
 
-    def store(self, pointer: WatchdogPointer, value: int, size: int = 8) -> None:
+    def store(self, pointer, value: int, size: int = 8) -> None:
         self.check(pointer)
-        self.memory.write_bytes(
-            pointer.address, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        )
+        self.write(pointer.address, value, size)
+
+    def offset(self, pointer, delta: int) -> WatchdogPointer:
+        return self._require_fat(pointer).offset(delta)

@@ -195,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     fault = parser.add_argument_group("faultinject options")
     fault.add_argument(
         "--mechanisms", nargs="+", default=None,
-        help="protection mechanisms to inject under (default: aos)",
+        help="protection mechanisms to inject under (default: aos); attack "
+        "and security sweep these (default: every registered mechanism)",
     )
     fault.add_argument(
         "--fault-locations", type=int, default=None,
@@ -217,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     attack = parser.add_argument_group("attack options")
     attack.add_argument(
         "--scenarios", nargs="+", default=None, metavar="NAME",
-        help="attack only: run these scenarios (default: the 11-scenario "
-        "campaign sweep; any of the 15 `security` rows, e.g. "
+        help="attack and security: run these scenarios (default: attack "
+        "sweeps the 11-scenario campaign, security all 15 rows; e.g. "
         "ahc-zero-escape house-of-spirit)",
     )
     attack.add_argument(
@@ -365,7 +366,11 @@ def run_artifact(name: str, suite: ExperimentSuite, args) -> str:
     if name == "security":
         from .adversary import run_security_analysis
 
-        return run_security_analysis().format_grid()
+        return run_security_analysis(
+            scenarios=args.scenarios or (),
+            mechanisms=args.mechanisms or (),
+            seed=args.seed,
+        ).format_grid()
     if name == "mechanisms":
         return format_mechanism_table()
     if name == "mte":
@@ -852,16 +857,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.artifact == "mechanisms":
         return run_mechanisms(args)
 
-    # Strict mechanism-name validation up front (mirrors parse_fault_kind):
-    # a typo gets the full list of registered names, never a bare KeyError
-    # from deep inside a sweep.
+    # Strict mechanism- and scenario-name validation up front (mirrors
+    # parse_fault_kind): a typo gets the full list of registered names,
+    # never a traceback from deep inside a sweep.
+    from .errors import WorkloadError
     from .mechanisms import UnknownMechanismError, parse_mechanism, parse_mechanisms
 
     try:
         args.mechanism = parse_mechanism(args.mechanism)
         if args.mechanisms:
             args.mechanisms = parse_mechanisms(args.mechanisms)
-    except UnknownMechanismError as exc:
+        if args.scenarios:
+            from .adversary.scenarios import parse_scenarios
+
+            parse_scenarios(args.scenarios)
+    except (UnknownMechanismError, WorkloadError) as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
     if args.quick:

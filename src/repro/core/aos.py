@@ -27,12 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..baselines.pa import PAFault
 from ..config import SystemConfig, default_config
 from ..crypto.pac import PACGenerator, PAKeys
 from ..isa.encoding import PointerLayout
-from ..memory.allocator import HeapAllocator
 from ..memory.layout import AddressSpaceLayout, DEFAULT_LAYOUT
-from ..memory.memory import SparseMemory
+from ..memory.runtime import HeapRuntime, ReturnStack
 from .hbt import HashedBoundsTable
 from .mcu import MemoryCheckUnit, ValidationResult
 from .signing import PointerSigner
@@ -49,8 +49,16 @@ class AOSRuntimeStats:
     faults_raised: int = 0
 
 
-class AOSRuntime:
-    """A functional AOS-protected process: heap + signed pointers + HBT."""
+class AOSRuntime(ReturnStack, HeapRuntime):
+    """A functional AOS-protected process: heap + signed pointers + HBT.
+
+    Pointer arithmetic is the base's plain ``offset``: the PAC/AHC ride
+    along with the address, the no-extra-instructions propagation of
+    §III-B.  No on-load authentication: a pointer whose AHC was zeroed
+    looks unsigned and skips bounds checking (the §VII-C escape), and
+    return addresses stay raw (the return path AOS leaves to PA, §VII-B)."""
+
+    name = "aos"
 
     def __init__(
         self,
@@ -59,10 +67,9 @@ class AOSRuntime:
         pac_mode: str = "qarma",
         obs=None,
     ) -> None:
+        super().__init__(address_layout)
         self.config = config or default_config("aos")
         self.address_layout = address_layout
-        self.memory = SparseMemory()
-        self.allocator = HeapAllocator(self.memory, address_layout)
         pointer_layout = PointerLayout(pac_bits=self.config.pa.pac_bits)
         generator = PACGenerator(
             keys=PAKeys(apma=self.config.pa.key),
@@ -133,16 +140,14 @@ class AOSRuntime:
         """Bounds-checked load; raises BoundsCheckFault on violation."""
         self._validate(pointer, is_store=False)
         self.stats.loads += 1
-        address = self.signer.xpacm(pointer)
-        return int.from_bytes(self.memory.read_bytes(address, size), "little")
+        return self.read(self.signer.xpacm(pointer), size)
 
     def store(self, pointer: int, value: int, size: int = 8) -> None:
         """Bounds-checked store.  The check completes before memory is
         updated (precise exceptions): a faulting store writes nothing."""
         self._validate(pointer, is_store=True)
         self.stats.stores += 1
-        address = self.signer.xpacm(pointer)
-        self.memory.write_bytes(address, (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
+        self.write(self.signer.xpacm(pointer), value, size)
 
     def load_bytes(self, pointer: int, size: int) -> bytes:
         self._validate(pointer, is_store=False)
@@ -166,10 +171,18 @@ class AOSRuntime:
             self.stats.faults_raised += 1
             raise result.fault
 
-    def offset(self, pointer: int, delta: int) -> int:
-        """Pointer arithmetic: the PAC/AHC ride along with the address,
-        exactly the no-extra-instructions propagation of §III-B."""
-        return pointer + delta
+    # ---------------------------------------------------- attacker primitives
+
+    def forge_ahc_zero(self, pointer: int) -> int:
+        """Attacker clears the AHC field to dodge bounds checking (§VII-C)."""
+        return pointer & ~self.signer.layout.ahc_mask
+
+    def forge_pac(self, pointer: int, new_pac: int) -> int:
+        """Attacker overwrites the PAC field (``new_pac`` mod its width)."""
+        layout = self.signer.layout
+        return (pointer & ~layout.pac_mask) | (
+            (new_pac << layout.pac_shift) & layout.pac_mask
+        )
 
     def publish_metrics(self) -> None:
         """Harvest runtime + allocator + MCU stats into ``obs.registry``."""
@@ -183,3 +196,43 @@ class AOSRuntime:
         registry.count("runtime.faults_raised", self.stats.faults_raised)
         self.allocator.publish_metrics(registry)
         self.mcu.publish_metrics(registry)
+
+
+class PAAOSRuntime(AOSRuntime):
+    """PA+AOS (Fig. 13): ``autm`` authenticates every pointer at use.
+
+    Plain AOS skips bounds checks on unsigned pointers, which is the
+    §VII-C AHC-zeroing escape; this variant closes it by authenticating on
+    every load/store/free, so a zeroed AHC faults before the access.  It
+    keeps the PARTS half too: return addresses are signed."""
+
+    name = "pa+aos"
+
+    def autm(self, pointer: int) -> int:
+        """The on-load authentication (Fig. 13)."""
+        return self.signer.autm(pointer)
+
+    def free(self, pointer: int) -> int:
+        return super().free(self.autm(pointer))
+
+    def load(self, pointer: int, size: int = 8) -> int:
+        return super().load(self.autm(pointer), size)
+
+    def store(self, pointer: int, value: int, size: int = 8) -> None:
+        super().store(self.autm(pointer), value, size)
+
+    def _return_token(self, address: int, depth: int) -> int:
+        return self.signer.generator.compute(address, depth, key_name="ia")
+
+    def call(self) -> None:
+        address = self.call_site()
+        token = self._return_token(address, len(self._frames))
+        self._frames.append([address, token])
+
+    def ret(self) -> int:
+        if not self._frames:
+            return 0
+        address, token = self._frames.pop()
+        if token != self._return_token(address, len(self._frames)):
+            raise PAFault(f"return address {address:#x} fails authentication")
+        return address

@@ -2,7 +2,7 @@
 
 One :class:`~repro.mechanisms.registry.MechanismSpec` per protection
 scheme declares everything the rest of the repo needs to know about it —
-adapter factory, timing-lowering name, adversary oracle defaults,
+runtime factory, timing-lowering name, adversary oracle defaults,
 detection exception types, cache-fingerprint token and hardware-cost
 model — and registers it in the process-wide
 :data:`~repro.mechanisms.registry.REGISTRY`.  The CLI ``--mechanism``

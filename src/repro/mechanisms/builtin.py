@@ -14,39 +14,32 @@ plugins.
 
 from __future__ import annotations
 
+from functools import partial
+
+from ..baselines.cheri import CheriFault, CheriRuntime
+from ..baselines.cryptsan import CryptSanFault, CryptSanRuntime
+from ..baselines.mte import MTEFault, MTERuntime
+from ..baselines.pa import PAFault, PARuntime
+from ..baselines.pacsan import PACSanFault, PACSanRuntime
+from ..baselines.pacstack import PACStackFault, PACStackRuntime
+from ..baselines.pactight import PACTightFault, PACTightRuntime
+from ..baselines.rest import RedzoneFault, RestRuntime
+from ..baselines.watchdog import WatchdogFault, WatchdogRuntime
+from ..core.aos import AOSRuntime, PAAOSRuntime
 from ..core.exceptions import AOSException
 from ..errors import AllocatorError
-from ..baselines.cheri import CheriFault
-from ..baselines.cryptsan import CryptSanFault
-from ..baselines.mte import MTEFault
-from ..baselines.pa import PAFault
-from ..baselines.pacsan import PACSanFault
-from ..baselines.pacstack import PACStackFault
-from ..baselines.pactight import PACTightFault
-from ..baselines.rest import RedzoneFault
-from ..baselines.watchdog import WatchdogFault
-from ..security.adapters import (
-    AOSAdapter,
-    BaselineAdapter,
-    CheriAdapter,
-    CryptSanAdapter,
-    MTEAdapter,
-    PAAOSAdapter,
-    PAAdapter,
-    PACSanAdapter,
-    PACStackAdapter,
-    PACTightAdapter,
-    RestAdapter,
-    WatchdogAdapter,
-)
+from ..memory.runtime import BaselineRuntime
 from .registry import Expectation, MechanismSpec, REGISTRY, ScenarioOracle
 
 _E = Expectation
 
+# Each factory builds the mechanism's runtime itself.  AOS, PA+AOS and PA
+# default to the bit-exact QARMA cipher; the corpus signs with the fast
+# PAC function instead, as the other signing runtimes do by default.
 _SPECS = (
     MechanismSpec(
         name="baseline",
-        factory=BaselineAdapter,
+        factory=BaselineRuntime,
         description="unprotected glibc-style heap (normalisation denominator)",
         paper="Fig. 14 baseline",
         lowering="baseline",
@@ -65,7 +58,7 @@ _SPECS = (
     ),
     MechanismSpec(
         name="rest",
-        factory=RestAdapter,
+        factory=RestRuntime,
         description="REST-style redzone trip-wires with a quarantine pool",
         paper="REST [8], §IV-C comparison",
         lowering="rest",
@@ -91,7 +84,7 @@ _SPECS = (
     ),
     MechanismSpec(
         name="pa",
-        factory=PAAdapter,
+        factory=partial(PARuntime, pac_mode="fast"),
         description="PARTS-style pointer integrity only (no bounds/liveness)",
         paper="PARTS [21], §II-B",
         lowering="pa",
@@ -109,7 +102,7 @@ _SPECS = (
     ),
     MechanismSpec(
         name="mte",
-        factory=MTEAdapter,
+        factory=MTERuntime,
         description="Arm-MTE/ADI-style 4-bit memory tagging",
         paper="§X (memory tagging)",
         lowering="mte",
@@ -128,7 +121,7 @@ _SPECS = (
     ),
     MechanismSpec(
         name="cheri",
-        factory=CheriAdapter,
+        factory=CheriRuntime,
         description="CHERI-style capabilities (no timing lowering: new ISA)",
         paper="§X (capability machines)",
         lowering=None,
@@ -145,7 +138,7 @@ _SPECS = (
     ),
     MechanismSpec(
         name="watchdog",
-        factory=WatchdogAdapter,
+        factory=WatchdogRuntime,
         description="Watchdog lock-and-key + bounds check µops",
         paper="Watchdog, Fig. 5a",
         lowering="watchdog",
@@ -162,7 +155,7 @@ _SPECS = (
     ),
     MechanismSpec(
         name="aos",
-        factory=AOSAdapter,
+        factory=partial(AOSRuntime, pac_mode="fast"),
         description="AOS bounds checking off the critical path (this paper)",
         paper="§IV-§V, Fig. 7",
         lowering="aos",
@@ -182,7 +175,7 @@ _SPECS = (
     ),
     MechanismSpec(
         name="pa+aos",
-        factory=PAAOSAdapter,
+        factory=partial(PAAOSRuntime, pac_mode="fast"),
         description="AOS + PA integrity: autm on load closes §VII-C",
         paper="§VII-B, Fig. 13",
         lowering="pa+aos",
@@ -200,7 +193,7 @@ _SPECS = (
     # ---------------------------------------------- PA-based related work
     MechanismSpec(
         name="cryptsan",
-        factory=CryptSanAdapter,
+        factory=CryptSanRuntime,
         description="CryptSan-style per-object MACs checked on every access",
         paper="CryptSan (PAPERS.md related work)",
         lowering="cryptsan",
@@ -218,7 +211,7 @@ _SPECS = (
     ),
     MechanismSpec(
         name="pacsan",
-        factory=PACSanAdapter,
+        factory=PACSanRuntime,
         description="PACSan-style shadow-metadata PAC checks on every access",
         paper="PACSan (PAPERS.md related work)",
         lowering="pacsan",
@@ -236,7 +229,7 @@ _SPECS = (
     ),
     MechanismSpec(
         name="pactight",
-        factory=PACTightAdapter,
+        factory=PACTightRuntime,
         description="PACTight pointer-identity sealing (no bounds checks)",
         paper="PACTight (PAPERS.md related work)",
         lowering="pactight",
@@ -254,7 +247,7 @@ _SPECS = (
     ),
     MechanismSpec(
         name="pacstack",
-        factory=PACStackAdapter,
+        factory=PACStackRuntime,
         description="PACStack authenticated return-address chain, raw heap",
         paper="PACStack (PAPERS.md related work)",
         lowering="pacstack",

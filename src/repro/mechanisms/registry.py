@@ -1,15 +1,16 @@
 """Declarative mechanism specs and the process-wide registry.
 
 A :class:`MechanismSpec` is the single source of truth for one
-protection scheme: how to build its security adapter, which timing
+protection scheme: how to build its functional runtime, which timing
 lowering (if any) the trace compiler should use, what the adversary
 corpus should expect from it (:class:`ScenarioOracle`), which exception
 types count as a detection, its artifact-cache fingerprint token, and a
 small hardware-cost sketch.
 
 The registry is lazily populated: the first enumeration imports
-:mod:`repro.mechanisms.builtin`, which registers the eight legacy
-adapters and pulls in the four PA-based plugin baselines.  Explicit
+:mod:`repro.mechanisms.builtin`, which registers the twelve built-in
+runtimes: the paper's comparison points and the four PA-based plugin
+baselines.  Explicit
 :meth:`MechanismRegistry.register` calls (tests, user plugins) never
 trigger that import, so a plugin can be registered before, after, or
 instead of the builtins.
@@ -110,7 +111,8 @@ class MechanismSpec:
 
     #: Registry key; also the CLI spelling and the SystemConfig name.
     name: str
-    #: Zero-argument factory returning a fresh security adapter.
+    #: Zero-argument factory returning a fresh runtime: a
+    #: :class:`~repro.memory.runtime.HeapRuntime` (or one with its surface).
     factory: Callable[[], object]
     #: One-line description for ``python -m repro mechanisms``.
     description: str = ""
@@ -357,7 +359,7 @@ def register_mechanism(
     ::
 
         @register_mechanism("myscheme", cache_token="myscheme-v1", ...)
-        class MySchemeAdapter: ...
+        class MySchemeRuntime(HeapRuntime): ...
     """
 
     def decorate(factory: Callable[[], object]) -> Callable[[], object]:

@@ -1,4 +1,5 @@
-"""Memory substrate: address-space layout, sparse memory, heap allocator.
+"""Memory substrate: address-space layout, sparse memory, heap allocator,
+and the :class:`HeapRuntime` base every mechanism's runtime builds on.
 
 The allocator is a deliberately glibc-flavoured ptmalloc model — chunk
 headers, 16-byte-aligned payloads, fastbins, a tcache, free-list bins and
@@ -13,6 +14,7 @@ from .layout import AddressSpaceLayout, DEFAULT_LAYOUT
 from .memory import SparseMemory
 from .allocator import HeapAllocator, Chunk
 from .shadow import ShadowMemory
+from .runtime import BaselineRuntime, HeapRuntime, ReturnStack
 
 __all__ = [
     "AddressSpaceLayout",
@@ -21,4 +23,7 @@ __all__ = [
     "HeapAllocator",
     "Chunk",
     "ShadowMemory",
+    "HeapRuntime",
+    "ReturnStack",
+    "BaselineRuntime",
 ]

@@ -1,16 +1,7 @@
-"""Mechanism adapters for the security analysis (§VII).
+"""Forgery-entropy analysis for the security evaluation (§VII-E, §X).
 
-:mod:`~repro.security.adapters` wraps each protection mechanism's
-functional model in a uniform interface, so the scenario recipes of
-:mod:`repro.adversary.scenarios` run against every mechanism;
-``python -m repro security`` tabulates who detects what.
 :mod:`~repro.security.entropy` models the brute-force odds of PACs and
-memory tags.
+memory tags.  The attacks themselves are the scenario recipes of
+:mod:`repro.adversary`, run against each mechanism's runtime;
+``python -m repro security`` tabulates who detects what.
 """
-
-from .adapters import MECHANISM_ADAPTERS, make_adapter
-
-__all__ = [
-    "MECHANISM_ADAPTERS",
-    "make_adapter",
-]

@@ -8,7 +8,7 @@ breakdown.  Like its sibling this is pure presentation over plain
 strings, so it lives in :mod:`repro.stats` rather than
 :mod:`repro.adversary`.
 
-Denominator convention: *modeled* cells only.  A cell whose adapter does
+Denominator convention: *modeled* cells only.  A cell whose runtime does
 not model the attacker primitive (``unsupported``/``unmodeled``) says
 nothing about detection strength and is excluded; crashed or timed-out
 cells stay in the denominator and count **against** detection — a

@@ -27,7 +27,7 @@ from repro.adversary import (
 )
 from repro.errors import WorkloadError
 from repro.faults import Deadline
-from repro.security.adapters import MECHANISM_ADAPTERS
+from repro.mechanisms import REGISTRY
 from repro.supervise import SupervisorConfig
 
 
@@ -84,7 +84,7 @@ class TestCorpus:
     def test_oracle_defined_for_every_mechanism(self):
         for name in SCENARIOS:
             instance = build_scenario(name)
-            for mechanism in MECHANISM_ADAPTERS:
+            for mechanism in REGISTRY:
                 assert isinstance(instance.expected(mechanism), Expectation)
 
     def test_ahc_zero_oracle_is_the_paper_contract(self):
@@ -97,7 +97,7 @@ class TestCorpus:
 
     def test_intra_object_escapes_every_mechanism(self):
         instance = build_scenario("intra-object-overflow")
-        for mechanism in MECHANISM_ADAPTERS:
+        for mechanism in REGISTRY:
             assert instance.expected(mechanism) is Expectation.KNOWN_ESCAPE
 
 
@@ -143,12 +143,12 @@ class TestInterpreter:
     def test_brute_force_reraises_the_last_detection(self, monkeypatch):
         """Each detection is a retry; an exhausted budget re-raises the
         last one, so every one of the 256 forged loads was tried."""
-        from repro.security.adapters import AOSAdapter
+        from repro.core.aos import AOSRuntime
 
         loads = []
-        real_load = AOSAdapter.load
+        real_load = AOSRuntime.load
         monkeypatch.setattr(
-            AOSAdapter, "load",
+            AOSRuntime, "load",
             lambda self, p, size=8: loads.append(p) or real_load(self, p, size),
         )
         outcome, detail = self.run("metadata-brute-force", "aos")
@@ -159,10 +159,10 @@ class TestInterpreter:
     def test_mte_forges_tags_not_pacs(self):
         """MTE is judged on brute force (tag guessing) but has no PAC for
         ``pac-forgery`` to rewrite."""
-        from repro.security.adapters import MTEAdapter
+        from repro.baselines.mte import MTERuntime
 
-        assert hasattr(MTEAdapter(), "forge_tag")
-        assert not hasattr(MTEAdapter(), "forge_pac")
+        assert hasattr(MTERuntime(), "forge_tag")
+        assert not hasattr(MTERuntime(), "forge_pac")
         outcome, detail = self.run("metadata-brute-force", "mte")
         assert outcome is ScenarioOutcome.UNDETECTED
 
@@ -170,15 +170,15 @@ class TestInterpreter:
         """``craft`` yields a plain integer in the named layout region:
         freeing it is what ``invalid-free`` and House of Spirit do."""
         from repro.adversary.chaos import _apply_step
-        from repro.security.adapters import BaselineAdapter
+        from repro.memory.runtime import BaselineRuntime
 
-        adapter, env = BaselineAdapter(), {}
+        runtime, env = BaselineRuntime(), {}
         _apply_step(
-            adapter, env, Step("craft", obj="x", region="globals_base", offset=16)
+            runtime, env, Step("craft", obj="x", region="globals_base", offset=16)
         )
-        assert env["x"] == adapter.allocator.layout.globals_base + 16
-        _apply_step(adapter, env, Step("raw-write", obj="x", offset=8, value=7))
-        assert adapter.load(env["x"] + 8) == 7
+        assert env["x"] == runtime.allocator.layout.globals_base + 16
+        _apply_step(runtime, env, Step("raw-write", obj="x", offset=8, value=7))
+        assert runtime.load(env["x"] + 8) == 7
 
     def test_uaf_detected_by_temporal_mechanisms(self):
         for mechanism in ("aos", "pa+aos", "watchdog"):
@@ -289,7 +289,7 @@ class TestChaosCampaign:
     def test_every_cell_lands_in_taxonomy(self):
         config = ChaosConfig(scenarios=("double-free", "pac-forgery"))
         matrix = ChaosCampaign(config).run()
-        assert len(matrix) == 2 * len(MECHANISM_ADAPTERS)
+        assert len(matrix) == 2 * len(REGISTRY)
         assert all(r.verdict != "robustness-bug" for r in matrix.runs)
         # Unsupported primitives are explicit, not silent passes.
         unmodeled = [r for r in matrix.runs if r.verdict == "unmodeled"]

@@ -49,6 +49,31 @@ class TestMain:
         out = capsys.readouterr().out
         assert "house-of-spirit" in out
 
+    def test_security_honours_selection(self, capsys, monkeypatch):
+        assert main(["security", "--no-cache", "--mechanisms", "aos"]) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.split() == ["attack", "aos"]
+        assert main(["security", "--no-cache", "--scenarios", "pac-forgery"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        rows = [line for line in lines[2:] if line and not line.startswith("[")]
+        assert [row.split()[0] for row in rows] == ["pac-forgery"]
+
+        import repro.adversary as adversary
+
+        seeds = []
+        real = adversary.run_security_analysis
+        monkeypatch.setattr(
+            adversary,
+            "run_security_analysis",
+            lambda **kw: seeds.append(kw.get("seed")) or real(**kw),
+        )
+        argv = ["security", "--no-cache", "--scenarios", "double-free", "--seed", "3"]
+        assert main(argv) == 0
+        assert seeds == [3]
+        capsys.readouterr()
+        assert main(["security", "--scenarios", "bogus"]) == 2
+        assert "known: heap-overflow-adjacent" in capsys.readouterr().err
+
     def test_fig17_small(self, capsys):
         assert main([
             "fig17", "--workloads", "gobmk", "--instructions", "8000",

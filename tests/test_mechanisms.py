@@ -10,12 +10,21 @@ import pathlib
 
 import pytest
 
-from repro.adversary.chaos import ChaosCampaign, ChaosConfig, run_scenario_cell
+from repro.adversary.chaos import (
+    ChaosCampaign,
+    ChaosConfig,
+    make_adapter,
+    run_scenario_cell,
+)
 from repro.adversary.scenarios import CHAOS_SCENARIOS, SCENARIOS, build_scenario
+from repro.baselines.cheri import CheriFault, CheriRuntime
 from repro.baselines.cryptsan import CryptSanFault, CryptSanRuntime
+from repro.baselines.mte import MTERuntime, TaggedPointer
+from repro.baselines.pa import PARuntime
 from repro.baselines.pacsan import PACSanFault, PACSanRuntime
 from repro.baselines.pacstack import PACStackFault, PACStackRuntime
 from repro.baselines.pactight import PACTightFault, PACTightRuntime
+from repro.baselines.watchdog import WatchdogFault, WatchdogRuntime
 from repro.compiler.passes import resolve_lowering
 from repro.errors import WorkloadError
 from repro.experiments.common import RunSettings
@@ -32,12 +41,7 @@ from repro.mechanisms import (
     register_mechanism,
     registry_fingerprint,
 )
-from repro.security.adapters import (
-    MECHANISM_ADAPTERS,
-    BaselineAdapter,
-    PAAdapter,
-    make_adapter,
-)
+from repro.memory.runtime import BaselineRuntime, HeapRuntime
 
 BUILTIN = (
     "baseline", "rest", "pa", "mte", "cheri", "watchdog", "aos", "pa+aos",
@@ -45,14 +49,14 @@ BUILTIN = (
 )
 
 
-class DummyAdapter(BaselineAdapter):
+class DummyRuntime(HeapRuntime):
     name = "dummy"
 
 
 def dummy_spec(**overrides) -> MechanismSpec:
     kwargs = dict(
         name="dummy",
-        factory=DummyAdapter,
+        factory=DummyRuntime,
         description="test-only plugin",
         lowering="baseline",
         cache_token="dummy-v1",
@@ -74,11 +78,11 @@ class TestBuiltinRegistry:
             assert adapter.name == name
 
     def test_mapping_view_is_live_and_read_only(self):
-        assert set(MECHANISM_ADAPTERS) == set(BUILTIN)
-        assert len(MECHANISM_ADAPTERS) == len(BUILTIN)
-        assert "aos" in MECHANISM_ADAPTERS
+        assert set(REGISTRY) == set(BUILTIN)
+        assert len(REGISTRY) == len(BUILTIN)
+        assert "aos" in REGISTRY
         with pytest.raises(TypeError):
-            MECHANISM_ADAPTERS["rogue"] = object
+            REGISTRY["rogue"] = object
 
     def test_cheri_is_the_only_untimed_builtin(self):
         assert REGISTRY.untimed_names() == ["cheri"]
@@ -95,6 +99,65 @@ class TestBuiltinRegistry:
         for spec in REGISTRY.specs():
             for exc in spec.detects:
                 assert exc in union
+
+
+# ------------------------------------------------------- runtime surface
+
+#: Which registered runtimes expose each optional attacker primitive.
+_CALL_STACK = {"baseline", "aos", "pa", "pa+aos", "pactight", "pacstack"}
+PRIMITIVES = {
+    "call": _CALL_STACK,
+    "ret": _CALL_STACK,
+    "smash_ret": _CALL_STACK,
+    "forge_pac": {"aos", "pa+aos", "cryptsan", "pacsan", "pactight"},
+    "forge_ahc_zero": {"aos", "pa+aos"},
+    "forge_tag": {"mte"},
+    "autm": {"pa+aos"},
+}
+
+
+class TestRuntimeSurface:
+    @pytest.mark.parametrize("name", REGISTRY.names())
+    def test_optional_primitives(self, name):
+        runtime = make_adapter(name)
+        assert isinstance(runtime, HeapRuntime)  # the factory's own product
+        exposed = {p for p in PRIMITIVES if hasattr(runtime, p)}
+        assert exposed == {p for p, owners in PRIMITIVES.items() if name in owners}
+
+    @pytest.mark.parametrize(
+        "factory, fault",
+        [
+            (WatchdogRuntime, WatchdogFault),
+            (CryptSanRuntime, CryptSanFault),
+            (PACSanRuntime, PACSanFault),
+            (PACTightRuntime, PACTightFault),
+        ],
+    )
+    def test_crafted_integer_raises_the_runtimes_fault(self, factory, fault):
+        runtime = factory()
+        with pytest.raises(fault, match="crafted pointer"):
+            runtime.load(0x1000)
+        with pytest.raises(fault, match="crafted pointer"):
+            runtime.store(0x1000, 1)
+        with pytest.raises(fault, match="crafted pointer"):
+            runtime.free(0x1000)
+        with pytest.raises(fault, match="crafted pointer"):
+            runtime.offset(0x1000, 8)
+
+    def test_mte_reads_a_crafted_integer_as_tag_zero(self):
+        runtime = MTERuntime()
+        assert runtime.offset(0x1000, 8) == TaggedPointer(0x1008, 0)
+        runtime.store(0x1000, 7)  # untagged memory is tag 0: no fault
+        assert runtime.load(0x1000) == 7
+
+    def test_cheri_reads_a_crafted_integer_as_an_untagged_capability(self):
+        runtime = CheriRuntime()
+        cap = runtime.offset(0x1000, 8)
+        assert (cap.address, cap.tag) == (0x1008, False)
+        with pytest.raises(CheriFault, match="tag violation"):
+            runtime.load(cap)
+        with pytest.raises(CheriFault, match="tag violation"):
+            runtime.free(0x1000)
 
 
 # ----------------------------------------------------------- strict errors
@@ -135,7 +198,7 @@ class TestStrictErrors:
 
     def test_spec_requires_cache_token(self):
         with pytest.raises(MechanismRegistryError, match="cache_token"):
-            MechanismSpec(name="x", factory=DummyAdapter, cache_token="")
+            MechanismSpec(name="x", factory=DummyRuntime, cache_token="")
 
     def test_cli_rejects_unknown_mechanism_with_exit_2(self, capsys):
         from repro.cli import main
@@ -162,15 +225,15 @@ class TestDummyPluginRoundTrip:
             cache_token="dummy-v1",
             oracle=ScenarioOracle(),
         )
-        class _Dummy(BaselineAdapter):
+        class _Dummy(HeapRuntime):
             name = "dummy"
 
         try:
             # CLI choices.
             assert parse_mechanism("dummy") == "dummy"
             assert "dummy" in parse_mechanisms(None)
-            # Live adapters view + factory.
-            assert "dummy" in MECHANISM_ADAPTERS
+            # Live registry view + factory.
+            assert "dummy" in REGISTRY
             assert make_adapter("dummy").name == "dummy"
             # Lowering alias resolves to the baseline timing model.
             assert resolve_lowering("dummy") == "baseline"
@@ -190,7 +253,7 @@ class TestDummyPluginRoundTrip:
         finally:
             REGISTRY.unregister("dummy")
 
-        assert "dummy" not in MECHANISM_ADAPTERS
+        assert "dummy" not in REGISTRY
         assert registry_fingerprint() == before
 
     def test_oracle_rows_resolve_for_plugins(self):
@@ -242,6 +305,25 @@ class TestCheckRegistryTool:
             problems = "\n".join(tool.check_registry())
             assert "declares no detection exception types" in problems
             assert "no-such-scenario" in problems
+        finally:
+            REGISTRY.unregister("dummy")
+
+    def test_catches_a_partial_call_stack(self):
+        """A runtime with ``call`` but no ``ret`` models half a return
+        path: the call-stack ops come all together or not at all."""
+        tool = _load_check_registry()
+
+        class HalfStack(DummyRuntime):
+            def call(self) -> None:
+                pass
+
+        REGISTRY.register(dummy_spec(factory=HalfStack, detects=(WatchdogFault,)))
+        try:
+            problems = tool.check_registry()
+            assert problems == [
+                "mechanism 'dummy': models a call stack with call but lacks "
+                "ret, smash_ret"
+            ]
         finally:
             REGISTRY.unregister("dummy")
 
@@ -306,8 +388,8 @@ class TestPACTightRuntime:
 
     def test_smashed_return_address_fails_seal(self):
         rt = PACTightRuntime()
-        rt.call(0x400010)
-        rt.smash_return(0x666000)
+        rt.call()
+        rt.smash_ret(0x666000)
         with pytest.raises(PACTightFault):
             rt.ret()
 
@@ -315,16 +397,16 @@ class TestPACTightRuntime:
 class TestPACStackRuntime:
     def test_honest_call_ret_chain(self):
         rt = PACStackRuntime()
-        rt.call(0x400010)
-        rt.call(0x400020)
-        assert rt.ret() == 0x400020
+        rt.call()
+        rt.call()
         assert rt.ret() == 0x400010
+        assert rt.ret() == 0x400000
 
     def test_smashed_return_breaks_the_chain(self):
         rt = PACStackRuntime()
-        rt.call(0x400010)
-        rt.call(0x400020)
-        rt.smash_return(0x666000)
+        rt.call()
+        rt.call()
+        rt.smash_ret(0x666000)
         with pytest.raises(PACStackFault):
             rt.ret()
 
@@ -367,14 +449,14 @@ class TestRetAddrCorruptionScenario:
             assert run.observed == "detected"
 
     def test_signed_adapters_detect_smash(self):
-        adapter = PAAdapter()
-        adapter.call()
-        adapter.smash_ret(0x666000)
+        runtime = PARuntime(pac_mode="fast")
+        runtime.call()
+        runtime.smash_ret(0x666000)
         with pytest.raises(Exception, match="corrupted|authentication|fails"):
-            adapter.ret()
+            runtime.ret()
 
     def test_baseline_adapter_survives_smash(self):
-        adapter = BaselineAdapter()
-        adapter.call()
-        adapter.smash_ret(0x666000)
-        assert adapter.ret() == 0x666000
+        runtime = BaselineRuntime()
+        runtime.call()
+        runtime.smash_ret(0x666000)
+        assert runtime.ret() == 0x666000

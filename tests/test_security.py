@@ -21,7 +21,7 @@ from repro.adversary import (
     run_security_analysis,
 )
 from repro.mechanisms import REGISTRY
-from repro.security.adapters import AOSAdapter, PAAOSAdapter
+from repro.core.aos import AOSRuntime, PAAOSRuntime
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -55,8 +55,8 @@ class TestAOSClaims:
 
     def test_ahc_zeroing_escapes_aos_not_pa_aos(self, matrix):
         """§VII-C: plain AOS has no on-load ``autm``; PA+AOS does."""
-        assert not hasattr(AOSAdapter(), "autm")
-        assert hasattr(PAAOSAdapter(), "autm")
+        assert not hasattr(AOSRuntime(pac_mode="fast"), "autm")
+        assert hasattr(PAAOSRuntime(pac_mode="fast"), "autm")
         assert not detected(matrix, "ahc-zero-escape", "aos")
         assert detected(matrix, "ahc-zero-escape", "pa+aos")
 

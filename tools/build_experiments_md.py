@@ -10,9 +10,14 @@ Run after ``pytest benchmarks/ --benchmark-only`` so that
 from __future__ import annotations
 
 import pathlib
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "benchmarks" / "results"
+
+sys.path.insert(0, str(ROOT / "src"))
+
+from repro.adversary import CHAOS_SCENARIOS, SCENARIOS  # noqa: E402
 
 HEADER = """\
 # EXPERIMENTS — paper vs. reproduction, artifact by artifact
@@ -164,15 +169,15 @@ more cacheable than the real implementation's metadata spills.
     (
         "§VII — security analysis",
         "security_analysis",
-        """**Paper:** AOS detects heap OOB (adjacent and non-adjacent), UAF,
+        f"""**Paper:** AOS detects heap OOB (adjacent and non-adjacent), UAF,
 double free, invalid free and House of Spirit; PAC forging is impractical
 (45 425 attempts for 50 % at 16 bits); AHC forging is caught by `autm`
 (PA+AOS); trip-wires miss non-adjacent accesses; PA alone has no
 spatial/temporal safety.
 
 **Reproduction:** `python -m repro security` runs the adversary corpus —
-one set of 15 seeded exploit recipes, the same ones `python -m repro
-attack` interprets (its default campaign sweeps 11 of them) — against the
+one set of {len(SCENARIOS)} seeded exploit recipes, the same ones `python -m repro
+attack` interprets (its default campaign sweeps {len(CHAOS_SCENARIOS)} of them) — against the
 functional models of all 12 registered mechanisms: baseline glibc, REST,
 PA, MTE, CHERI, Watchdog, AOS, PA+AOS, CryptSan, PACSan, PACTight and
 PACStack.  A cell reads `DETECT`, `-` (the attack completed silently) or
@@ -193,7 +198,8 @@ corpus: `ahc-zero-escape` on `aos` went from `DETECT` to `-` (the old
 AOS adapter carried PA+AOS's `autm`, contradicting §VII-C), and
 `pac-forgery` and `metadata-brute-force` on CryptSan, PACSan and
 PACTight went from `n/a` to `DETECT` (a flag marked them as not signing
-pointers although their adapters model PAC forgery).  Rows renamed to
+pointers although their runtimes, `CryptSanRuntime`, `PACSanRuntime` and
+`PACTightRuntime`, model PAC forgery).  Rows renamed to
 the corpus names: `adjacent-oob-write` → `heap-overflow-adjacent`,
 `nonadjacent-oob-read` → `nonlinear-oob-read`, `use-after-free` →
 `uaf-stale-load`, `uaf-after-reuse` → `uaf-after-realloc`,
@@ -206,13 +212,13 @@ of `security_matrix.json` cell for cell.
     (
         "Adversarial scenario corpus + detection-coverage Pareto (§VII, §VII-C)",
         "security_matrix",
-        """**Paper:** the §VII security table claims detection per attack class
+        f"""**Paper:** the §VII security table claims detection per attack class
 per mechanism, and §VII-C documents plain AOS's one escape — zeroing a
 pointer's AHC makes it look unsigned, so the Fig. 6 selective check skips
 it; the PA+AOS variant closes the hole with an on-load `autm` (Fig. 13).
 
-**Reproduction:** `python -m repro attack` sweeps a corpus of eleven
-named, seeded exploit recipes (adjacent overflow, linear and non-linear
+**Reproduction:** `python -m repro attack` sweeps {len(CHAOS_SCENARIOS)} of the corpus's
+{len(SCENARIOS)} named, seeded exploit recipes (adjacent overflow, linear and non-linear
 OOB, intra-object overflow, UAF with and without slot reuse, double
 free, PAC forgery and replay, return-address corruption, and
 `ahc-zero-escape` as a first-class scenario) across every mechanism

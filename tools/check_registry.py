@@ -2,7 +2,7 @@
 """Mechanism-registry consistency check (CI job + local gate).
 
 Every registered :class:`~repro.mechanisms.registry.MechanismSpec` must be
-*complete*: a working adapter factory, an oracle row for every scenario in
+*complete*: a working runtime factory, an oracle row for every scenario in
 the adversary corpus, a timing lowering that resolves (if it declares
 one), a cache-fingerprint token, and at least one detection exception
 type.  A plugin that forgets any of these fails here with the exact
@@ -29,12 +29,14 @@ from repro.errors import WorkloadError  # noqa: E402
 from repro.mechanisms import REGISTRY, registry_fingerprint  # noqa: E402
 from repro.mechanisms.registry import ORACLE_CATEGORIES  # noqa: E402
 
-#: The adapter surface every mechanism must expose (the chaos interpreter's
-#: contract).  The attacker primitives ``forge_pac``, ``forge_ahc_zero``,
-#: ``forge_tag`` and the call-stack ops ``call``/``ret``/``smash_ret`` are
-#: optional: a recipe needing one the adapter lacks yields ``unmodeled``
-#: (``n/a`` in the §VII matrix) instead.
+#: The surface every mechanism's runtime must expose (the chaos
+#: interpreter's contract; ``repro.memory.runtime.HeapRuntime`` has it).
+#: The attacker primitives ``forge_pac``, ``forge_ahc_zero`` and
+#: ``forge_tag`` are optional, and so are the call-stack ops, which come
+#: all together or not at all: a recipe needing a primitive the runtime
+#: lacks yields ``unmodeled`` (``n/a`` in the §VII matrix) instead.
 ADAPTER_SURFACE = ("malloc", "free", "load", "store", "offset", "raw_write")
+CALL_STACK_OPS = ("call", "ret", "smash_ret")
 
 
 def check_registry() -> list:
@@ -86,7 +88,7 @@ def check_registry() -> list:
                     f"{where}: no oracle row resolves for scenario {name!r}"
                 )
 
-        # -- adapter factory -----------------------------------------------
+        # -- runtime factory -----------------------------------------------
         try:
             adapter = spec.factory()
         except Exception as exc:  # noqa: BLE001 - report, don't crash
@@ -100,6 +102,13 @@ def check_registry() -> list:
         for attr in ADAPTER_SURFACE:
             if not hasattr(adapter, attr):
                 problems.append(f"{where}: adapter lacks {attr!r}")
+        stack = [op for op in CALL_STACK_OPS if hasattr(adapter, op)]
+        if stack and len(stack) < len(CALL_STACK_OPS):
+            missing = [op for op in CALL_STACK_OPS if op not in stack]
+            problems.append(
+                f"{where}: models a call stack with {', '.join(stack)} "
+                f"but lacks {', '.join(missing)}"
+            )
 
     return problems
 
