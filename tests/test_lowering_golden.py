@@ -9,11 +9,17 @@ unregistered ``rest-noq`` lowering token of ``ablation_quarantine``).
 Any change to what a lowering emits shows up here as a named (workload,
 mechanism) row.
 
-To regenerate the fixture after an *intended* lowering change:
+A second fixture, ``tests/golden/lowered_programs_20k.json``, pins the
+shape the end-to-end benchmark lowers (20k instructions, scale 8, seed 7)
+for four workloads whose preamble live sets span 181 to 50k objects,
+under the eight mechanisms of the Fig. 14/15 sweeps and the related-work
+points whose splices emit variable-length runs.
+
+To regenerate both fixtures after an *intended* lowering change:
 
     PYTHONPATH=src python tests/test_lowering_golden.py
 
-and commit the updated ``tests/golden/lowered_programs.json`` together
+and commit the updated ``tests/golden/lowered_programs*.json`` together
 with the change that explains it.
 """
 
@@ -25,12 +31,20 @@ from pathlib import Path
 import pytest
 
 GOLDEN = Path(__file__).parent / "golden" / "lowered_programs.json"
+GOLDEN_20K = Path(__file__).parent / "golden" / "lowered_programs_20k.json"
 
 INSTRUCTIONS = 1000
 SCALE = 64
 SEED = 7
 #: The REST lowering without its quarantine pool.
 REST_NO_QUARANTINE = "rest/no-quarantine"
+
+#: The wide fixture's shape: the end-to-end benchmark's window and scale.
+WIDE_INSTRUCTIONS = 20_000
+WIDE_SCALE = 8
+#: Preamble live sets of 10k, 50k, 25k and 181 objects at scale 8.
+WIDE_WORKLOADS = ("gcc", "omnetpp", "sphinx3", "hmmer")
+WIDE_MECHANISMS = ("baseline", "watchdog", "pa", "aos", "pa+aos", "rest", "mte", "cryptsan")
 
 
 def _digest(lowered) -> str:
@@ -51,25 +65,36 @@ def mechanisms() -> list:
     return [*REGISTRY.timed_names(), REST_NO_QUARANTINE]
 
 
-def compute_digests(workload: str) -> dict:
-    """``{mechanism: digest}`` for one workload profile."""
+def compute_digests(
+    workload: str,
+    instructions: int = INSTRUCTIONS,
+    scale: int = SCALE,
+    names: tuple = (),
+) -> dict:
+    """``{mechanism: digest}`` for one workload profile, over ``names``
+    (every timed mechanism and REST without quarantine by default)."""
     from repro.compiler import lower_trace
     from repro.experiments.common import scaled_config
     from repro.workloads import generate_trace, get_profile
 
     trace = generate_trace(
-        get_profile(workload), instructions=INSTRUCTIONS, seed=SEED, scale=SCALE
+        get_profile(workload), instructions=instructions, seed=SEED, scale=scale
     )
     digests = {}
-    for mechanism in mechanisms():
+    for mechanism in names or mechanisms():
         if mechanism == REST_NO_QUARANTINE:
-            config = scaled_config("rest", SCALE)
+            config = scaled_config("rest", scale)
             lowered = lower_trace(trace, "rest-noq", config=config)
         else:
-            config = scaled_config(mechanism, SCALE)
+            config = scaled_config(mechanism, scale)
             lowered = lower_trace(trace, mechanism, config=config)
         digests[mechanism] = _digest(lowered)
     return digests
+
+
+def compute_wide_digests(workload: str) -> dict:
+    """``{mechanism: digest}`` of the wide fixture for one workload."""
+    return compute_digests(workload, WIDE_INSTRUCTIONS, WIDE_SCALE, WIDE_MECHANISMS)
 
 
 def _workloads() -> list:
@@ -96,11 +121,37 @@ def test_lowered_programs_match_golden(workload):
     )
 
 
+def test_wide_fixture_covers_its_shape():
+    golden = json.loads(GOLDEN_20K.read_text())
+    assert sorted(golden) == sorted(WIDE_WORKLOADS)
+    for workload, rows in golden.items():
+        assert sorted(rows) == sorted(WIDE_MECHANISMS), workload
+
+
+@pytest.mark.parametrize("workload", WIDE_WORKLOADS)
+def test_wide_lowered_programs_match_golden(workload):
+    expected = json.loads(GOLDEN_20K.read_text())[workload]
+    actual = compute_wide_digests(workload)
+    drifted = sorted(m for m in expected if expected[m] != actual.get(m))
+    assert not drifted, (
+        f"{workload} at {WIDE_INSTRUCTIONS} instructions: lowered programs "
+        f"drifted for {drifted}; if intended, regenerate with: "
+        "PYTHONPATH=src python tests/test_lowering_golden.py"
+    )
+
+
+def _write(path: Path, golden: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(golden, sort_keys=True, indent=1) + "\n")
+    print(f"wrote {path} ({sum(len(rows) for rows in golden.values())} digests)")
+
+
 def _regenerate() -> None:
-    golden = {workload: compute_digests(workload) for workload in _workloads()}
-    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
-    GOLDEN.write_text(json.dumps(golden, sort_keys=True, indent=1) + "\n")
-    print(f"wrote {GOLDEN} ({sum(len(rows) for rows in golden.values())} digests)")
+    _write(GOLDEN, {workload: compute_digests(workload) for workload in _workloads()})
+    _write(
+        GOLDEN_20K,
+        {workload: compute_wide_digests(workload) for workload in WIDE_WORKLOADS},
+    )
 
 
 if __name__ == "__main__":
