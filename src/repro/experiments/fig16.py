@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from ..isa.instructions import Op
 from ..stats.report import TableFormatter
 from .common import SPEC_WORKLOADS, ExperimentSuite
@@ -29,13 +31,13 @@ CATEGORIES = [
 
 # Op codes of the program's ``ops`` column.
 _LOAD, _STORE = Op.LOAD.value, Op.STORE.value
-_BOUNDS_CODES = frozenset({Op.BNDSTR.value, Op.BNDCLR.value})
-_PAC_CODES = frozenset(
+_BOUNDS_CODES = [Op.BNDSTR.value, Op.BNDCLR.value]
+_PAC_CODES = [
     op.value
     for op in (
         Op.PACIA, Op.AUTIA, Op.PACDA, Op.AUTDA, Op.PACMA, Op.AUTM, Op.XPAC, Op.XPACM
     )
-)
+]
 
 
 @dataclass
@@ -63,21 +65,24 @@ class Fig16Result:
 def instruction_mix(lowered) -> dict:
     """The Fig. 16 counts of one lowered program: ``{"counts": {category:
     count}, "instructions": program length}``, integers only, so a fresh
-    mix and a cached one are equal."""
-    va_mask = lowered.pointer_layout.va_mask
-    counts = dict.fromkeys(CATEGORIES, 0)
+    mix and a cached one are equal.  A load or store is signed when its
+    address carries bits above the virtual-address mask."""
     program = lowered.program
-    for code, address in zip(program.ops, program.addresses):
-        if code == _LOAD:
-            key = "SignedLoad" if address > va_mask else "UnsignedLoad"
-            counts[key] += 1
-        elif code == _STORE:
-            key = "SignedStore" if address > va_mask else "UnsignedStore"
-            counts[key] += 1
-        elif code in _BOUNDS_CODES:
-            counts["bndstr/bndclr"] += 1
-        elif code in _PAC_CODES:
-            counts["pac*/aut*/xpac*"] += 1
+    ops = np.frombuffer(program.ops, dtype=np.uint8)
+    signed = program.addresses > lowered.pointer_layout.va_mask
+    loads, stores = ops == _LOAD, ops == _STORE
+    masks = (
+        loads & ~signed,
+        stores & ~signed,
+        loads & signed,
+        stores & signed,
+        np.isin(ops, _BOUNDS_CODES),
+        np.isin(ops, _PAC_CODES),
+    )
+    counts = {
+        category: int(np.count_nonzero(mask))
+        for category, mask in zip(CATEGORIES, masks)
+    }
     return {"counts": counts, "instructions": len(program)}
 
 

@@ -3,8 +3,10 @@
  * transcribed to C as a CPython extension.
  *
  * run() walks the columns of a lowered Program (repro.isa.program): the
- * `kinds` bytes and the `addresses`/`latencies`/`deps`/`sizes` tuples.  It
- * reproduces PipelineModel.run exactly:
+ * `kinds` bytes, the `addresses` and `sizes` uint64 arrays, the `latencies`
+ * float64 array and the CSR dependencies (`dep_offsets`, `dep_distances`,
+ * int64), all read in place through the buffer protocol.  It reproduces
+ * PipelineModel.run exactly:
  *
  * - every float operation is an IEEE-754 double add or compare in the
  *   reference's order (CPython floats are C doubles, and the module is
@@ -30,9 +32,10 @@
  *
  * Statistics accumulate in C counters and are returned to the caller,
  * which adds them to the real stats objects once, after the run.
- * Addresses and bounds are 64-bit pointers; a value outside 0..2**64-1,
- * or an HBT line address past 2**64, raises SimulationError instead of
- * wrapping.
+ * Addresses and bounds are 64-bit pointers: the program's columns hold
+ * them as uint64 (Program range-checks hand-built values when it is
+ * built), and an HBT line address past 2**64 raises SimulationError
+ * instead of wrapping.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -43,7 +46,8 @@ typedef unsigned long long u64;
 static PyObject *SimulationError;
 static PyObject *s_ways, *s_base, *s_resizing, *s_old_base, *s_old_ways,
     *s_row_ptr, *s_table, *s_ok, *s_latency, *s_kinds, *s_addresses,
-    *s_latencies, *s_deps, *s_sizes, *s_move_to_end, *s_popitem;
+    *s_latencies, *s_dep_offsets, *s_dep_distances, *s_sizes, *s_move_to_end,
+    *s_popitem;
 
 /* ------------------------------------------------------------ integers */
 
@@ -734,16 +738,27 @@ done:
     return status;
 }
 
-/* bndstr/bndclr through the Python MCU: the op's ValidationResult sets
- * *failed and *latency; the HBT is re-read afterwards. */
+/* bndstr/bndclr through the Python MCU: fn(pointer) or fn(pointer, size)
+ * when `size` is given; the op's ValidationResult sets *failed and
+ * *latency; the HBT is re-read afterwards. */
 static int
-table_op(MCU *u, PyObject *fn, PyObject *pointer, PyObject *size,
-         int *failed, double *latency)
+table_op(MCU *u, PyObject *fn, u64 pointer, const u64 *size, int *failed,
+         double *latency)
 {
-    PyObject *outcome, *field;
+    PyObject *outcome, *field, *pointer_obj, *size_obj = NULL;
     int ok;
-    outcome = size == NULL ? PyObject_CallOneArg(fn, pointer)
-                           : PyObject_CallFunctionObjArgs(fn, pointer, size, NULL);
+    pointer_obj = PyLong_FromUnsignedLongLong(pointer);
+    if (pointer_obj == NULL)
+        return -1;
+    if (size != NULL && (size_obj = PyLong_FromUnsignedLongLong(*size)) == NULL) {
+        Py_DECREF(pointer_obj);
+        return -1;
+    }
+    outcome = size_obj == NULL
+                  ? PyObject_CallOneArg(fn, pointer_obj)
+                  : PyObject_CallFunctionObjArgs(fn, pointer_obj, size_obj, NULL);
+    Py_DECREF(pointer_obj);
+    Py_XDECREF(size_obj);
     if (outcome == NULL)
         return -1;
     field = PyObject_GetAttr(outcome, s_ok);
@@ -791,19 +806,47 @@ level_counts(Level *lv)
                          lv->evictions, lv->writebacks);
 }
 
-static PyObject *
-column(PyObject *program, PyObject *name, Py_ssize_t n)
+/* Acquire the program column `name` into *view: a C-contiguous buffer of
+ * 64-bit items whose native format character is one of `formats` (numpy's
+ * uint64 "L"/"Q", int64 "l"/"q" or float64 "d"), `n` of them unless n < 0. */
+static int
+column(PyObject *program, PyObject *name, Py_ssize_t n, const char *formats,
+       Py_buffer *view)
 {
+    const char *format;
     PyObject *value = PyObject_GetAttr(program, name);
+    view->obj = NULL;
     if (value == NULL)
-        return NULL;
-    if (!PyTuple_Check(value) || PyTuple_GET_SIZE(value) != n) {
-        PyErr_Format(PyExc_ValueError,
-                     "program column %U must be a tuple of %zd items", name, n);
+        return -1;
+    if (PyObject_GetBuffer(value, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0) {
+        view->obj = NULL;
         Py_DECREF(value);
-        return NULL;
+        return -1;
     }
-    return value;
+    Py_DECREF(value);
+    format = view->format == NULL ? "B" : view->format;
+    if (*format == '@' || *format == '=')
+        format++;
+    if (view->itemsize != 8 || (n >= 0 && view->len != n * 8) ||
+        format[0] == '\0' || format[1] != '\0' || strchr(formats, format[0]) == NULL ||
+        ((Py_uintptr_t)view->buf & 7) != 0) {
+        PyErr_Format(PyExc_ValueError,
+                     "program column %U must be an aligned array of 64-bit "
+                     "items (format one of \"%s\")",
+                     name, formats);
+        PyBuffer_Release(view);
+        view->obj = NULL;
+        return -1;
+    }
+    return 0;
+}
+
+static void
+release_column(Py_buffer *view)
+{
+    if (view->obj != NULL)
+        PyBuffer_Release(view);
+    view->obj = NULL;
 }
 
 PyDoc_STRVAR(run_doc,
@@ -825,9 +868,14 @@ fast_run(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyObject *program, *core, *memory_spec, *mcu_spec;
     PyObject *l1d_spec, *l1b_spec, *l2_spec;
-    PyObject *kinds_obj = NULL, *addresses = NULL, *latencies = NULL,
-             *deps = NULL, *sizes = NULL, *result = NULL;
+    PyObject *kinds_obj = NULL, *result = NULL;
+    Py_buffer addresses_view = {NULL}, latencies_view = {NULL},
+              offsets_view = {NULL}, distances_view = {NULL},
+              sizes_view = {NULL};
     const unsigned char *kinds;
+    const u64 *addresses, *sizes;
+    const double *latencies;
+    const long long *dep_offsets, *dep_distances;
     Py_ssize_t n, i, j, ring_size, rob_cap, lq_cap, sq_cap, mcq_cap;
     double fetch_step, frontend, mcq_threshold, penalty, penalty_discounted;
     u64 va_mask, ring_mask;
@@ -904,11 +952,28 @@ fast_run(PyObject *Py_UNUSED(module), PyObject *args)
     }
     kinds = (const unsigned char *)PyBytes_AS_STRING(kinds_obj);
     n = PyBytes_GET_SIZE(kinds_obj);
-    if ((addresses = column(program, s_addresses, n)) == NULL ||
-        (latencies = column(program, s_latencies, n)) == NULL ||
-        (deps = column(program, s_deps, n)) == NULL ||
-        (sizes = column(program, s_sizes, n)) == NULL)
+    if (column(program, s_addresses, n, "LQ", &addresses_view) < 0 ||
+        column(program, s_latencies, n, "d", &latencies_view) < 0 ||
+        column(program, s_dep_offsets, n + 1, "lq", &offsets_view) < 0 ||
+        column(program, s_dep_distances, -1, "lq", &distances_view) < 0 ||
+        column(program, s_sizes, n, "LQ", &sizes_view) < 0)
         goto error;
+    addresses = (const u64 *)addresses_view.buf;
+    latencies = (const double *)latencies_view.buf;
+    dep_offsets = (const long long *)offsets_view.buf;
+    dep_distances = (const long long *)distances_view.buf;
+    sizes = (const u64 *)sizes_view.buf;
+    /* Every row of the CSR dependencies must lie inside the flat array. */
+    if (dep_offsets[0] != 0 || dep_offsets[n] != distances_view.len / 8) {
+        PyErr_SetString(PyExc_ValueError, "malformed program dependencies");
+        goto error;
+    }
+    for (i = 0; i < n; i++) {
+        if (dep_offsets[i + 1] < dep_offsets[i]) {
+            PyErr_SetString(PyExc_ValueError, "malformed program dependencies");
+            goto error;
+        }
+    }
 
     ring = PyMem_New(double, ring_size);
     if (ring == NULL) {
@@ -925,8 +990,7 @@ fast_run(PyObject *Py_UNUSED(module), PyObject *args)
         int kind = kinds[i], enters_mcu, popped, failed;
         double head, ready, issue, completion, check_done, mcq_busy_until,
                latency, ready_commit, commit_time;
-        u64 address = 0;
-        PyObject *dep_tuple;
+        u64 address = addresses[i];
 
         if (kind == 0) { /* trace marker */
             ring[i & ring_mask] = fetch_time;
@@ -948,17 +1012,8 @@ fast_run(PyObject *Py_UNUSED(module), PyObject *args)
 
         /* ---- dependencies -------------------------------------------- */
         ready = fetch_time + frontend;
-        dep_tuple = PyTuple_GET_ITEM(deps, i);
-        if (!PyTuple_Check(dep_tuple)) {
-            PyErr_SetString(PyExc_TypeError, "program deps must be tuples");
-            goto error;
-        }
-        for (j = 0; j < PyTuple_GET_SIZE(dep_tuple); j++) {
-            long long d = PyLong_AsLongLong(PyTuple_GET_ITEM(dep_tuple, j));
-            double t;
-            if (d == -1 && PyErr_Occurred())
-                goto error;
-            t = ring[((u64)i - (u64)d) & ring_mask];
+        for (j = (Py_ssize_t)dep_offsets[i]; j < (Py_ssize_t)dep_offsets[i + 1]; j++) {
+            double t = ring[((u64)i - (u64)dep_distances[j]) & ring_mask];
             if (t > ready)
                 ready = t;
         }
@@ -987,8 +1042,6 @@ fast_run(PyObject *Py_UNUSED(module), PyObject *args)
         issue = ready;
 
         /* ---- execute ------------------------------------------------- */
-        if (kind <= 3 && as_u64(PyTuple_GET_ITEM(addresses, i), &address) < 0)
-            goto error;
         if (kind == 1) {
             if (access_through(&m, &m.l1d, address & va_mask, 0, &latency) < 0)
                 goto error;
@@ -1005,9 +1058,7 @@ fast_run(PyObject *Py_UNUSED(module), PyObject *args)
             completion = issue + latency;
         }
         else {
-            latency = PyFloat_AsDouble(PyTuple_GET_ITEM(latencies, i));
-            if (latency == -1.0 && PyErr_Occurred())
-                goto error;
+            latency = latencies[i];
             completion = issue + latency;
         }
 
@@ -1016,9 +1067,8 @@ fast_run(PyObject *Py_UNUSED(module), PyObject *args)
         mcq_busy_until = 0.0;
         if (has_mcu && (kind == 5 || kind == 6)) {
             if (table_op(&u, kind == 5 ? u.bounds_store : u.bounds_clear,
-                         PyTuple_GET_ITEM(addresses, i),
-                         kind == 5 ? PyTuple_GET_ITEM(sizes, i) : NULL,
-                         &failed, &latency) < 0)
+                         address, kind == 5 ? &sizes[i] : NULL, &failed,
+                         &latency) < 0)
                 goto error;
             faults += failed;
             mcq_busy_until = issue + latency;
@@ -1102,10 +1152,11 @@ error:
     PyMem_Free(sq.buf);
     PyMem_Free(mcq.buf);
     Py_XDECREF(kinds_obj);
-    Py_XDECREF(addresses);
-    Py_XDECREF(latencies);
-    Py_XDECREF(deps);
-    Py_XDECREF(sizes);
+    release_column(&addresses_view);
+    release_column(&latencies_view);
+    release_column(&offsets_view);
+    release_column(&distances_view);
+    release_column(&sizes_view);
     return result;
 }
 
@@ -1130,7 +1181,8 @@ PyInit__fast(void)
         {&s_row_ptr, "_row_ptr"}, {&s_table, "_table"}, {&s_ok, "ok"},
         {&s_latency, "latency"},
         {&s_kinds, "kinds"}, {&s_addresses, "addresses"},
-        {&s_latencies, "latencies"}, {&s_deps, "deps"}, {&s_sizes, "sizes"},
+        {&s_latencies, "latencies"}, {&s_dep_offsets, "dep_offsets"},
+        {&s_dep_distances, "dep_distances"}, {&s_sizes, "sizes"},
         {&s_move_to_end, "move_to_end"}, {&s_popitem, "popitem"},
     };
     size_t k;

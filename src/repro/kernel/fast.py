@@ -5,9 +5,10 @@
 disciplines, same counter semantics — by running the loop in ``_fast.c``,
 a CPython extension:
 
-- it walks the program's columns (:class:`~repro.isa.program.Program`):
-  the ``kinds`` bytes and the address, latency, dependency and size
-  tuples, with no copy;
+- it walks the program's columns (:class:`~repro.isa.program.Program`)
+  in place: the ``kinds`` bytes, and the ``uint64`` addresses and sizes,
+  the ``float64`` latencies and the ``int64`` CSR dependencies through the
+  buffer protocol, with no copy and no per-instruction conversion;
 - the ROB, load/store queues, MCQ and completion ring are C arrays of
   doubles, and the module is built with ``-ffp-contract=off``, so every
   float operation is the reference's IEEE double operation;

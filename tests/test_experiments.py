@@ -84,6 +84,34 @@ class TestFig16:
         # povray's heap fraction (0.52) >> gobmk's (0.30).
         assert result.signed_fraction["povray"] > result.signed_fraction["gobmk"]
 
+    def test_mix_counts_equal_a_per_instruction_loop(self, suite):
+        """The array-wise mix gives the counts of a loop over the µops, as
+        plain ints (the cached mix payloads are compared as JSON)."""
+        from repro.experiments.fig16 import CATEGORIES, instruction_mix
+        from repro.isa.instructions import Op
+
+        lowered = suite.lowered("gcc", "pa+aos")
+        va_mask = lowered.pointer_layout.va_mask
+        pac_ops = {
+            Op.PACIA, Op.AUTIA, Op.PACDA, Op.AUTDA, Op.PACMA, Op.AUTM, Op.XPAC,
+            Op.XPACM,
+        }
+        want = dict.fromkeys(CATEGORIES, 0)
+        for inst in lowered.program:
+            if inst.op in (Op.LOAD, Op.STORE):
+                kind = "Load" if inst.op is Op.LOAD else "Store"
+                signed = "Signed" if inst.address > va_mask else "Unsigned"
+                want[signed + kind] += 1
+            elif inst.op in (Op.BNDSTR, Op.BNDCLR):
+                want["bndstr/bndclr"] += 1
+            elif inst.op in pac_ops:
+                want["pac*/aut*/xpac*"] += 1
+        mix = instruction_mix(lowered)
+        assert mix == {"counts": want, "instructions": len(lowered.program)}
+        assert list(mix["counts"]) == CATEGORIES
+        assert all(type(count) is int for count in mix["counts"].values())
+        assert want["SignedLoad"] and want["UnsignedLoad"] and want["bndstr/bndclr"]
+
 
 class TestFig17:
     def test_metrics_in_range(self, suite):

@@ -357,7 +357,7 @@ def test_memo_key_fields_give_separate_products(path, value):
     assert second.hbt_factory is not first.hbt_factory
     if path.startswith("pa."):
         assert second.program is not first.program
-        assert second.preamble != first.preamble
+        assert second.signed != first.signed
     else:
         assert second.program is first.program
     fresh = lower_trace(get_trace("gcc", 2500), "aos", config=changed)
