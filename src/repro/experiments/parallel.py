@@ -40,7 +40,8 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..compiler import LoweredWorkload, lower_trace
-from ..compiler.passes import BasePass, HBTFactory, base_policy, resolve_lowering
+from ..compiler.base import BasePass
+from ..compiler.passes import HBTFactory, base_policy, resolve_lowering
 from ..config import SystemConfig, default_config
 from ..cpu.core import SimulationResult, Simulator
 from ..workloads import WorkloadTrace, generate_trace, get_profile
