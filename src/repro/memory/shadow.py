@@ -23,6 +23,20 @@ from .memory import SparseMemory
 #: Watchdog metadata is 24 bytes per tracked word (§IX-A: "larger metadata
 #: of 24 bytes, compared to 8 bytes in AOS").
 WATCHDOG_RECORD_BYTES = 24
+#: Application bytes one shadow record covers, by default.
+SHADOW_GRANULARITY = 16
+
+
+def shadow_addresses(
+    addresses,
+    layout: AddressSpaceLayout = DEFAULT_LAYOUT,
+    granularity: int = SHADOW_GRANULARITY,
+):
+    """The f(addr) mapping of Fig. 4b, for one heap address or for a
+    ``uint64`` array of them.  The range is not checked: an array lane
+    below the heap wraps."""
+    slots = (addresses - layout.heap_base) // granularity
+    return layout.shadow_base + slots * WATCHDOG_RECORD_BYTES
 
 
 @dataclass(frozen=True)
@@ -42,7 +56,7 @@ class ShadowMemory:
         self,
         memory: SparseMemory,
         layout: AddressSpaceLayout = DEFAULT_LAYOUT,
-        granularity: int = 16,
+        granularity: int = SHADOW_GRANULARITY,
     ) -> None:
         self.memory = memory
         self.layout = layout
@@ -57,8 +71,7 @@ class ShadowMemory:
         """The f(addr) mapping of Fig. 4b."""
         if not self.layout.in_heap(address):
             raise MemoryError_(f"{address:#x} is not a heap address")
-        slot = (address - self.layout.heap_base) // self.granularity
-        return self.layout.shadow_base + slot * WATCHDOG_RECORD_BYTES
+        return shadow_addresses(address, self.layout, self.granularity)
 
     def store(self, address: int, record: ShadowRecord) -> int:
         """Write a record for ``address``; returns the shadow address touched."""
