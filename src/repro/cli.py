@@ -809,7 +809,7 @@ def run_cache(args) -> int:
         return 0
     # --stats is the default action (and the explicit flag's).
     usage = cache.usage()
-    lines = [f"artifact cache: {usage['backend']}"]
+    lines = [f"artifact cache @ {usage['root']}"]
     cap = usage["max_bytes"]
     lines.append(
         f"  entries: {usage['entries']}  bytes: {usage['bytes']}"
@@ -1007,7 +1007,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if suite.cache is not None:
         stats = suite.cache.stats
         print(
-            f"[artifact cache @ {suite.cache.root or suite.cache.backend.describe()}: "
+            f"[artifact cache @ {suite.cache.root}: "
             f"{stats.hits} hits, "
             f"{stats.misses} misses, {stats.stores} stores]"
         )

@@ -17,18 +17,15 @@ Each timing driver's ``cells(suite, workloads)`` plans its timed rows as
 task per trace, in which the trace is generated once and lowered once per
 distinct lowering.  ``repro all`` passes the union of its drivers' plans
 to one :meth:`~repro.experiments.common.ExperimentSuite.ensure_cells`
-call, so each trace is generated once per invocation.
+call, so each trace is generated once per invocation.  Traces and cell
+results persist in :class:`ArtifactCache`, one directory of
+content-addressed files with an LRU size cap that goes by use.
 """
 
-from .backends import (
-    CacheBackend,
-    CacheEntry,
-    LocalDirBackend,
-    MemoryBackend,
-)
 from .common import ExperimentSuite, RunSettings, SPEC_WORKLOADS
 from .parallel import (
     ArtifactCache,
+    CacheEntry,
     CellSpec,
     PruneReport,
     cell_fingerprint,
@@ -50,12 +47,9 @@ from .tables import run_table1, run_table2, run_table3, run_table4
 
 __all__ = [
     "ArtifactCache",
-    "CacheBackend",
     "CacheEntry",
     "CellSpec",
     "ExperimentSuite",
-    "LocalDirBackend",
-    "MemoryBackend",
     "PruneReport",
     "RunSettings",
     "SPEC_WORKLOADS",

@@ -253,50 +253,68 @@ class PruneReport:
         )
 
 
+#: kind -> file suffix of an entry, ``<root>/<kind>/<sha><suffix>``.
+KIND_SUFFIXES = {"results": ".json", "traces": ".pkl", "native": ".so"}
+
+
+@dataclass(frozen=True)
+class CacheEntry:
+    """One stored artifact, as seen by pruning and statistics."""
+
+    kind: str
+    fingerprint: str
+    size: int
+    #: Last use: the file's mtime, which every hit refreshes; the LRU
+    #: prune evicts the smallest stamps first.
+    used: float
+
+
 class ArtifactCache:
     """Persistent, content-addressed store for traces and simulation results.
 
-    Entries live in a :class:`~repro.experiments.backends.CacheBackend`:
-    the ``<root>/results/<sha256>.json`` + ``<root>/traces/<sha256>.pkl``
-    directory by default, byte-compatible with caches written by earlier
-    versions, or any backend passed in (the tests pass an in-memory one).
-    Writes are atomic, so a killed run never leaves a torn entry;
+    Entries are files under one directory, ``<root>/<kind>/<sha><suffix>``
+    (``results/<sha256>.json``, ``traces/<sha256>.pkl``, and the C
+    kernel's ``native/*.so``).  Writes are atomic (temp file +
+    ``os.replace``), so a killed run never leaves a torn entry;
     unreadable or undecodable entries are counted in
     :attr:`CacheStats.corrupt`, removed best-effort, and treated as misses.
 
     ``max_bytes`` (or ``$REPRO_CACHE_MAX_BYTES``) caps total size: after
-    each store the least-recently-used entries (by backend ``used`` stamp)
-    are evicted until the cache fits, so ``~/.cache/repro`` no longer
-    grows without bound.  :meth:`prune` runs the same eviction on demand
-    (``python -m repro cache --prune``).
+    each store the least-recently-used entries are evicted until the
+    cache fits.  A hit touches its entry's mtime, so the eviction order
+    goes by use, not by write time.  :meth:`prune` runs the same eviction
+    on demand (``python -m repro cache --prune``).
     """
 
     def __init__(
         self,
         root: Union[None, str, Path] = None,
-        backend: Optional["CacheBackend"] = None,
         max_bytes: Optional[int] = None,
     ) -> None:
-        from .backends import CacheBackend, LocalDirBackend  # noqa: F811
-
-        if backend is None:
-            backend = LocalDirBackend(
-                Path(root) if root is not None else default_cache_dir()
-            )
-        elif root is not None:
-            raise ValueError("pass either root or backend, not both")
-        self.backend: CacheBackend = backend
-        #: Kept for callers that print/inspect the cache location; None
-        #: for backends without one (memory).
-        self.root: Optional[Path] = getattr(backend, "root", None)
-        self.max_bytes = max_bytes if max_bytes is not None else default_cache_max_bytes()
+        self.root = Path(root) if root is not None else default_cache_dir()
+        self.max_bytes = (
+            max_bytes if max_bytes is not None else default_cache_max_bytes()
+        )
         self.stats = CacheStats()
 
     # -------------------------------------------------------------- plumbing
 
+    def _path(self, kind: str, fingerprint: str) -> Path:
+        suffix = KIND_SUFFIXES.get(kind, ".bin")
+        return self.root / kind / f"{fingerprint}{suffix}"
+
+    def remove(self, kind: str, fingerprint: str) -> None:
+        """Drop one entry; an entry that does not exist is no error."""
+        try:
+            self._path(kind, fingerprint).unlink()
+        except OSError:
+            pass
+
     def _get(self, kind: str, fingerprint: str, decoder: Callable) -> Optional[object]:
-        data = self.backend.read(kind, fingerprint)
-        if data is None:
+        path = self._path(kind, fingerprint)
+        try:
+            data = path.read_bytes()
+        except OSError:
             self.stats.misses += 1
             return None
         try:
@@ -307,13 +325,28 @@ class ArtifactCache:
             # starts clean.
             self.stats.corrupt += 1
             self.stats.misses += 1
-            self.backend.remove(kind, fingerprint)
+            self.remove(kind, fingerprint)
             return None
+        try:
+            os.utime(path)  # a hit is a use: the LRU cap goes by it
+        except OSError:
+            pass
         self.stats.hits += 1
         return value
 
     def _put(self, kind: str, fingerprint: str, data: bytes) -> None:
-        self.backend.write(kind, fingerprint, data)
+        path = self._path(kind, fingerprint)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_bytes(data)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
+            raise
         self.stats.stores += 1
         if self.max_bytes is not None:
             self.prune(self.max_bytes)
@@ -350,16 +383,41 @@ class ArtifactCache:
 
     # --------------------------------------------------------- maintenance
 
+    def entries(self) -> List[CacheEntry]:
+        """Every stored entry; in-flight temp files are not entries."""
+        found: List[CacheEntry] = []
+        if not self.root.exists():
+            return found
+        for kind_dir in sorted(self.root.iterdir()):
+            if not kind_dir.is_dir():
+                continue
+            for path in sorted(kind_dir.iterdir()):
+                if path.name.startswith(".") or not path.is_file():
+                    continue
+                try:
+                    stat = path.stat()
+                except OSError:
+                    continue
+                found.append(
+                    CacheEntry(
+                        kind=kind_dir.name,
+                        fingerprint=path.name.rsplit(".", 1)[0],
+                        size=stat.st_size,
+                        used=stat.st_mtime,
+                    )
+                )
+        return found
+
     def usage(self) -> Dict[str, object]:
         """Size/entry statistics, the ``repro cache --stats`` payload."""
-        entries = self.backend.entries()
+        entries = self.entries()
         by_kind: Dict[str, Dict[str, int]] = {}
         for entry in entries:
             bucket = by_kind.setdefault(entry.kind, {"entries": 0, "bytes": 0})
             bucket["entries"] += 1
             bucket["bytes"] += entry.size
         return {
-            "backend": self.backend.describe(),
+            "root": str(self.root),
             "entries": len(entries),
             "bytes": sum(entry.size for entry in entries),
             "max_bytes": self.max_bytes,
@@ -375,7 +433,7 @@ class ArtifactCache:
         """
         cap = self.max_bytes if max_bytes is None else max_bytes
         report = PruneReport()
-        entries = self.backend.entries()
+        entries = self.entries()
         total = sum(entry.size for entry in entries)
         if cap is not None and total > cap:
             # Oldest-used first; fingerprint tiebreak keeps eviction
@@ -383,12 +441,12 @@ class ArtifactCache:
             for entry in sorted(entries, key=lambda e: (e.used, e.fingerprint)):
                 if total <= cap:
                     break
-                self.backend.remove(entry.kind, entry.fingerprint)
+                self.remove(entry.kind, entry.fingerprint)
                 total -= entry.size
                 report.evicted += 1
                 report.reclaimed_bytes += entry.size
             self.stats.evicted += report.evicted
-        remaining = self.backend.entries()
+        remaining = self.entries()
         report.remaining_entries = len(remaining)
         report.remaining_bytes = sum(entry.size for entry in remaining)
         return report

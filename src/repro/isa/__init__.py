@@ -1,4 +1,4 @@
-"""ISA model: pointer bit layout, registers, and the instruction set.
+"""ISA model: pointer bit layout, the instruction set and its programs.
 
 This package defines the AArch64-like instruction vocabulary the simulator
 executes, including the five new AOS instructions (§IV-A): ``pacma``/
@@ -8,9 +8,7 @@ stock Arm PA instructions (``pacia``/``autia``/...) used by the PA baseline.
 
 from .encoding import PointerLayout, SignedPointer
 from .instructions import Op, Instruction, is_memory_op, is_alu_op
-from .registers import Register, RegisterFile
 from .program import Program, ProgramBuilder
-from .binenc import encode as encode_instruction, decode as decode_instruction
 
 __all__ = [
     "PointerLayout",
@@ -19,10 +17,6 @@ __all__ = [
     "Instruction",
     "is_memory_op",
     "is_alu_op",
-    "Register",
-    "RegisterFile",
     "Program",
     "ProgramBuilder",
-    "encode_instruction",
-    "decode_instruction",
 ]

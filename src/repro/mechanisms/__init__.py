@@ -10,11 +10,11 @@ choices, the chaos campaign sweep, the security matrix, the
 kernel-equivalence cells and the artifact-cache fingerprints are all
 enumerated from the registry, so adding a scheme is one module plus a
 registration — no hand-maintained lists (see DESIGN.md, "Mechanism
-plugin registry").
+plugin registry").  A scheme outside this package registers itself
+with :func:`register_mechanism` or ``REGISTRY.register``.
 """
 
 from .registry import (
-    ENTRY_POINT_GROUP,
     Expectation,
     MechanismRegistry,
     MechanismRegistryError,
@@ -29,7 +29,6 @@ from .registry import (
 )
 
 __all__ = [
-    "ENTRY_POINT_GROUP",
     "Expectation",
     "MechanismRegistry",
     "MechanismRegistryError",

@@ -39,10 +39,6 @@ class MechanismRegistryError(ReproError):
     """Registry misuse: duplicate name, bad spec, unknown unregister."""
 
 
-#: The entry-point group out-of-tree packages register mechanisms under.
-ENTRY_POINT_GROUP = "repro.mechanisms"
-
-
 class UnknownMechanismError(ConfigError):
     """A mechanism name that is not registered (strict CLI parsing)."""
 
@@ -169,53 +165,6 @@ class MechanismRegistry:
             # specs on import, and register() must not re-enter here.
             self._loaded = True
             from . import builtin  # noqa: F401
-
-            self._load_entry_points()
-
-    def _load_entry_points(self) -> None:
-        """Discover out-of-tree mechanism packages via entry points.
-
-        Any installed distribution can advertise mechanisms without this
-        repo knowing about it::
-
-            [project.entry-points."repro.mechanisms"]
-            myscheme = "my_pkg.mechanisms:register"
-
-        Each entry point loads to either a callable — invoked with this
-        registry, free to register any number of specs — or a
-        :class:`MechanismSpec` registered directly.  A broken plugin is
-        reported and skipped: a third-party package must not be able to
-        take down every ``repro`` invocation on the host.
-        """
-        import warnings
-
-        try:
-            from importlib.metadata import entry_points
-        except ImportError:  # pragma: no cover - 3.7 has no importlib.metadata
-            return
-        try:
-            discovered = entry_points(group=ENTRY_POINT_GROUP)
-        except TypeError:  # pragma: no cover - pre-3.10 selection API
-            discovered = entry_points().get(ENTRY_POINT_GROUP, ())
-        for entry in discovered:
-            try:
-                loaded = entry.load()
-                if isinstance(loaded, MechanismSpec):
-                    self.register(loaded)
-                elif callable(loaded):
-                    loaded(self)
-                else:
-                    raise MechanismRegistryError(
-                        f"entry point must load to a MechanismSpec or a "
-                        f"callable(registry), got {type(loaded).__name__}"
-                    )
-            except Exception as exc:
-                warnings.warn(
-                    f"skipping mechanism entry point {entry.name!r}: "
-                    f"{type(exc).__name__}: {exc}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
 
     def register(
         self, spec: MechanismSpec, replace: bool = False

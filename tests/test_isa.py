@@ -1,4 +1,4 @@
-"""ISA container tests: instructions, programs, registers."""
+"""ISA container tests: instructions and programs."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from repro.isa.instructions import (
     is_memory_op,
 )
 from repro.isa.program import Program, ProgramBuilder
-from repro.isa.registers import Register, RegisterFile
 
 
 class TestInstruction:
@@ -83,23 +82,3 @@ class TestProgram:
         b = ProgramBuilder()
         b.emit_all([Instruction(op=Op.ALU)] * 5)
         assert len(b) == 5
-
-
-class TestRegisterFile:
-    def test_read_write(self):
-        rf = RegisterFile()
-        rf[Register.X0] = 42
-        assert rf[Register.X0] == 42
-
-    def test_default_zero(self):
-        assert RegisterFile()[Register.X5] == 0
-
-    def test_xzr_reads_zero_and_discards_writes(self):
-        rf = RegisterFile()
-        rf[Register.XZR] = 99
-        assert rf[Register.XZR] == 0
-
-    def test_masks_to_64_bits(self):
-        rf = RegisterFile()
-        rf[Register.X1] = 1 << 70
-        assert rf[Register.X1] == 0

@@ -100,6 +100,11 @@ class TestBuiltinRegistry:
             for exc in spec.detects:
                 assert exc in union
 
+    def test_global_registry_still_serves_builtins(self):
+        """The process-wide registry serves the builtin set the rest of
+        the repo (CLI choices, sweeps) enumerates."""
+        assert "aos" in REGISTRY.names()
+
 
 # ------------------------------------------------------- runtime surface
 

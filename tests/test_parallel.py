@@ -349,10 +349,12 @@ class TestSharedTraceWork:
         """``repro all`` computes every artifact's rows in one dispatch:
         each trace is generated once there, Fig. 16's mix cells count the
         PA+AOS lowering without simulating it, and nothing runs in the
-        parent.  The second dispatch is the fault-injection campaign."""
+        parent.  The other two dispatches are the fault-injection
+        campaign and the security matrix's chaos campaign."""
         import repro.supervise
         import repro.workloads
         from repro import cli
+        from repro.adversary import chaos
         from repro.cpu.core import Simulator
         from repro.experiments import parallel
         from repro.faults import campaign
@@ -382,6 +384,7 @@ class TestSharedTraceWork:
         monkeypatch.setattr(repro.workloads, "generate_trace", generate)
         monkeypatch.setattr(repro.supervise, "dispatch", dispatch)
         monkeypatch.setattr(campaign, "dispatch", dispatch)
+        monkeypatch.setattr(chaos, "dispatch", dispatch)
         monkeypatch.setattr(Simulator, "run", run)
         assert cli.main(["all", "--quick", "--jobs", "1", "--no-cache"]) == 0
         capsys.readouterr()
@@ -393,7 +396,11 @@ class TestSharedTraceWork:
             "omnetpp": 2,
             "hmmer": 1,
         }
-        assert dispatched == {"_group_worker": 1, "_cell_worker": 1}
+        assert dispatched == {
+            "_group_worker": 1,
+            "_cell_worker": 1,
+            "run_scenario_cell": 1,
+        }
         assert len(runs) == 44
 
 

@@ -1,4 +1,4 @@
-"""Property round-trip tests: bounds compression, pointer signing, binenc.
+"""Property round-trip tests: bounds compression, pointer signing, QARMA.
 
 Each property drives ~1000 seeded-random cases through an encode/decode
 pair and asserts the algebraic invariant the paper's hardware relies on.
@@ -22,7 +22,6 @@ from repro.crypto.pac import PACGenerator, PAKeys
 from repro.crypto.qarma import MASK64, Qarma64
 from repro.crypto.qarma_batch import Qarma64Batch
 from repro.errors import EncodingError
-from repro.isa import binenc
 from repro.isa.encoding import PointerLayout
 
 SEED = 0xA05
@@ -179,50 +178,6 @@ class TestSignerRoundTrip:
             assert self.signer.autm(signed) == signed  # autm does not strip
             with pytest.raises(AuthenticationFault):
                 self.signer.autm(self.signer.xpacm(signed))
-
-
-class TestBinencRoundTrip:
-    """Table: every AOS mnemonic encodes/decodes losslessly; everything
-    outside the reserved group decodes to None."""
-
-    def test_encode_decode_round_trip_all_mnemonics(self):
-        rng, cases = _cases(seed=SEED + 10)
-        mnemonics = sorted(binenc.OPCODES)
-        for _ in cases:
-            mnemonic = rng.choice(mnemonics)
-            xd, xn, xm = (rng.randrange(32) for _ in range(3))
-            word = binenc.encode(mnemonic, xd=xd, xn=xn, xm=xm)
-            decoded = binenc.decode(word)
-            assert decoded is not None
-            assert (decoded.mnemonic, decoded.xd, decoded.xn, decoded.xm) == (
-                mnemonic, xd, xn, xm,
-            )
-
-    def test_decoded_words_reencode_identically(self):
-        rng, cases = _cases(seed=SEED + 11)
-        for _ in cases:
-            word = rng.randrange(0, 1 << 32)
-            decoded = binenc.decode(word)
-            if decoded is None:
-                continue
-            assert binenc.encode(
-                decoded.mnemonic, xd=decoded.xd, xn=decoded.xn, xm=decoded.xm
-            ) == word
-
-    def test_non_group_words_decode_to_none(self):
-        rng, cases = _cases(seed=SEED + 12)
-        for _ in cases:
-            word = rng.randrange(0, 1 << 32)
-            if (word >> 21) != binenc.GROUP_TAG:
-                assert binenc.decode(word) is None
-
-    def test_encode_validates_registers(self):
-        with pytest.raises(EncodingError):
-            binenc.encode("bndstr", xd=32)
-        with pytest.raises(EncodingError):
-            binenc.encode("not-an-op")
-        with pytest.raises(EncodingError):
-            binenc.decode(1 << 32)
 
 
 class TestBatchQarmaEquivalence:
