@@ -100,12 +100,21 @@ def dependency_draws(
     ``randrange(n)`` is inlined as CPython runs it (``getrandbits`` of
     ``n.bit_length()`` bits, retried while the value is ``>= n``), which
     saves two Python calls per pick.  An ``ilp_distance`` below 1 has no
-    draw and raises :class:`ValueError`.
+    draw and raises :class:`ValueError`.  The loop runs in the C module of
+    :mod:`repro.kernel.fast` on the same stream (``_fast.dependency_draws``)
+    for any distance below 2**63; the loop below is its reference, and runs
+    where the module cannot be built.
     """
+    from ..kernel.fast import native, on_stream
+
     ilp_distance = operator.index(ilp_distance)
     if ilp_distance < 1:
         raise ValueError(f"ilp_distance must be at least 1, not {ilp_distance}")
     rng = random.Random(seed)
+    kernel = native()
+    if kernel is not None and ilp_distance.bit_length() < 64:
+        draw = on_stream(kernel.dependency_draws)
+        return draw(rng, count, dep_prob, ilp_distance)
     chance, getrandbits = rng.random, rng.getrandbits
     bits = ilp_distance.bit_length()
     drawn = [0] * count

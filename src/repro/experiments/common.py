@@ -181,6 +181,8 @@ class ExperimentSuite:
         self._simulated: Dict[tuple, SimulationResult] = {}
         #: Cells the supervisor quarantined: cache key -> reason.
         self._quarantined: Dict[Tuple[str, str], str] = {}
+        #: Artifact-cache fingerprints by cell (see :meth:`_fingerprint`).
+        self._fingerprints: Dict["CellSpec", str] = {}
         self._cache = None
         if cache is not None:
             from .parallel import ArtifactCache
@@ -337,13 +339,22 @@ class ExperimentSuite:
         (self._mixes if cell.mix else self._results)[cell.cache_key] = result
         self._simulated[self._identity(cell)] = result
 
+    def _fingerprint(self, cell: "CellSpec") -> str:
+        """``cell``'s artifact-cache fingerprint, computed once per cell:
+        the lookup of a miss and the store after it share it."""
+        fingerprint = self._fingerprints.get(cell)
+        if fingerprint is None:
+            from .parallel import cell_fingerprint
+
+            fingerprint = cell_fingerprint(self.settings, cell)
+            self._fingerprints[cell] = fingerprint
+        return fingerprint
+
     def _cached_result(self, cell: "CellSpec"):
         """Disk-cache lookup for one cell (None without a cache, or on miss)."""
         if self._cache is None:
             return None
-        from .parallel import cell_fingerprint
-
-        payload = self._cache.get_result(cell_fingerprint(self.settings, cell))
+        payload = self._cache.get_result(self._fingerprint(cell))
         if payload is None or cell.mix:
             return payload
         try:
@@ -355,10 +366,8 @@ class ExperimentSuite:
         """Install one computed outcome into the memo and the artifact cache."""
         self._remember(cell, result)
         if self._cache is not None:
-            from .parallel import cell_fingerprint
-
             payload = result if cell.mix else _result_to_payload(result)
-            self._cache.put_result(cell_fingerprint(self.settings, cell), payload)
+            self._cache.put_result(self._fingerprint(cell), payload)
 
     # --------------------------------------------------------- planned cells
 

@@ -14,10 +14,11 @@ Every untraced run uses ``fast``; a run with an event tracer uses
 ``reference``, the only kernel that emits trace events.  No setting
 chooses between them: :class:`repro.cpu.core.Simulator`'s ``kernel``
 argument exists so tests and tools can run the oracle.  The C module is
-built on the first untraced simulation of a process and cached in the
-artifact cache root under ``native/``, keyed by its source digest and the
-interpreter's ABI tag; a host with no C compiler or Python headers runs
-``reference`` instead and warns once per process.
+built on the first untraced simulation or trace generation of a process
+and cached in the artifact cache root under ``native/``, keyed by its
+source digest and the interpreter's ABI tag; a host with no C compiler or
+Python headers runs ``reference`` and the Python generator loops instead
+and warns once per process.
 """
 
 from __future__ import annotations

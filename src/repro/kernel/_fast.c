@@ -1,6 +1,6 @@
 /*
  * The fast simulation kernel: the scoreboard loop of repro.cpu.pipeline
- * transcribed to C as a CPython extension.
+ * transcribed to C as a CPython extension, and the trace generator's loops.
  *
  * run() walks the columns of a lowered Program (repro.isa.program): the
  * `kinds` bytes, the `addresses` and `sizes` uint64 arrays, the `latencies`
@@ -32,6 +32,10 @@
  *
  * Statistics accumulate in C counters and are returned to the caller,
  * which adds them to the real stats objects once, after the run.
+ *
+ * The module also runs the trace generator's per-event loops on CPython's
+ * Mersenne Twister stream (warm_branches, preamble, trace_window and
+ * dependency_draws; see "trace generation" below).
  * Addresses and bounds are 64-bit pointers: the program's columns hold
  * them as uint64 (Program range-checks hand-built values when it is
  * built), and an HBT line address past 2**64 raises SimulationError
@@ -47,7 +51,12 @@ static PyObject *SimulationError;
 static PyObject *s_ways, *s_base, *s_resizing, *s_old_base, *s_old_ways,
     *s_row_ptr, *s_table, *s_ok, *s_latency, *s_kinds, *s_addresses,
     *s_latencies, *s_dep_offsets, *s_dep_distances, *s_sizes, *s_move_to_end,
-    *s_popitem;
+    *s_popitem, *s_table_bits, *s_history_bits, *s_history, *s_predictions,
+    *s_mispredictions;
+/* Event tags, and the events that carry no field, of the trace generator. */
+static PyObject *tag_malloc, *tag_free, *tag_store, *tag_load, *tag_ustore,
+    *tag_uload, *tag_branch, *event_ret, *event_call, *event_pa, *event_falu,
+    *event_alu;
 
 /* ------------------------------------------------------------ integers */
 
@@ -1160,14 +1169,847 @@ error:
     return result;
 }
 
+/* ---------------------------------------------------- trace generation */
+
+/*
+ * The loops of repro.workloads.generator.generate_trace (the gshare
+ * warm-up, the preamble draws and the window) and of
+ * repro.compiler.base.dependency_draws, run on the caller's own
+ * random.Random stream.  Each entry point takes the
+ * internal state of rng.getstate() (624 words and an index) and returns the
+ * advanced state with its result; repro.kernel.fast.on_stream hands it back
+ * with rng.setstate.  The draws are CPython's (Modules/_randommodule.c and
+ * Lib/random.py): random() is (a >> 5, b >> 6) over 2**53, randrange(n) is
+ * getrandbits(n.bit_length()) retried while the value is >= n, and choices()
+ * with cum_weights bisects random() * total.  Every draw is taken in the
+ * order, and under the conditions, of the Python loops, which stay as the
+ * reference (tests/test_generator_native.py).
+ */
+
+#define MT_N 624
+#define MT_M 397
+
+typedef struct {
+    uint32_t mt[MT_N];
+    int index;
+} Twister;
+
+static int
+twister_load(PyObject *state, Twister *tw)
+{
+    Py_ssize_t i;
+    unsigned long word;
+    long index;
+    if (!PyTuple_Check(state) || PyTuple_GET_SIZE(state) != MT_N + 1) {
+        PyErr_SetString(PyExc_ValueError,
+                        "a Mersenne Twister state is a tuple of 625 ints");
+        return -1;
+    }
+    for (i = 0; i < MT_N; i++) {
+        word = PyLong_AsUnsignedLong(PyTuple_GET_ITEM(state, i));
+        if (word == (unsigned long)-1 && PyErr_Occurred())
+            return -1;
+        tw->mt[i] = (uint32_t)word;
+    }
+    index = PyLong_AsLong(PyTuple_GET_ITEM(state, MT_N));
+    if (index == -1 && PyErr_Occurred())
+        return -1;
+    if (index < 0 || index > MT_N) {
+        PyErr_SetString(PyExc_ValueError, "Mersenne Twister index out of range");
+        return -1;
+    }
+    tw->index = (int)index;
+    return 0;
+}
+
+static PyObject *
+twister_dump(const Twister *tw)
+{
+    Py_ssize_t i;
+    PyObject *value, *state = PyTuple_New(MT_N + 1);
+    if (state == NULL)
+        return NULL;
+    for (i = 0; i <= MT_N; i++) {
+        value = i < MT_N ? PyLong_FromUnsignedLong(tw->mt[i])
+                         : PyLong_FromLong(tw->index);
+        if (value == NULL) {
+            Py_DECREF(state);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(state, i, value);
+    }
+    return state;
+}
+
+/* Regenerate the 624 words (the refill half of genrand_uint32). */
+static void
+twister_refill(Twister *tw)
+{
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    uint32_t y, *mt = tw->mt;
+    int kk;
+    for (kk = 0; kk < MT_N - MT_M; kk++) {
+        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+        mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+    }
+    for (; kk < MT_N - 1; kk++) {
+        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+        mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+    }
+    y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+    mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+    tw->index = 0;
+}
+
+/* genrand_uint32 */
+static inline uint32_t
+twister_next(Twister *tw)
+{
+    uint32_t y;
+    if (tw->index >= MT_N)
+        twister_refill(tw);
+    y = tw->mt[tw->index++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+/* random(): 53 random bits over 2**53. */
+static inline double
+twister_random(Twister *tw)
+{
+    uint32_t a = twister_next(tw) >> 5, b = twister_next(tw) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* getrandbits(k) for 1 <= k <= 64: 32-bit words, least significant first,
+ * the most significant one cut to its top bits. */
+static inline u64
+twister_bits(Twister *tw, int k)
+{
+    u64 low;
+    if (k <= 32)
+        return twister_next(tw) >> (32 - k);
+    low = twister_next(tw);
+    return low | (u64)(twister_next(tw) >> (64 - k)) << 32;
+}
+
+/* randrange(n) for 1 <= n < 2**63. */
+static inline u64
+twister_below(Twister *tw, u64 n)
+{
+    int k = 64 - __builtin_clzll(n);
+    u64 value = twister_bits(tw, k);
+    while (value >= n)
+        value = twister_bits(tw, k);
+    return value;
+}
+
+/* ------------------------------------------------------------- gshare */
+
+/* A repro.cpu.branch.GShareBranchPredictor, trained in place: its
+ * `_table` bytearray through the buffer protocol, its history and
+ * counters copied in and written back by gshare_store. */
+typedef struct {
+    Py_buffer table;
+    u64 table_mask, history, history_mask;
+    long long predictions, mispredictions;
+} GShare;
+
+static int
+gshare_bind(PyObject *predictor, GShare *g)
+{
+    long long table_bits, history_bits, history;
+    PyObject *table;
+    g->table.obj = NULL;
+    if (read_ll(predictor, s_table_bits, &table_bits) < 0 ||
+        read_ll(predictor, s_history_bits, &history_bits) < 0 ||
+        read_ll(predictor, s_history, &history) < 0 ||
+        read_ll(predictor, s_predictions, &g->predictions) < 0 ||
+        read_ll(predictor, s_mispredictions, &g->mispredictions) < 0)
+        return -1;
+    if (table_bits < 2 || table_bits > 30 || history_bits < 1 ||
+        history_bits > 62 || history < 0) {
+        PyErr_SetString(PyExc_ValueError, "unsupported predictor geometry");
+        return -1;
+    }
+    table = PyObject_GetAttr(predictor, s_table);
+    if (table == NULL)
+        return -1;
+    if (PyObject_GetBuffer(table, &g->table, PyBUF_WRITABLE) < 0) {
+        g->table.obj = NULL;
+        Py_DECREF(table);
+        return -1;
+    }
+    Py_DECREF(table);
+    if (g->table.len != (Py_ssize_t)1 << table_bits) {
+        PyErr_SetString(PyExc_ValueError, "predictor table size mismatch");
+        PyBuffer_Release(&g->table);
+        g->table.obj = NULL;
+        return -1;
+    }
+    g->table_mask = ((u64)1 << table_bits) - 1;
+    g->history_mask = ((u64)1 << history_bits) - 1;
+    g->history = (u64)history;
+    return 0;
+}
+
+/* predict_and_update: 1 when the prediction was wrong. */
+static int
+gshare_step(GShare *g, u64 pc, int taken)
+{
+    unsigned char *counter =
+        (unsigned char *)g->table.buf + ((pc ^ g->history) & g->table_mask);
+    int mispredicted = (*counter >= 2) != taken;
+    g->predictions++;
+    if (taken && *counter < 3)
+        ++*counter;
+    else if (!taken && *counter > 0)
+        --*counter;
+    g->history = ((g->history << 1) | (u64)taken) & g->history_mask;
+    g->mispredictions += mispredicted;
+    return mispredicted;
+}
+
+static int
+write_ll(PyObject *obj, PyObject *name, long long v)
+{
+    int status;
+    PyObject *value = PyLong_FromLongLong(v);
+    if (value == NULL)
+        return -1;
+    status = PyObject_SetAttr(obj, name, value);
+    Py_DECREF(value);
+    return status;
+}
+
+/* Release the table and, unless `predictor` is NULL, write the history
+ * and counters back. */
+static int
+gshare_store(GShare *g, PyObject *predictor)
+{
+    if (g->table.obj != NULL)
+        PyBuffer_Release(&g->table);
+    g->table.obj = NULL;
+    if (predictor == NULL)
+        return 0;
+    if (write_ll(predictor, s_history, (long long)g->history) < 0 ||
+        write_ll(predictor, s_predictions, g->predictions) < 0 ||
+        write_ll(predictor, s_mispredictions, g->mispredictions) < 0)
+        return -1;
+    return 0;
+}
+
+/* The branch sites: their PCs and taken biases, as C arrays. */
+typedef struct {
+    Py_ssize_t n;
+    u64 *pcs;
+    double *bias;
+} Sites;
+
+static int
+sites_load(PyObject *pcs_obj, PyObject *bias_obj, Sites *sites)
+{
+    PyObject *pcs = NULL, *bias = NULL;
+    Py_ssize_t i;
+    int status = -1;
+    sites->pcs = NULL;
+    sites->bias = NULL;
+    pcs = PySequence_Fast(pcs_obj, "site PCs must be a sequence");
+    bias = pcs == NULL ? NULL
+                       : PySequence_Fast(bias_obj, "site biases must be a sequence");
+    if (bias == NULL)
+        goto done;
+    sites->n = PySequence_Fast_GET_SIZE(pcs);
+    if (sites->n < 1 || PySequence_Fast_GET_SIZE(bias) != sites->n) {
+        PyErr_SetString(PyExc_ValueError,
+                        "one bias per branch site, at least one site");
+        goto done;
+    }
+    sites->pcs = PyMem_Malloc(sites->n * sizeof(u64));
+    sites->bias = PyMem_Malloc(sites->n * sizeof(double));
+    if (sites->pcs == NULL || sites->bias == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (i = 0; i < sites->n; i++) {
+        if (as_u64(PySequence_Fast_GET_ITEM(pcs, i), &sites->pcs[i]) < 0)
+            goto done;
+        sites->bias[i] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(bias, i));
+        if (sites->bias[i] == -1.0 && PyErr_Occurred())
+            goto done;
+    }
+    status = 0;
+done:
+    Py_XDECREF(pcs);
+    Py_XDECREF(bias);
+    return status;
+}
+
+static void
+sites_free(Sites *sites)
+{
+    PyMem_Free(sites->pcs);
+    PyMem_Free(sites->bias);
+}
+
+/* (state, result) for an entry point; steals `result`. */
+static PyObject *
+advanced(const Twister *tw, PyObject *result)
+{
+    PyObject *state, *pair;
+    if (result == NULL)
+        return NULL;
+    state = twister_dump(tw);
+    if (state == NULL) {
+        Py_DECREF(result);
+        return NULL;
+    }
+    pair = PyTuple_Pack(2, state, result);
+    Py_DECREF(state);
+    Py_DECREF(result);
+    return pair;
+}
+
+PyDoc_STRVAR(warm_branches_doc,
+"warm_branches(state, predictor, site_pcs, site_bias, count) -> (state, None)\n\n"
+"Train `predictor` on `count` branches: each a site drawn with\n"
+"randrange(len(site_pcs)) and an outcome random() < site_bias[site].");
+
+static PyObject *
+fast_warm_branches(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *state, *predictor, *pcs_obj, *bias_obj, *result = NULL;
+    Py_ssize_t count, i;
+    Twister tw;
+    Sites sites = {0, NULL, NULL};
+    GShare g;
+    u64 site;
+    g.table.obj = NULL;
+    if (!PyArg_ParseTuple(args, "OOOOn", &state, &predictor, &pcs_obj,
+                          &bias_obj, &count))
+        return NULL;
+    if (twister_load(state, &tw) < 0 ||
+        sites_load(pcs_obj, bias_obj, &sites) < 0 || gshare_bind(predictor, &g) < 0)
+        goto done;
+    for (i = 0; i < count; i++) {
+        site = twister_below(&tw, (u64)sites.n);
+        gshare_step(&g, sites.pcs[site], twister_random(&tw) < sites.bias[site]);
+    }
+    if (gshare_store(&g, predictor) == 0)
+        result = advanced(&tw, Py_NewRef(Py_None));
+done:
+    gshare_store(&g, NULL);
+    sites_free(&sites);
+    return result;
+}
+
+/* Append (tag, items[0..n-1]) to `events`, stealing the items' references;
+ * an item may be NULL after a failed allocation, which fails the call. */
+static int
+emit(PyObject *events, PyObject *tag, int n, PyObject *a, PyObject *b,
+     PyObject *c, PyObject *d)
+{
+    PyObject *items[4] = {a, b, c, d}, *event = NULL;
+    int k, status = -1;
+    for (k = 0; k < n; k++)
+        if (items[k] == NULL)
+            goto done;
+    event = PyTuple_New(n + 1);
+    if (event == NULL)
+        goto done;
+    Py_INCREF(tag);
+    PyTuple_SET_ITEM(event, 0, tag);
+    for (k = 0; k < n; k++) {
+        PyTuple_SET_ITEM(event, k + 1, items[k]);
+        items[k] = NULL;
+    }
+    /* Strings, ints and bools only: no cycle can run through it. */
+    PyObject_GC_UnTrack(event);
+    status = PyList_Append(events, event);
+done:
+    for (k = 0; k < n; k++)
+        Py_XDECREF(items[k]);
+    Py_XDECREF(event);
+    return status;
+}
+
+/* The size classes and their cumulative weights: choices()'s bisect. */
+typedef struct {
+    PyObject *classes;  /* the classes, a fast sequence: events hold them */
+    Py_ssize_t n;
+    double *cum;
+    long long *size;
+    double total;
+} SizeTable;
+
+static int
+size_table_load(PyObject *classes_obj, PyObject *cum_obj, SizeTable *t)
+{
+    PyObject *cum = NULL;
+    Py_ssize_t i;
+    int status = -1;
+    t->classes = PySequence_Fast(classes_obj, "size classes must be a sequence");
+    if (t->classes == NULL)
+        return -1;
+    cum = PySequence_Fast(cum_obj, "cum_weights must be a sequence");
+    if (cum == NULL)
+        return -1;
+    t->n = PySequence_Fast_GET_SIZE(t->classes);
+    if (t->n < 1 || PySequence_Fast_GET_SIZE(cum) != t->n) {
+        PyErr_SetString(PyExc_ValueError,
+                        "one cumulative weight per size class, at least one class");
+        goto done;
+    }
+    t->cum = PyMem_Malloc(t->n * sizeof(double));
+    t->size = PyMem_Malloc(t->n * sizeof(long long));
+    if (t->cum == NULL || t->size == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (i = 0; i < t->n; i++) {
+        t->cum[i] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(cum, i));
+        if (t->cum[i] == -1.0 && PyErr_Occurred())
+            goto done;
+        t->size[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(t->classes, i));
+        if (t->size[i] == -1 && PyErr_Occurred())
+            goto done;
+    }
+    t->total = t->cum[t->n - 1] + 0.0;
+    if (!(t->total > 0.0)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "Total of weights must be greater than zero");
+        goto done;
+    }
+    status = 0;
+done:
+    Py_DECREF(cum);
+    return status;
+}
+
+/* choices(classes, cum_weights=cum)[0]: the index of the drawn class. */
+static inline Py_ssize_t
+size_table_pick(const SizeTable *t, Twister *tw)
+{
+    double x = twister_random(tw) * t->total;
+    Py_ssize_t lo = 0, hi = t->n - 1, mid;
+    while (lo < hi) {
+        mid = (lo + hi) / 2;
+        if (x < t->cum[mid])
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return lo;
+}
+
+static void
+size_table_free(SizeTable *t)
+{
+    Py_XDECREF(t->classes);
+    PyMem_Free(t->cum);
+    PyMem_Free(t->size);
+}
+
+PyDoc_STRVAR(preamble_doc,
+"preamble(state, size_classes, cum_weights, count)\n"
+"    -> (state, (preamble, object_sizes))\n\n"
+"The live set at window start: `count` sizes drawn as\n"
+"choices(size_classes, cum_weights=cum_weights, k=count), as the list\n"
+"of (id, size) pairs and the dict id -> size.");
+
+static PyObject *
+fast_preamble(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *state, *classes_obj, *cum_obj, *preamble = NULL,
+             *object_sizes = NULL, *result = NULL, *oid, *size, *pair;
+    Py_ssize_t count, i;
+    Twister tw;
+    SizeTable table = {NULL, 0, NULL, NULL, 0.0};
+    if (!PyArg_ParseTuple(args, "OOOn", &state, &classes_obj, &cum_obj, &count))
+        return NULL;
+    if (count < 0) {
+        PyErr_SetString(PyExc_ValueError, "count must be >= 0");
+        return NULL;
+    }
+    if (twister_load(state, &tw) < 0 ||
+        size_table_load(classes_obj, cum_obj, &table) < 0)
+        goto done;
+    preamble = PyList_New(count);
+    object_sizes = _PyDict_NewPresized(count);
+    if (preamble == NULL || object_sizes == NULL)
+        goto done;
+    for (i = 0; i < count; i++) {
+        size = PySequence_Fast_GET_ITEM(table.classes, size_table_pick(&table, &tw));
+        oid = PyLong_FromSsize_t(i);
+        if (oid == NULL)
+            goto done;
+        pair = PyTuple_Pack(2, oid, size);
+        if (pair == NULL || PyDict_SetItem(object_sizes, oid, size) < 0) {
+            Py_DECREF(oid);
+            Py_XDECREF(pair);
+            goto done;
+        }
+        Py_DECREF(oid);
+        PyObject_GC_UnTrack(pair);
+        PyList_SET_ITEM(preamble, i, pair);
+    }
+    result = PyTuple_Pack(2, preamble, object_sizes);
+    result = advanced(&tw, result);
+done:
+    size_table_free(&table);
+    Py_XDECREF(preamble);
+    Py_XDECREF(object_sizes);
+    return result;
+}
+
+/* The window's probabilities, in WindowDice's field order. */
+typedef struct {
+    double mem, branch, falu, malloc, call, ptr_arith, store_ratio, heap_frac,
+        burst_prob, hot_access_prob, seq_frac, ptr_frac, chase_frac,
+        free_recency;
+} Dice;
+
+PyDoc_STRVAR(trace_window_doc,
+"trace_window(state, predictor, site_pcs, site_bias, dice, size_classes,\n"
+"             cum_weights, hot_pool, object_sizes, instructions,\n"
+"             target_live) -> (state, events)\n\n"
+"The window loop of generate_trace: `instructions` draws of the event\n"
+"mix.  `dice` is a WindowDice; `object_sizes` maps the preamble ids\n"
+"0..n-1 to their sizes and gains one entry per window malloc, in\n"
+"allocation order; `predictor` is trained in place.");
+
+static PyObject *
+fast_trace_window(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *state, *predictor, *pcs_obj, *bias_obj, *dice_obj, *classes_obj,
+        *cum_obj, *hot_obj, *object_sizes;
+    PyObject *hot_seq = NULL, *events = NULL, *result = NULL, *key, *value;
+    Py_ssize_t instructions, n_pre, cap, pos, i, k, step;
+    long long target_live, *sizes = NULL, *cursors = NULL;
+    Py_ssize_t *live = NULL, *live_pos = NULL, *allocated = NULL, *hot = NULL;
+    Py_ssize_t live_len, n_alloc = 0, alloc_head = 0, hot_len = 0;
+    Py_ssize_t next_obj, current = -1, call_depth = 0, oid, victim, candidate;
+    Py_ssize_t back, lim;
+    char *freed = NULL;
+    double r;
+    long long span, offset, size;
+    int is_store, is_ptr, kind, mispredicted;
+    u64 site;
+    Twister tw;
+    Sites sites = {0, NULL, NULL};
+    SizeTable table = {NULL, 0, NULL, NULL, 0.0};
+    GShare g;
+    Dice p;
+
+    g.table.obj = NULL;
+    if (!PyArg_ParseTuple(args, "OOOOOOOOO!nL", &state, &predictor, &pcs_obj,
+                          &bias_obj, &dice_obj, &classes_obj, &cum_obj,
+                          &hot_obj, &PyDict_Type, &object_sizes,
+                          &instructions, &target_live))
+        return NULL;
+    if (!PyTuple_Check(dice_obj) ||
+        !PyArg_ParseTuple(dice_obj, "dddddddddddddd;dice must be 14 floats",
+                          &p.mem, &p.branch, &p.falu, &p.malloc, &p.call,
+                          &p.ptr_arith, &p.store_ratio, &p.heap_frac,
+                          &p.burst_prob, &p.hot_access_prob, &p.seq_frac,
+                          &p.ptr_frac, &p.chase_frac, &p.free_recency)) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError, "dice must be a tuple");
+        return NULL;
+    }
+    if (instructions < 0) {
+        PyErr_SetString(PyExc_ValueError, "instructions must be >= 0");
+        return NULL;
+    }
+    if (twister_load(state, &tw) < 0 || sites_load(pcs_obj, bias_obj, &sites) < 0 ||
+        size_table_load(classes_obj, cum_obj, &table) < 0)
+        goto done;
+
+    /* Every object id below cap: the preamble's, then one per window step. */
+    n_pre = PyDict_GET_SIZE(object_sizes);
+    cap = n_pre + instructions;
+    sizes = PyMem_Malloc((cap + 1) * sizeof(long long));
+    cursors = PyMem_Calloc(cap + 1, sizeof(long long));
+    freed = PyMem_Calloc(cap + 1, 1);
+    live = PyMem_Malloc((cap + 1) * sizeof(Py_ssize_t));
+    live_pos = PyMem_Malloc((cap + 1) * sizeof(Py_ssize_t));
+    allocated = PyMem_Malloc((instructions + 1) * sizeof(Py_ssize_t));
+    if (sizes == NULL || cursors == NULL || freed == NULL || live == NULL ||
+        live_pos == NULL || allocated == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    pos = 0;
+    i = 0;
+    while (PyDict_Next(object_sizes, &pos, &key, &value)) {
+        oid = PyLong_AsSsize_t(key);
+        if (oid == -1 && PyErr_Occurred())
+            goto done;
+        if (oid != i) {
+            PyErr_SetString(PyExc_ValueError,
+                            "object_sizes must hold the preamble ids 0..n-1 in order");
+            goto done;
+        }
+        sizes[i] = PyLong_AsLongLong(value);
+        if (sizes[i] == -1 && PyErr_Occurred())
+            goto done;
+        live[i] = i;
+        live_pos[i] = i;
+        i++;
+    }
+    live_len = n_pre;
+    next_obj = n_pre;
+
+    hot_seq = PySequence_Fast(hot_obj, "the hot pool must be a sequence");
+    if (hot_seq == NULL)
+        goto done;
+    hot_len = PySequence_Fast_GET_SIZE(hot_seq);
+    hot = PyMem_Malloc((hot_len + 1) * sizeof(Py_ssize_t));
+    if (hot == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (i = 0; i < hot_len; i++) {
+        hot[i] = PyLong_AsSsize_t(PySequence_Fast_GET_ITEM(hot_seq, i));
+        if (hot[i] == -1 && PyErr_Occurred())
+            goto done;
+        if (hot[i] < 0 || hot[i] >= n_pre) {
+            PyErr_SetString(PyExc_ValueError, "the hot pool must hold preamble ids");
+            goto done;
+        }
+    }
+
+    if (gshare_bind(predictor, &g) < 0)
+        goto done;
+    events = PyList_New(0);
+    if (events == NULL)
+        goto done;
+
+    for (step = 0; step < instructions; step++) {
+        r = twister_random(&tw);
+
+        /* Low-rate events piggyback on the main draw. */
+        if (twister_random(&tw) < p.malloc && live_len) {
+            k = size_table_pick(&table, &tw);
+            oid = next_obj++;
+            sizes[oid] = table.size[k];
+            value = PySequence_Fast_GET_ITEM(table.classes, k);
+            key = PyLong_FromSsize_t(oid);
+            if (key == NULL || PyDict_SetItem(object_sizes, key, value) < 0) {
+                Py_XDECREF(key);
+                goto done;
+            }
+            if (emit(events, tag_malloc, 2, key, Py_NewRef(value), NULL, NULL) < 0)
+                goto done;
+            live_pos[oid] = live_len;
+            live[live_len++] = oid;
+            allocated[n_alloc++] = oid;
+            current = oid;
+            if (live_len > target_live && live_len > 1) {
+                victim = -1;
+                if (twister_random(&tw) < p.free_recency) {
+                    lim = n_alloc < 9 ? n_alloc : 9;
+                    for (back = 2; back <= lim; back++) {
+                        if (!freed[allocated[n_alloc - back]]) {
+                            victim = allocated[n_alloc - back];
+                            break;
+                        }
+                    }
+                }
+                else {
+                    while (alloc_head < n_alloc) {
+                        oid = allocated[alloc_head++];
+                        if (!freed[oid]) {
+                            victim = oid;
+                            break;
+                        }
+                    }
+                }
+                if (victim < 0)
+                    victim = live[twister_below(&tw, (u64)live_len)];
+                if (live_len > 1 && live_pos[victim] >= 0) {
+                    /* O(1) swap-remove from the live list. */
+                    pos = live_pos[victim];
+                    live_pos[victim] = -1;
+                    oid = live[--live_len];
+                    if (oid != victim) {
+                        live[pos] = oid;
+                        live_pos[oid] = pos;
+                    }
+                    freed[victim] = 1;
+                    if (emit(events, tag_free, 1, PyLong_FromSsize_t(victim), NULL,
+                             NULL, NULL) < 0)
+                        goto done;
+                }
+            }
+            continue;
+        }
+
+        if (twister_random(&tw) < p.call) {
+            if (call_depth > 0 && twister_random(&tw) < 0.5) {
+                if (PyList_Append(events, event_ret) < 0)
+                    goto done;
+                call_depth--;
+            }
+            else {
+                if (PyList_Append(events, event_call) < 0)
+                    goto done;
+                call_depth++;
+            }
+            continue;
+        }
+
+        if (twister_random(&tw) < p.ptr_arith) {
+            if (PyList_Append(events, event_pa) < 0)
+                goto done;
+            continue;
+        }
+
+        if (r < p.mem) {
+            is_store = twister_random(&tw) < p.store_ratio;
+            if (twister_random(&tw) < p.heap_frac && live_len) {
+                /* pick_object: burst locality, then the hot pool. */
+                if (current >= 0 && !freed[current] &&
+                    twister_random(&tw) < p.burst_prob) {
+                    oid = current;
+                }
+                else {
+                    oid = -1;
+                    if (p.hot_access_prob > twister_random(&tw) && hot_len) {
+                        candidate = hot[twister_below(&tw, (u64)hot_len)];
+                        if (!freed[candidate])
+                            oid = current = candidate;
+                    }
+                    if (oid < 0)
+                        oid = current = live[twister_below(&tw, (u64)live_len)];
+                }
+                /* pick_offset */
+                size = sizes[oid];
+                span = size - 8 > 0 ? size - 8 : 0;
+                if (span == 0)
+                    offset = 0;
+                else if (twister_random(&tw) < p.seq_frac) {
+                    offset = cursors[oid];
+                    cursors[oid] = (offset + 8) % (span + 1);
+                }
+                else
+                    offset = 8 * (long long)twister_below(&tw, (u64)(span + 8) / 8);
+                is_ptr = twister_random(&tw) < p.ptr_frac;
+                if (is_store) {
+                    if (emit(events, tag_store, 3, PyLong_FromSsize_t(oid),
+                             PyLong_FromLongLong(offset), PyBool_FromLong(is_ptr),
+                             NULL) < 0)
+                        goto done;
+                }
+                else if (emit(events, tag_load, 4, PyLong_FromSsize_t(oid),
+                              PyLong_FromLongLong(offset), PyBool_FromLong(is_ptr),
+                              PyBool_FromLong(twister_random(&tw) < p.chase_frac)) < 0)
+                    goto done;
+            }
+            else {
+                kind = twister_random(&tw) < 0.8 ? 0 : 1; /* stack vs globals */
+                offset = 8 * (long long)twister_below(&tw, kind == 0 ? 512 : 32768);
+                if (emit(events, is_store ? tag_ustore : tag_uload, 2,
+                         PyLong_FromLong(kind), PyLong_FromLongLong(offset), NULL,
+                         NULL) < 0)
+                    goto done;
+            }
+        }
+        else if (r < p.branch) {
+            site = twister_below(&tw, (u64)sites.n);
+            mispredicted = gshare_step(&g, sites.pcs[site],
+                                       twister_random(&tw) < sites.bias[site]);
+            if (emit(events, tag_branch, 1, PyBool_FromLong(mispredicted), NULL,
+                     NULL, NULL) < 0)
+                goto done;
+        }
+        else if (r < p.falu) {
+            if (PyList_Append(events, event_falu) < 0)
+                goto done;
+        }
+        else if (PyList_Append(events, event_alu) < 0)
+            goto done;
+    }
+
+    if (gshare_store(&g, predictor) == 0) {
+        result = advanced(&tw, events);
+        events = NULL;
+    }
+done:
+    gshare_store(&g, NULL);
+    sites_free(&sites);
+    size_table_free(&table);
+    Py_XDECREF(hot_seq);
+    Py_XDECREF(events);
+    PyMem_Free(sizes);
+    PyMem_Free(cursors);
+    PyMem_Free(freed);
+    PyMem_Free(live);
+    PyMem_Free(live_pos);
+    PyMem_Free(allocated);
+    PyMem_Free(hot);
+    return result;
+}
+
+PyDoc_STRVAR(dependency_draws_doc,
+"dependency_draws(state, count, dep_prob, ilp_distance) -> (state, drawn)\n\n"
+"`count` dependency draws: 1 + randrange(ilp_distance) where\n"
+"random() < dep_prob, else 0; 1 <= ilp_distance < 2**63.");
+
+static PyObject *
+fast_dependency_draws(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *state, *drawn, *value;
+    Py_ssize_t count, i;
+    double dep_prob;
+    u64 distance;
+    Twister tw;
+    if (!PyArg_ParseTuple(args, "OndO&", &state, &count, &dep_prob,
+                          u64_converter, &distance))
+        return NULL;
+    if (distance < 1 || distance >> 63) {
+        PyErr_SetString(PyExc_ValueError, "ilp_distance must be in [1, 2**63)");
+        return NULL;
+    }
+    if (count < 0) {
+        PyErr_SetString(PyExc_ValueError, "count must be >= 0");
+        return NULL;
+    }
+    if (twister_load(state, &tw) < 0)
+        return NULL;
+    drawn = PyList_New(count);
+    if (drawn == NULL)
+        return NULL;
+    for (i = 0; i < count; i++) {
+        if (twister_random(&tw) < dep_prob)
+            value = PyLong_FromUnsignedLongLong(1 + twister_below(&tw, distance));
+        else
+            value = PyLong_FromLong(0);
+        if (value == NULL) {
+            Py_DECREF(drawn);
+            return NULL;
+        }
+        PyList_SET_ITEM(drawn, i, value);
+    }
+    return advanced(&tw, drawn);
+}
+
 static PyMethodDef fast_methods[] = {
     {"run", fast_run, METH_VARARGS, run_doc},
+    {"warm_branches", fast_warm_branches, METH_VARARGS, warm_branches_doc},
+    {"preamble", fast_preamble, METH_VARARGS, preamble_doc},
+    {"trace_window", fast_trace_window, METH_VARARGS, trace_window_doc},
+    {"dependency_draws", fast_dependency_draws, METH_VARARGS, dependency_draws_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef fast_module = {
     PyModuleDef_HEAD_INIT, "_fast",
-    "The fast simulation kernel (see repro/kernel/fast.py).", -1, fast_methods,
+    "The fast simulation kernel and trace generation loops "
+    "(see repro/kernel/fast.py).", -1, fast_methods,
     NULL, NULL, NULL, NULL,
 };
 
@@ -1184,11 +2026,27 @@ PyInit__fast(void)
         {&s_latencies, "latencies"}, {&s_dep_offsets, "dep_offsets"},
         {&s_dep_distances, "dep_distances"}, {&s_sizes, "sizes"},
         {&s_move_to_end, "move_to_end"}, {&s_popitem, "popitem"},
+        {&s_table_bits, "table_bits"}, {&s_history_bits, "history_bits"},
+        {&s_history, "_history"}, {&s_predictions, "predictions"},
+        {&s_mispredictions, "mispredictions"},
+        {&tag_malloc, "m"}, {&tag_free, "f"}, {&tag_store, "st"},
+        {&tag_load, "ld"}, {&tag_ustore, "ust"}, {&tag_uload, "uld"},
+        {&tag_branch, "br"},
+    };
+    struct { PyObject **slot; const char *tag; } constants[] = {
+        {&event_ret, "ret"}, {&event_call, "call"}, {&event_pa, "pa"},
+        {&event_falu, "falu"}, {&event_alu, "alu"},
     };
     size_t k;
     for (k = 0; k < sizeof(names) / sizeof(names[0]); k++) {
         *names[k].slot = PyUnicode_InternFromString(names[k].name);
         if (*names[k].slot == NULL)
+            return NULL;
+    }
+    for (k = 0; k < sizeof(constants) / sizeof(constants[0]); k++) {
+        *constants[k].slot =
+            Py_BuildValue("(N)", PyUnicode_InternFromString(constants[k].tag));
+        if (*constants[k].slot == NULL)
             return NULL;
     }
     errors = PyImport_ImportModule("repro.errors");

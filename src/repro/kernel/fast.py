@@ -1,4 +1,5 @@
-"""The fast simulation kernel: the C scoreboard loop and its loader.
+"""The native module: the C scoreboard loop, the trace generator's
+per-event loops, and their loader.
 
 ``run_fast`` reproduces :meth:`repro.cpu.pipeline.PipelineModel.run`
 *exactly* — same floating-point operations in the same order, same queue
@@ -28,19 +29,31 @@ once, after the run.  The equivalence contract is enforced by
 ``tests/test_kernel_equivalence.py`` and ``tests/test_kernel_native.py``.
 
 **Build.** :func:`native` compiles ``_fast.c`` on the first untraced
-simulation of a process (never at import) with sysconfig's C compiler and
-include directory.  The module is cached in the artifact cache root
-(``$REPRO_CACHE_DIR`` or ``~/.cache/repro``) under ``native/``, named by
-the digest of the C source and flags plus the interpreter's ABI tag, and
-published by atomic rename under a file lock, so concurrent workers build
-it once and never load a half-written file.  On a host with no C compiler
+simulation or trace generation of a process (never at import) with
+sysconfig's C compiler and include directory.  The module is cached in
+the artifact cache root (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``)
+under ``native/``, named by the digest of the C source and flags plus the
+interpreter's ABI tag, and published by atomic rename under a file lock,
+so concurrent workers build it once and never load a half-written file.  On a host with no C compiler
 or no Python headers, :func:`native` returns None and warns once per
 process, and :class:`~repro.cpu.core.Simulator` runs the reference kernel
-instead; a failed build on a host that has both is an error.
+instead, as trace generation runs its Python loops; a failed build on a
+host that has both is an error.
 
 Event tracing stays on the reference kernel: a run with a live tracer is
 not a performance run, so :meth:`repro.cpu.core.Simulator.run` routes it
 there, and ``run_fast`` refuses a tracer-bearing ``obs``.
+
+**Generation.** The same module runs the per-event loops of
+:func:`repro.workloads.generator.generate_trace` (the gshare warm-up,
+the preamble size draws, the window) and the base pass's dependency dice
+(:func:`repro.compiler.base.dependency_draws`) on CPython's own Mersenne
+Twister stream: :func:`on_stream` hands a loop the state of
+``rng.getstate()`` and puts the advanced state back with
+``rng.setstate``.  The loops draw exactly what the Python loops draw, in
+the same order, and build the same event tuples; those Python loops stay
+as the reference (``tests/test_generator_native.py``) and run wherever
+:func:`native` returns None.
 """
 
 from __future__ import annotations
@@ -49,6 +62,7 @@ import fcntl
 import hashlib
 import importlib.util
 import os
+import random
 import shlex
 import shutil
 import subprocess
@@ -57,7 +71,7 @@ import sysconfig
 import warnings
 from pathlib import Path
 from types import ModuleType
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from ..cache.hierarchy import MemoryHierarchy
 from ..config import SystemConfig
@@ -129,7 +143,7 @@ def _build(compiler: List[str]) -> Path:
 
 
 def native() -> Optional[ModuleType]:
-    """The compiled kernel, built on first use; None, with a warning once
+    """The compiled module, built on first use; None, with a warning once
     per process, when this host has no C compiler or Python headers."""
     global _native, _warned
     if _native is None:
@@ -139,7 +153,8 @@ def native() -> Optional[ModuleType]:
                 _warned = True
                 warnings.warn(
                     "no C compiler or Python headers: the fast kernel cannot be "
-                    "built, simulating on the reference kernel",
+                    "built, simulating on the reference kernel and generating "
+                    "traces with the Python loops",
                     RuntimeWarning,
                     stacklevel=2,
                 )
@@ -151,6 +166,22 @@ def native() -> Optional[ModuleType]:
         spec.loader.exec_module(module)
         _native = module
     return _native
+
+
+def on_stream(step: Callable) -> Callable:
+    """The C generation ``step`` (``warm_branches``, ``preamble``,
+    ``trace_window`` or ``dependency_draws``) as a call ``(rng, *args)`` on
+    ``rng``'s own Mersenne Twister stream: it runs from ``rng.getstate()``
+    and hands the advanced state back with ``rng.setstate``, so later draws
+    continue where the C loop stopped."""
+
+    def run(rng: random.Random, *args):
+        version, internal, gauss = rng.getstate()
+        internal, result = step(internal, *args)
+        rng.setstate((version, internal, gauss))
+        return result
+
+    return run
 
 
 def _level(cache) -> tuple:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..cpu.branch import GShareBranchPredictor
 from ..errors import WorkloadError
@@ -30,6 +30,9 @@ from .profiles import WorkloadProfile
 
 #: Hard cap on the preamble live set, to bound host memory/time.
 MAX_PREAMBLE_OBJECTS = 400_000
+
+#: Branches that train the predictor before the window.
+WARMUP_BRANCHES = 4000
 
 Event = Tuple
 
@@ -65,6 +68,48 @@ def size_table(profile: WorkloadProfile) -> Tuple[Tuple[int, ...], List[float]]:
     return sizes, list(accumulate(weights))
 
 
+class WindowDice(NamedTuple):
+    """The window loop's probabilities, in the order ``_fast.c`` reads
+    them: the event-mix thresholds on the main draw (``mem`` < ``branch``
+    < ``falu``), the per-event rates, then the profile's dice."""
+
+    mem: float
+    branch: float
+    falu: float
+    malloc: float
+    call: float
+    ptr_arith: float
+    store_ratio: float
+    heap_frac: float
+    burst_prob: float
+    hot_access_prob: float
+    seq_frac: float
+    ptr_frac: float
+    chase_frac: float
+    free_recency: float
+
+    @classmethod
+    def of(cls, profile: WorkloadProfile) -> "WindowDice":
+        p_mem = profile.mem_frac
+        p_branch = p_mem + profile.branch_frac
+        return cls(
+            mem=p_mem,
+            branch=p_branch,
+            falu=p_branch + profile.falu_frac,
+            malloc=profile.mallocs_per_kinst / 1000.0,
+            call=profile.call_rate / 1000.0,
+            ptr_arith=profile.ptr_arith_rate / 1000.0,
+            store_ratio=profile.store_ratio,
+            heap_frac=profile.heap_frac,
+            burst_prob=profile.burst_prob,
+            hot_access_prob=profile.hot_access_prob,
+            seq_frac=profile.seq_frac,
+            ptr_frac=profile.ptr_frac,
+            chase_frac=profile.chase_frac,
+            free_recency=profile.free_recency,
+        )
+
+
 def generate_trace(
     profile: WorkloadProfile,
     instructions: int = 100_000,
@@ -79,11 +124,27 @@ def generate_trace(
     PAC space can shrink by the same factor).  ``grow_live_by`` lets the
     live set grow beyond its starting size during the window (allocation
     phases; used by the in-window HBT-resize ablation).
+
+    The one-shot draws (site biases, the hot pool) run here; the loops
+    over branches, preamble objects and window events run in the C module
+    of :mod:`repro.kernel.fast` on ``rng``'s own stream, or, on a host
+    that cannot build it, in :func:`_warm_up`, :func:`_preamble` and
+    :func:`_window`, their reference.  Both give the same trace.
     """
     if instructions < 1000:
         raise WorkloadError("window too small to be meaningful (< 1000 events)")
     if scale < 1 or scale & (scale - 1):
         raise WorkloadError("scale must be a power of two")
+
+    from ..kernel.fast import native, on_stream
+
+    kernel = native()
+    if kernel is None:
+        warm_up, draw_preamble, window = _warm_up, _preamble, _window
+    else:
+        warm_up = on_stream(kernel.warm_branches)
+        draw_preamble = on_stream(kernel.preamble)
+        window = on_stream(kernel.trace_window)
 
     rng = random.Random(seed)
     # Synthetic branch outcomes are uncorrelated with global history, so a
@@ -103,25 +164,103 @@ def generate_trace(
 
     # Warm the predictor so the window measures steady-state behaviour,
     # not cold-start training (the paper fast-forwards before measuring).
-    for _ in range(4000):
-        site = rng.randrange(n_sites)
-        predictor.predict_and_update(site_pcs[site], rng.random() < site_bias[site])
+    warm_up(rng, predictor, site_pcs, site_bias, WARMUP_BRANCHES)
     warm_pred = predictor.predictions
     warm_misp = predictor.mispredictions
 
     # ---- preamble live set --------------------------------------------------
     n_preamble = min(profile.initial_live // scale, MAX_PREAMBLE_OBJECTS)
     n_preamble = max(n_preamble, min(profile.initial_live, 4))
+    size_classes, cum_weights = size_table(profile)
+    preamble, object_sizes = draw_preamble(rng, size_classes, cum_weights, n_preamble)
+    live = list(object_sizes)
+
+    # The hot working set is a random (but fixed) subset of the live
+    # objects — deliberately uncorrelated with allocation age, since age
+    # determines which HBT way an object's bounds landed in.
+    hot_n = max(1, int(len(live) * profile.hot_fraction)) if live else 1
+    hot_pool = rng.sample(live, min(hot_n, len(live))) if live else []
+
+    events = window(
+        rng,
+        predictor,
+        site_pcs,
+        site_bias,
+        WindowDice.of(profile),
+        size_classes,
+        cum_weights,
+        hot_pool,
+        object_sizes,
+        instructions,
+        len(live) + grow_live_by,
+    )
+
+    window_predictions = predictor.predictions - warm_pred
+    window_mispredictions = predictor.mispredictions - warm_misp
+    return WorkloadTrace(
+        profile=profile,
+        preamble=preamble,
+        events=events,
+        object_sizes=object_sizes,
+        scale=scale,
+        seed=seed,
+        branch_mispredict_rate=(
+            window_mispredictions / window_predictions if window_predictions else 0.0
+        ),
+    )
+
+
+def _warm_up(
+    rng: random.Random,
+    predictor: GShareBranchPredictor,
+    site_pcs: List[int],
+    site_bias: List[float],
+    count: int,
+) -> None:
+    """Train ``predictor`` on ``count`` branches of random sites: the
+    reference of ``_fast.warm_branches``."""
+    n_sites = len(site_pcs)
+    for _ in range(count):
+        site = rng.randrange(n_sites)
+        predictor.predict_and_update(site_pcs[site], rng.random() < site_bias[site])
+
+
+def _preamble(
+    rng: random.Random,
+    size_classes: Tuple[int, ...],
+    cum_weights: List[float],
+    count: int,
+) -> Tuple[List[Tuple[int, int]], Dict[int, int]]:
+    """The live set at window start, objects ``0..count-1`` with sizes
+    drawn from the profile's classes, as (id, size) pairs and as a dict:
+    the reference of ``_fast.preamble``."""
     # One draw for the whole live set: choices() takes one random() per
     # object, so the stream is that of one draw per object.
-    size_classes, cum_weights = size_table(profile)
-    preamble_sizes = rng.choices(size_classes, cum_weights=cum_weights, k=n_preamble)
-    preamble: List[Tuple[int, int]] = list(enumerate(preamble_sizes))
-    object_sizes: Dict[int, int] = dict(preamble)
-    next_obj = n_preamble
+    sizes = rng.choices(size_classes, cum_weights=cum_weights, k=count)
+    preamble = list(enumerate(sizes))
+    return preamble, dict(preamble)
 
-    live: List[int] = [oid for oid, _ in preamble]
+
+def _window(
+    rng: random.Random,
+    predictor: GShareBranchPredictor,
+    site_pcs: List[int],
+    site_bias: List[float],
+    dice: WindowDice,
+    size_classes: Tuple[int, ...],
+    cum_weights: List[float],
+    hot_pool: List[int],
+    object_sizes: Dict[int, int],
+    instructions: int,
+    target_live: int,
+) -> List[Event]:
+    """The window's ``instructions`` events: the reference of
+    ``_fast.trace_window``.  ``object_sizes`` holds the preamble objects
+    ``0..n-1`` and gains each window allocation, in order."""
+    n_sites = len(site_pcs)
+    live: List[int] = list(object_sizes)
     live_pos: Dict[int, int] = {oid: i for i, oid in enumerate(live)}
+    next_obj = len(live)
     window_allocated: List[int] = []  # FIFO of window-allocated ids
     window_head = 0
     freed: set = set()
@@ -137,20 +276,6 @@ def generate_trace(
 
     events: List[Event] = []
     call_depth = 0
-
-    p_mem = profile.mem_frac
-    p_branch = p_mem + profile.branch_frac
-    p_falu = p_branch + profile.falu_frac
-    p_malloc = profile.mallocs_per_kinst / 1000.0
-    p_call = profile.call_rate / 1000.0
-    p_ptr_arith = profile.ptr_arith_rate / 1000.0
-    target_live = len(live) + grow_live_by
-
-    # The hot working set is a random (but fixed) subset of the live
-    # objects — deliberately uncorrelated with allocation age, since age
-    # determines which HBT way an object's bounds landed in.
-    hot_n = max(1, int(len(live) * profile.hot_fraction)) if live else 1
-    hot_pool = rng.sample(live, min(hot_n, len(live))) if live else []
     current_obj: Optional[int] = None
 
     def pick_object() -> int:
@@ -160,10 +285,10 @@ def generate_trace(
         if (
             current_obj is not None
             and current_obj not in freed
-            and rng.random() < profile.burst_prob
+            and rng.random() < dice.burst_prob
         ):
             return current_obj
-        if profile.hot_access_prob > rng.random() and hot_pool:
+        if dice.hot_access_prob > rng.random() and hot_pool:
             candidate = hot_pool[rng.randrange(len(hot_pool))]
             if candidate not in freed:
                 current_obj = candidate
@@ -176,7 +301,7 @@ def generate_trace(
         span = max(size - 8, 0)
         if span == 0:
             return 0
-        if rng.random() < profile.seq_frac:
+        if rng.random() < dice.seq_frac:
             cursor = seq_cursor.get(obj, 0)
             seq_cursor[obj] = (cursor + 8) % (span + 1)
             return cursor
@@ -186,7 +311,7 @@ def generate_trace(
         r = rng.random()
 
         # Low-rate events piggyback on the main draw so event count ~ insts.
-        if rng.random() < p_malloc and live:
+        if rng.random() < dice.malloc and live:
             size = rng.choices(size_classes, cum_weights=cum_weights)[0]
             object_sizes[next_obj] = size
             events.append(("m", next_obj, size))
@@ -202,7 +327,7 @@ def generate_trace(
             # allocations (tcache churn) vs the oldest window objects.
             if len(live) > target_live and len(live) > 1:
                 victim: Optional[int] = None
-                if rng.random() < profile.free_recency:
+                if rng.random() < dice.free_recency:
                     # LIFO-ish: free a recently allocated object — but not
                     # the one just created, which the program is about to
                     # initialise and use (allocate -> use briefly -> free).
@@ -227,7 +352,7 @@ def generate_trace(
                     events.append(("f", victim))
             continue
 
-        if rng.random() < p_call:
+        if rng.random() < dice.call:
             if call_depth > 0 and rng.random() < 0.5:
                 events.append(("ret",))
                 call_depth -= 1
@@ -236,20 +361,20 @@ def generate_trace(
                 call_depth += 1
             continue
 
-        if rng.random() < p_ptr_arith:
+        if rng.random() < dice.ptr_arith:
             events.append(("pa",))
             continue
 
-        if r < p_mem:
-            is_store = rng.random() < profile.store_ratio
-            if rng.random() < profile.heap_frac and live:
+        if r < dice.mem:
+            is_store = rng.random() < dice.store_ratio
+            if rng.random() < dice.heap_frac and live:
                 obj = pick_object()
                 offset = pick_offset(obj)
-                is_ptr = rng.random() < profile.ptr_frac
+                is_ptr = rng.random() < dice.ptr_frac
                 if is_store:
                     events.append(("st", obj, offset, is_ptr))
                 else:
-                    chase = rng.random() < profile.chase_frac
+                    chase = rng.random() < dice.chase_frac
                     events.append(("ld", obj, offset, is_ptr, chase))
             else:
                 kind = 0 if rng.random() < 0.8 else 1  # stack vs globals
@@ -259,26 +384,13 @@ def generate_trace(
                     else rng.randrange(0, 262144, 8)
                 )
                 events.append(("ust" if is_store else "uld", kind, offset))
-        elif r < p_branch:
+        elif r < dice.branch:
             site = rng.randrange(n_sites)
             taken = rng.random() < site_bias[site]
             mispredicted = predictor.predict_and_update(site_pcs[site], taken)
             events.append(("br", mispredicted))
-        elif r < p_falu:
+        elif r < dice.falu:
             events.append(("falu",))
         else:
             events.append(("alu",))
-
-    window_predictions = predictor.predictions - warm_pred
-    window_mispredictions = predictor.mispredictions - warm_misp
-    return WorkloadTrace(
-        profile=profile,
-        preamble=preamble,
-        events=events,
-        object_sizes=object_sizes,
-        scale=scale,
-        seed=seed,
-        branch_mispredict_rate=(
-            window_mispredictions / window_predictions if window_predictions else 0.0
-        ),
-    )
+    return events

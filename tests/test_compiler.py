@@ -186,10 +186,13 @@ def test_unknown_mechanism(trace):
 @pytest.mark.parametrize("ilp_distance", [1, 2, 3, 10, 16, 17, (1 << 31) + 1, 1 << 40])
 def test_dependency_draws_match_the_randrange_loop(ilp_distance):
     """The base pass's dice inline ``randrange``: the same values from the
-    same stream as the loop they replace, on every interpreter CI runs."""
+    same stream as the loop they replace, on every interpreter CI runs, in
+    the C module and in its Python reference."""
     import random
 
     from repro.compiler.base import dependency_draws
+
+    from .stream_paths import stream_paths
 
     for seed, dep_prob in ((7, 0.5), (11, 1.0), (13, 0.0)):
         rng = random.Random(seed)
@@ -197,7 +200,10 @@ def test_dependency_draws_match_the_randrange_loop(ilp_distance):
             1 + rng.randrange(ilp_distance) if rng.random() < dep_prob else 0
             for _ in range(500)
         ]
-        assert dependency_draws(seed, 500, dep_prob, ilp_distance) == want
+        for path, context in stream_paths().items():
+            with context:
+                got = dependency_draws(seed, 500, dep_prob, ilp_distance)
+            assert got == want, path
 
 
 def test_trace_using_an_unallocated_object_is_refused(trace):
@@ -218,8 +224,11 @@ def test_trace_using_an_unallocated_object_is_refused(trace):
 def test_dependency_draws_refuse_an_ilp_distance_below_one(ilp_distance, dep_prob):
     from repro.compiler.base import dependency_draws
 
-    with pytest.raises(ValueError, match="ilp_distance"):
-        dependency_draws(7, 100, dep_prob, ilp_distance)
+    from .stream_paths import stream_paths
+
+    for context in stream_paths().values():
+        with context, pytest.raises(ValueError, match="ilp_distance"):
+            dependency_draws(7, 100, dep_prob, ilp_distance)
 
 
 @pytest.mark.parametrize(

@@ -444,6 +444,32 @@ class TestSuiteCache:
         assert warm.result_payloads() == reference
         assert warm.cache.stats.corrupt == 1
 
+    def test_one_fingerprint_per_cell(self, tmp_path, monkeypatch):
+        """A cold Fig. 14 and a Fig. 15 on its cache fingerprint each cell
+        they look up once: the store after a miss reuses the lookup's."""
+        from repro.experiments import parallel
+        from repro.experiments.fig14 import run_fig14
+        from repro.experiments.fig15 import run_fig15
+
+        real = parallel.cell_fingerprint
+        calls = []
+
+        def counted(settings, cell):
+            calls.append(cell)
+            return real(settings, cell)
+
+        monkeypatch.setattr(parallel, "cell_fingerprint", counted)
+        workloads = ["gobmk", "povray"]
+        fig14 = ExperimentSuite(SETTINGS, cache=tmp_path)
+        run_fig14(fig14, workloads)
+        # 16 cells, 10 distinct simulations: each one looked up and stored.
+        assert len(calls) == len(set(calls)) == fig14.cache.stats.stores == 10
+        fig15 = ExperimentSuite(SETTINGS, cache=tmp_path)
+        run_fig15(fig15, workloads)
+        stats = fig15.cache.stats
+        assert (stats.hits, stats.misses, stats.stores) == (4, 6, 6)
+        assert len(calls) == 10 + stats.hits + stats.misses
+
     def test_cached_trace_reused(self, tmp_path):
         first = ExperimentSuite(SETTINGS, cache=tmp_path)
         trace = first.trace("gobmk")

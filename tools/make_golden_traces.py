@@ -1,11 +1,12 @@
 #!/usr/bin/env python
-"""Regenerate the committed golden trace fixtures (tests/golden/traces).
+"""Regenerate the committed golden trace fixtures (tests/golden/).
 
-Run from the repo root after any *intentional* schema or codec change::
+Run from the repo root after any *intentional* schema, codec or
+generator change::
 
     PYTHONPATH=src python tools/make_golden_traces.py
 
-Two fixtures:
+Two trace files under ``tests/golden/traces``:
 
 - ``handwritten.v1.jsonl`` — a hand-assembled stream exercising
   every record kind (including ``note``) with *no* embedded profile, so
@@ -19,10 +20,18 @@ Two fixtures:
 ``tests/test_traces_golden.py`` regenerates these into a temp directory
 and byte-compares against the committed copies, so schema drift that
 would invalidate users' existing trace files fails loudly in CI.
+
+And ``tests/golden/trace_digests.json``: one sha256 per generated trace
+(:func:`trace_digest`) for every profile at 2k instructions, seed 7,
+scales 8 and 64, and for every profile's ``growth`` variant.
+``tests/test_generator_native.py`` holds both generator paths, the C
+loop and the Python reference, to it.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -32,6 +41,7 @@ from repro.traces import TraceHeader, TraceRecord, TraceWriter  # noqa: E402
 from repro.traces.recorder import export_workload  # noqa: E402
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden" / "traces"
+TRACE_DIGESTS = GOLDEN_DIR.parent / "trace_digests.json"
 
 #: Every v1 record kind appears at least once; object 7 is freed and then
 #: loaded (use-after-free), and object 3's store offset 4096 is far past
@@ -83,8 +93,58 @@ def write_fixtures(directory) -> list:
     return [handwritten, synthetic]
 
 
+#: The generator settings the digests pin.
+DIGEST_INSTRUCTIONS, DIGEST_SEED, DIGEST_SCALES = 2000, 7, (8, 64)
+
+
+def canonical_trace(trace) -> str:
+    """The canonical JSON of a trace's generated content: its preamble,
+    events, ``object_sizes`` (as pairs, in insertion order) and branch
+    misprediction rate.  JSON keeps ``bool`` and ``int`` apart."""
+    content = [
+        trace.preamble,
+        trace.events,
+        list(trace.object_sizes.items()),
+        trace.branch_mispredict_rate,
+    ]
+    return json.dumps(content, separators=(",", ":"))
+
+
+def trace_digest(trace) -> str:
+    """sha256 of :func:`canonical_trace`."""
+    return hashlib.sha256(canonical_trace(trace).encode()).hexdigest()
+
+
+def digest_cases():
+    """``(name, thunk)`` for every pinned trace, in file order."""
+    from repro.experiments import RunSettings
+    from repro.experiments.parallel import GROWTH, generate_cell_trace
+    from repro.workloads import generate_trace
+    from repro.workloads.profiles import ALL_PROFILES
+
+    settings = RunSettings(instructions=DIGEST_INSTRUCTIONS, seed=DIGEST_SEED)
+    for name, profile in sorted(ALL_PROFILES.items()):
+        for scale in DIGEST_SCALES:
+            yield f"{name}/scale{scale}", (
+                lambda profile=profile, scale=scale: generate_trace(
+                    profile, DIGEST_INSTRUCTIONS, seed=DIGEST_SEED, scale=scale
+                )
+            )
+        yield f"{name}@{GROWTH}", (
+            lambda name=name: generate_cell_trace(settings, name, GROWTH)
+        )
+
+
+def write_trace_digests(path=TRACE_DIGESTS) -> Path:
+    """Write the digest of every :func:`digest_cases` trace to ``path``."""
+    path = Path(path)
+    digests = {name: trace_digest(thunk()) for name, thunk in digest_cases()}
+    path.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    return path
+
+
 def main() -> int:
-    for path in write_fixtures(GOLDEN_DIR):
+    for path in [*write_fixtures(GOLDEN_DIR), write_trace_digests()]:
         print(f"wrote {path} ({path.stat().st_size} bytes)")
     return 0
 
