@@ -19,12 +19,20 @@ safety arguments to be exercised for real:
 The allocator also keeps the statistics the paper profiles in Tables II/III
 (allocation/deallocation counts and the maximum number of simultaneously
 active chunks).
+
+A preamble laid out by :meth:`HeapAllocator.malloc_many` on a fresh heap is
+kept as a *run*: sorted arrays of chunk addresses and sizes plus a taken
+flag per chunk.  A chunk gets its :class:`Chunk` registry entry the first
+time a lookup touches its address, and its header words sit in
+:class:`SparseMemory` as pending writes until its page is touched, so a
+base pass that frees a thousand of fifty thousand preamble objects builds
+only what those frees reach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -57,7 +65,7 @@ def chunk_size_for_request(request: int) -> int:
     return max(MIN_CHUNK, _align_up(request + HEADER_SIZE))
 
 
-@dataclass
+@dataclass(slots=True)
 class Chunk:
     """Registry view of a live or free chunk (mirror of in-memory tags)."""
 
@@ -123,7 +131,14 @@ class HeapAllocator:
         #: End of the used heap (the "top chunk" frontier).
         self._brk = layout.heap_base
         #: Registry of chunks the allocator itself created, by chunk address.
+        #: Read it through :meth:`_chunk`, which also finds the run's chunks.
         self._chunks: Dict[int, Chunk] = {}
+        #: The bulk run (see :meth:`malloc_many`): ascending chunk addresses,
+        #: their sizes, and whether each has left the run for ``_chunks``.
+        #: Every chunk still in the run is in use with its original size.
+        self._run_addresses = np.zeros(0, dtype=np.int64)
+        self._run_sizes = np.zeros(0, dtype=np.int64)
+        self._run_taken = np.zeros(0, dtype=bool)
         #: Free lists: size -> LIFO list of chunk addresses (small/large bins).
         self._bins: Dict[int, List[int]] = {}
         #: Fastbins: size -> LIFO list of *payload* addresses.  Entries may be
@@ -143,9 +158,23 @@ class HeapAllocator:
     def _write_prev_size(self, chunk_addr: int, prev_size: int) -> None:
         self.memory.write_u64(chunk_addr, prev_size)
 
+    def _chunk(self, chunk_addr: int) -> Optional[Chunk]:
+        """Registry lookup by chunk address; a chunk still in the run gets
+        its registry entry here, once (a later ``del`` is final)."""
+        chunk = self._chunks.get(chunk_addr)
+        if chunk is None and self.layout.heap_base <= chunk_addr < self._brk:
+            run = self._run_addresses
+            index = int(np.searchsorted(run, chunk_addr))
+            if index < len(run) and run[index] == chunk_addr:
+                if not self._run_taken[index]:
+                    self._run_taken[index] = True
+                    chunk = Chunk(chunk_addr, int(self._run_sizes[index]), True)
+                    self._chunks[chunk_addr] = chunk
+        return chunk
+
     def chunk_at_payload(self, payload: int) -> Optional[Chunk]:
         """Registry lookup: the chunk whose payload starts at ``payload``."""
-        return self._chunks.get(payload - HEADER_SIZE)
+        return self._chunk(payload - HEADER_SIZE)
 
     def allocated_size(self, payload: int) -> int:
         """Usable size of a live allocation (for ``bndstr``'s size operand)."""
@@ -172,7 +201,7 @@ class HeapAllocator:
         if payload is None:
             payload = self._extend_top(size)
 
-        chunk = self._chunks.get(payload - HEADER_SIZE)
+        chunk = self._chunk(payload - HEADER_SIZE)
         if chunk is not None:
             chunk.in_use = True
             self.stats.on_alloc(chunk.usable)
@@ -190,11 +219,13 @@ class HeapAllocator:
         While no freed chunk sits in a tcache, fastbin or bin, every
         ``malloc`` extends the top chunk, so the chunks are laid out back
         to back from the frontier: their sizes, addresses and header words
-        are computed as arrays and each touched page is written once (how a
-        lowering allocates its preamble live set on a fresh heap).  A heap
-        with free chunks, a negative request or a request list the heap
-        cannot hold takes the ``malloc`` loop, which also raises where the
-        loop would.
+        are computed as arrays (how a lowering allocates its preamble live
+        set on a fresh heap).  The chunks join the run, which builds each
+        registry entry on the first lookup of its address, and the header
+        words go to :meth:`SparseMemory.write_u64_many`, which creates no
+        page.  A heap with free chunks, a negative request or a request
+        list the heap cannot hold takes the ``malloc`` loop, which also
+        raises where the loop would.
         """
         room = self.layout.heap_end - self._brk
         if (
@@ -217,15 +248,14 @@ class HeapAllocator:
             return [self.malloc(request) for request in requests]
         addresses = ends - sizes
         self.memory.write_u64_many(addresses + 8, sizes | PREV_INUSE)
-        chunk_addresses = addresses.tolist()
-        self._chunks.update(
-            zip(
-                chunk_addresses,
-                map(Chunk, chunk_addresses, sizes.tolist(), repeat(True)),
-            )
+        # The frontier only grows, so the run stays ascending.
+        self._run_addresses = np.concatenate((self._run_addresses, addresses))
+        self._run_sizes = np.concatenate((self._run_sizes, sizes))
+        self._run_taken = np.concatenate(
+            (self._run_taken, np.zeros(len(addresses), dtype=bool))
         )
         self._brk = int(ends[-1])
-        count = len(chunk_addresses)
+        count = len(addresses)
         stats = self.stats
         stats.allocations += count
         stats.active += count
@@ -254,7 +284,7 @@ class HeapAllocator:
         if best_size is None:
             return None
         chunk_addr = self._bins[best_size].pop()
-        chunk = self._chunks[chunk_addr]
+        chunk = self._chunk(chunk_addr)
         remainder = chunk.size - size
         if remainder >= MIN_CHUNK:
             self._split(chunk, size)
@@ -268,6 +298,9 @@ class HeapAllocator:
         remainder_size = chunk.size - size
         chunk.size = size
         remainder = Chunk(address=remainder_addr, size=remainder_size, in_use=False)
+        # Only a clobbered prev_size lets a free chunk overlap the run; the
+        # run chunk the remainder replaces must never be rebuilt.
+        self._chunk(remainder_addr)
         self._chunks[remainder_addr] = remainder
         self._write_size_field(remainder_addr, remainder_size, prev_inuse=True)
         self._write_prev_size(remainder_addr + remainder_size, remainder_size)
@@ -304,7 +337,7 @@ class HeapAllocator:
         if not self.layout.in_heap(chunk_addr) and not self._is_plausible_fake(chunk_addr):
             raise AllocatorError("free(): pointer outside heap")
 
-        chunk = self._chunks.get(chunk_addr)
+        chunk = self._chunk(chunk_addr)
 
         if self.use_tcache and size <= TCACHE_MAX:
             bin_ = self._tcache.setdefault(size, [])
@@ -354,7 +387,7 @@ class HeapAllocator:
             self.stats.deallocations += 1
 
     def _neighbour_after(self, chunk: Chunk) -> Optional[Chunk]:
-        return self._chunks.get(chunk.end)
+        return self._chunk(chunk.end)
 
     def _neighbour_before(self, chunk: Chunk) -> Optional[Chunk]:
         # Boundary tag: the previous chunk's size sits in our prev_size field
@@ -362,7 +395,7 @@ class HeapAllocator:
         prev_size = self.memory.read_u64(chunk.address)
         if prev_size < MIN_CHUNK or prev_size % ALIGNMENT != 0:
             return None
-        return self._chunks.get(chunk.address - prev_size)
+        return self._chunk(chunk.address - prev_size)
 
     def _remove_from_bins(self, chunk: Chunk) -> bool:
         bin_ = self._bins.get(chunk.size)
@@ -393,8 +426,19 @@ class HeapAllocator:
 
     # ------------------------------------------------------------------ debug
 
+    def chunks(self) -> List[Chunk]:
+        """Every registry chunk, live or free, by address."""
+        left = np.flatnonzero(~self._run_taken)
+        addresses = self._run_addresses[left].tolist()
+        sizes = self._run_sizes[left].tolist()
+        for address, size in zip(addresses, sizes):
+            self._chunks[address] = Chunk(address, size, True)
+        self._run_taken[left] = True
+        return sorted(self._chunks.values(), key=attrgetter("address"))
+
     def live_chunks(self) -> List[Chunk]:
-        return [c for c in self._chunks.values() if c.in_use]
+        """The chunks in use, by address."""
+        return [c for c in self.chunks() if c.in_use]
 
     def publish_metrics(self, registry) -> None:
         """Harvest the Table II/III profile into a ``MetricsRegistry``."""

@@ -3,12 +3,19 @@
 Backed by 4 KB ``bytearray`` pages allocated on first touch, so a 46-bit
 address space costs only what the simulation actually touches.  Words are
 little-endian, matching AArch64.
+
+A bulk word write (:meth:`SparseMemory.write_u64_many`, how the allocator
+lays out a preamble's chunk headers) does not create the pages it names:
+it writes into pages that exist and keeps its words for the others, which
+are applied when something first touches the page.  Reads, later writes
+and :attr:`SparseMemory.resident_pages` see those pending words as
+written.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict
+from typing import Dict, List, Set
 
 import numpy as np
 
@@ -28,19 +35,34 @@ class SparseMemory:
         self.va_bits = va_bits
         self._limit = 1 << va_bits
         self._pages: Dict[int, bytearray] = {}
+        #: Every :meth:`write_u64_many` batch, in write order: the pages it
+        #: names (ascending), where each page's words start and stop, and
+        #: the word slots and values.
+        self._batches: List[tuple] = []
+        #: Pages a batch named before they existed.  :meth:`_page` applies
+        #: every batch that names one when it creates it.
+        self._pending: Set[int] = set()
 
     # -- bookkeeping ----------------------------------------------------------
 
     @property
     def resident_pages(self) -> int:
         """Number of pages actually touched (memory-overhead accounting)."""
-        return len(self._pages)
+        return len(self._pages) + len(self._pending)
+
+    def page_indices(self) -> List[int]:
+        """The index of every touched page, ascending."""
+        return sorted([*self._pages, *self._pending])
 
     def _page(self, page_index: int) -> bytearray:
         page = self._pages.get(page_index)
         if page is None:
             page = bytearray(PAGE_SIZE)
             self._pages[page_index] = page
+            if page_index in self._pending:
+                self._pending.discard(page_index)
+                for batch in self._batches:
+                    _apply(batch, page_index, page)
         return page
 
     def _check_range(self, address: int, size: int) -> None:
@@ -59,6 +81,8 @@ class SparseMemory:
             page_index, offset = address >> PAGE_SHIFT, address & PAGE_MASK
             chunk = min(size, PAGE_SIZE - offset)
             page = self._pages.get(page_index)
+            if page is None and page_index in self._pending:
+                page = self._page(page_index)
             if page is None:
                 out.extend(b"\x00" * chunk)
             else:
@@ -93,20 +117,34 @@ class SparseMemory:
         _U64.pack_into(self._page(address >> PAGE_SHIFT), offset, value)
 
     def write_u64_many(self, addresses: np.ndarray, values: np.ndarray) -> None:
-        """``write_u64(a, v)`` for every pair, the ``addresses`` ascending
-        and 8-byte aligned: each page they touch is written once."""
+        """``write_u64(a, v)`` for every pair, in order.
+
+        The ``addresses`` must be ascending and 8-byte aligned
+        (``ValueError`` otherwise) and inside the address space
+        (``MemoryError_``).  A page that exists is written at once; the
+        words for any other page wait until the page is first touched.
+        """
+        if len(addresses) != len(values):
+            raise ValueError("write_u64_many needs one value per address")
         if len(addresses) == 0:
             return
+        if np.any(addresses[1:] < addresses[:-1]):
+            raise ValueError("write_u64_many addresses must be ascending")
+        if np.any(addresses & 7):
+            raise ValueError("write_u64_many addresses must be 8-byte aligned")
         self._check_range(int(addresses[0]), 8)
         self._check_range(int(addresses[-1]), 8)
         pages = addresses >> PAGE_SHIFT
         starts = np.flatnonzero(np.diff(pages, prepend=-1))
-        stops = np.append(starts[1:], len(addresses)).tolist()
+        stops = np.append(starts[1:], len(addresses))
         slots = (addresses & PAGE_MASK) >> 3
-        words = values.astype("<u8")
-        for page_index, start, stop in zip(pages[starts].tolist(), starts.tolist(), stops):
-            page = np.frombuffer(self._page(page_index), dtype="<u8")
-            page[slots[start:stop]] = words[start:stop]
+        batch = (pages[starts], starts, stops, slots, values.astype("<u8"))
+        self._batches.append(batch)
+        named = set(batch[0].tolist())
+        existing = self._pages.keys() & named
+        for page_index in existing:
+            _apply(batch, page_index, self._pages[page_index])
+        self._pending |= named - existing
 
     def read_u32(self, address: int) -> int:
         return int.from_bytes(self.read_bytes(address, 4), "little")
@@ -116,3 +154,12 @@ class SparseMemory:
 
     def fill(self, address: int, size: int, byte: int = 0) -> None:
         self.write_bytes(address, bytes([byte]) * size)
+
+
+def _apply(batch: tuple, page_index: int, page: bytearray) -> None:
+    """Write ``batch``'s words for page ``page_index``, if it names it."""
+    named, starts, stops, slots, words = batch
+    at = int(np.searchsorted(named, page_index))
+    if at < len(named) and named[at] == page_index:
+        start, stop = starts[at], stops[at]
+        np.frombuffer(page, dtype="<u8")[slots[start:stop]] = words[start:stop]

@@ -264,6 +264,7 @@ FAULT_SCENARIOS = {
 }
 
 
+@pytest.mark.skipif(native_compiler() is None, reason="no C compiler")
 @pytest.mark.parametrize("scenario", sorted(FAULT_SCENARIOS))
 def test_equivalence_under_fault_injection(scenario):
     """Fault-injected cells (the campaign seams) diverge in *behaviour*

@@ -1,5 +1,6 @@
 """Sparse memory model tests."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -81,6 +82,68 @@ class TestBoundsChecks:
         mem = SparseMemory(va_bits=46)
         mem.write_u64((1 << 46) - 8, 7)
         assert mem.read_u64((1 << 46) - 8) == 7
+
+
+class TestWriteMany:
+    """``write_u64_many``: pending pages read as written, bad input refused."""
+
+    def test_pending_words_read_as_written(self):
+        mem = SparseMemory()
+        mem.write_u64(0x2000, 5)
+        addresses = np.array([0x2008, 0x3000, 0x3ff8, 0x9000], dtype=np.int64)
+        mem.write_u64_many(addresses, np.array([1, 2, 3, 4], dtype=np.int64))
+        assert mem.resident_pages == 3
+        assert mem.page_indices() == [2, 3, 9]
+        assert [mem.read_u64(int(a)) for a in addresses] == [1, 2, 3, 4]
+        assert mem.read_u64(0x2000) == 5
+
+    def test_later_writes_land_over_pending_words(self):
+        mem = SparseMemory()
+        mem.write_u64_many(np.array([0x5000, 0x5008]), np.array([1, 2]))
+        mem.write_u64_many(np.array([0x5008]), np.array([3]))
+        mem.write_u64(0x5ffc, 0xFFFFFFFFFFFFFFFF)  # straddles into page 6
+        assert mem.read_bytes(0x5000, 16) == (1).to_bytes(8, "little") + (
+            3
+        ).to_bytes(8, "little")
+        assert mem.read_u64(0x5ffc) == 0xFFFFFFFFFFFFFFFF
+        assert mem.resident_pages == 2
+
+    def test_pending_pages_match_eager_writes(self):
+        lazy, eager = SparseMemory(), SparseMemory()
+        addresses = np.arange(0x1ff0, 0x4010, 24, dtype=np.int64) & ~7
+        values = np.arange(len(addresses), dtype=np.int64) * 0x0101
+        lazy.write_u64_many(addresses, values)
+        for address, value in zip(addresses.tolist(), values.tolist()):
+            eager.write_u64(address, value)
+        span = (0x1000, 0x4000)
+        assert lazy.read_bytes(*span) == eager.read_bytes(*span)
+        assert lazy.resident_pages == eager.resident_pages
+
+    def test_rejects_unsorted_addresses(self):
+        """An unsorted array cannot slip a page past ``va_bits`` between
+        an in-range first and last address."""
+        mem = SparseMemory(va_bits=20)
+        addresses = np.array([0x1000, 1 << 24, 0x2000], dtype=np.int64)
+        with pytest.raises(ValueError, match="ascending"):
+            mem.write_u64_many(addresses, np.ones(3, dtype=np.int64))
+        assert mem.resident_pages == 0
+
+    def test_rejects_misaligned_addresses(self):
+        mem = SparseMemory()
+        with pytest.raises(ValueError, match="aligned"):
+            mem.write_u64_many(np.array([0x1000, 0x1004]), np.array([1, 2]))
+        assert mem.resident_pages == 0
+
+    def test_rejects_out_of_range(self):
+        mem = SparseMemory(va_bits=20)
+        with pytest.raises(MemoryError_):
+            mem.write_u64_many(np.array([0x1000, 1 << 20]), np.array([1, 2]))
+        with pytest.raises(MemoryError_):
+            mem.write_u64_many(np.array([-8, 0x1000]), np.array([1, 2]))
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="one value per address"):
+            SparseMemory().write_u64_many(np.array([0x1000]), np.array([1, 2]))
 
 
 @given(
