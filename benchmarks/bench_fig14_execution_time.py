@@ -7,6 +7,7 @@ omnetpp x2).
 
 from conftest import publish
 
+from repro.compiler import lower_trace
 from repro.cpu.core import Simulator
 from repro.experiments.fig14 import run_fig14
 
@@ -33,5 +34,5 @@ def test_fig14_execution_time(suite, benchmark):
 
     # Benchmark one representative simulation (hmmer under AOS).
     config = suite.config_for("aos")
-    lowered = suite.lowered("hmmer", "aos", config=config)
+    lowered = lower_trace(suite.trace("hmmer"), "aos", config)
     benchmark(lambda: Simulator(config).run(lowered))

@@ -6,6 +6,7 @@ overhead, compression another ~3 %, and gcc/omnetpp improve the most.
 
 from conftest import publish
 
+from repro.compiler import lower_trace
 from repro.cpu.core import Simulator
 from repro.experiments.fig15 import run_fig15
 
@@ -33,5 +34,5 @@ def test_fig15_optimizations(suite, benchmark):
     config = suite.config_for("aos").with_aos_options(
         l1b_cache=False, bounds_compression=False
     )
-    lowered = suite.lowered("povray", "aos", config=config)
+    lowered = lower_trace(suite.trace("povray"), "aos", config)
     benchmark(lambda: Simulator(config).run(lowered))

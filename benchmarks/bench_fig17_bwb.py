@@ -7,6 +7,7 @@ Paper: ~1 access per checked instruction everywhere (omnetpp highest,
 
 from conftest import publish
 
+from repro.compiler import lower_trace
 from repro.experiments.fig17 import run_fig17
 
 
@@ -28,7 +29,7 @@ def test_fig17_bwb(suite, benchmark):
     assert above_80 >= len(hits) * 0.6, f"only {above_80}/16 above 80%"
 
     # Benchmark the MCU check path against a warm HBT.
-    lowered = suite.lowered("omnetpp", "aos", config=suite.config_for("aos"))
+    lowered = lower_trace(suite.trace("omnetpp"), "aos", suite.config_for("aos"))
     from repro.config import AOSOptions
     from repro.core.mcu import MemoryCheckUnit
 

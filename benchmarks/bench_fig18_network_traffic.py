@@ -7,6 +7,7 @@ gcc, povray and omnetpp are the AOS-heavy outliers.
 
 from conftest import publish
 
+from repro.compiler import lower_trace
 from repro.experiments.fig18 import run_fig18
 
 
@@ -30,5 +31,5 @@ def test_fig18_network_traffic(suite, benchmark):
     from repro.cpu.core import Simulator
 
     config = suite.config_for("watchdog")
-    lowered = suite.lowered("povray", "watchdog", config=config)
+    lowered = lower_trace(suite.trace("povray"), "watchdog", config)
     benchmark(lambda: Simulator(config).run(lowered))

@@ -10,6 +10,7 @@ import dataclasses
 from conftest import publish
 
 from repro.experiments import ArtifactCache, CellSpec
+from repro.experiments import parallel as engine
 from repro.experiments.common import ExperimentSuite, RunSettings
 from repro.experiments.parallel import run_cells
 
@@ -26,9 +27,9 @@ def _payloads(results):
     return {key: dataclasses.asdict(value) for key, value in results.items()}
 
 
-def test_parallel_engine_parity_and_cache(tmp_path, benchmark):
-    serial = run_cells(SETTINGS, SWEEP, jobs=1)
-    parallel = run_cells(SETTINGS, SWEEP, jobs=2)
+def test_parallel_engine_parity_and_cache(tmp_path, benchmark, monkeypatch):
+    serial, _ = run_cells(SETTINGS, SWEEP, jobs=1)
+    parallel, _ = run_cells(SETTINGS, SWEEP, jobs=2)
     assert _payloads(serial) == _payloads(parallel), "jobs must not change results"
 
     cache = ArtifactCache(tmp_path / "cache")
@@ -36,10 +37,18 @@ def test_parallel_engine_parity_and_cache(tmp_path, benchmark):
     cold.ensure_cells(SWEEP)
     assert cache.stats.stores >= len(SWEEP)
 
+    lowered = []
+    real_lower_trace = engine.lower_trace
+
+    def lower_trace(*args, **kwargs):
+        lowered.append(args[1])
+        return real_lower_trace(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "lower_trace", lower_trace)
     warm = ExperimentSuite(SETTINGS, cache=cache)
     warm.ensure_cells(SWEEP)
     assert warm.result_payloads() == cold.result_payloads()
-    assert warm.cache_info()["lowered"] == 0, "warm rerun must not re-lower"
+    assert lowered == [], "warm rerun must not re-lower"
 
     lines = [
         "Parallel engine parity (jobs=1 vs jobs=2): identical payloads "

@@ -1,8 +1,8 @@
 """Shared infrastructure for the per-figure/per-table benchmarks.
 
 One session-scoped :class:`ExperimentSuite` is shared by every benchmark so
-traces are generated and programs lowered exactly once; each bench then
-times a representative kernel with pytest-benchmark and regenerates its
+each cell is computed once per session; each bench then times a
+representative kernel with pytest-benchmark and regenerates its
 table/figure rows, printing them and archiving them under
 ``benchmarks/results/``.
 """

@@ -46,7 +46,7 @@ from .experiments.ablations import (
     ablation_quarantine,
     ablation_resize,
 )
-from .obs import ObsSettings, PhaseProfiler
+from .obs import PhaseProfiler
 from .supervise import trap_signals
 
 #: artifact name -> (description, needs timing suite?)
@@ -567,6 +567,8 @@ def run_trace_import(args, profiler: PhaseProfiler) -> int:
     )
     with profiler.phase("simulate"):
         name = suite.ingest_trace(args.target)
+        # Plans the baseline and the mechanism together: one trace task.
+        normalized = suite.normalized_time(name, args.mechanism)
         result = suite.result(name, args.mechanism)
         line = (
             f"simulated {name} under {args.mechanism}: "
@@ -574,7 +576,7 @@ def run_trace_import(args, profiler: PhaseProfiler) -> int:
             f"(IPC {result.ipc:.2f})"
         )
         if args.mechanism != "baseline":
-            line += f", {suite.normalized_time(name, args.mechanism):.3f}x baseline"
+            line += f", {normalized:.3f}x baseline"
         print(line)
     payload = json.dumps(
         dataclasses.asdict(result), sort_keys=True, separators=(",", ":")
@@ -929,11 +931,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             instructions=args.instructions,
             seed=args.seed,
             scale=args.scale,
-            # Metric sweeps collect counters only (no event ring): cheaper,
-            # and keeps cell results JSON-able for the cache/checkpoint.
-            obs=ObsSettings(enabled=True, tracing=False)
-            if args.metrics
-            else ObsSettings(),
+            metrics=args.metrics,
         ),
         jobs=args.jobs,
         cache=artifact_cache_from_args(args),

@@ -235,7 +235,8 @@ class BasePass:
 
     def _allocate_preamble(self, allocator: HeapAllocator) -> List[int]:
         """Allocate the preamble live set (untimed warm state) in bulk."""
-        return allocator.malloc_many(self.preamble_sizes.tolist())
+        # The sizes are below 2**63: the int64 view is the same numbers.
+        return allocator.malloc_many(self.preamble_sizes.view(np.int64))
 
     def _resolve(self, allocator: HeapAllocator) -> None:
         trace = self.trace

@@ -32,7 +32,6 @@ from .parallel import (
     default_cache_dir,
     default_cache_max_bytes,
     run_cells,
-    run_cells_supervised,
     simulate_cell,
     supervised_cell_key,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "default_cache_dir",
     "default_cache_max_bytes",
     "run_cells",
-    "run_cells_supervised",
     "simulate_cell",
     "supervised_cell_key",
     "run_fig11",

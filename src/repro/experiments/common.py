@@ -1,8 +1,12 @@
 """Shared experiment infrastructure: cached trace -> lowering -> simulation.
 
 The paper runs each SPEC workload once per system configuration; here one
-:class:`ExperimentSuite` instance memoises traces, lowered programs and
-simulation results so the figures can share work within a session.
+:class:`ExperimentSuite` instance memoises the cells' outcomes so the
+figures can share work within a session.  Every cell the suite does not
+know yet, planned or asked for one at a time, is computed the same way:
+:meth:`ExperimentSuite.ensure_cells` hands it to
+:func:`~repro.experiments.parallel.run_cells`, which generates, lowers
+and simulates it in a task of its trace.
 
 Every driver is a plan plus a render: its ``cells(suite, workloads)``
 lists the :class:`~repro.experiments.parallel.CellSpec` of every row —
@@ -17,8 +21,8 @@ find every cell known.  Two further layers live in
 :mod:`repro.experiments.parallel` and are wired in here:
 
 - ``jobs=N`` shards the pending cells of an ``ensure_cells`` call across
-  worker processes, one task per trace.  Results are bit-identical to
-  ``jobs=1``.
+  worker processes, one task per trace (``jobs=1`` runs the tasks in
+  this process).  Results are bit-identical at any ``jobs``.
 - ``cache=`` attaches a persistent cross-session
   :class:`~repro.experiments.parallel.ArtifactCache`: every lookup goes
   memo -> artifact cache -> simulate, and each simulated cell is stored
@@ -30,20 +34,18 @@ find every cell known.  Two further layers live in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 import dataclasses
 
 if TYPE_CHECKING:
-    from .parallel import ArtifactCache, CellSpec, TraceMemo
+    from .parallel import ArtifactCache, CellSpec
 
 from ..config import CacheConfig, MemoryHierarchyConfig, SystemConfig, default_config
-from ..compiler import LoweredWorkload
 from ..cpu.core import SimulationResult
 from ..cpu.pipeline import PipelineResult
-from ..obs import ObsSettings, merge_snapshots
+from ..obs import merge_snapshots
 from ..workloads import WorkloadTrace
 
 #: The 16 SPEC CPU 2006 workloads, in the paper's presentation order.
@@ -66,16 +68,16 @@ class RunSettings:
     sharpen the statistics at a cost linear in ``instructions``: the CLI
     runs 40_000 by default, ``--quick`` 12_000.
 
-    ``obs`` selects per-cell observability (disabled by default).  It is
-    part of the settings — and therefore of every cache fingerprint — so
-    metric-bearing results are never conflated with plain ones in the
-    artifact cache.
+    ``metrics=True`` has every cell collect a metrics snapshot (off by
+    default).  It is part of the settings — and therefore of every cache
+    fingerprint — so metric-bearing results are never conflated with
+    plain ones in the artifact cache.
     """
 
     instructions: int = 60_000
     seed: int = 7
     scale: int = 8
-    obs: ObsSettings = ObsSettings()
+    metrics: bool = False
 
 
 def scaled_config(mechanism: str, scale: int) -> SystemConfig:
@@ -125,7 +127,8 @@ def _result_from_payload(payload: dict) -> SimulationResult:
 
 
 class ExperimentSuite:
-    """Memoising runner for the timing experiments."""
+    """Memoising runner for the timing experiments: every cell it does
+    not know is computed by :meth:`ensure_cells`."""
 
     def __init__(
         self,
@@ -146,8 +149,11 @@ class ExperimentSuite:
         :attr:`supervision_reports`.  The cells of a quarantined group
         stay uncomputed and are never simulated in this process: a later
         :meth:`ensure_cells` skips them and :meth:`result` raises
-        :class:`~repro.errors.QuarantinedCellError`.  A supervised
-        suite's :meth:`result` on an unplanned cell dispatches it too.
+        :class:`~repro.errors.QuarantinedCellError`.
+
+        ``jobs``, ``supervise`` and ``paranoid`` hold for every cell the
+        suite computes: :meth:`result` on an unplanned cell goes through
+        :meth:`ensure_cells` like a planned one.
 
         ``paranoid=True`` audits every simulated cell's drained MCU/HBT
         state through the invariant oracle; violations raise
@@ -169,9 +175,8 @@ class ExperimentSuite:
         self.supervision_reports: List = []
         #: Ingested trace workloads: alias -> (file path, sha256, scale).
         self._ingested: Dict[str, Tuple[str, str, int]] = {}
-        #: Traces and their lowering memos by (workload, trace variant).
+        #: Traces by (workload, trace variant), for :meth:`trace`.
         self._traces: Dict[Tuple[str, Optional[str]], WorkloadTrace] = {}
-        self._memos: Dict[Tuple[str, Optional[str]], "TraceMemo"] = {}
         self._results: Dict[Tuple[str, str], SimulationResult] = {}
         #: Fig. 16 instruction counts of the mix cells, kept apart from
         #: the simulation results.
@@ -256,27 +261,6 @@ class ExperimentSuite:
             self._traces[key] = trace
         return self._traces[key]
 
-    def _memo(self, workload: str, variant: Optional[str] = None) -> "TraceMemo":
-        key = (workload, variant)
-        memo = self._memos.get(key)
-        if memo is None:
-            from .parallel import TraceMemo
-
-            memo = self._memos[key] = TraceMemo(partial(self.trace, workload, variant))
-        return memo
-
-    def lowered(
-        self,
-        workload: str,
-        mechanism: str,
-        config: Optional[SystemConfig] = None,
-    ) -> LoweredWorkload:
-        """``mechanism``'s lowering of ``workload`` under ``config``
-        (default: the unscaled Table IV config), from the workload's
-        memo: configs that differ only outside the PA, HBT-geometry and
-        bounds-compression fields share one lowering."""
-        return self._memo(workload).lowered(mechanism, config)
-
     def result(
         self,
         workload: str,
@@ -291,33 +275,21 @@ class ExperimentSuite:
 
     def outcome(self, cell: "CellSpec") -> Union[SimulationResult, dict]:
         """The memoised outcome of ``cell``: its :class:`SimulationResult`,
-        or a mix cell's Fig. 16 counts.  A miss reads the artifact cache,
-        then runs the cell in-process (a supervised suite dispatches it).
-        Raises :class:`~repro.errors.QuarantinedCellError` for a cell the
-        supervisor quarantined."""
-        from .parallel import run_cell, supervised_cell_key
-
+        or a mix cell's Fig. 16 counts.  A cell not yet known goes through
+        :meth:`ensure_cells`.  Raises
+        :class:`~repro.errors.QuarantinedCellError` for a cell the
+        supervisor quarantined (a quarantined cell is not dispatched
+        again)."""
         cell = self._ingested_cell(cell)
         known = self._mixes if cell.mix else self._results
-        if self._supervise is not None and cell.cache_key not in known:
+        if cell.cache_key not in known:
             self.ensure_cells([cell])
         if cell.cache_key in self._quarantined:
             from ..errors import QuarantinedCellError
+            from .parallel import supervised_cell_key
 
             reason = self._quarantined[cell.cache_key]
             raise QuarantinedCellError(supervised_cell_key(cell), reason)
-        if cell.cache_key not in known:
-            result = self._known_result(cell)
-            if result is None:
-                result = run_cell(
-                    self.settings,
-                    cell,
-                    memo=self._memo(cell.workload, cell.variant),
-                    paranoid=self.paranoid,
-                )
-                self._store(cell, result)
-            else:
-                self._remember(cell, result)
         return known[cell.cache_key]
 
     def _identity(self, cell: "CellSpec") -> tuple:
@@ -374,18 +346,14 @@ class ExperimentSuite:
     def ensure_cells(self, cells: Iterable["CellSpec"]) -> None:
         """Compute every cell not already known, in one dispatch over ``jobs``.
 
-        The lookup order per cell is memo -> artifact cache -> simulate;
-        only the last bucket is fanned out to worker processes, one task
-        per trace, so each trace is generated once per call.  Each result
+        The lookup order per cell is memo -> artifact cache ->
+        :func:`~repro.experiments.parallel.run_cells`; the last bucket is
+        one dispatch, one task per trace, so each trace is generated once
+        per call.  Each result
         is stored in the memo and the artifact cache as its task lands.
         Quarantined cells count as known: they are not dispatched again.
         """
-        from .parallel import (
-            run_cells,
-            run_cells_supervised,
-            supervised_cell_key,
-            trace_group_key,
-        )
+        from .parallel import run_cells, supervised_cell_key, trace_group_key
 
         # Pending cells with one identity are computed once, for all.
         twins: Dict[tuple, List["CellSpec"]] = {}
@@ -417,22 +385,16 @@ class ExperimentSuite:
             for twin in twins_of[cell.cache_key][1:]:
                 self._remember(twin, result)
 
-        if self._supervise is None:
-            run_cells(
-                self.settings,
-                pending,
-                jobs=self.jobs,
-                paranoid=self.paranoid,
-                on_cell=landed,
-            )
-            return
-        computed, report = run_cells_supervised(
+        computed, report = run_cells(
             self.settings,
             pending,
-            config=self._supervise,
+            jobs=self.jobs,
+            supervise=self._supervise,
             paranoid=self.paranoid,
             on_cell=landed,
         )
+        if report is None:  # unsupervised: every cell landed or one raised
+            return
         self.supervision_reports.append(report)
         for cell in pending:
             if cell.cache_key not in computed:  # never stored, never re-run
@@ -478,28 +440,19 @@ class ExperimentSuite:
 
     # ------------------------------------------------------ cache management
     #
-    # The three memo caches grow as O(workloads x mechanisms) and are never
-    # evicted — fine for one figure, unbounded for a long campaign looping
-    # over settings.  cache_info()/clear_caches() let campaign drivers keep
+    # The memos grow as O(workloads x mechanisms) and are never evicted —
+    # fine for one figure, unbounded for a long campaign looping over
+    # settings.  cache_info()/clear_caches() let campaign drivers keep
     # memory flat between sweeps (results stay recoverable via the artifact
     # cache, when one is attached).
 
     def cache_info(self) -> Dict[str, int]:
-        """Entry counts of the memo caches (traces / lowered programs /
-        results)."""
-        return {
-            "traces": len(self._traces),
-            "lowered": sum(len(memo) for memo in self._memos.values()),
-            "results": len(self._results),
-        }
+        """Entry counts of the memos (traces / results)."""
+        return {"traces": len(self._traces), "results": len(self._results)}
 
-    def clear_caches(self, traces: bool = True) -> None:
-        """Drop memoised state.  ``traces=False`` keeps the (cheap to hold,
-        expensive to regenerate) raw traces and clears only the lowered
-        programs and simulation results."""
-        if traces:
-            self._traces.clear()
-        self._memos.clear()
+    def clear_caches(self) -> None:
+        """Drop memoised traces and outcomes."""
+        self._traces.clear()
         self._results.clear()
         self._mixes.clear()
         self._simulated.clear()
@@ -514,6 +467,24 @@ class ExperimentSuite:
     # the mechanism run only, so a custom ``config=`` silently compared a
     # tuned mechanism against an untuned baseline with no way to fix it.)
 
+    def _pair(
+        self,
+        workload: str,
+        mechanism: str,
+        config: Optional[SystemConfig],
+        key: Optional[str],
+        baseline_config: Optional[SystemConfig],
+        baseline_key: Optional[str],
+    ) -> Tuple[SimulationResult, SimulationResult]:
+        """The baseline and ``mechanism`` results, planned in one
+        :meth:`ensure_cells` call so that they share one trace task."""
+        from .parallel import CellSpec
+
+        base = CellSpec(workload, "baseline", config=baseline_config, key=baseline_key)
+        run = CellSpec(workload, mechanism, config=config, key=key)
+        self.ensure_cells([base, run])
+        return self.outcome(base), self.outcome(run)
+
     def normalized_time(
         self,
         workload: str,
@@ -524,10 +495,9 @@ class ExperimentSuite:
         baseline_key: Optional[str] = None,
     ) -> float:
         """``mechanism`` cycles over baseline cycles (see contract above)."""
-        base = self.result(
-            workload, "baseline", config=baseline_config, key=baseline_key
+        base, run = self._pair(
+            workload, mechanism, config, key, baseline_config, baseline_key
         )
-        run = self.result(workload, mechanism, config=config, key=key)
         if base.cycles == 0:
             return 1.0  # degenerate empty-window run (mirror traffic guard)
         return run.cycles / base.cycles
@@ -542,10 +512,9 @@ class ExperimentSuite:
         baseline_key: Optional[str] = None,
     ) -> float:
         """``mechanism`` traffic over baseline traffic (see contract above)."""
-        base = self.result(
-            workload, "baseline", config=baseline_config, key=baseline_key
+        base, run = self._pair(
+            workload, mechanism, config, key, baseline_config, baseline_key
         )
-        run = self.result(workload, mechanism, config=config, key=key)
         if base.network_traffic_bytes == 0:
             return 1.0
         return run.network_traffic_bytes / base.network_traffic_bytes

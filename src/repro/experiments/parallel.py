@@ -1,20 +1,19 @@
 """Parallel experiment engine and persistent cross-session artifact cache.
 
-The serial :class:`~repro.experiments.common.ExperimentSuite` computes its
-16-workload x 5-mechanism sweep one cell at a time in one process and
-forgets everything when the session ends.  This module adds the two missing
-layers:
+:class:`~repro.experiments.common.ExperimentSuite` memoises a session's
+cells; this module computes them and keeps them across sessions.
 
-**Parallel execution** — :func:`run_cells` groups (workload, mechanism)
-simulation cells by trace and shards the groups over worker processes
-through :func:`repro.supervise.dispatch`, one task per trace.  Every cell
-is described by a picklable :class:`CellSpec`; a task generates its trace
-once and runs its cells through :func:`run_cell` — the same pure function
-the serial path uses — sharing one :class:`TraceMemo`, so the cells of
-one trace share one base pass and lower each distinct program, signed
-preamble and HBT prototype once.  Results are bit-identical to
-serial ones and merge back into the suite's memo in deterministic cell
-order regardless of worker completion order.
+**Execution** — :func:`run_cells` is the one way a cell is computed.  It
+groups (workload, mechanism) cells by trace and shards the groups over
+worker processes through :func:`repro.supervise.dispatch`, one task per
+trace, in-process at ``jobs=1`` and under the supervisor when asked.
+Every cell is described by a picklable :class:`CellSpec`; a task
+generates its trace once and runs its cells through :func:`run_cell`,
+sharing one :class:`TraceMemo`, so the cells of one trace share one base
+pass and lower each distinct program, signed preamble and HBT prototype
+once.  Results are bit-identical at any ``jobs`` and merge back into the
+suite's memo in deterministic cell order regardless of worker completion
+order.
 
 **Persistent artifact cache** — :class:`ArtifactCache` stores generated
 traces and :class:`~repro.cpu.core.SimulationResult` payloads under
@@ -42,8 +41,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 from ..compiler import LoweredWorkload, lower_trace
 from ..compiler.base import BasePass
 from ..compiler.passes import HBTFactory, base_policy, resolve_lowering
-from ..config import SystemConfig, default_config
+from ..config import SystemConfig
 from ..cpu.core import SimulationResult, Simulator
+from ..obs import Observability
 from ..workloads import WorkloadTrace, generate_trace, get_profile
 from .common import RunSettings, scaled_config
 
@@ -185,7 +185,7 @@ def cell_fingerprint(settings: RunSettings, cell: CellSpec) -> str:
         body.update(
             ingested=True,
             trace_digest=cell.trace_digest,
-            obs=dataclasses.asdict(settings.obs),
+            metrics=settings.metrics,
         )
     else:
         body.update(
@@ -546,14 +546,13 @@ class TraceMemo:
 
     ``uses`` lists the (mechanism, config) of every cell the memo will
     serve; each product is dropped after its last use, so a group holds
-    only the products it still needs.  Without ``uses`` (the suite's
-    memo) products are kept until the memo is dropped.
+    only the products it still needs.
     """
 
     def __init__(
         self,
         load_trace: Callable[[], WorkloadTrace],
-        uses: Optional[Iterable[Tuple[str, SystemConfig]]] = None,
+        uses: Iterable[Tuple[str, SystemConfig]],
     ) -> None:
         self._load_trace = load_trace
         self._trace: Optional[WorkloadTrace] = None
@@ -561,15 +560,9 @@ class TraceMemo:
         self._lowerings: Dict[tuple, LoweredWorkload] = {}
         self._factories: Dict[tuple, HBTFactory] = {}
         self._products: Dict[tuple, LoweredWorkload] = {}
-        self._remaining: Optional[Counter] = None
-        if uses is not None:
-            self._remaining = Counter()
-            for mechanism, config in uses:
-                self._remaining.update(self._keys(mechanism, config))
-
-    def __len__(self) -> int:
-        """Lowered programs currently held."""
-        return len(self._lowerings)
+        self._remaining = Counter()
+        for mechanism, config in uses:
+            self._remaining.update(self._keys(mechanism, config))
 
     @property
     def trace(self) -> WorkloadTrace:
@@ -587,13 +580,8 @@ class TraceMemo:
         hbt = (*pa, *geometry) if token in ("aos", "pa+aos") else None
         return (base_policy(token),), lowering, hbt, lowering + geometry
 
-    def lowered(
-        self, mechanism: str, config: Optional[SystemConfig] = None
-    ) -> LoweredWorkload:
-        """``mechanism``'s lowering under ``config`` (default: the
-        mechanism's Table IV config, as :func:`lower_trace`)."""
-        if config is None:
-            config = default_config(resolve_lowering(mechanism))
+    def lowering(self, mechanism: str, config: SystemConfig) -> LoweredWorkload:
+        """``mechanism``'s lowering under ``config``."""
         base, lowering, hbt, product_key = keys = self._keys(mechanism, config)
         product = self._products.get(product_key)
         if product is None:
@@ -611,12 +599,11 @@ class TraceMemo:
                     self._factories[hbt] = factory
                 product = dataclasses.replace(product, hbt_factory=factory)
             self._products[product_key] = product
-        if self._remaining is not None:
-            self._remaining.subtract(keys)
-            stores = (self._bases, self._lowerings, self._factories, self._products)
-            for key, store in zip(keys, stores):
-                if self._remaining[key] <= 0:
-                    store.pop(key, None)
+        self._remaining.subtract(keys)
+        stores = (self._bases, self._lowerings, self._factories, self._products)
+        for key, store in zip(keys, stores):
+            if self._remaining[key] <= 0:
+                store.pop(key, None)
         return product
 
 
@@ -628,52 +615,51 @@ def simulate_cell(
 ) -> SimulationResult:
     """Run one cell: trace -> lowering -> simulation.
 
-    This is the single simulation implementation: pool workers, the
-    supervisor and :meth:`ExperimentSuite.result` all call exactly this
-    function with exactly these (deterministic) inputs, which is what
-    makes every executor bit-identical to a serial run.  ``memo`` is the
+    This is the single simulation implementation: every task of
+    :func:`run_cells`, supervised or not, calls exactly this function
+    with exactly these (deterministic) inputs, which is what makes every
+    executor bit-identical to a serial run.  ``memo`` is the
     :class:`TraceMemo` of the cell's trace, shared with the other cells of
-    its group (or the suite); without it the cell builds its own trace and
-    lowering.  Either way generation and lowering run inside this call.
+    its group; without it the cell builds its own trace and lowering.
+    Either way generation and lowering run inside this call.
 
     ``paranoid=True`` audits the drained MCU/HBT state through the
     invariant oracle before the result is accepted; a violated invariant
     raises :class:`~repro.errors.InvariantViolation` instead of returning
     a silently-corrupt measurement.
 
-    ``settings.obs`` travels as picklable :class:`~repro.obs.ObsSettings`;
-    each worker builds its own live :class:`~repro.obs.Observability` here
-    and returns only the JSON-able snapshot in ``SimulationResult.metrics``
-    — live registries and tracers never cross the process boundary.
+    With ``settings.metrics`` each worker builds its own live
+    :class:`~repro.obs.Observability` here and returns only the JSON-able
+    snapshot in ``SimulationResult.metrics``: live registries never cross
+    the process boundary.
     """
     config = cell.resolved_config(settings)
     if memo is None:
-        memo = TraceMemo(partial(load_cell_trace, settings, cell))
-    lowered = memo.lowered(cell.mechanism, config)
+        memo = TraceMemo(
+            partial(load_cell_trace, settings, cell), [(cell.mechanism, config)]
+        )
+    lowered = memo.lowering(cell.mechanism, config)
     inspect = None
     if paranoid:
         from ..supervise.oracle import InvariantOracle
 
         inspect = InvariantOracle().inspector(supervised_cell_key(cell))
-    return Simulator(config, obs=settings.obs.create()).run(lowered, inspect=inspect)
+    obs = Observability() if settings.metrics else None
+    return Simulator(config, obs=obs).run(lowered, inspect=inspect)
 
 
 def run_cell(
-    settings: RunSettings,
-    cell: CellSpec,
-    memo: Optional[TraceMemo] = None,
-    paranoid: bool = False,
+    settings: RunSettings, cell: CellSpec, memo: TraceMemo, paranoid: bool = False
 ) -> Union[SimulationResult, dict]:
-    """One cell's outcome: :func:`simulate_cell`'s result, or for a mix
-    cell the Fig. 16 counts of its lowered program (never simulated)."""
+    """One cell's outcome through its group's ``memo``:
+    :func:`simulate_cell`'s result, or for a mix cell the Fig. 16 counts
+    of its lowered program (never simulated)."""
     if not cell.mix:
         return simulate_cell(settings, cell, memo=memo, paranoid=paranoid)
     from .fig16 import instruction_mix
 
-    if memo is None:
-        memo = TraceMemo(partial(load_cell_trace, settings, cell))
     config = cell.resolved_config(settings)
-    return instruction_mix(memo.lowered(cell.mechanism, config))
+    return instruction_mix(memo.lowering(cell.mechanism, config))
 
 
 def _group_worker(args: tuple) -> List[Union[SimulationResult, dict]]:
@@ -690,18 +676,38 @@ def _group_worker(args: tuple) -> List[Union[SimulationResult, dict]]:
 # ------------------------------------------------------------------- engine
 
 
-def _dispatch_cells(
+def run_cells(
     settings: RunSettings,
     cells: Iterable[CellSpec],
-    paranoid: bool,
     jobs: int = 1,
     supervise=None,
+    paranoid: bool = False,
     on_cell: Optional[Callable[[CellSpec, SimulationResult], None]] = None,
 ):
-    """One :func:`repro.supervise.dispatch` call with one task per trace
-    group, or per cell when there are fewer traces than workers; returns
-    ``({cell.cache_key: SimulationResult}, report)`` in cell order.
-    ``on_cell(cell, result)`` sees each cell as soon as its task lands."""
+    """Simulate ``cells``, one task per trace over ``jobs`` worker processes.
+
+    Returns ``({cell.cache_key: SimulationResult}, report)`` in input
+    order.  The cells of one trace run in one task through one
+    :class:`TraceMemo`; with fewer traces than workers each cell is its
+    own task instead, so no worker idles.  Every task rebuilds its cells
+    from the picklable specs, so results are identical at any ``jobs``.
+    ``on_cell(cell, result)`` is called for each cell as its task lands
+    (in completion order), so a caller can persist results before the
+    whole batch is done.
+
+    Without ``supervise`` the report is None and a failing cell raises
+    the worker's own exception.  With a
+    :class:`~repro.supervise.SupervisorConfig` the supervised unit is one
+    task: a hung or crashing one is retried with backoff and a repeat
+    offender quarantined instead of failing the run; every task runs in a
+    worker process, so none can take the caller down.  ``deadline_s``
+    keeps its per-cell meaning: a task may run for it times the largest
+    group's cell count.  The cells of a quarantined task are *absent*
+    from the results and ``report.quarantined`` names the task by
+    :func:`trace_group_key` (by :func:`supervised_cell_key` when each
+    cell was its own task), so no such cell can be mistaken for a
+    measurement or poison a cache.
+    """
     from ..supervise import Task, dispatch
 
     cells = list(cells)
@@ -723,9 +729,8 @@ def _dispatch_cells(
         Task(key=key, payload=(settings, tuple(group), paranoid))
         for key, group in groups.items()
     ]
-    traced = settings.obs.enabled and settings.obs.tracing
     forks = supervise is not None or (jobs > 1 and len(tasks) > 1)
-    if tasks and forks and not traced:
+    if tasks and forks:
         # The workers fork from this process: build or load the fast kernel
         # here once, so that every worker inherits it.
         from ..kernel.fast import native
@@ -745,54 +750,3 @@ def _dispatch_cells(
     }
     ordered = [cell.cache_key for cell in cells if cell.cache_key in computed]
     return {key: computed[key] for key in ordered}, report
-
-
-def run_cells(
-    settings: RunSettings,
-    cells: Iterable[CellSpec],
-    jobs: int = 1,
-    paranoid: bool = False,
-    on_cell: Optional[Callable[[CellSpec, SimulationResult], None]] = None,
-) -> Dict[Tuple[str, str], SimulationResult]:
-    """Simulate ``cells``, one task per trace over ``jobs`` worker processes.
-
-    Returns ``{cell.cache_key: SimulationResult}`` in input order.  The
-    cells of one trace run in one task through one :class:`TraceMemo`;
-    with fewer traces than ``jobs`` each cell is its own task instead, so
-    no worker idles.  Every task rebuilds its cells from the picklable
-    specs, so results are identical at any ``jobs``.  A failing cell
-    raises the worker's own exception.  ``on_cell(cell, result)`` is
-    called for each cell as its task lands (in completion order), so a
-    caller can persist results before the whole batch is done.
-    """
-    return _dispatch_cells(settings, cells, paranoid, jobs=jobs, on_cell=on_cell)[0]
-
-
-def run_cells_supervised(
-    settings: RunSettings,
-    cells: Iterable[CellSpec],
-    config=None,
-    paranoid: bool = False,
-    on_cell: Optional[Callable[[CellSpec, SimulationResult], None]] = None,
-):
-    """Simulate ``cells`` under the supervision layer.
-
-    Like :func:`run_cells`, but the supervised unit is one trace group:
-    a hung or crashing group is retried with backoff, a repeat offender
-    is quarantined instead of failing the run; every group runs in a
-    worker process, so none can take the caller down.  ``deadline_s``
-    keeps its per-cell meaning: a group's task may run for it times the
-    largest group's cell count.  Returns ``({cell.cache_key:
-    SimulationResult}, report)``; every cell of a quarantined group is
-    *absent* from the results dict and ``report.quarantined`` names the
-    group by :func:`trace_group_key` (by :func:`supervised_cell_key` when
-    fewer traces than workers made each cell its own task), so no such
-    cell can be mistaken for a measurement or poison a cache.
-    ``on_cell`` is as for :func:`run_cells`.
-    """
-    from ..supervise import SupervisorConfig
-
-    supervise = config if config is not None else SupervisorConfig()
-    return _dispatch_cells(
-        settings, cells, paranoid, supervise=supervise, on_cell=on_cell
-    )

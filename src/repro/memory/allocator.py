@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -212,7 +212,7 @@ class HeapAllocator:
             self.stats.on_alloc(size - HEADER_SIZE)
         return payload
 
-    def malloc_many(self, requests: Sequence[int]) -> List[int]:
+    def malloc_many(self, requests: Union[Sequence[int], np.ndarray]) -> List[int]:
         """Allocate every request in order: the same payloads, chunk
         registry, header bytes and stats as calling :meth:`malloc` on each.
 
@@ -223,21 +223,23 @@ class HeapAllocator:
         set on a fresh heap).  The chunks join the run, which builds each
         registry entry on the first lookup of its address, and the header
         words go to :meth:`SparseMemory.write_u64_many`, which creates no
-        page.  A heap with free chunks, a negative request or a request
+        page.  An ``int64`` array of requests is used as is, without a
+        copy.  A heap with free chunks, a negative request or a request
         list the heap cannot hold takes the ``malloc`` loop, which also
         raises where the loop would.
         """
+        array = isinstance(requests, np.ndarray)
         room = self.layout.heap_end - self._brk
         if (
-            not requests
+            len(requests) == 0
             or any(self._tcache.values())
             or any(self._fastbins.values())
             or any(self._bins.values())
-            or min(requests) < 0
-            or max(requests) > room
+            or (requests.min() if array else min(requests)) < 0
+            or (requests.max() if array else max(requests)) > room
         ):
-            return [self.malloc(request) for request in requests]
-        wanted = np.array(requests, dtype=np.int64)
+            return self._malloc_each(requests)
+        wanted = np.asarray(requests, dtype=np.int64)
         # chunk_size_for_request(max(request, 1)), array-wise.
         sizes = np.maximum(
             (np.maximum(wanted, 1) + (HEADER_SIZE + ALIGNMENT - 1)) & -ALIGNMENT,
@@ -245,7 +247,7 @@ class HeapAllocator:
         )
         ends = self._brk + np.cumsum(sizes)
         if int(ends[-1]) > self.layout.heap_end:  # the loop raises part way
-            return [self.malloc(request) for request in requests]
+            return self._malloc_each(requests)
         addresses = ends - sizes
         self.memory.write_u64_many(addresses + 8, sizes | PREV_INUSE)
         # The frontier only grows, so the run stays ascending.
@@ -262,6 +264,12 @@ class HeapAllocator:
         stats.bytes_allocated += int(sizes.sum()) - HEADER_SIZE * count
         stats.max_active = max(stats.max_active, stats.active)
         return (addresses + HEADER_SIZE).tolist()
+
+    def _malloc_each(self, requests: Union[Sequence[int], np.ndarray]) -> List[int]:
+        """:meth:`malloc` on each request in turn (an array's as Python ints)."""
+        if isinstance(requests, np.ndarray):
+            requests = requests.tolist()
+        return [self.malloc(request) for request in requests]
 
     def _take_cached(self, size: int) -> Optional[int]:
         """Try the tcache then the fastbins (LIFO, no coalescing)."""

@@ -15,15 +15,14 @@ Three layers, all optional and all deterministic:
 
 Components take an ``obs`` handle (an :class:`Observability`, or ``None``
 — the default, costing one attribute test per instrumentation point).
-:class:`ObsSettings` is the picklable description of what to collect; it
-rides on :class:`~repro.experiments.common.RunSettings` so worker
-processes rebuild an equivalent live :class:`Observability` locally and
-return metric snapshots through their ``SimulationResult``.
+``RunSettings.metrics`` (see :mod:`repro.experiments.common`) asks for a
+registry in every simulated cell: each worker process builds its own
+live :class:`Observability` and returns the metric snapshot through the
+cell's ``SimulationResult``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .chrome import (
@@ -47,30 +46,6 @@ from .tracer import EventTracer, TraceEvent, read_jsonl, span_pairs
 #: Default ring capacity: enough for every event of a --quick window while
 #: bounding a full-length run to a few MB of retained events.
 DEFAULT_TRACE_CAPACITY = 65536
-
-
-@dataclass(frozen=True)
-class ObsSettings:
-    """Picklable observability configuration carried by ``RunSettings``.
-
-    ``enabled=False`` (the default) means no registry, no tracer and no
-    per-event work anywhere in the simulator — the disabled-mode overhead
-    is a ``None`` test per instrumentation point.  ``tracing=False``
-    collects metrics only (cheaper; what ``--metrics`` sweeps use);
-    ``trace_capacity`` bounds the event ring.
-    """
-
-    enabled: bool = False
-    tracing: bool = True
-    trace_capacity: int = DEFAULT_TRACE_CAPACITY
-
-    def create(self) -> Optional["Observability"]:
-        """A live :class:`Observability` for these settings (None if off)."""
-        if not self.enabled:
-            return None
-        return Observability(
-            tracer=EventTracer(self.trace_capacity) if self.tracing else None
-        )
 
 
 class Observability:
@@ -109,7 +84,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "ObsSettings",
     "Observability",
     "PhaseProfiler",
     "TraceEvent",

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,8 +35,8 @@ INSTRUCTIONS = 1000
 
 
 def malloc_loop(allocator, requests):
-    """The reference: one ``malloc`` per request."""
-    return [allocator.malloc(request) for request in requests]
+    """The reference: one ``malloc`` per request (an array's as ints)."""
+    return [allocator.malloc(int(request)) for request in requests]
 
 
 def heap_state(allocator: HeapAllocator) -> dict:
@@ -108,10 +109,15 @@ sizes = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(requests=sizes)
 def test_fresh_heap_property(requests):
-    """Random request lists, 0 and sizes beyond ``TCACHE_MAX`` included."""
-    bulk, loop = HeapAllocator(SparseMemory()), HeapAllocator(SparseMemory())
-    assert bulk.malloc_many(requests) == malloc_loop(loop, requests)
-    assert heap_state(bulk) == heap_state(loop)
+    """Random request lists, 0 and sizes beyond ``TCACHE_MAX`` included,
+    as a list and as the ``int64`` column a base pass hands over."""
+    bulk, column, loop = (HeapAllocator(SparseMemory()) for _ in range(3))
+    want = malloc_loop(loop, requests)
+    assert bulk.malloc_many(requests) == want
+    payloads = column.malloc_many(np.array(requests, dtype=np.int64))
+    assert payloads == want
+    assert all(type(payload) is int for payload in payloads)
+    assert heap_state(bulk) == heap_state(loop) == heap_state(column)
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,9 +255,11 @@ def test_refusals_raise_where_the_loop_does(requests):
     """A negative request, or more than the heap holds: the same error
     after the same partial allocation."""
     layout = AddressSpaceLayout(heap_size=0x1000)
-    heaps = [HeapAllocator(SparseMemory(), layout) for _ in range(2)]
+    heaps = [HeapAllocator(SparseMemory(), layout) for _ in range(3)]
     with pytest.raises(AllocatorError):
         heaps[0].malloc_many(requests)
     with pytest.raises(AllocatorError):
-        malloc_loop(heaps[1], requests)
-    assert heap_state(heaps[0]) == heap_state(heaps[1])
+        heaps[1].malloc_many(np.array(requests, dtype=np.int64))
+    with pytest.raises(AllocatorError):
+        malloc_loop(heaps[2], requests)
+    assert heap_state(heaps[0]) == heap_state(heaps[2]) == heap_state(heaps[1])

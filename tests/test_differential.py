@@ -9,14 +9,15 @@ byte-identical results and metric snapshots at the same seed.
 import dataclasses
 import json
 
+from repro.compiler import lower_trace
+from repro.cpu.core import Simulator
 from repro.experiments import CellSpec, RunSettings, cell_fingerprint
-from repro.experiments.common import ExperimentSuite
-from repro.experiments.parallel import run_cells, simulate_cell
-from repro.obs import ObsSettings
+from repro.experiments.common import ExperimentSuite, scaled_config
+from repro.experiments.parallel import generate_cell_trace, run_cells, simulate_cell
+from repro.obs import DEFAULT_TRACE_CAPACITY, EventTracer, Observability
 
 PLAIN = RunSettings(instructions=4000, seed=7, scale=8)
-METRICS = dataclasses.replace(PLAIN, obs=ObsSettings(enabled=True, tracing=False))
-TRACING = dataclasses.replace(PLAIN, obs=ObsSettings(enabled=True, tracing=True))
+METRICS = dataclasses.replace(PLAIN, metrics=True)
 
 SMALL_SWEEP = [
     CellSpec(workload, mechanism)
@@ -35,8 +36,8 @@ def canonical(snapshot):
 
 class TestExecutionStrategiesAgree:
     def test_serial_vs_parallel_with_metrics(self):
-        serial = run_cells(METRICS, SMALL_SWEEP, jobs=1)
-        parallel = run_cells(METRICS, SMALL_SWEEP, jobs=2)
+        serial, _ = run_cells(METRICS, SMALL_SWEEP, jobs=1)
+        parallel, _ = run_cells(METRICS, SMALL_SWEEP, jobs=2)
         assert payloads(serial) == payloads(parallel)
         # The metric snapshots themselves crossed the process boundary.
         for result in parallel.values():
@@ -45,7 +46,7 @@ class TestExecutionStrategiesAgree:
     def test_simulate_cell_matches_engine_with_metrics(self):
         cell = CellSpec("gobmk", "aos")
         direct = simulate_cell(METRICS, cell)
-        via_engine = run_cells(METRICS, [cell], jobs=2)[cell.cache_key]
+        via_engine = run_cells(METRICS, [cell], jobs=2)[0][cell.cache_key]
         assert dataclasses.asdict(direct) == dataclasses.asdict(via_engine)
 
     def test_cache_replay_preserves_metrics(self, tmp_path):
@@ -72,9 +73,13 @@ class TestObservationDoesNotPerturb:
         assert plain == observed  # cycles, stats, traffic: all identical
 
     def test_tracing_does_not_change_metrics(self):
-        cell = CellSpec("gobmk", "aos")
-        metrics_only = simulate_cell(METRICS, cell)
-        with_tracer = simulate_cell(TRACING, cell)
+        config = scaled_config("aos", PLAIN.scale)
+        trace = generate_cell_trace(PLAIN, "gobmk")
+        lowered = lower_trace(trace, "aos", config)
+        metrics_only = Simulator(config, obs=Observability()).run(lowered)
+        traced = Observability(tracer=EventTracer(DEFAULT_TRACE_CAPACITY))
+        with_tracer = Simulator(config, obs=traced).run(lowered)
+        assert traced.tracer.events()
         assert canonical(metrics_only.metrics) == canonical(with_tracer.metrics)
 
     def test_merged_snapshot_deterministic_across_suites(self):
@@ -97,10 +102,11 @@ class TestObservationDoesNotPerturb:
 
 
 class TestObsSettingsInFingerprints:
+    """The observability switch, ``RunSettings.metrics``, in cache keys."""
+
     def test_obs_settings_bifurcate_cache_keys(self):
         cell = CellSpec("gcc", "aos")
         assert cell_fingerprint(PLAIN, cell) != cell_fingerprint(METRICS, cell)
-        assert cell_fingerprint(METRICS, cell) != cell_fingerprint(TRACING, cell)
 
     def test_cell_metrics_only_lists_observed_cells(self):
         observed = ExperimentSuite(METRICS)

@@ -87,10 +87,11 @@ class TestFig16:
     def test_mix_counts_equal_a_per_instruction_loop(self, suite):
         """The array-wise mix gives the counts of a loop over the µops, as
         plain ints (the cached mix payloads are compared as JSON)."""
+        from repro.compiler import lower_trace
         from repro.experiments.fig16 import CATEGORIES, instruction_mix
         from repro.isa.instructions import Op
 
-        lowered = suite.lowered("gcc", "pa+aos")
+        lowered = lower_trace(suite.trace("gcc"), "pa+aos")
         va_mask = lowered.pointer_layout.va_mask
         pac_ops = {
             Op.PACIA, Op.AUTIA, Op.PACDA, Op.AUTDA, Op.PACMA, Op.AUTM, Op.XPAC,
@@ -164,21 +165,21 @@ class TestSuiteCaching:
 
     def test_cache_info_counts(self):
         local = ExperimentSuite(RunSettings(instructions=4_000, seed=3, scale=8))
-        assert local.cache_info() == {"traces": 0, "lowered": 0, "results": 0}
+        assert local.cache_info() == {"traces": 0, "results": 0}
+        # A cell's trace is generated in its task, not memoised here.
         local.result("povray", "baseline")
-        info = local.cache_info()
-        assert info["traces"] == 1
-        assert info["lowered"] == 1
-        assert info["results"] == 1
+        assert local.cache_info() == {"traces": 0, "results": 1}
+        local.trace("povray")
+        assert local.cache_info() == {"traces": 1, "results": 1}
 
     def test_clear_caches(self):
         local = ExperimentSuite(RunSettings(instructions=4_000, seed=3, scale=8))
-        local.result("povray", "baseline")
-        local.clear_caches(traces=False)
-        info = local.cache_info()
-        assert info == {"traces": 1, "lowered": 0, "results": 0}
+        first = local.result("povray", "baseline")
+        local.trace("povray")
         local.clear_caches()
-        assert local.cache_info() == {"traces": 0, "lowered": 0, "results": 0}
+        assert local.cache_info() == {"traces": 0, "results": 0}
+        again = local.result("povray", "baseline")
+        assert again is not first and again == first
 
     def test_normalized_time_zero_baseline_guard(self, suite):
         run = suite.result("gobmk", "aos")

@@ -53,7 +53,6 @@ class TestAblationDrivers:
         once, and every row carries its metrics snapshot."""
         from repro.experiments import ablations
         from repro.experiments.parallel import supervised_cell_key
-        from repro.obs import ObsSettings
         from repro.supervise.oracle import InvariantOracle
 
         inspected = []
@@ -65,9 +64,7 @@ class TestAblationDrivers:
 
         monkeypatch.setattr(InvariantOracle, "inspector", inspector)
         observed = ExperimentSuite(
-            RunSettings(
-                instructions=4000, seed=21, obs=ObsSettings(enabled=True, tracing=False)
-            ),
+            RunSettings(instructions=4000, seed=21, metrics=True),
             paranoid=True,
         )
         rows = [

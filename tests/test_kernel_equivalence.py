@@ -59,7 +59,7 @@ from repro.kernel import KERNELS
 from repro.kernel.fast import _compiler as native_compiler
 from repro.kernel.fast import native, run_fast
 from repro.mechanisms import REGISTRY
-from repro.obs import ObsSettings
+from repro.obs import EventTracer, Observability
 from repro.workloads import generate_trace, get_profile
 from repro.workloads.profiles import ALL_PROFILES
 
@@ -177,11 +177,10 @@ def test_equivalence_ablations(ablation):
 def test_equivalence_with_metrics():
     """Metrics-only observability: the fast path itself runs (no tracer)
     and must publish byte-identical ``publish_metrics`` counters."""
-    obs_settings = ObsSettings(enabled=True, tracing=False)
     results = {}
     for kernel in KERNELS:
         results[kernel] = simulate(
-            kernel, "gcc", "aos", instructions=5000, obs=obs_settings.create()
+            kernel, "gcc", "aos", instructions=5000, obs=Observability()
         )
     assert results["fast"].metrics, "metrics snapshot missing"
     for kernel in KERNELS:
@@ -190,10 +189,13 @@ def test_equivalence_with_metrics():
 
 def test_fast_kernel_delegates_when_tracing():
     """A tracer forces the reference path; results still match exactly."""
-    obs_settings = ObsSettings(enabled=True, tracing=True)
     results = {
         kernel: simulate(
-            kernel, "gcc", "aos", instructions=4000, obs=obs_settings.create()
+            kernel,
+            "gcc",
+            "aos",
+            instructions=4000,
+            obs=Observability(tracer=EventTracer()),
         )
         for kernel in KERNELS
     }
@@ -206,7 +208,7 @@ def test_run_fast_refuses_tracer():
     config = scaled_config("aos", SCALE)
     lowered = get_lowered("gcc", "aos", 2500, config)
     hierarchy = MemoryHierarchy(config.memory, use_l1b=True)
-    obs = ObsSettings(enabled=True, tracing=True).create()
+    obs = Observability(tracer=EventTracer())
     with pytest.raises(SimulationError):
         run_fast(config, hierarchy, None, (1 << 46) - 1, obs, lowered.program)
 
@@ -285,7 +287,8 @@ def test_equivalence_through_experiment_suite():
     suite = ExperimentSuite(RunSettings(instructions=4000))
     got = suite.result("mcf", "aos")
     config = suite.config_for("aos")
-    want = Simulator(config, kernel="reference").run(suite.lowered("mcf", "aos"))
+    lowered = lower_trace(suite.trace("mcf"), "aos", config)
+    want = Simulator(config, kernel="reference").run(lowered)
     assert payload(got) == payload(want)
 
 
@@ -317,17 +320,33 @@ def group_memo(cells):
     )
 
 
-def test_memo_shares_one_program_across_fig15_variants():
+def held(memo) -> int:
+    """The products ``memo`` still holds."""
+    stores = (memo._bases, memo._lowerings, memo._factories, memo._products)
+    return sum(map(len, stores))
+
+
+def test_memo_shares_one_program_across_fig15_variants(monkeypatch):
     """L1-B and compression are never read by lowering: the Fig. 14 aos
     cell and the four Fig. 15 variants share one Program object."""
+    from repro.experiments import parallel
+
+    lowerings = []
+    real = parallel.lower_trace
+
+    def lower_trace(*args, **kwargs):
+        lowerings.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "lower_trace", lower_trace)
     cells = [CellSpec("gcc", "aos")] + fig15_cells("gcc")
-    memo = TraceMemo(partial(load_cell_trace, MEMO_SETTINGS, cells[0]))
+    memo = group_memo(cells)
     lowered = [
-        memo.lowered(cell.mechanism, cell.resolved_config(MEMO_SETTINGS))
+        memo.lowering(cell.mechanism, cell.resolved_config(MEMO_SETTINGS))
         for cell in cells
     ]
     assert len({id(item.program) for item in lowered}) == 1
-    assert len(memo) == 1
+    assert lowerings == ["aos"]
     # Compression changes the HBT geometry: two prototypes, not five.
     factories = {id(item.hbt_factory) for item in lowered}
     assert len(factories) == 2
@@ -353,8 +372,8 @@ def test_memo_key_fields_give_separate_products(path, value):
     changing it gives a separate product, equal to a fresh lowering."""
     base = scaled_config("aos", SCALE)
     changed = _replace_field(base, path, value)
-    memo = TraceMemo(lambda: get_trace("gcc", 2500))
-    first, second = memo.lowered("aos", base), memo.lowered("aos", changed)
+    memo = TraceMemo(lambda: get_trace("gcc", 2500), [("aos", base), ("aos", changed)])
+    first, second = memo.lowering("aos", base), memo.lowering("aos", changed)
     assert second.hbt_factory is not first.hbt_factory
     if path.startswith("pa."):
         assert second.program is not first.program
@@ -377,7 +396,7 @@ def test_memo_cells_match_fresh_cells():
         shared = simulate_cell(MEMO_SETTINGS, cell, memo=memo)
         fresh = simulate_cell(MEMO_SETTINGS, cell)
         assert payload(shared) == payload(fresh), cell.cache_key
-    assert len(memo) == 0
+    assert held(memo) == 0
 
 
 @pytest.mark.skipif(native_compiler() is None, reason="no C compiler")
@@ -419,7 +438,7 @@ def test_default_runs_take_fast_kernel_and_traced_runs_take_reference(monkeypatc
     assert calls == ["fast", "native"]
 
     calls.clear()
-    traced = ObsSettings(enabled=True, tracing=True).create()
+    traced = Observability(tracer=EventTracer())
     Simulator(config, obs=traced).run(lowered)
     assert calls == ["reference"]
 

@@ -416,7 +416,8 @@ def test_pool_workers_inherit_the_kernel_the_parent_built(monkeypatch, tmp_path)
 
     monkeypatch.setattr(fast.subprocess, "run", logged)
     cells = [CellSpec(workload, "aos") for workload in ("gobmk", "povray")]
-    results = parallel.run_cells(RunSettings(instructions=2000, seed=7), cells, jobs=2)
+    settings = RunSettings(instructions=2000, seed=7)
+    results, _ = parallel.run_cells(settings, cells, jobs=2)
     assert len(results) == 2
     assert log.read_text().split() == [str(os.getpid())]
 

@@ -8,7 +8,6 @@ from repro.obs import (
     DEFAULT_TRACE_CAPACITY,
     EventTracer,
     MetricsRegistry,
-    ObsSettings,
     Observability,
     PhaseProfiler,
     TraceEvent,
@@ -307,35 +306,43 @@ class TestProfiler:
 
 
 class TestObsSettings:
-    def test_disabled_creates_nothing(self):
-        assert ObsSettings().create() is None
-        assert ObsSettings().enabled is False  # off by default everywhere
+    """``RunSettings.metrics`` and the :class:`Observability` bundles a run
+    reports through."""
+
+    def test_disabled_creates_nothing(self, monkeypatch):
+        from repro.experiments import CellSpec, RunSettings, parallel
+
+        def refuse():
+            raise AssertionError("no Observability without metrics")
+
+        monkeypatch.setattr(parallel, "Observability", refuse)
+        settings = RunSettings(instructions=1000)
+        assert settings.metrics is False  # off by default everywhere
+        assert parallel.simulate_cell(settings, CellSpec("gobmk", "aos")).metrics == {}
 
     def test_enabled_metrics_only(self):
-        obs = ObsSettings(enabled=True, tracing=False).create()
-        assert obs is not None
+        obs = Observability()
         assert obs.tracer is None
         obs.emit("e")  # no-op without a tracer, must not raise
         obs.set_cycle(9.0)
         assert obs.snapshot() == empty_snapshot()
 
     def test_enabled_with_tracer(self):
-        obs = ObsSettings(enabled=True, trace_capacity=8).create()
-        assert obs.tracer is not None
+        obs = Observability(tracer=EventTracer(8))
         assert obs.tracer.capacity == 8
         obs.set_cycle(3.0)
         obs.emit("e")
         assert obs.tracer.events()[0].cycle == 3.0
 
     def test_default_capacity(self):
-        assert ObsSettings(enabled=True).create().tracer.capacity == (
-            DEFAULT_TRACE_CAPACITY
-        )
+        assert EventTracer().capacity == DEFAULT_TRACE_CAPACITY
 
     def test_settings_hashable_for_fingerprints(self):
+        from repro.experiments import RunSettings
+
         # RunSettings fingerprints hash the frozen dataclass tree.
-        assert hash(ObsSettings()) == hash(ObsSettings())
-        assert ObsSettings() != ObsSettings(enabled=True)
+        assert hash(RunSettings()) == hash(RunSettings())
+        assert RunSettings() != RunSettings(metrics=True)
 
     def test_observability_default_registry(self):
         obs = Observability()

@@ -42,6 +42,19 @@ def payloads(results):
     return {key: dataclasses.asdict(result) for key, result in results.items()}
 
 
+def spy(monkeypatch, owner, name) -> list:
+    """Record the positional arguments of every call of ``owner.name``."""
+    calls = []
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
 # --------------------------------------------------------------- fingerprints
 
 
@@ -187,14 +200,14 @@ class TestArtifactCache:
 
 class TestParallelDeterminism:
     def test_serial_vs_jobs4_bit_identical(self):
-        serial = run_cells(SETTINGS, SMALL_SWEEP, jobs=1)
-        parallel = run_cells(SETTINGS, SMALL_SWEEP, jobs=4)
+        serial, _ = run_cells(SETTINGS, SMALL_SWEEP, jobs=1)
+        parallel, _ = run_cells(SETTINGS, SMALL_SWEEP, jobs=4)
         assert payloads(serial) == payloads(parallel)
 
     def test_run_cells_matches_simulate_cell(self):
         cell = CellSpec("gobmk", "aos")
         direct = simulate_cell(SETTINGS, cell)
-        via_engine = run_cells(SETTINGS, [cell], jobs=2)[cell.cache_key]
+        via_engine = run_cells(SETTINGS, [cell], jobs=2)[0][cell.cache_key]
         assert dataclasses.asdict(direct) == dataclasses.asdict(via_engine)
 
     def test_suite_ensure_cells_matches_result(self):
@@ -206,8 +219,7 @@ class TestParallelDeterminism:
             assert dataclasses.asdict(
                 lazy.result(workload, cell.mechanism)
             ) == dataclasses.asdict(eager.result(workload, cell.mechanism))
-        # result() simulates through the suite's memoised lowering.
-        assert lazy.cache_info()["lowered"] == len(SMALL_SWEEP)
+        assert lazy.cache_info() == {"traces": 0, "results": len(SMALL_SWEEP)}
 
     def test_supervised_suite_matches_serial(self):
         serial = ExperimentSuite(SETTINGS)
@@ -219,6 +231,45 @@ class TestParallelDeterminism:
         assert supervised.result_payloads() == serial.result_payloads()
         assert len(supervised.supervision_reports) == 1
         assert supervised.supervision_reports[0].quarantined == {}
+
+
+# ------------------------------------------------------------------ one path
+
+
+class TestOnePath:
+    """A suite computes every cell it does not know through
+    ``ensure_cells`` and ``run_cells``, planned or not."""
+
+    def test_unplanned_result_is_identical_on_every_suite(self, monkeypatch):
+        from repro.experiments import parallel
+
+        dispatched = spy(monkeypatch, parallel, "run_cells")
+        suites = [
+            ExperimentSuite(SETTINGS),
+            ExperimentSuite(SETTINGS, jobs=2),
+            ExperimentSuite(SETTINGS, jobs=2, supervise=SupervisorConfig(jobs=2)),
+        ]
+        texts = set()
+        for suite in suites:
+            for cell in SMALL_SWEEP:
+                suite.result(cell.workload, cell.mechanism)
+            rows = sorted(suite.result_payloads().items())
+            texts.add(json.dumps([[list(k), v] for k, v in rows], sort_keys=True))
+        assert len(texts) == 1
+        # One dispatch of one cell per result() call, on every suite.
+        assert [len(args[1]) for args in dispatched] == [1] * 3 * len(SMALL_SWEEP)
+        assert len(suites[2].supervision_reports) == len(SMALL_SWEEP)
+
+    def test_unplanned_normalized_time_generates_its_trace_once(self, monkeypatch):
+        from repro.experiments import parallel
+
+        generated = spy(monkeypatch, parallel, "generate_trace")
+        dispatched = spy(monkeypatch, parallel, "run_cells")
+        suite = ExperimentSuite(SETTINGS)
+        suite.normalized_time("gobmk", "aos")
+        suite.normalized_traffic("gobmk", "aos")
+        assert len(generated) == 1
+        assert [len(args[1]) for args in dispatched] == [2]
 
 
 # ------------------------------------------------------- shared trace work
@@ -331,7 +382,7 @@ class TestSharedTraceWork:
         from repro.experiments import parallel
 
         cells = [CellSpec(w, m) for w in workloads for m in ("baseline", "aos")]
-        serial = run_cells(SETTINGS, cells, jobs=1)
+        serial, _ = run_cells(SETTINGS, cells, jobs=1)
         submitted = []
         real = repro.supervise.dispatch
 
@@ -340,7 +391,8 @@ class TestSharedTraceWork:
             return real(worker, batch, *args, **kwargs)
 
         monkeypatch.setattr(repro.supervise, "dispatch", counting)
-        results = parallel.run_cells(SETTINGS, cells, jobs=jobs)
+        results, report = parallel.run_cells(SETTINGS, cells, jobs=jobs)
+        assert report is None
         assert len(submitted[0]) == tasks
         assert payloads(results) == payloads(serial)
         assert list(results) == list(serial)
@@ -408,19 +460,32 @@ class TestSharedTraceWork:
 
 
 class TestSuiteCache:
-    def test_cold_then_warm_rerun(self, tmp_path):
+    def test_cold_then_warm_rerun(self, tmp_path, monkeypatch):
+        from repro.experiments import parallel
+
         cold = ExperimentSuite(SETTINGS, cache=tmp_path)
         cold.ensure_cells(SMALL_SWEEP)
         reference = cold.result_payloads()
         assert cold.cache.stats.stores >= len(SMALL_SWEEP)
 
+        lowered = spy(monkeypatch, parallel, "lower_trace")
         warm = ExperimentSuite(SETTINGS, cache=tmp_path)
         warm.ensure_cells(SMALL_SWEEP)
         assert warm.result_payloads() == reference
         assert warm.cache.stats.hits == len(SMALL_SWEEP)
         assert warm.cache.stats.misses == 0
         # Nothing was re-lowered: every cell came straight off disk.
-        assert warm.cache_info()["lowered"] == 0
+        assert lowered == []
+
+    def test_lowering_count_sees_a_rerun_without_the_cache(self, monkeypatch):
+        """The spy of the warm rerun above is not vacuous: the same sweep
+        with no cache attached lowers every cell."""
+        from repro.experiments import parallel
+
+        lowered = spy(monkeypatch, parallel, "lower_trace")
+        ExperimentSuite(SETTINGS).ensure_cells(SMALL_SWEEP)
+        mechanisms = sorted(args[1] for args in lowered)
+        assert mechanisms == sorted(cell.mechanism for cell in SMALL_SWEEP)
 
     def test_settings_change_misses(self, tmp_path):
         ExperimentSuite(SETTINGS, cache=tmp_path).ensure_cells(SMALL_SWEEP)

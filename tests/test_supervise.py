@@ -588,7 +588,7 @@ class TestSupervisedTraceGroups:
             for workload in ("gobmk", "povray", "mcf")
             for mechanism in ("baseline", "aos")
         ]
-        serial = parallel.run_cells(settings, cells, jobs=1)
+        serial, _ = parallel.run_cells(settings, cells, jobs=1)
 
         parent = os.getpid()
         real = parallel.simulate_cell
@@ -609,7 +609,7 @@ class TestSupervisedTraceGroups:
             backoff_cap_s=0.05,
         )
         config = _fast_config(deadline_s=60.0, retry=retry)
-        results, report = parallel.run_cells_supervised(settings, cells, config=config)
+        results, report = parallel.run_cells(settings, cells, supervise=config)
         assert report.accounts_for(["gobmk", "povray", "mcf"])
         if dies == "always":
             assert set(report.quarantined) == {"povray"}
@@ -659,9 +659,12 @@ class TestSupervisedTraceGroups:
             assert excinfo.value.cell.startswith("povray/")
             assert "exit code 1" in excinfo.value.reason
             assert set(suite.supervision_reports[0].quarantined) == {"povray"}
-            # The planned cells are known: a second run dispatches nothing.
+            # The planned cells are known: a second run dispatches nothing,
+            # and neither does an unplanned lookup of a quarantined cell.
             with pytest.raises(QuarantinedCellError):
                 run_fig14(suite, ["gobmk", "povray"])
+            with pytest.raises(QuarantinedCellError):
+                suite.result("povray", "aos")
             assert len(suite.supervision_reports) == 1
         else:
             code = cli.main(
@@ -691,8 +694,9 @@ class TestSupervisedTraceGroups:
             for workload in ("gobmk", "mcf")
             for mechanism in mechanisms
         ]
-        results, report = parallel.run_cells_supervised(
-            RunSettings(instructions=1000), cells, config=_fast_config(deadline_s=1.0)
+        config = _fast_config(deadline_s=1.0)
+        results, report = parallel.run_cells(
+            RunSettings(instructions=1000), cells, supervise=config
         )
         assert not report.quarantined
         assert list(results.values()) == [cell.mechanism for cell in cells]
