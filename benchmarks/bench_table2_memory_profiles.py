@@ -22,11 +22,11 @@ def test_table2_memory_profiles(suite, benchmark):
         for name in ("gcc", "povray", "omnetpp", "sphinx3")
     }
     trace = suite.trace("omnetpp")
-    mallocs = measured["omnetpp"].allocations - len(trace.preamble)
+    mallocs = measured["omnetpp"].allocations - len(trace.preamble_ids)
     frees = measured["omnetpp"].deallocations
     extra = (
         f"\nMeasured window profiles (scale {trace.scale}, "
-        f"{len(trace.events)} events):\n" + profile_report(measured)
+        f"{len(trace)} events):\n" + profile_report(measured)
     )
     publish("table2_memory_profiles", result.format() + extra)
 

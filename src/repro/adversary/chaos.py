@@ -132,7 +132,7 @@ def _apply_step(runtime, env: Dict[str, Any], step: Step) -> None:
         runtime.load(runtime.offset(env[step.obj], step.offset))
     elif step.op == "store":
         runtime.store(runtime.offset(env[step.obj], step.offset), step.value)
-    elif step.op in ("call", "ret"):
+    elif step.op in {"call", "ret"}:
         action = getattr(runtime, step.op, None)
         if action is None:
             raise UnsupportedScenario(

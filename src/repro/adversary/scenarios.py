@@ -41,7 +41,21 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..errors import WorkloadError
 from ..mechanisms.registry import Expectation, REGISTRY
 from ..workloads import get_profile
-from ..workloads.generator import WorkloadTrace
+from ..workloads.generator import (
+    FLAG_MISPREDICTED,
+    TAG_ALU,
+    TAG_BR,
+    TAG_CALL,
+    TAG_FREE,
+    TAG_LD,
+    TAG_MALLOC,
+    TAG_PTR_ARITH,
+    TAG_RET,
+    TAG_ST,
+    TAG_UST,
+    EventColumns,
+    WorkloadTrace,
+)
 
 # ``Expectation`` is re-exported here for its historical import path; it
 # now lives with the registry so MechanismSpec oracles can use it.
@@ -539,8 +553,8 @@ def scenario_trace(
 ) -> WorkloadTrace:
     """Compile a scenario's access pattern to a :class:`WorkloadTrace`.
 
-    The trace reproduces the recipe's allocation/access sequence with the
-    event vocabulary of :mod:`repro.workloads.generator`, so the standard
+    The trace reproduces the recipe's allocation/access sequence in the
+    event columns of :mod:`repro.workloads.generator`, so the standard
     compiler passes lower it to a :class:`~repro.isa.program.Program` per
     mechanism and the timing kernels execute the exploit for real (OOB and
     stale accesses surface as ``validation_faults``).  Steps the trace ISA
@@ -555,25 +569,19 @@ def scenario_trace(
         base_profile, name=f"attack:{instance.name}"
     )
 
-    object_sizes: Dict[int, int] = {}
-    preamble: List[Tuple[int, int]] = []
-    for oid in range(_PREAMBLE_OBJECTS):
-        object_sizes[oid] = _PREAMBLE_SIZE
-        preamble.append((oid, _PREAMBLE_SIZE))
-
-    events: List[tuple] = []
+    events = EventColumns()
+    add = events.add
 
     def pad() -> None:
         for _ in range(_PAD_EVENTS):
             draw = rng.random()
             if draw < 0.55:
-                events.append(("alu",))
+                add(TAG_ALU)
             elif draw < 0.75:
-                events.append(("br", rng.random() < 0.05))
+                add(TAG_BR, flags=FLAG_MISPREDICTED if rng.random() < 0.05 else 0)
             else:
                 oid = rng.randrange(_PREAMBLE_OBJECTS)
-                offset = rng.randrange(0, _PREAMBLE_SIZE - 8, 8)
-                events.append(("ld", oid, offset, False, False))
+                add(TAG_LD, oid, rng.randrange(0, _PREAMBLE_SIZE - 8, 8))
 
     ids: Dict[str, int] = {}
     next_id = _PREAMBLE_OBJECTS
@@ -583,8 +591,7 @@ def scenario_trace(
     for step in instance.steps:
         if step.op == "malloc":
             ids[step.obj] = next_id
-            object_sizes[next_id] = step.size
-            events.append(("m", next_id, step.size))
+            add(TAG_MALLOC, next_id, size=step.size)
             next_id += 1
         elif step.op == "alias":
             ids[step.obj] = ids[step.src]
@@ -594,31 +601,31 @@ def scenario_trace(
                 # A second free, or a free of a crafted address, cannot
                 # lower (the heap executes for real at lowering time);
                 # keep its cost.
-                events.append(("pa",))
+                add(TAG_PTR_ARITH)
             else:
                 freed.add(oid)
-                events.append(("f", oid))
+                add(TAG_FREE, oid)
         elif step.op == "load":
-            events.append(("ld", ids[step.obj], step.offset, False, False))
+            add(TAG_LD, ids[step.obj], step.offset)
         elif step.op == "store":
-            events.append(("st", ids[step.obj], step.offset, False))
+            add(TAG_ST, ids[step.obj], step.offset)
         elif step.op == "call":
-            events.append(("call",))
+            add(TAG_CALL)
         elif step.op == "ret":
-            events.append(("ret",))
+            add(TAG_RET)
         elif step.op == "smash-ret":
             # The overwrite itself is a plain data store into the stack's
             # saved-return slot; the *detection* cost sits in the return.
-            events.append(("ust", 0, 0))
+            add(TAG_UST)
         else:  # forging, crafting, raw writes: pointer arithmetic
-            events.append(("pa",))
+            add(TAG_PTR_ARITH)
         pad()
 
     return WorkloadTrace(
         profile=trace_profile,
-        preamble=preamble,
-        events=events,
-        object_sizes=object_sizes,
+        preamble_ids=range(_PREAMBLE_OBJECTS),
+        preamble_sizes=[_PREAMBLE_SIZE] * _PREAMBLE_OBJECTS,
+        **events.columns,
         scale=scale,
         seed=instance.seed,
     )

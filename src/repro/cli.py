@@ -403,7 +403,7 @@ def run_artifact(name: str, suite: ExperimentSuite, args) -> str:
     raise ValueError(f"unknown artifact {name!r}")
 
 
-def run_trace(args, profiler: PhaseProfiler) -> str:
+def run_trace(args, profiler: PhaseProfiler) -> int:
     """The ``trace`` artifact: one observed run -> Chrome trace + metrics.
 
     Everything written derives from simulated state only (cycle stamps,
@@ -481,7 +481,8 @@ def run_trace(args, profiler: PhaseProfiler) -> str:
     if args.events_out:
         lines.append(f"events jsonl -> {args.events_out}")
     lines.append("open the trace in https://ui.perfetto.dev ('Open trace file')")
-    return "\n".join(lines)
+    print("\n".join(lines))
+    return 0
 
 
 def run_trace_export(args) -> int:
@@ -516,7 +517,7 @@ def run_trace_export(args) -> int:
         f"seed={args.seed} scale={args.scale}) -> {path}"
     )
     print(
-        f"  {len(trace.preamble)} preamble objects + {len(trace.events)} "
+        f"  {len(trace.preamble_ids)} preamble objects + {len(trace)} "
         f"events, {os.path.getsize(path)} bytes (jsonl)"
     )
     print(f"  sha256: {trace_digest(path)}")
@@ -852,6 +853,22 @@ def _resume_hint(args) -> str:
     return "\n".join(lines)
 
 
+def _interruptible(runner, args, profiler: PhaseProfiler) -> int:
+    """``runner(args, profiler)``'s exit code; an interrupt (SIGTERM lands
+    as one) exits 130 with the resume hint.  ``--profile`` prints the
+    phase table after a finished run."""
+    try:
+        with trap_signals():
+            code = runner(args, profiler)
+    except KeyboardInterrupt:
+        print(_resume_hint(args), file=sys.stderr)
+        return 130
+    if args.profile:
+        print()
+        print(profiler.format())
+    return code
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     profiler = PhaseProfiler()
@@ -888,43 +905,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.artifact == "trace-export":
         return run_trace_export(args)
-    if args.artifact == "trace-import":
-        try:
-            with trap_signals():
-                code = run_trace_import(args, profiler)
-        except KeyboardInterrupt:
-            print(_resume_hint(args), file=sys.stderr)
-            return 130
-        if args.profile:
-            print()
-            print(profiler.format())
-        return code
-
-    if args.artifact == "trace":
-        try:
-            with trap_signals():
-                print(run_trace(args, profiler))
-        except KeyboardInterrupt:
-            print(_resume_hint(args), file=sys.stderr)
-            return 130
-        if args.profile:
-            print()
-            print(profiler.format())
-        return 0
-
-    # ``attack`` owns its exit code (non-zero on missed must-detects), so
-    # it bypasses the always-0 artifact loop like ``trace`` does.
-    if args.artifact == "attack":
-        try:
-            with trap_signals():
-                code = run_attack(args, profiler)
-        except KeyboardInterrupt:
-            print(_resume_hint(args), file=sys.stderr)
-            return 130
-        if args.profile:
-            print()
-            print(profiler.format())
-        return code
+    # ``trace-import``, ``trace`` and ``attack`` own their exit codes
+    # (``attack`` is non-zero on missed must-detects), so they bypass the
+    # always-0 artifact loop.
+    runner = {
+        "trace-import": run_trace_import,
+        "trace": run_trace,
+        "attack": run_attack,
+    }.get(args.artifact)
+    if runner is not None:
+        return _interruptible(runner, args, profiler)
 
     suite = ExperimentSuite(
         RunSettings(

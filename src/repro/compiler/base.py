@@ -1,12 +1,13 @@
 """The mechanism-independent half of lowering, held as columns.
 
-- :class:`BasePass` runs once per (trace, allocator policy).  It executes
-  the trace's allocation sequence against a real
-  :class:`~repro.memory.allocator.HeapAllocator` (so every mechanism sees
-  the identical, deterministic address stream), draws the dependency dice
-  (one seeded stream per trace) and resolves every heap access to its raw
-  address, and keeps one record per trace event as ``numpy`` columns.
-  Only the window's mallocs and frees and the dice are Python loops.
+- :class:`BasePass` runs once per (trace, allocator policy).  It reads the
+  trace's event columns as they are, executes the trace's allocation
+  sequence against a real :class:`~repro.memory.allocator.HeapAllocator`
+  (so every mechanism sees the identical, deterministic address stream),
+  draws the dependency dice (one seeded stream per trace) and resolves
+  every heap access to its raw address, and keeps one record per trace
+  event as ``numpy`` columns.  Only the window's mallocs and frees are a
+  Python loop (and the dice, where the C module cannot be built).
 - :class:`Splice` is what a mechanism's lowering
   (:mod:`repro.compiler.passes`) writes into: µop templates over arrays of
   records, merged into a :class:`~repro.isa.program.Program`'s typed
@@ -19,7 +20,6 @@ import operator
 import random
 from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -30,7 +30,20 @@ from ..isa.program import Program
 from ..memory.allocator import HeapAllocator
 from ..memory.layout import AddressSpaceLayout, DEFAULT_LAYOUT
 from ..memory.memory import SparseMemory
-from ..workloads.generator import WorkloadTrace
+from ..workloads.generator import (
+    FLAG_CHASE,
+    FLAG_GLOBALS,
+    FLAG_MISPREDICTED,
+    FLAG_PTR,
+    TAG_COUNT,
+    TAG_FREE,
+    TAG_LD,
+    TAG_MALLOC,
+    TAG_ST,
+    TAG_ULD,
+    TAG_UST,
+    WorkloadTrace,
+)
 
 #: Maximum dependency distance the pipeline's completion ring supports.
 MAX_DEP_DISTANCE = 480
@@ -42,24 +55,6 @@ QUARANTINE = "quarantine"
 #: Chunks REST's quarantine pool holds before it recycles the oldest.
 QUARANTINE_CHUNKS = 64
 
-#: Record tags of the base pass's ``tags`` column.  The events that draw
-#: from the dependency dice come first.
-TAG_ALU, TAG_FALU, TAG_LD, TAG_ST, TAG_ULD, TAG_UST = range(6)
-TAG_BR, TAG_MALLOC, TAG_FREE, TAG_CALL, TAG_RET, TAG_PTR_ARITH = range(6, 12)
-_TAG_OF_EVENT = {
-    "alu": TAG_ALU,
-    "falu": TAG_FALU,
-    "ld": TAG_LD,
-    "st": TAG_ST,
-    "uld": TAG_ULD,
-    "ust": TAG_UST,
-    "br": TAG_BR,
-    "m": TAG_MALLOC,
-    "f": TAG_FREE,
-    "call": TAG_CALL,
-    "ret": TAG_RET,
-    "pa": TAG_PTR_ARITH,
-}
 _HEAP_TAGS = (TAG_LD, TAG_ST, TAG_MALLOC, TAG_FREE)
 
 #: The op code of the loads :meth:`Splice.emit_load` appends.
@@ -92,29 +87,33 @@ def latest_def(keys: np.ndarray, is_def: np.ndarray) -> np.ndarray:
 
 def dependency_draws(
     seed: int, count: int, dep_prob: float, ilp_distance: int
-) -> List[int]:
-    """``count`` dependency draws from ``random.Random(seed)``: the values
-    of ``[1 + rng.randrange(ilp_distance) if rng.random() < dep_prob else 0
-    for _ in range(count)]``, from the same stream.
+) -> np.ndarray:
+    """``count`` dependency draws from ``random.Random(seed)``, as ``int64``:
+    the values of ``[1 + rng.randrange(ilp_distance) if rng.random() <
+    dep_prob else 0 for _ in range(count)]``, from the same stream.
 
     ``randrange(n)`` is inlined as CPython runs it (``getrandbits`` of
     ``n.bit_length()`` bits, retried while the value is ``>= n``), which
     saves two Python calls per pick.  An ``ilp_distance`` below 1 has no
-    draw and raises :class:`ValueError`.  The loop runs in the C module of
-    :mod:`repro.kernel.fast` on the same stream (``_fast.dependency_draws``)
-    for any distance below 2**63; the loop below is its reference, and runs
-    where the module cannot be built.
+    draw, and one of 2**63 or more no ``int64`` draw: both raise
+    :class:`ValueError`.  The loop runs in the C module of
+    :mod:`repro.kernel.fast` on the same stream (``_fast.dependency_draws``);
+    the loop below is its reference, and runs where the module cannot be
+    built.
     """
     from ..kernel.fast import native, on_stream
 
     ilp_distance = operator.index(ilp_distance)
     if ilp_distance < 1:
         raise ValueError(f"ilp_distance must be at least 1, not {ilp_distance}")
+    if ilp_distance.bit_length() > 63:
+        raise ValueError(f"ilp_distance must be below 2**63, not {ilp_distance}")
     rng = random.Random(seed)
     kernel = native()
-    if kernel is not None and ilp_distance.bit_length() < 64:
-        draw = on_stream(kernel.dependency_draws)
-        return draw(rng, count, dep_prob, ilp_distance)
+    if kernel is not None:
+        drawn = np.empty(count, dtype=np.int64)
+        on_stream(kernel.dependency_draws)(rng, dep_prob, ilp_distance, drawn)
+        return drawn
     chance, getrandbits = rng.random, rng.getrandbits
     bits = ilp_distance.bit_length()
     drawn = [0] * count
@@ -124,7 +123,7 @@ def dependency_draws(
             while value >= ilp_distance:
                 value = getrandbits(bits)
             drawn[index] = 1 + value
-    return drawn
+    return np.array(drawn, dtype=np.int64)
 
 
 def gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -182,8 +181,8 @@ class BasePass:
     It holds one record per trace event, as columns indexed by event:
 
     ======================== =================================================
-    ``tags``                 the event's ``TAG_*`` code
-    ``objs``                 object id (``ld``, ``st``, ``m``, ``f``)
+    ``tags``, ``objs``       the trace's columns: the event's ``TAG_*`` code
+                             and object id
     ``deps``                 dependency draw, capped at
                              :data:`MAX_DEP_DISTANCE` (compute and accesses)
     ``addresses``            raw address (``uint64``): the heap access
@@ -191,7 +190,7 @@ class BasePass:
                              access, the malloc'd or the freed payload
     ``is_ptr``, ``chase``    the access moves a pointer; the load chases one
     ``mispredicted``         the branch mispredicts
-    ``sizes``                requested size (``m``), allocated size (``f``)
+    ``sizes``                requested size (malloc), allocated size (free)
     ``released``             the free really releases a chunk, whose payload
                              and allocated size are ``released_addresses``
                              and ``released_sizes``
@@ -201,8 +200,8 @@ class BasePass:
     released chunk is the freed object itself under :data:`IMMEDIATE`, the
     recycled oldest chunk (if the pool overflows) under :data:`QUARANTINE`.
 
-    ``heap`` lists the records that name an object (``ld``, ``st``, ``m``,
-    ``f``) and ``preamble_slots`` the preamble position of each one's
+    ``heap`` lists the records that name an object (loads, stores, mallocs
+    and frees) and ``preamble_slots`` the preamble position of each one's
     object (-1 for a window object).  The base also memoises the signed
     pointers the AOS splices derive from it, per (``pa.pac_bits``,
     ``pa.key``), so the AOS and PA+AOS lowerings of one base sign once.
@@ -217,12 +216,8 @@ class BasePass:
         self.trace = trace
         self.policy = policy
         self.address_layout = address_layout
-        preamble, count = trace.preamble, len(trace.preamble)
-        #: Object id and requested size per preamble object, in trace order.
-        self.preamble_ids = np.fromiter(map(itemgetter(0), preamble), np.int64, count)
-        self.preamble_sizes = np.fromiter(
-            map(itemgetter(1), preamble), np.uint64, count
-        )
+        #: Requested size per preamble object, in trace order.
+        self.preamble_sizes = trace.preamble_sizes.view(np.uint64)
         # The heap is dropped once resolved: the records hold all it decided.
         allocator = HeapAllocator(SparseMemory(), address_layout)
         #: Raw payload per preamble object, in trace order.
@@ -235,30 +230,20 @@ class BasePass:
 
     def _allocate_preamble(self, allocator: HeapAllocator) -> List[int]:
         """Allocate the preamble live set (untimed warm state) in bulk."""
-        # The sizes are below 2**63: the int64 view is the same numbers.
-        return allocator.malloc_many(self.preamble_sizes.view(np.int64))
+        return allocator.malloc_many(self.trace.preamble_sizes)
 
     def _resolve(self, allocator: HeapAllocator) -> None:
         trace = self.trace
-        events = trace.events
-        n = len(events)
-        try:
-            tags = np.fromiter(
-                map(_TAG_OF_EVENT.__getitem__, map(itemgetter(0), events)),
-                dtype=np.uint8,
-                count=n,
-            )
-        except KeyError as exc:
-            raise WorkloadError(f"unknown trace event {exc.args[0]!r}") from None
-        self.tags = tags
-        self.by_tag = by_tag = [
-            np.flatnonzero(tags == tag) for tag in range(len(_TAG_OF_EVENT))
-        ]
-
-        def fields(tag: int, width: int) -> List[list]:
-            """The ``width`` fields after the tag of each ``tag`` event."""
-            rows = [events[i] for i in by_tag[tag].tolist()]
-            return [list(map(itemgetter(i), rows)) for i in range(1, width + 1)]
+        self.tags = tags = trace.tags
+        self.objs = objs = trace.objs
+        flags = trace.flags
+        n = len(tags)
+        if n and int(tags.max()) >= TAG_COUNT:
+            raise WorkloadError(f"unknown trace tag {int(tags.max())}")
+        self.by_tag = by_tag = [np.flatnonzero(tags == tag) for tag in range(TAG_COUNT)]
+        self.is_ptr = (flags & FLAG_PTR) != 0
+        self.chase = (flags & FLAG_CHASE) != 0
+        self.mispredicted = (flags & FLAG_MISPREDICTED) != 0
 
         # The dependency dice: one draw per compute or access event, in
         # trace order, from the trace's own seeded stream.
@@ -273,42 +258,29 @@ class BasePass:
         self.deps = np.zeros(n, dtype=np.int64)
         self.deps[draws] = np.minimum(drawn, MAX_DEP_DISTANCE)
 
-        self.objs = objs = np.zeros(n, dtype=np.int64)
         self.addresses = addresses = np.zeros(n, dtype=np.uint64)
-        self.sizes = sizes = np.zeros(n, dtype=np.uint64)
-        self.is_ptr = np.zeros(n, dtype=bool)
-        self.chase = np.zeros(n, dtype=bool)
-        self.mispredicted = np.zeros(n, dtype=bool)
+        self.sizes = trace.sizes.astype(np.uint64)
         self.released = np.zeros(n, dtype=bool)
         self.released_addresses = np.zeros(n, dtype=np.uint64)
         self.released_sizes = np.zeros(n, dtype=np.uint64)
-
-        ld, st, mallocs, frees = (by_tag[tag] for tag in _HEAP_TAGS)
-        ld_objs, ld_offsets, self.is_ptr[ld], self.chase[ld] = fields(TAG_LD, 4)
-        st_objs, st_offsets, self.is_ptr[st] = fields(TAG_ST, 3)
-        malloc_objs, sizes[mallocs] = fields(TAG_MALLOC, 2)
-        (free_objs,) = fields(TAG_FREE, 1)
-        (self.mispredicted[by_tag[TAG_BR]],) = fields(TAG_BR, 1)
-        objs[ld], objs[st] = ld_objs, st_objs
-        objs[mallocs], objs[frees] = malloc_objs, free_objs
+        # uint64 arithmetic wraps a negative offset onto its base.
+        offsets = trace.offsets.astype(np.uint64)
 
         # Stack and globals accesses: a fixed hot region plus an offset.
         layout = self.address_layout
-        for tag in (TAG_ULD, TAG_UST):
-            records = by_tag[tag]
-            kinds, offsets = fields(tag, 2)
-            bases = np.where(
-                np.array(kinds, dtype=np.int64) == 0,
-                layout.stack_top - 0x2000,
-                layout.globals_base,
-            )
-            addresses[records] = as_u64(bases) + as_u64(np.array(offsets, np.int64))
+        records = np.flatnonzero((tags == TAG_ULD) | (tags == TAG_UST))
+        bases = np.where(
+            flags[records] & FLAG_GLOBALS,
+            layout.globals_base,
+            layout.stack_top - 0x2000,
+        )
+        addresses[records] = as_u64(bases) + offsets[records]
 
         # Each access or free finds its object's payload at the latest
         # earlier malloc of the object, or else in the preamble.
         self.heap = heap = np.flatnonzero(np.isin(tags, _HEAP_TAGS))
         heap_tags = tags[heap]
-        self.preamble_slots = slots = _slots(self.preamble_ids, objs[heap])
+        self.preamble_slots = slots = _slots(trace.preamble_ids, objs[heap])
         latest = latest_def(objs[heap], heap_tags == TAG_MALLOC)
         sources = np.where(latest >= 0, heap[np.maximum(latest, 0)], -1)
         undefined = (sources < 0) & (slots < 0) & (heap_tags != TAG_MALLOC)
@@ -319,14 +291,9 @@ class BasePass:
         payloads = gather(self.preamble, slots)
         allocated = sources >= 0
         payloads[allocated] = addresses[sources[allocated]]
-        addresses[frees] = payloads[heap_tags == TAG_FREE]
-        for records, offsets, tag in (
-            (ld, ld_offsets, TAG_LD),
-            (st, st_offsets, TAG_ST),
-        ):
-            # uint64 arithmetic wraps a negative offset onto the payload.
-            wrapped = np.array(offsets, dtype=np.int64).astype(np.uint64)
-            addresses[records] = payloads[heap_tags == tag] + wrapped
+        addresses[by_tag[TAG_FREE]] = payloads[heap_tags == TAG_FREE]
+        access = (heap_tags == TAG_LD) | (heap_tags == TAG_ST)
+        addresses[heap[access]] = payloads[access] + offsets[heap[access]]
 
     def _run_allocator(self, allocator: HeapAllocator, sources: np.ndarray) -> None:
         """Run the window's mallocs and frees, in order, against the heap.

@@ -47,10 +47,7 @@ from ..memory.layout import AddressSpaceLayout, DEFAULT_LAYOUT
 from ..memory.shadow import shadow_addresses
 from ..core.hbt import HashedBoundsTable
 from ..core.signing import PointerSigner
-from ..workloads.generator import WorkloadTrace
-from .base import (
-    IMMEDIATE,
-    QUARANTINE,
+from ..workloads.generator import (
     TAG_ALU,
     TAG_BR,
     TAG_CALL,
@@ -63,6 +60,11 @@ from .base import (
     TAG_ST,
     TAG_ULD,
     TAG_UST,
+    WorkloadTrace,
+)
+from .base import (
+    IMMEDIATE,
+    QUARANTINE,
     BasePass,
     Operand,
     SignedPointers,
@@ -222,7 +224,7 @@ class _LoweringBase:
             name=self.trace.name,
             mechanism=self.mechanism,
             program=program,
-            trace_events=len(self.trace.events),
+            trace_events=len(self.trace),
             base=self.base,
         )
 
@@ -703,7 +705,7 @@ class AOSLowering(_LoweringBase):
             program=program,
             pointer_layout=self.pointer_layout,
             hbt_factory=HBTFactory(self, self.config),
-            trace_events=len(self.trace.events),
+            trace_events=len(self.trace),
             signed=self.signed,
             base=self.base,
         )

@@ -35,7 +35,8 @@
  *
  * The module also runs the trace generator's per-event loops on CPython's
  * Mersenne Twister stream (warm_branches, preamble, trace_window and
- * dependency_draws; see "trace generation" below).
+ * dependency_draws; see "trace generation" below), writing the trace's
+ * typed columns in place through the buffer protocol.
  * Addresses and bounds are 64-bit pointers: the program's columns hold
  * them as uint64 (Program range-checks hand-built values when it is
  * built), and an HBT line address past 2**64 raises SimulationError
@@ -53,10 +54,6 @@ static PyObject *s_ways, *s_base, *s_resizing, *s_old_base, *s_old_ways,
     *s_latencies, *s_dep_offsets, *s_dep_distances, *s_sizes, *s_move_to_end,
     *s_popitem, *s_table_bits, *s_history_bits, *s_history, *s_predictions,
     *s_mispredictions;
-/* Event tags, and the events that carry no field, of the trace generator. */
-static PyObject *tag_malloc, *tag_free, *tag_store, *tag_load, *tag_ustore,
-    *tag_uload, *tag_branch, *event_ret, *event_call, *event_pa, *event_falu,
-    *event_alu;
 
 /* ------------------------------------------------------------ integers */
 
@@ -815,39 +812,52 @@ level_counts(Level *lv)
                          lv->evictions, lv->writebacks);
 }
 
-/* Acquire the program column `name` into *view: a C-contiguous buffer of
- * 64-bit items whose native format character is one of `formats` (numpy's
- * uint64 "L"/"Q", int64 "l"/"q" or float64 "d"), `n` of them unless n < 0. */
+/* Acquire `value`'s buffer into *view: a C-contiguous, aligned array of
+ * `itemsize`-byte items whose native format character is one of `formats`
+ * (numpy's uint8 "B", uint64 "L"/"Q", int64 "l"/"q" or float64 "d"), `n` of
+ * them unless n < 0, and writable if `writable`.  `what` names it in the
+ * error. */
 static int
-column(PyObject *program, PyObject *name, Py_ssize_t n, const char *formats,
-       Py_buffer *view)
+acquire(PyObject *value, const char *what, Py_ssize_t n, Py_ssize_t itemsize,
+        const char *formats, int writable, Py_buffer *view)
 {
     const char *format;
-    PyObject *value = PyObject_GetAttr(program, name);
+    int flags = PyBUF_C_CONTIGUOUS | PyBUF_FORMAT | (writable ? PyBUF_WRITABLE : 0);
     view->obj = NULL;
-    if (value == NULL)
-        return -1;
-    if (PyObject_GetBuffer(value, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0) {
+    if (PyObject_GetBuffer(value, view, flags) < 0) {
         view->obj = NULL;
-        Py_DECREF(value);
         return -1;
     }
-    Py_DECREF(value);
     format = view->format == NULL ? "B" : view->format;
     if (*format == '@' || *format == '=')
         format++;
-    if (view->itemsize != 8 || (n >= 0 && view->len != n * 8) ||
+    if (view->itemsize != itemsize || (n >= 0 && view->len != n * itemsize) ||
         format[0] == '\0' || format[1] != '\0' || strchr(formats, format[0]) == NULL ||
-        ((Py_uintptr_t)view->buf & 7) != 0) {
+        ((Py_uintptr_t)view->buf & (itemsize - 1)) != 0) {
         PyErr_Format(PyExc_ValueError,
-                     "program column %U must be an aligned array of 64-bit "
-                     "items (format one of \"%s\")",
-                     name, formats);
+                     "%s must be an aligned array of %zd-byte items (format "
+                     "one of \"%s\")",
+                     what, itemsize, formats);
         PyBuffer_Release(view);
         view->obj = NULL;
         return -1;
     }
     return 0;
+}
+
+/* Acquire the program column `name`: 64-bit items, `n` of them unless n < 0. */
+static int
+column(PyObject *program, PyObject *name, Py_ssize_t n, const char *formats,
+       Py_buffer *view)
+{
+    int status;
+    PyObject *value = PyObject_GetAttr(program, name);
+    view->obj = NULL;
+    if (value == NULL)
+        return -1;
+    status = acquire(value, PyUnicode_AsUTF8(name), n, 8, formats, 0, view);
+    Py_DECREF(value);
+    return status;
 }
 
 static void
@@ -1506,39 +1516,36 @@ done:
     return result;
 }
 
-/* Append (tag, items[0..n-1]) to `events`, stealing the items' references;
- * an item may be NULL after a failed allocation, which fails the call. */
-static int
-emit(PyObject *events, PyObject *tag, int n, PyObject *a, PyObject *b,
-     PyObject *c, PyObject *d)
+/* The event tag codes and flag bits: repro.workloads.generator's TAG_*
+ * and FLAG_*. */
+enum {
+    TAG_ALU, TAG_FALU, TAG_LD, TAG_ST, TAG_ULD, TAG_UST,
+    TAG_BR, TAG_MALLOC, TAG_FREE, TAG_CALL, TAG_RET, TAG_PTR_ARITH
+};
+enum { FLAG_PTR = 1, FLAG_CHASE = 2, FLAG_MISPREDICTED = 4, FLAG_GLOBALS = 8 };
+
+/* The event columns trace_window writes, in WorkloadTrace's order, and how
+ * many events are written. */
+typedef struct {
+    unsigned char *tags;
+    long long *objs, *offsets, *sizes;
+    unsigned char *flags;
+    Py_ssize_t count;
+} Events;
+
+static inline void
+event(Events *e, int tag, long long obj, long long offset, long long size, int flags)
 {
-    PyObject *items[4] = {a, b, c, d}, *event = NULL;
-    int k, status = -1;
-    for (k = 0; k < n; k++)
-        if (items[k] == NULL)
-            goto done;
-    event = PyTuple_New(n + 1);
-    if (event == NULL)
-        goto done;
-    Py_INCREF(tag);
-    PyTuple_SET_ITEM(event, 0, tag);
-    for (k = 0; k < n; k++) {
-        PyTuple_SET_ITEM(event, k + 1, items[k]);
-        items[k] = NULL;
-    }
-    /* Strings, ints and bools only: no cycle can run through it. */
-    PyObject_GC_UnTrack(event);
-    status = PyList_Append(events, event);
-done:
-    for (k = 0; k < n; k++)
-        Py_XDECREF(items[k]);
-    Py_XDECREF(event);
-    return status;
+    Py_ssize_t i = e->count++;
+    e->tags[i] = (unsigned char)tag;
+    e->objs[i] = obj;
+    e->offsets[i] = offset;
+    e->sizes[i] = size;
+    e->flags[i] = (unsigned char)flags;
 }
 
 /* The size classes and their cumulative weights: choices()'s bisect. */
 typedef struct {
-    PyObject *classes;  /* the classes, a fast sequence: events hold them */
     Py_ssize_t n;
     double *cum;
     long long *size;
@@ -1548,16 +1555,16 @@ typedef struct {
 static int
 size_table_load(PyObject *classes_obj, PyObject *cum_obj, SizeTable *t)
 {
-    PyObject *cum = NULL;
+    PyObject *classes, *cum = NULL;
     Py_ssize_t i;
     int status = -1;
-    t->classes = PySequence_Fast(classes_obj, "size classes must be a sequence");
-    if (t->classes == NULL)
+    classes = PySequence_Fast(classes_obj, "size classes must be a sequence");
+    if (classes == NULL)
         return -1;
     cum = PySequence_Fast(cum_obj, "cum_weights must be a sequence");
     if (cum == NULL)
-        return -1;
-    t->n = PySequence_Fast_GET_SIZE(t->classes);
+        goto done;
+    t->n = PySequence_Fast_GET_SIZE(classes);
     if (t->n < 1 || PySequence_Fast_GET_SIZE(cum) != t->n) {
         PyErr_SetString(PyExc_ValueError,
                         "one cumulative weight per size class, at least one class");
@@ -1573,7 +1580,7 @@ size_table_load(PyObject *classes_obj, PyObject *cum_obj, SizeTable *t)
         t->cum[i] = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(cum, i));
         if (t->cum[i] == -1.0 && PyErr_Occurred())
             goto done;
-        t->size[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(t->classes, i));
+        t->size[i] = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(classes, i));
         if (t->size[i] == -1 && PyErr_Occurred())
             goto done;
     }
@@ -1585,7 +1592,8 @@ size_table_load(PyObject *classes_obj, PyObject *cum_obj, SizeTable *t)
     }
     status = 0;
 done:
-    Py_DECREF(cum);
+    Py_DECREF(classes);
+    Py_XDECREF(cum);
     return status;
 }
 
@@ -1608,60 +1616,38 @@ size_table_pick(const SizeTable *t, Twister *tw)
 static void
 size_table_free(SizeTable *t)
 {
-    Py_XDECREF(t->classes);
     PyMem_Free(t->cum);
     PyMem_Free(t->size);
 }
 
 PyDoc_STRVAR(preamble_doc,
-"preamble(state, size_classes, cum_weights, count)\n"
-"    -> (state, (preamble, object_sizes))\n\n"
-"The live set at window start: `count` sizes drawn as\n"
-"choices(size_classes, cum_weights=cum_weights, k=count), as the list\n"
-"of (id, size) pairs and the dict id -> size.");
+"preamble(state, size_classes, cum_weights, sizes) -> (state, None)\n\n"
+"The live set at window start: fills the int64 array `sizes` with\n"
+"choices(size_classes, cum_weights=cum_weights, k=len(sizes)).");
 
 static PyObject *
 fast_preamble(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyObject *state, *classes_obj, *cum_obj, *preamble = NULL,
-             *object_sizes = NULL, *result = NULL, *oid, *size, *pair;
-    Py_ssize_t count, i;
+    PyObject *state, *classes_obj, *cum_obj, *sizes_obj, *result = NULL;
+    Py_buffer view = {NULL};
+    Py_ssize_t i;
+    long long *sizes;
     Twister tw;
-    SizeTable table = {NULL, 0, NULL, NULL, 0.0};
-    if (!PyArg_ParseTuple(args, "OOOn", &state, &classes_obj, &cum_obj, &count))
+    SizeTable table = {0, NULL, NULL, 0.0};
+    if (!PyArg_ParseTuple(args, "OOOO", &state, &classes_obj, &cum_obj, &sizes_obj))
         return NULL;
-    if (count < 0) {
-        PyErr_SetString(PyExc_ValueError, "count must be >= 0");
+    if (acquire(sizes_obj, "sizes", -1, 8, "lq", 1, &view) < 0)
         return NULL;
-    }
     if (twister_load(state, &tw) < 0 ||
         size_table_load(classes_obj, cum_obj, &table) < 0)
         goto done;
-    preamble = PyList_New(count);
-    object_sizes = _PyDict_NewPresized(count);
-    if (preamble == NULL || object_sizes == NULL)
-        goto done;
-    for (i = 0; i < count; i++) {
-        size = PySequence_Fast_GET_ITEM(table.classes, size_table_pick(&table, &tw));
-        oid = PyLong_FromSsize_t(i);
-        if (oid == NULL)
-            goto done;
-        pair = PyTuple_Pack(2, oid, size);
-        if (pair == NULL || PyDict_SetItem(object_sizes, oid, size) < 0) {
-            Py_DECREF(oid);
-            Py_XDECREF(pair);
-            goto done;
-        }
-        Py_DECREF(oid);
-        PyObject_GC_UnTrack(pair);
-        PyList_SET_ITEM(preamble, i, pair);
-    }
-    result = PyTuple_Pack(2, preamble, object_sizes);
-    result = advanced(&tw, result);
+    sizes = view.buf;
+    for (i = 0; i < view.len / 8; i++)
+        sizes[i] = table.size[size_table_pick(&table, &tw)];
+    result = advanced(&tw, Py_NewRef(Py_None));
 done:
     size_table_free(&table);
-    Py_XDECREF(preamble);
-    Py_XDECREF(object_sizes);
+    release_column(&view);
     return result;
 }
 
@@ -1674,41 +1660,50 @@ typedef struct {
 
 PyDoc_STRVAR(trace_window_doc,
 "trace_window(state, predictor, site_pcs, site_bias, dice, size_classes,\n"
-"             cum_weights, hot_pool, object_sizes, instructions,\n"
-"             target_live) -> (state, events)\n\n"
+"             cum_weights, hot_pool, preamble_sizes, instructions,\n"
+"             target_live, tags, objs, offsets, sizes, flags)\n"
+"    -> (state, count)\n\n"
 "The window loop of generate_trace: `instructions` draws of the event\n"
-"mix.  `dice` is a WindowDice; `object_sizes` maps the preamble ids\n"
-"0..n-1 to their sizes and gains one entry per window malloc, in\n"
-"allocation order; `predictor` is trained in place.");
+"mix, written from index 0 into the event columns (uint8 tags and flags,\n"
+"int64 objs, offsets and sizes, 2 * instructions entries each), of which\n"
+"`count` are used.  `dice` is a WindowDice; `hot_pool` (int64) holds\n"
+"preamble ids, and `preamble_sizes` (int64) the sizes of the preamble ids\n"
+"0..n-1; `predictor` is trained in place.");
 
 static PyObject *
 fast_trace_window(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyObject *state, *predictor, *pcs_obj, *bias_obj, *dice_obj, *classes_obj,
-        *cum_obj, *hot_obj, *object_sizes;
-    PyObject *hot_seq = NULL, *events = NULL, *result = NULL, *key, *value;
+        *cum_obj, *hot_obj, *preamble_obj, *columns[5];
+    PyObject *result = NULL;
+    Py_buffer preamble_view = {NULL}, hot_view = {NULL};
     Py_ssize_t instructions, n_pre, cap, pos, i, k, step;
     long long target_live, *sizes = NULL, *cursors = NULL;
-    Py_ssize_t *live = NULL, *live_pos = NULL, *allocated = NULL, *hot = NULL;
+    Py_ssize_t *live = NULL, *live_pos = NULL, *allocated = NULL;
+    const long long *hot;
     Py_ssize_t live_len, n_alloc = 0, alloc_head = 0, hot_len = 0;
     Py_ssize_t next_obj, current = -1, call_depth = 0, oid, victim, candidate;
     Py_ssize_t back, lim;
     char *freed = NULL;
     double r;
     long long span, offset, size;
-    int is_store, is_ptr, kind, mispredicted;
+    int is_store, flags;
     u64 site;
     Twister tw;
     Sites sites = {0, NULL, NULL};
-    SizeTable table = {NULL, 0, NULL, NULL, 0.0};
+    SizeTable table = {0, NULL, NULL, 0.0};
     GShare g;
     Dice p;
+    Events e = {NULL, NULL, NULL, NULL, NULL, 0};
+    Py_buffer views[5] = {{NULL}, {NULL}, {NULL}, {NULL}, {NULL}};
+    static const char *names[5] = {"tags", "objs", "offsets", "sizes", "flags"};
 
     g.table.obj = NULL;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOO!nL", &state, &predictor, &pcs_obj,
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOnLOOOOO", &state, &predictor, &pcs_obj,
                           &bias_obj, &dice_obj, &classes_obj, &cum_obj,
-                          &hot_obj, &PyDict_Type, &object_sizes,
-                          &instructions, &target_live))
+                          &hot_obj, &preamble_obj, &instructions, &target_live,
+                          &columns[0], &columns[1], &columns[2], &columns[3],
+                          &columns[4]))
         return NULL;
     if (!PyTuple_Check(dice_obj) ||
         !PyArg_ParseTuple(dice_obj, "dddddddddddddd;dice must be 14 floats",
@@ -1724,12 +1719,22 @@ fast_trace_window(PyObject *Py_UNUSED(module), PyObject *args)
         PyErr_SetString(PyExc_ValueError, "instructions must be >= 0");
         return NULL;
     }
-    if (twister_load(state, &tw) < 0 || sites_load(pcs_obj, bias_obj, &sites) < 0 ||
+    for (k = 0; k < 5; k++)
+        if (acquire(columns[k], names[k], 2 * instructions, k % 4 ? 8 : 1,
+                    k % 4 ? "lq" : "B", 1, &views[k]) < 0)
+            goto done;
+    e.tags = views[0].buf;
+    e.objs = views[1].buf;
+    e.offsets = views[2].buf;
+    e.sizes = views[3].buf;
+    e.flags = views[4].buf;
+    if (acquire(preamble_obj, "preamble_sizes", -1, 8, "lq", 0, &preamble_view) < 0 ||
+        twister_load(state, &tw) < 0 || sites_load(pcs_obj, bias_obj, &sites) < 0 ||
         size_table_load(classes_obj, cum_obj, &table) < 0)
         goto done;
 
     /* Every object id below cap: the preamble's, then one per window step. */
-    n_pre = PyDict_GET_SIZE(object_sizes);
+    n_pre = preamble_view.len / 8;
     cap = n_pre + instructions;
     sizes = PyMem_Malloc((cap + 1) * sizeof(long long));
     cursors = PyMem_Calloc(cap + 1, sizeof(long long));
@@ -1742,40 +1747,19 @@ fast_trace_window(PyObject *Py_UNUSED(module), PyObject *args)
         PyErr_NoMemory();
         goto done;
     }
-    pos = 0;
-    i = 0;
-    while (PyDict_Next(object_sizes, &pos, &key, &value)) {
-        oid = PyLong_AsSsize_t(key);
-        if (oid == -1 && PyErr_Occurred())
-            goto done;
-        if (oid != i) {
-            PyErr_SetString(PyExc_ValueError,
-                            "object_sizes must hold the preamble ids 0..n-1 in order");
-            goto done;
-        }
-        sizes[i] = PyLong_AsLongLong(value);
-        if (sizes[i] == -1 && PyErr_Occurred())
-            goto done;
+    memcpy(sizes, preamble_view.buf, n_pre * sizeof(long long));
+    for (i = 0; i < n_pre; i++) {
         live[i] = i;
         live_pos[i] = i;
-        i++;
     }
     live_len = n_pre;
     next_obj = n_pre;
 
-    hot_seq = PySequence_Fast(hot_obj, "the hot pool must be a sequence");
-    if (hot_seq == NULL)
+    if (acquire(hot_obj, "hot_pool", -1, 8, "lq", 0, &hot_view) < 0)
         goto done;
-    hot_len = PySequence_Fast_GET_SIZE(hot_seq);
-    hot = PyMem_Malloc((hot_len + 1) * sizeof(Py_ssize_t));
-    if (hot == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
+    hot = hot_view.buf;
+    hot_len = hot_view.len / 8;
     for (i = 0; i < hot_len; i++) {
-        hot[i] = PyLong_AsSsize_t(PySequence_Fast_GET_ITEM(hot_seq, i));
-        if (hot[i] == -1 && PyErr_Occurred())
-            goto done;
         if (hot[i] < 0 || hot[i] >= n_pre) {
             PyErr_SetString(PyExc_ValueError, "the hot pool must hold preamble ids");
             goto done;
@@ -1783,9 +1767,6 @@ fast_trace_window(PyObject *Py_UNUSED(module), PyObject *args)
     }
 
     if (gshare_bind(predictor, &g) < 0)
-        goto done;
-    events = PyList_New(0);
-    if (events == NULL)
         goto done;
 
     for (step = 0; step < instructions; step++) {
@@ -1796,14 +1777,7 @@ fast_trace_window(PyObject *Py_UNUSED(module), PyObject *args)
             k = size_table_pick(&table, &tw);
             oid = next_obj++;
             sizes[oid] = table.size[k];
-            value = PySequence_Fast_GET_ITEM(table.classes, k);
-            key = PyLong_FromSsize_t(oid);
-            if (key == NULL || PyDict_SetItem(object_sizes, key, value) < 0) {
-                Py_XDECREF(key);
-                goto done;
-            }
-            if (emit(events, tag_malloc, 2, key, Py_NewRef(value), NULL, NULL) < 0)
-                goto done;
+            event(&e, TAG_MALLOC, oid, 0, sizes[oid], 0);
             live_pos[oid] = live_len;
             live[live_len++] = oid;
             allocated[n_alloc++] = oid;
@@ -1840,9 +1814,7 @@ fast_trace_window(PyObject *Py_UNUSED(module), PyObject *args)
                         live_pos[oid] = pos;
                     }
                     freed[victim] = 1;
-                    if (emit(events, tag_free, 1, PyLong_FromSsize_t(victim), NULL,
-                             NULL, NULL) < 0)
-                        goto done;
+                    event(&e, TAG_FREE, victim, 0, 0, 0);
                 }
             }
             continue;
@@ -1850,21 +1822,18 @@ fast_trace_window(PyObject *Py_UNUSED(module), PyObject *args)
 
         if (twister_random(&tw) < p.call) {
             if (call_depth > 0 && twister_random(&tw) < 0.5) {
-                if (PyList_Append(events, event_ret) < 0)
-                    goto done;
+                event(&e, TAG_RET, 0, 0, 0, 0);
                 call_depth--;
             }
             else {
-                if (PyList_Append(events, event_call) < 0)
-                    goto done;
+                event(&e, TAG_CALL, 0, 0, 0, 0);
                 call_depth++;
             }
             continue;
         }
 
         if (twister_random(&tw) < p.ptr_arith) {
-            if (PyList_Append(events, event_pa) < 0)
-                goto done;
+            event(&e, TAG_PTR_ARITH, 0, 0, 0, 0);
             continue;
         }
 
@@ -1897,104 +1866,88 @@ fast_trace_window(PyObject *Py_UNUSED(module), PyObject *args)
                 }
                 else
                     offset = 8 * (long long)twister_below(&tw, (u64)(span + 8) / 8);
-                is_ptr = twister_random(&tw) < p.ptr_frac;
-                if (is_store) {
-                    if (emit(events, tag_store, 3, PyLong_FromSsize_t(oid),
-                             PyLong_FromLongLong(offset), PyBool_FromLong(is_ptr),
-                             NULL) < 0)
-                        goto done;
+                flags = twister_random(&tw) < p.ptr_frac ? FLAG_PTR : 0;
+                if (is_store)
+                    event(&e, TAG_ST, oid, offset, 0, flags);
+                else {
+                    if (twister_random(&tw) < p.chase_frac)
+                        flags |= FLAG_CHASE;
+                    event(&e, TAG_LD, oid, offset, 0, flags);
                 }
-                else if (emit(events, tag_load, 4, PyLong_FromSsize_t(oid),
-                              PyLong_FromLongLong(offset), PyBool_FromLong(is_ptr),
-                              PyBool_FromLong(twister_random(&tw) < p.chase_frac)) < 0)
-                    goto done;
             }
             else {
-                kind = twister_random(&tw) < 0.8 ? 0 : 1; /* stack vs globals */
-                offset = 8 * (long long)twister_below(&tw, kind == 0 ? 512 : 32768);
-                if (emit(events, is_store ? tag_ustore : tag_uload, 2,
-                         PyLong_FromLong(kind), PyLong_FromLongLong(offset), NULL,
-                         NULL) < 0)
-                    goto done;
+                /* stack vs globals */
+                flags = twister_random(&tw) < 0.8 ? 0 : FLAG_GLOBALS;
+                offset = 8 * (long long)twister_below(&tw, flags ? 32768 : 512);
+                event(&e, is_store ? TAG_UST : TAG_ULD, 0, offset, 0, flags);
             }
         }
         else if (r < p.branch) {
             site = twister_below(&tw, (u64)sites.n);
-            mispredicted = gshare_step(&g, sites.pcs[site],
-                                       twister_random(&tw) < sites.bias[site]);
-            if (emit(events, tag_branch, 1, PyBool_FromLong(mispredicted), NULL,
-                     NULL, NULL) < 0)
-                goto done;
+            flags = gshare_step(&g, sites.pcs[site],
+                                twister_random(&tw) < sites.bias[site])
+                        ? FLAG_MISPREDICTED
+                        : 0;
+            event(&e, TAG_BR, 0, 0, 0, flags);
         }
-        else if (r < p.falu) {
-            if (PyList_Append(events, event_falu) < 0)
-                goto done;
-        }
-        else if (PyList_Append(events, event_alu) < 0)
-            goto done;
+        else
+            event(&e, r < p.falu ? TAG_FALU : TAG_ALU, 0, 0, 0, 0);
     }
 
-    if (gshare_store(&g, predictor) == 0) {
-        result = advanced(&tw, events);
-        events = NULL;
-    }
+    if (gshare_store(&g, predictor) == 0)
+        result = advanced(&tw, PyLong_FromSsize_t(e.count));
 done:
     gshare_store(&g, NULL);
     sites_free(&sites);
     size_table_free(&table);
-    Py_XDECREF(hot_seq);
-    Py_XDECREF(events);
+    for (k = 0; k < 5; k++)
+        release_column(&views[k]);
+    release_column(&preamble_view);
+    release_column(&hot_view);
     PyMem_Free(sizes);
     PyMem_Free(cursors);
     PyMem_Free(freed);
     PyMem_Free(live);
     PyMem_Free(live_pos);
     PyMem_Free(allocated);
-    PyMem_Free(hot);
     return result;
 }
 
 PyDoc_STRVAR(dependency_draws_doc,
-"dependency_draws(state, count, dep_prob, ilp_distance) -> (state, drawn)\n\n"
-"`count` dependency draws: 1 + randrange(ilp_distance) where\n"
-"random() < dep_prob, else 0; 1 <= ilp_distance < 2**63.");
+"dependency_draws(state, dep_prob, ilp_distance, drawn) -> (state, None)\n\n"
+"Fill the int64 array `drawn` with dependency draws: 1 +\n"
+"randrange(ilp_distance) where random() < dep_prob, else 0;\n"
+"1 <= ilp_distance < 2**63.");
 
 static PyObject *
 fast_dependency_draws(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyObject *state, *drawn, *value;
-    Py_ssize_t count, i;
+    PyObject *state, *drawn_obj, *result = NULL;
+    Py_buffer view = {NULL};
+    Py_ssize_t i;
+    long long *drawn;
     double dep_prob;
     u64 distance;
     Twister tw;
-    if (!PyArg_ParseTuple(args, "OndO&", &state, &count, &dep_prob,
-                          u64_converter, &distance))
+    if (!PyArg_ParseTuple(args, "OdO&O", &state, &dep_prob, u64_converter,
+                          &distance, &drawn_obj))
         return NULL;
     if (distance < 1 || distance >> 63) {
         PyErr_SetString(PyExc_ValueError, "ilp_distance must be in [1, 2**63)");
         return NULL;
     }
-    if (count < 0) {
-        PyErr_SetString(PyExc_ValueError, "count must be >= 0");
+    if (acquire(drawn_obj, "drawn", -1, 8, "lq", 1, &view) < 0)
         return NULL;
+    if (twister_load(state, &tw) == 0) {
+        drawn = view.buf;
+        for (i = 0; i < view.len / 8; i++)
+            drawn[i] = twister_random(&tw) < dep_prob
+                           ? (long long)(1 + twister_below(&tw, distance))
+                           : 0;
+        result = advanced(&tw, Py_NewRef(Py_None));
     }
-    if (twister_load(state, &tw) < 0)
-        return NULL;
-    drawn = PyList_New(count);
-    if (drawn == NULL)
-        return NULL;
-    for (i = 0; i < count; i++) {
-        if (twister_random(&tw) < dep_prob)
-            value = PyLong_FromUnsignedLongLong(1 + twister_below(&tw, distance));
-        else
-            value = PyLong_FromLong(0);
-        if (value == NULL) {
-            Py_DECREF(drawn);
-            return NULL;
-        }
-        PyList_SET_ITEM(drawn, i, value);
-    }
-    return advanced(&tw, drawn);
+    release_column(&view);
+    return result;
 }
 
 static PyMethodDef fast_methods[] = {
@@ -2029,24 +1982,11 @@ PyInit__fast(void)
         {&s_table_bits, "table_bits"}, {&s_history_bits, "history_bits"},
         {&s_history, "_history"}, {&s_predictions, "predictions"},
         {&s_mispredictions, "mispredictions"},
-        {&tag_malloc, "m"}, {&tag_free, "f"}, {&tag_store, "st"},
-        {&tag_load, "ld"}, {&tag_ustore, "ust"}, {&tag_uload, "uld"},
-        {&tag_branch, "br"},
-    };
-    struct { PyObject **slot; const char *tag; } constants[] = {
-        {&event_ret, "ret"}, {&event_call, "call"}, {&event_pa, "pa"},
-        {&event_falu, "falu"}, {&event_alu, "alu"},
     };
     size_t k;
     for (k = 0; k < sizeof(names) / sizeof(names[0]); k++) {
         *names[k].slot = PyUnicode_InternFromString(names[k].name);
         if (*names[k].slot == NULL)
-            return NULL;
-    }
-    for (k = 0; k < sizeof(constants) / sizeof(constants[0]); k++) {
-        *constants[k].slot =
-            Py_BuildValue("(N)", PyUnicode_InternFromString(constants[k].tag));
-        if (*constants[k].slot == NULL)
             return NULL;
     }
     errors = PyImport_ImportModule("repro.errors");

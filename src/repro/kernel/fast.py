@@ -51,8 +51,10 @@ the preamble size draws, the window) and the base pass's dependency dice
 Twister stream: :func:`on_stream` hands a loop the state of
 ``rng.getstate()`` and puts the advanced state back with
 ``rng.setstate``.  The loops draw exactly what the Python loops draw, in
-the same order, and build the same event tuples; those Python loops stay
-as the reference (``tests/test_generator_native.py``) and run wherever
+the same order, and write the same typed columns (the trace's event
+columns, the preamble sizes, the dependency draws) into arrays the caller
+hands them, through the buffer protocol; those Python loops stay as the
+reference (``tests/test_generator_native.py``) and run wherever
 :func:`native` returns None.
 """
 

@@ -4,10 +4,12 @@ The simulator's workloads no longer have to come from the 22 calibrated
 synthetic profiles: this package defines a versioned trace schema
 (:mod:`~repro.traces.schema`), a streaming JSONL codec
 (:mod:`~repro.traces.codec`), an importer that compiles a record stream
-into the same :class:`~repro.workloads.WorkloadTrace` -> ``Program``
-pipeline the generator feeds (:mod:`~repro.traces.importer`), and a
-recorder that exports any trace back out through the same schema
-(:mod:`~repro.traces.recorder`).
+into the typed event columns of the same
+:class:`~repro.workloads.WorkloadTrace` -> ``Program`` pipeline the
+generator feeds (:mod:`~repro.traces.importer`), and a recorder that
+exports any trace's columns back out through the same schema
+(:mod:`~repro.traces.recorder`).  One table, ``schema.TAG_OF_KIND``,
+maps each record kind to its event's tag code.
 
 The round-trip invariant — ``simulate(generate(p)) ==
 simulate(import(record(generate(p))))`` byte-identically, for every
@@ -48,8 +50,6 @@ from .schema import (
     SCHEMA_VERSION,
     TraceHeader,
     TraceRecord,
-    event_to_record,
-    record_to_event,
     validate_record,
 )
 
@@ -62,13 +62,11 @@ __all__ = [
     "TraceStats",
     "TraceWriter",
     "compile_trace",
-    "event_to_record",
     "export_workload",
     "import_trace",
     "open_trace",
     "profile_from_payload",
     "read_header",
-    "record_to_event",
     "record_trace",
     "scan_trace",
     "synthesize_profile",

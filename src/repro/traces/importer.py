@@ -1,13 +1,13 @@
 """Trace ingestion: record stream -> WorkloadTrace -> runnable Program.
 
 The importer is the bridge from the wire format to the existing
-pipeline: it reconstructs exactly the
-:class:`~repro.workloads.WorkloadTrace` object the synthetic generator
-emits, so the compiler passes, both simulation kernels, the supervision
-layer and the chaos interpreter all run ingested traces unchanged.  A
-recorded synthetic trace therefore re-imports *equal* to the original
-(dataclass equality), which is what makes the generator -> export ->
-import -> simulate round-trip byte-identical.
+pipeline: it builds the same typed columns of a
+:class:`~repro.workloads.WorkloadTrace` the synthetic generator emits, so
+the compiler passes, both simulation kernels, the supervision layer and
+the chaos interpreter all run ingested traces unchanged.  A recorded
+synthetic trace therefore re-imports *equal* to the original (column and
+header equality), which is what makes the generator -> export -> import
+-> simulate round-trip byte-identical.
 
 Ingestion is strict: schema violations surface from the codec as
 :class:`~repro.errors.TraceDecodeError`, and streams that decode but
@@ -23,13 +23,20 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import List, Union
 
 from ..errors import TraceDecodeError, TraceSemanticError
-from ..workloads.generator import WorkloadTrace
+from ..workloads.generator import (
+    FLAG_CHASE,
+    FLAG_GLOBALS,
+    FLAG_MISPREDICTED,
+    FLAG_PTR,
+    EventColumns,
+    WorkloadTrace,
+)
 from ..workloads.profiles import WorkloadProfile
 from .codec import TraceReader, open_trace
-from .schema import TraceHeader, record_to_event
+from .schema import TAG_OF_KIND, TraceHeader
 
 _PROFILE_FIELDS = {f.name: f for f in dataclasses.fields(WorkloadProfile)}
 
@@ -90,9 +97,10 @@ def trace_from_reader(reader: TraceReader) -> WorkloadTrace:
     truncation, unknown kinds).
     """
     header = reader.header
-    preamble: List[Tuple[int, int]] = []
-    events: List[tuple] = []
-    object_sizes: Dict[int, int] = {}
+    preamble_ids: List[int] = []
+    preamble_sizes: List[int] = []
+    events = EventColumns()
+    declared: set = set()
     freed: set = set()
     window_started = False
     live = 0
@@ -104,34 +112,27 @@ def trace_from_reader(reader: TraceReader) -> WorkloadTrace:
         kind = record.kind
         if kind == "note":
             continue
-        if kind == "obj":
-            if window_started:
+        if kind in ("obj", "alloc"):
+            if kind == "obj" and window_started:
                 raise TraceSemanticError(
                     f"{reader.path}: preamble object {record.obj} declared "
                     "after window events began"
                 )
-            if record.obj in object_sizes:
+            if record.obj in declared:
                 raise TraceSemanticError(
                     f"{reader.path}: duplicate object id {record.obj}"
                 )
-            object_sizes[record.obj] = record.size
-            preamble.append((record.obj, record.size))
+            declared.add(record.obj)
             allocations += 1
             live += 1
             peak_live = max(peak_live, live)
-            continue
+            if kind == "obj":
+                preamble_ids.append(record.obj)
+                preamble_sizes.append(record.size)
+                continue
         window_started = True
-        if kind == "alloc":
-            if record.obj in object_sizes:
-                raise TraceSemanticError(
-                    f"{reader.path}: duplicate object id {record.obj}"
-                )
-            object_sizes[record.obj] = record.size
-            allocations += 1
-            live += 1
-            peak_live = max(peak_live, live)
-        elif kind == "free":
-            if record.obj not in object_sizes:
+        if kind == "free":
+            if record.obj not in declared:
                 raise TraceSemanticError(
                     f"{reader.path}: free of unknown object {record.obj}"
                 )
@@ -143,16 +144,23 @@ def trace_from_reader(reader: TraceReader) -> WorkloadTrace:
             deallocations += 1
             live -= 1
         elif kind in ("load", "store"):
-            if record.obj not in object_sizes:
+            if record.obj not in declared:
                 raise TraceSemanticError(
                     f"{reader.path}: {kind} of undeclared object {record.obj}"
                 )
             # Accesses to freed objects and offsets beyond the object size
             # are deliberately admitted: UAF/OOB attack traces express the
             # violation; detection is the simulated mechanism's job.
-        event = record_to_event(record)
-        if event is not None:
-            events.append(event)
+        events.add(
+            TAG_OF_KIND[kind],
+            record.obj or 0,
+            record.offset or 0,
+            record.size or 0,
+            FLAG_PTR * record.ptr
+            | FLAG_CHASE * record.chase
+            | FLAG_MISPREDICTED * record.mispredict
+            | FLAG_GLOBALS * (record.space == 1),
+        )
 
     if header.profile is not None:
         profile = profile_from_payload(header.profile)
@@ -166,15 +174,20 @@ def trace_from_reader(reader: TraceReader) -> WorkloadTrace:
             header.name, allocations, deallocations, peak_live
         )
 
-    return WorkloadTrace(
-        profile=profile,
-        preamble=preamble,
-        events=events,
-        object_sizes=object_sizes,
-        scale=header.scale,
-        seed=header.seed,
-        branch_mispredict_rate=header.mispredict_rate,
-    )
+    try:
+        return WorkloadTrace(
+            profile=profile,
+            preamble_ids=preamble_ids,
+            preamble_sizes=preamble_sizes,
+            **events.columns,
+            scale=header.scale,
+            seed=header.seed,
+            branch_mispredict_rate=header.mispredict_rate,
+        )
+    except OverflowError:
+        raise TraceSemanticError(
+            f"{reader.path}: an object id, offset or size does not fit in 64 bits"
+        ) from None
 
 
 def import_trace(path: Union[str, Path]) -> WorkloadTrace:

@@ -15,17 +15,34 @@ import dataclasses
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
-from ..workloads.generator import WorkloadTrace
+from ..workloads.generator import (
+    EVENT_COLUMNS,
+    FLAG_CHASE,
+    FLAG_GLOBALS,
+    FLAG_MISPREDICTED,
+    FLAG_PTR,
+    WorkloadTrace,
+)
 from .codec import TraceWriter
-from .schema import TraceHeader, TraceRecord, event_to_record
+from .schema import INT_FIELDS, KIND_OF_TAG, TraceHeader, TraceRecord
 
 
 def trace_records(trace: WorkloadTrace) -> Iterator[TraceRecord]:
     """The schema record stream for ``trace``: preamble rows then events."""
-    for obj, size in trace.preamble:
+    for obj, size in zip(trace.preamble_ids.tolist(), trace.preamble_sizes.tolist()):
         yield TraceRecord(kind="obj", obj=obj, size=size)
-    for event in trace.events:
-        yield event_to_record(event)
+    columns = (getattr(trace, name).tolist() for name in EVENT_COLUMNS)
+    for tag, obj, offset, size, flags in zip(*columns):
+        kind = KIND_OF_TAG[tag]
+        space = int(bool(flags & FLAG_GLOBALS))
+        ints = {"obj": obj, "offset": offset, "size": size, "space": space}
+        yield TraceRecord(
+            kind,
+            **{name: ints[name] for name in INT_FIELDS[kind]},
+            ptr=bool(flags & FLAG_PTR),
+            chase=bool(flags & FLAG_CHASE),
+            mispredict=bool(flags & FLAG_MISPREDICTED),
+        )
 
 
 def trace_header(

@@ -28,6 +28,12 @@ Record kinds (schema v1):
             importer when building the runnable program.
 ==========  ==========================================================
 
+Every kind but ``obj`` and ``note`` is one event of a
+:class:`~repro.workloads.WorkloadTrace`: :data:`TAG_OF_KIND` maps it to
+the event's tag code, and its fields go to the trace's columns (``obj``,
+``offset``, ``size``; ``ptr``, ``chase``, ``mispredict`` and space 1 as
+flag bits).  ``obj`` rows are the trace's preamble columns.
+
 Offsets past the declared object size and accesses to freed objects are
 *valid schema* — they are exactly how out-of-bounds and use-after-free
 attack traces are expressed (the lowering executes them for real and the
@@ -42,6 +48,20 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..errors import TraceDecodeError, TraceVersionError
+from ..workloads.generator import (
+    TAG_ALU,
+    TAG_BR,
+    TAG_CALL,
+    TAG_FALU,
+    TAG_FREE,
+    TAG_LD,
+    TAG_MALLOC,
+    TAG_PTR_ARITH,
+    TAG_RET,
+    TAG_ST,
+    TAG_ULD,
+    TAG_UST,
+)
 
 #: The schema version this package reads and writes.
 SCHEMA_VERSION = 1
@@ -76,8 +96,9 @@ class TraceRecord:
     text: Optional[str] = None
 
 
-#: kind -> (required int fields, flag fields) used by :func:`validate_record`.
-_INT_FIELDS: Dict[str, Tuple[str, ...]] = {
+#: kind -> the int fields a record of that kind carries (checked by
+#: :func:`validate_record`, filled from a trace's columns by the recorder).
+INT_FIELDS: Dict[str, Tuple[str, ...]] = {
     "obj": ("obj", "size"),
     "alloc": ("obj", "size"),
     "free": ("obj",),
@@ -100,7 +121,7 @@ def validate_record(record: TraceRecord) -> TraceRecord:
     kind = record.kind
     if kind not in RECORD_KINDS:
         raise TraceDecodeError(f"unknown record kind {kind!r}")
-    for name in _INT_FIELDS[kind]:
+    for name in INT_FIELDS[kind]:
         value = getattr(record, name)
         if not isinstance(value, int) or isinstance(value, bool):
             raise TraceDecodeError(f"{kind}: field {name!r} must be an integer")
@@ -205,70 +226,14 @@ class TraceHeader:
         )
 
 
-# ------------------------------------------------------ event <-> record
+# ------------------------------------------------------ kind <-> tag code
 
-#: The generator's event-tuple tags, mapped 1:1 onto record kinds.
-_EVENT_TO_KIND = {
-    "m": "alloc", "f": "free", "ld": "load", "st": "store",
-    "uld": "uload", "ust": "ustore", "call": "call", "ret": "ret",
-    "br": "branch", "pa": "ptr", "alu": "alu", "falu": "falu",
+#: Each window record kind and the :class:`~repro.workloads.WorkloadTrace`
+#: tag code of its event.  ``obj`` rows are the trace's preamble columns
+#: and ``note`` rows annotations: neither is an event.
+TAG_OF_KIND: Dict[str, int] = {
+    "alloc": TAG_MALLOC, "free": TAG_FREE, "load": TAG_LD, "store": TAG_ST,
+    "uload": TAG_ULD, "ustore": TAG_UST, "call": TAG_CALL, "ret": TAG_RET,
+    "branch": TAG_BR, "ptr": TAG_PTR_ARITH, "alu": TAG_ALU, "falu": TAG_FALU,
 }
-
-
-def event_to_record(event: tuple) -> TraceRecord:
-    """Map one generator event tuple to its schema record."""
-    tag = event[0]
-    kind = _EVENT_TO_KIND.get(tag)
-    if kind is None:
-        raise TraceDecodeError(f"unrecordable event tag {tag!r}")
-    if kind == "alloc":
-        return TraceRecord(kind="alloc", obj=event[1], size=event[2])
-    if kind == "free":
-        return TraceRecord(kind="free", obj=event[1])
-    if kind == "load":
-        return TraceRecord(
-            kind="load", obj=event[1], offset=event[2],
-            ptr=bool(event[3]), chase=bool(event[4]),
-        )
-    if kind == "store":
-        return TraceRecord(
-            kind="store", obj=event[1], offset=event[2], ptr=bool(event[3])
-        )
-    if kind in ("uload", "ustore"):
-        return TraceRecord(kind=kind, space=event[1], offset=event[2])
-    if kind == "branch":
-        return TraceRecord(kind="branch", mispredict=bool(event[1]))
-    return TraceRecord(kind=kind)
-
-
-def record_to_event(record: TraceRecord) -> Optional[tuple]:
-    """Map one record to its generator event tuple (None for non-events:
-    ``obj`` rows are preamble state, ``note`` rows are annotations)."""
-    kind = record.kind
-    if kind in ("obj", "note"):
-        return None
-    if kind == "alloc":
-        return ("m", record.obj, record.size)
-    if kind == "free":
-        return ("f", record.obj)
-    if kind == "load":
-        return ("ld", record.obj, record.offset, record.ptr, record.chase)
-    if kind == "store":
-        return ("st", record.obj, record.offset, record.ptr)
-    if kind == "uload":
-        return ("uld", record.space, record.offset)
-    if kind == "ustore":
-        return ("ust", record.space, record.offset)
-    if kind == "branch":
-        return ("br", record.mispredict)
-    if kind == "call":
-        return ("call",)
-    if kind == "ret":
-        return ("ret",)
-    if kind == "ptr":
-        return ("pa",)
-    if kind == "alu":
-        return ("alu",)
-    if kind == "falu":
-        return ("falu",)
-    raise TraceDecodeError(f"unknown record kind {kind!r}")
+KIND_OF_TAG: Dict[int, str] = {tag: kind for kind, tag in TAG_OF_KIND.items()}

@@ -9,6 +9,20 @@ once per protection mechanism, so every mechanism sees the identical
 program behaviour — the methodology the paper uses by running the same
 SPEC reference inputs under each configuration.
 
+A :class:`WorkloadTrace` holds its events as typed columns, one entry
+per event, 0 where the event has no such field: ``tags`` (``uint8``, the
+``TAG_*`` code); ``objs`` (``int64``, the object of a load, store, malloc
+or free); ``offsets`` (``int64``, an access's byte offset into its heap
+object, or into its stack or globals region); ``sizes`` (``int64``, a
+malloc's request); ``flags`` (``uint8``: ``FLAG_PTR``, the load or store
+moves a pointer; ``FLAG_CHASE``, the load chases one;
+``FLAG_MISPREDICTED``, the branch; ``FLAG_GLOBALS``, the stack/globals
+access hits globals).  The C loops of :mod:`repro.kernel.fast`, their
+Python reference here, the trace importer (:mod:`repro.traces.importer`)
+and the attack scenarios (:mod:`repro.adversary.scenarios`) all write
+these columns; the base pass (:mod:`repro.compiler.base`) reads them as
+they are.
+
 Scaling: simulating a 3-billion-instruction SPEC run is not feasible in
 Python, so the trace models a steady-state *window* preceded by a
 "preamble" — the set of objects already live when the window starts
@@ -24,6 +38,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+import numpy as np
+
 from ..cpu.branch import GShareBranchPredictor
 from ..errors import WorkloadError
 from .profiles import WorkloadProfile
@@ -34,31 +50,89 @@ MAX_PREAMBLE_OBJECTS = 400_000
 #: Branches that train the predictor before the window.
 WARMUP_BRANCHES = 4000
 
-Event = Tuple
+#: Event tags.  The events that draw from the base pass's dependency dice
+#: come first.  ``_fast.c`` writes the same codes.
+TAG_ALU, TAG_FALU, TAG_LD, TAG_ST, TAG_ULD, TAG_UST = range(6)
+TAG_BR, TAG_MALLOC, TAG_FREE, TAG_CALL, TAG_RET, TAG_PTR_ARITH = range(6, 12)
+TAG_COUNT = 12
+
+#: Event flag bits.
+FLAG_PTR, FLAG_CHASE, FLAG_MISPREDICTED, FLAG_GLOBALS = 1, 2, 4, 8
+
+#: The event columns and their dtypes, in order.
+EVENT_COLUMNS = {
+    "tags": np.uint8,
+    "objs": np.int64,
+    "offsets": np.int64,
+    "sizes": np.int64,
+    "flags": np.uint8,
+}
+#: Every column of a :class:`WorkloadTrace` and its dtype.
+TRACE_COLUMNS = {"preamble_ids": np.int64, "preamble_sizes": np.int64, **EVENT_COLUMNS}
 
 
-@dataclass
+@dataclass(eq=False)
 class WorkloadTrace:
-    """One generated workload window, ready for lowering."""
+    """One generated workload window, ready for lowering.
+
+    Its columns are read-only ``numpy`` arrays of the declared dtypes;
+    the constructor converts what it is given.
+    """
 
     profile: WorkloadProfile
-    #: Objects live at window start: list of (object id, size).
-    preamble: List[Tuple[int, int]]
-    #: The event stream (see module docstring for the vocabulary).
-    events: List[Event]
-    #: Object id -> size for every object (preamble + window allocations).
-    object_sizes: Dict[int, int]
+    #: Objects live at window start: their ids and sizes, in order.
+    preamble_ids: np.ndarray
+    preamble_sizes: np.ndarray
+    #: The event columns (see the module docstring).
+    tags: np.ndarray
+    objs: np.ndarray
+    offsets: np.ndarray
+    sizes: np.ndarray
+    flags: np.ndarray
     #: Live-set scale divisor applied to the preamble.
     scale: int
     seed: int
     branch_mispredict_rate: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name, dtype in TRACE_COLUMNS.items():
+            column = np.ascontiguousarray(getattr(self, name), dtype=dtype)
+            column.flags.writeable = False
+            setattr(self, name, column)
+        if len(self.preamble_ids) != len(self.preamble_sizes) or any(
+            len(getattr(self, name)) != len(self.tags) for name in EVENT_COLUMNS
+        ):
+            raise WorkloadError("trace columns differ in length")
 
     @property
     def name(self) -> str:
         return self.profile.name
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.tags)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WorkloadTrace):
+            return NotImplemented
+        fields = ("profile", "scale", "seed", "branch_mispredict_rate")
+        columns = ((getattr(self, n), getattr(other, n)) for n in TRACE_COLUMNS)
+        return all(getattr(self, f) == getattr(other, f) for f in fields) and all(
+            a.dtype == b.dtype and np.array_equal(a, b) for a, b in columns
+        )
+
+
+class EventColumns:
+    """Event columns grown one event at a time, as lists, for the producers
+    that cannot size them up front (the importer, the attack scenarios)."""
+
+    def __init__(self) -> None:
+        #: The columns by :class:`WorkloadTrace` field name.
+        self.columns: Dict[str, List[int]] = {name: [] for name in EVENT_COLUMNS}
+        self._appends = [column.append for column in self.columns.values()]
+
+    def add(self, tag: int, obj=0, offset=0, size=0, flags=0) -> None:
+        for append, value in zip(self._appends, (tag, obj, offset, size, flags)):
+            append(value)
 
 
 def size_table(profile: WorkloadProfile) -> Tuple[Tuple[int, ...], List[float]]:
@@ -172,16 +246,23 @@ def generate_trace(
     n_preamble = min(profile.initial_live // scale, MAX_PREAMBLE_OBJECTS)
     n_preamble = max(n_preamble, min(profile.initial_live, 4))
     size_classes, cum_weights = size_table(profile)
-    preamble, object_sizes = draw_preamble(rng, size_classes, cum_weights, n_preamble)
-    live = list(object_sizes)
+    preamble_sizes = np.empty(n_preamble, dtype=np.int64)
+    draw_preamble(rng, size_classes, cum_weights, preamble_sizes)
 
     # The hot working set is a random (but fixed) subset of the live
     # objects — deliberately uncorrelated with allocation age, since age
     # determines which HBT way an object's bounds landed in.
+    live = range(n_preamble)
     hot_n = max(1, int(len(live) * profile.hot_fraction)) if live else 1
-    hot_pool = rng.sample(live, min(hot_n, len(live))) if live else []
+    hot_pool = np.array(
+        rng.sample(live, min(hot_n, len(live))) if live else [], dtype=np.int64
+    )
 
-    events = window(
+    # A window step adds at most two events: a malloc and a free.
+    columns = {
+        name: np.zeros(2 * instructions, dtype) for name, dtype in EVENT_COLUMNS.items()
+    }
+    count = window(
         rng,
         predictor,
         site_pcs,
@@ -190,18 +271,19 @@ def generate_trace(
         size_classes,
         cum_weights,
         hot_pool,
-        object_sizes,
+        preamble_sizes,
         instructions,
-        len(live) + grow_live_by,
+        n_preamble + grow_live_by,
+        *columns.values(),
     )
 
     window_predictions = predictor.predictions - warm_pred
     window_mispredictions = predictor.mispredictions - warm_misp
     return WorkloadTrace(
         profile=profile,
-        preamble=preamble,
-        events=events,
-        object_sizes=object_sizes,
+        preamble_ids=np.arange(n_preamble, dtype=np.int64),
+        preamble_sizes=preamble_sizes,
+        **{name: column[:count].copy() for name, column in columns.items()},
         scale=scale,
         seed=seed,
         branch_mispredict_rate=(
@@ -229,16 +311,14 @@ def _preamble(
     rng: random.Random,
     size_classes: Tuple[int, ...],
     cum_weights: List[float],
-    count: int,
-) -> Tuple[List[Tuple[int, int]], Dict[int, int]]:
-    """The live set at window start, objects ``0..count-1`` with sizes
-    drawn from the profile's classes, as (id, size) pairs and as a dict:
-    the reference of ``_fast.preamble``."""
+    sizes: np.ndarray,
+) -> None:
+    """Fill ``sizes`` with the sizes of the live set at window start,
+    objects ``0..len(sizes)-1``, drawn from the profile's classes: the
+    reference of ``_fast.preamble``."""
     # One draw for the whole live set: choices() takes one random() per
     # object, so the stream is that of one draw per object.
-    sizes = rng.choices(size_classes, cum_weights=cum_weights, k=count)
-    preamble = list(enumerate(sizes))
-    return preamble, dict(preamble)
+    sizes[:] = rng.choices(size_classes, cum_weights=cum_weights, k=len(sizes))
 
 
 def _window(
@@ -249,22 +329,39 @@ def _window(
     dice: WindowDice,
     size_classes: Tuple[int, ...],
     cum_weights: List[float],
-    hot_pool: List[int],
-    object_sizes: Dict[int, int],
+    hot_pool: np.ndarray,
+    preamble_sizes: np.ndarray,
     instructions: int,
     target_live: int,
-) -> List[Event]:
-    """The window's ``instructions`` events: the reference of
-    ``_fast.trace_window``.  ``object_sizes`` holds the preamble objects
-    ``0..n-1`` and gains each window allocation, in order."""
+    tags: np.ndarray,
+    objs: np.ndarray,
+    offsets: np.ndarray,
+    sizes: np.ndarray,
+    flags: np.ndarray,
+) -> int:
+    """The window's events for ``instructions`` draws, written from index 0
+    into the event columns (``2 * instructions`` entries each); returns
+    how many: the reference of ``_fast.trace_window``.  The preamble
+    objects are ``0..n-1``, of ``preamble_sizes``; ``hot_pool`` holds
+    some of their ids."""
     n_sites = len(site_pcs)
-    live: List[int] = list(object_sizes)
+    hot_pool = hot_pool.tolist()
+    #: Size per object id: the preamble's, then each window allocation's.
+    object_sizes: List[int] = preamble_sizes.tolist()
+    live: List[int] = list(range(len(object_sizes)))
     live_pos: Dict[int, int] = {oid: i for i, oid in enumerate(live)}
     next_obj = len(live)
     window_allocated: List[int] = []  # FIFO of window-allocated ids
     window_head = 0
     freed: set = set()
     seq_cursor: Dict[int, int] = {}
+    count = 0
+
+    def emit(tag: int, obj: int = 0, offset: int = 0, size: int = 0, flag: int = 0):
+        nonlocal count
+        tags[count], objs[count], offsets[count] = tag, obj, offset
+        sizes[count], flags[count] = size, flag
+        count += 1
 
     def remove_live(oid: int) -> None:
         """O(1) swap-remove from the live list."""
@@ -274,7 +371,6 @@ def _window(
             live[pos] = last
             live_pos[last] = pos
 
-    events: List[Event] = []
     call_depth = 0
     current_obj: Optional[int] = None
 
@@ -313,8 +409,8 @@ def _window(
         # Low-rate events piggyback on the main draw so event count ~ insts.
         if rng.random() < dice.malloc and live:
             size = rng.choices(size_classes, cum_weights=cum_weights)[0]
-            object_sizes[next_obj] = size
-            events.append(("m", next_obj, size))
+            object_sizes.append(size)
+            emit(TAG_MALLOC, next_obj, size=size)
             live.append(next_obj)
             live_pos[next_obj] = len(live) - 1
             window_allocated.append(next_obj)
@@ -349,20 +445,20 @@ def _window(
                 if victim is not None and len(live) > 1 and victim in live_pos:
                     remove_live(victim)
                     freed.add(victim)
-                    events.append(("f", victim))
+                    emit(TAG_FREE, victim)
             continue
 
         if rng.random() < dice.call:
             if call_depth > 0 and rng.random() < 0.5:
-                events.append(("ret",))
+                emit(TAG_RET)
                 call_depth -= 1
             else:
-                events.append(("call",))
+                emit(TAG_CALL)
                 call_depth += 1
             continue
 
         if rng.random() < dice.ptr_arith:
-            events.append(("pa",))
+            emit(TAG_PTR_ARITH)
             continue
 
         if r < dice.mem:
@@ -370,27 +466,27 @@ def _window(
             if rng.random() < dice.heap_frac and live:
                 obj = pick_object()
                 offset = pick_offset(obj)
-                is_ptr = rng.random() < dice.ptr_frac
+                flag = FLAG_PTR if rng.random() < dice.ptr_frac else 0
                 if is_store:
-                    events.append(("st", obj, offset, is_ptr))
+                    emit(TAG_ST, obj, offset, flag=flag)
                 else:
-                    chase = rng.random() < dice.chase_frac
-                    events.append(("ld", obj, offset, is_ptr, chase))
+                    if rng.random() < dice.chase_frac:
+                        flag |= FLAG_CHASE
+                    emit(TAG_LD, obj, offset, flag=flag)
             else:
-                kind = 0 if rng.random() < 0.8 else 1  # stack vs globals
+                # Stack vs globals.
+                flag = 0 if rng.random() < 0.8 else FLAG_GLOBALS
                 offset = (
-                    rng.randrange(0, 4096, 8)
-                    if kind == 0
-                    else rng.randrange(0, 262144, 8)
+                    rng.randrange(0, 262144, 8) if flag else rng.randrange(0, 4096, 8)
                 )
-                events.append(("ust" if is_store else "uld", kind, offset))
+                emit(TAG_UST if is_store else TAG_ULD, offset=offset, flag=flag)
         elif r < dice.branch:
             site = rng.randrange(n_sites)
             taken = rng.random() < site_bias[site]
             mispredicted = predictor.predict_and_update(site_pcs[site], taken)
-            events.append(("br", mispredicted))
+            emit(TAG_BR, flag=FLAG_MISPREDICTED if mispredicted else 0)
         elif r < dice.falu:
-            events.append(("falu",))
+            emit(TAG_FALU)
         else:
-            events.append(("alu",))
-    return events
+            emit(TAG_ALU)
+    return count

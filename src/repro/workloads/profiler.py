@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from .generator import WorkloadTrace
+import numpy as np
+
+from .generator import TAG_FREE, TAG_MALLOC, WorkloadTrace
 
 
 @dataclass(frozen=True)
@@ -30,31 +32,19 @@ class MeasuredProfile:
 
 def profile_trace(trace: WorkloadTrace) -> MeasuredProfile:
     """Measure a trace the way Valgrind's --trace-malloc would."""
-    active = len(trace.preamble)
-    max_active = active
-    allocations = active  # the preamble objects were allocated pre-window
-    deallocations = 0
-    bytes_allocated = sum(size for _, size in trace.preamble)
-
-    for event in trace.events:
-        tag = event[0]
-        if tag == "m":
-            allocations += 1
-            active += 1
-            bytes_allocated += event[2]
-            if active > max_active:
-                max_active = active
-        elif tag == "f":
-            deallocations += 1
-            active -= 1
-
+    mallocs = trace.tags == TAG_MALLOC
+    frees = trace.tags == TAG_FREE
+    # The preamble objects were allocated pre-window; the live count only
+    # rises at a malloc, so its peak is one of the running values.
+    preamble = len(trace.preamble_ids)
+    active = preamble + np.cumsum(mallocs, dtype=np.int64) - np.cumsum(frees)
     return MeasuredProfile(
         name=trace.name,
-        max_active=max_active,
-        allocations=allocations,
-        deallocations=deallocations,
-        bytes_allocated=bytes_allocated,
-        events=len(trace.events),
+        max_active=int(active.max(initial=preamble)),
+        allocations=preamble + int(np.count_nonzero(mallocs)),
+        deallocations=int(np.count_nonzero(frees)),
+        bytes_allocated=int(trace.preamble_sizes.sum() + trace.sizes[mallocs].sum()),
+        events=len(trace),
     )
 
 

@@ -29,6 +29,7 @@ from repro.errors import WorkloadError
 from repro.faults import Deadline
 from repro.mechanisms import REGISTRY
 from repro.supervise import SupervisorConfig
+from repro.workloads.generator import TAG_FREE, TAG_MALLOC, TAG_PTR_ARITH
 
 
 def _pid_recording_cell(payload):
@@ -385,15 +386,15 @@ class TestScenarioCompilation:
         instance = build_scenario("uaf-after-realloc")
         trace = scenario_trace(instance)
         assert trace.profile.name == "attack:uaf-after-realloc"
-        ops = [event[0] for event in trace.events]
-        assert ops.count("m") == 2
-        assert ops.count("f") == 1
+        ops = trace.tags.tolist()
+        assert ops.count(TAG_MALLOC) == 2
+        assert ops.count(TAG_FREE) == 1
 
     def test_double_free_lowers_second_free_to_pa(self):
         trace = scenario_trace(build_scenario("double-free"))
-        ops = [event[0] for event in trace.events]
-        assert ops.count("f") == 1  # allocator executes at lowering time
-        assert "pa" in ops
+        ops = trace.tags.tolist()
+        assert ops.count(TAG_FREE) == 1  # allocator executes at lowering time
+        assert TAG_PTR_ARITH in ops
 
     def test_every_scenario_lowers(self):
         for name in SCENARIOS:
@@ -402,10 +403,10 @@ class TestScenarioCompilation:
 
     def test_crafted_free_lowers_to_pa(self):
         trace = scenario_trace(build_scenario("house-of-spirit"))
-        ops = [event[0] for event in trace.events]
-        assert ops.count("f") == 0  # the fake chunk is never allocated
-        assert ops.count("m") == 1
-        assert "pa" in ops
+        ops = trace.tags.tolist()
+        assert ops.count(TAG_FREE) == 0  # the fake chunk is never allocated
+        assert ops.count(TAG_MALLOC) == 1
+        assert TAG_PTR_ARITH in ops
 
     def test_compiled_exploit_faults_under_aos(self):
         from repro.cpu.core import Simulator

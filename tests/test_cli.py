@@ -129,6 +129,31 @@ class TestMain:
         assert main(argv) == 0
         assert "artifact cache @" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "artifact, runner",
+        [
+            ("trace-import", "run_trace_import"),
+            ("trace", "run_trace"),
+            ("attack", "run_attack"),
+        ],
+    )
+    def test_interrupt_exits_130_with_the_resume_hint(
+        self, capsys, monkeypatch, artifact, runner
+    ):
+        """A ^C (or a SIGTERM, which lands as one) mid-run: exit 130 and
+        the resume hint on stderr, no profile table."""
+        from repro import cli
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, runner, interrupted)
+        assert main([artifact, "--profile"]) == 130
+        captured = capsys.readouterr()
+        assert captured.err.startswith("interrupted — completed cells")
+        assert "re-run recomputes only what was in flight" in captured.err
+        assert captured.out == ""
+
 
 class TestTraceArtifact:
     def test_trace_options_parse(self):

@@ -1,10 +1,20 @@
 """Compiler pass tests: mechanism lowerings and instrumentation sequences."""
 
+import numpy as np
 import pytest
 
 from repro.compiler import lower_trace
 from repro.isa.instructions import Op
 from repro.workloads import generate_trace, get_profile
+from repro.workloads.generator import (
+    FLAG_PTR,
+    TAG_ALU,
+    TAG_FREE,
+    TAG_LD,
+    TAG_MALLOC,
+    TAG_ST,
+    EventColumns,
+)
 
 MECHANISMS = ["baseline", "watchdog", "pa", "aos", "pa+aos"]
 
@@ -88,7 +98,7 @@ class TestAOSLowering:
 
     def test_hbt_prewarmed_with_preamble(self, lowered, trace):
         hbt = lowered["aos"].hbt
-        assert hbt.total_records() >= len(trace.preamble)
+        assert hbt.total_records() >= len(trace.preamble_ids)
 
     def test_hbt_factory_returns_fresh_copies(self, lowered):
         a = lowered["aos"].hbt
@@ -147,7 +157,7 @@ class TestMTELowering:
         # MTE adds IRG + STG colouring around allocation events only.
         assert len(low.program) > len(base.program)
         stg = [i for i in low.program if i.op is Op.STORE and i.meta == "stg"]
-        mallocs = sum(1 for e in trace.events if e[0] == "m")
+        mallocs = np.count_nonzero(trace.tags == TAG_MALLOC)
         assert len(stg) >= mallocs  # at least one colouring store per malloc
 
     def test_no_per_access_instrumentation(self, trace):
@@ -203,7 +213,8 @@ def test_dependency_draws_match_the_randrange_loop(ilp_distance):
         for path, context in stream_paths().items():
             with context:
                 got = dependency_draws(seed, 500, dep_prob, ilp_distance)
-            assert got == want, path
+            assert got.dtype == np.int64, path
+            assert got.tolist() == want, path
 
 
 def test_trace_using_an_unallocated_object_is_refused(trace):
@@ -213,8 +224,10 @@ def test_trace_using_an_unallocated_object_is_refused(trace):
 
     from repro.errors import WorkloadError
 
-    events = [("alu",), ("ld", 10**9, 0, False, False)]
-    stray = dataclasses.replace(trace, events=events)
+    events = EventColumns()
+    events.add(TAG_ALU)
+    events.add(TAG_LD, 10**9)
+    stray = dataclasses.replace(trace, **events.columns)
     with pytest.raises(WorkloadError, match="object 1000000000"):
         lower_trace(stray, "baseline")
 
@@ -231,14 +244,24 @@ def test_dependency_draws_refuse_an_ilp_distance_below_one(ilp_distance, dep_pro
             dependency_draws(7, 100, dep_prob, ilp_distance)
 
 
+def test_dependency_draws_refuse_an_ilp_distance_past_int64():
+    """A distance of 2**63 or more has draws an ``int64`` cannot hold."""
+    from repro.compiler.base import dependency_draws
+
+    from .stream_paths import stream_paths
+
+    for context in stream_paths().values():
+        with context, pytest.raises(ValueError, match="below 2\\*\\*63"):
+            dependency_draws(7, 100, 0.5, 1 << 63)
+    assert dependency_draws(7, 3, 1.0, (1 << 63) - 1).dtype == np.int64
+
+
 @pytest.mark.parametrize(
     "ids", [[], [0, 1, 2, 3], [40, 7, 9, 7, 1 << 40], [5, 3, 1]], ids=repr
 )
 def test_preamble_slots_match_a_dict_lookup(ids):
     """Each key's position in ``ids`` (the last one, if repeated), -1 if
     absent, for dense, sparse, repeated and empty ids."""
-    import numpy as np
-
     from repro.compiler.base import _slots
 
     keys = [0, 1, 3, 7, 9, 40, 41, 1 << 40, -1]
@@ -252,7 +275,13 @@ def test_trace_without_a_preamble_lowers(trace):
     every mechanism."""
     import dataclasses
 
-    events = [("m", 3, 64), ("ld", 3, 8, False, False), ("st", 3, 0, True), ("f", 3)]
-    bare = dataclasses.replace(trace, preamble=[], events=events, object_sizes={3: 64})
+    events = EventColumns()
+    events.add(TAG_MALLOC, 3, size=64)
+    events.add(TAG_LD, 3, 8)
+    events.add(TAG_ST, 3, 0, flags=FLAG_PTR)
+    events.add(TAG_FREE, 3)
+    bare = dataclasses.replace(
+        trace, preamble_ids=[], preamble_sizes=[], **events.columns
+    )
     for mechanism in ("baseline", "watchdog", "aos", "rest", "mte", "cryptsan"):
-        assert len(lower_trace(bare, mechanism).program) > len(events)
+        assert len(lower_trace(bare, mechanism).program) > len(bare)

@@ -1,5 +1,6 @@
 """Tests for the extended comparison and ablation drivers."""
 
+import numpy as np
 import pytest
 
 from repro.experiments.ablations import (
@@ -9,6 +10,7 @@ from repro.experiments.ablations import (
 )
 from repro.experiments.common import ExperimentSuite, RunSettings
 from repro.experiments.extended import run_extended_comparison
+from repro.workloads.generator import TAG_FREE, TAG_MALLOC
 
 
 @pytest.fixture(scope="module")
@@ -128,11 +130,10 @@ class TestRESTLoweringUnits:
         trace = suite.trace("povray")
         lowered = RESTLowering(trace, suite.config_for("rest")).lower()
         tokens = [i for i in lowered.program if i.meta == "token"]
-        mallocs = sum(1 for e in trace.events if e[0] == "m")
+        mallocs = np.count_nonzero(trace.tags == TAG_MALLOC)
         assert len(tokens) >= 2 * mallocs  # two redzones per allocation
 
     def test_quarantine_defers_frees(self, suite):
-        from repro.compiler.base import TAG_FREE
         from repro.compiler.passes import RESTLowering
 
         trace = suite.trace("povray")

@@ -18,6 +18,7 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from repro.compiler.base import dependency_draws
 from repro.kernel import fast
 from repro.workloads import generate_trace, get_profile
+from repro.workloads.generator import TAG_COUNT, TRACE_COLUMNS
 from repro.workloads.profiles import WorkloadProfile
 
 from .stream_paths import python_reference, stream_paths
@@ -76,7 +78,25 @@ def test_generate_trace_takes_the_native_path(monkeypatch):
     trace = generate_trace(get_profile("gcc"), 2000, seed=7)
     dependency_draws(7, 100, 0.5, 12)
     assert calls == ["warm_branches", "preamble", "trace_window", "dependency_draws"]
-    assert len(trace.events) >= 2000
+    assert len(trace) >= 2000
+
+
+@pytest.mark.parametrize("workload", ["gcc", "omnetpp", "povray"])
+def test_both_paths_write_the_same_typed_columns(workload):
+    """Traces that hold every tag: the C loops write the Python ``TAG_*``
+    codes and flag bits into columns of the declared dtypes, equal to the
+    reference's."""
+    traces = {}
+    for path, context in stream_paths().items():
+        with context:
+            traces[path] = generate_trace(get_profile(workload), 2000, seed=7)
+    native, python = traces["native"], traces["python"]
+    assert set(np.unique(native.tags).tolist()) == set(range(TAG_COUNT))
+    for name, dtype in TRACE_COLUMNS.items():
+        got, want = getattr(native, name), getattr(python, name)
+        assert got.dtype == want.dtype == dtype, name
+        assert np.array_equal(got, want), name
+    assert native == python
 
 
 def test_the_stream_continues_after_each_loop():
@@ -111,12 +131,15 @@ def test_the_stream_continues_after_each_loop():
 def test_malformed_input_is_refused():
     kernel = fast.native()
     state = random.Random(1).getstate()[1]
+    drawn = np.zeros(10, dtype=np.int64)
     with pytest.raises(ValueError, match="625"):
-        kernel.dependency_draws(state[:-1], 10, 0.5, 12)
+        kernel.dependency_draws(state[:-1], 0.5, 12, drawn)
     with pytest.raises(ValueError, match="index"):
-        kernel.dependency_draws(state[:-1] + (625,), 10, 0.5, 12)
+        kernel.dependency_draws(state[:-1] + (625,), 0.5, 12, drawn)
     with pytest.raises(ValueError, match="ilp_distance"):
-        kernel.dependency_draws(state, 10, 0.5, 1 << 63)
+        kernel.dependency_draws(state, 0.5, 1 << 63, drawn)
+    with pytest.raises(ValueError, match="drawn must be an aligned array"):
+        kernel.dependency_draws(state, 0.5, 12, np.zeros(10, dtype=np.int32))
 
 
 @pytest.mark.parametrize("initial_live", [1, 2, 5, 12])
@@ -223,4 +246,5 @@ def test_native_and_python_dependency_draws_agree(
     native = dependency_draws(seed, count, dep_prob, ilp_distance)
     with python_reference():
         python = dependency_draws(seed, count, dep_prob, ilp_distance)
-    assert native == python
+    assert native.dtype == python.dtype == np.int64
+    assert np.array_equal(native, python)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.workloads import generate_trace, get_profile
+from repro.workloads.generator import TAG_FREE, TAG_MALLOC
 from repro.workloads.profiler import profile_report, profile_trace
 
 
@@ -14,19 +15,19 @@ def trace():
 class TestProfileTrace:
     def test_counts_consistent(self, trace):
         measured = profile_trace(trace)
-        window_mallocs = sum(1 for e in trace.events if e[0] == "m")
-        window_frees = sum(1 for e in trace.events if e[0] == "f")
-        assert measured.allocations == len(trace.preamble) + window_mallocs
+        window_mallocs = trace.tags.tolist().count(TAG_MALLOC)
+        window_frees = trace.tags.tolist().count(TAG_FREE)
+        assert measured.allocations == len(trace.preamble_ids) + window_mallocs
         assert measured.deallocations == window_frees
 
     def test_max_active_at_least_preamble(self, trace):
         measured = profile_trace(trace)
-        assert measured.max_active >= len(trace.preamble)
+        assert measured.max_active >= len(trace.preamble_ids)
 
     def test_steady_state_balance(self, trace):
         """omnetpp frees what it allocates (Table II: 21.2M == 21.2M)."""
         measured = profile_trace(trace)
-        window_allocs = measured.allocations - len(trace.preamble)
+        window_allocs = measured.allocations - len(trace.preamble_ids)
         assert measured.deallocations >= window_allocs * 0.8
 
     def test_growth_phase_profile(self):
@@ -36,7 +37,7 @@ class TestProfileTrace:
         )
         measured = profile_trace(grown)
         assert measured.deallocations == 0
-        assert measured.max_active > len(grown.preamble)
+        assert measured.max_active > len(grown.preamble_ids)
 
     def test_report_renders(self, trace):
         text = profile_report({"omnetpp": profile_trace(trace)})

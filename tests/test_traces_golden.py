@@ -19,6 +19,7 @@ from repro.traces import (
     read_header,
     scan_trace,
 )
+from repro.workloads.generator import TAG_LD, TAG_MALLOC, TAG_ST
 
 GOLDEN = Path(__file__).parent / "golden" / "traces"
 sys.path.insert(0, str(Path(__file__).parent.parent / "tools"))
@@ -66,14 +67,19 @@ def test_handwritten_import_shape():
     trace = import_trace(GOLDEN / "handwritten.v1.jsonl")
     assert trace.profile.name == "handwritten"
     assert trace.profile.description.startswith("ingested trace")
-    assert trace.preamble == [(0, 64), (1, 128)]
-    assert trace.object_sizes == {0: 64, 1: 128, 3: 96, 7: 32}
+    assert trace.preamble_ids.tolist() == [0, 1]
+    assert trace.preamble_sizes.tolist() == [64, 128]
+    mallocs = trace.tags == TAG_MALLOC
+    assert trace.objs[mallocs].tolist() == [3, 7]
+    assert trace.sizes[mallocs].tolist() == [96, 32]
     assert trace.scale == 2 and trace.seed == 11
     assert trace.branch_mispredict_rate == 0.03
     # 22 records minus 2 obj rows and 2 notes = 18 events.
-    assert len(trace.events) == 18
-    assert ("ld", 7, 0, False, False) in trace.events     # use-after-free
-    assert ("st", 3, 4096, False) in trace.events         # out-of-bounds
+    assert len(trace) == 18
+    accesses = list(zip(trace.tags.tolist(), trace.objs.tolist(),
+                        trace.offsets.tolist()))
+    assert (TAG_LD, 7, 0) in accesses       # use-after-free
+    assert (TAG_ST, 3, 4096) in accesses    # out-of-bounds
     header = read_header(GOLDEN / "handwritten.v1.jsonl")
     assert header.profile is None
     assert header.meta == {"purpose": "golden fixture covering every record kind"}

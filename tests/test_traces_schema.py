@@ -29,6 +29,7 @@ from repro.traces import (
     import_trace,
     scan_trace,
 )
+from repro.workloads.generator import TAG_FREE, TAG_LD, TAG_MALLOC, TAG_ST
 
 GOLDEN = Path(__file__).parent / "golden" / "traces"
 
@@ -298,8 +299,10 @@ def test_uaf_and_oob_are_valid_schema(tmp_path):
         TraceRecord(kind="store", obj=0, offset=4096),    # out-of-bounds
     ])
     trace = import_trace(path)
-    assert trace.events == [("f", 0), ("ld", 0, 8, False, False),
-                            ("st", 0, 4096, False)]
+    assert trace.tags.tolist() == [TAG_FREE, TAG_LD, TAG_ST]
+    assert trace.objs.tolist() == [0, 0, 0]
+    assert trace.offsets.tolist() == [0, 8, 4096]
+    assert trace.flags.tolist() == [0, 0, 0]
 
 
 def test_header_profile_name_mismatch(tmp_path):
@@ -372,8 +375,11 @@ def test_fuzzed_mutations_never_silently_partial(fixture, tmp_path):
             raise
         assert isinstance(trace, WorkloadTrace)
         # A surviving mutation decoded end-to-end: the stream it carried
-        # was fully consumed (events/preamble/sizes are consistent).
-        assert set(dict(trace.preamble)) <= set(trace.object_sizes)
+        # was fully consumed (every object an event names is declared).
+        declared = set(trace.preamble_ids.tolist())
+        declared |= set(trace.objs[trace.tags == TAG_MALLOC].tolist())
+        named = [tag in (TAG_LD, TAG_ST, TAG_FREE) for tag in trace.tags.tolist()]
+        assert set(trace.objs[named].tolist()) <= declared
         survivors += 1
     # Most mutations must be *caught*; if nearly all survive, the
     # validators are not actually looking at the bytes.

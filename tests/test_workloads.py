@@ -1,9 +1,16 @@
 """Workload profile and trace generator tests."""
 
+import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workloads.generator import generate_trace
+from repro.workloads.generator import (
+    TAG_FREE,
+    TAG_LD,
+    TAG_MALLOC,
+    TAG_ST,
+    generate_trace,
+)
 from repro.workloads.profiles import (
     REALWORLD_PROFILES,
     SPEC2006_PROFILES,
@@ -78,20 +85,20 @@ class TestGenerator:
     def test_deterministic(self):
         a = self.make(seed=5)
         b = self.make(seed=5)
-        assert a.events == b.events
-        assert a.preamble == b.preamble
+        assert a == b
 
     def test_different_seeds_differ(self):
-        assert self.make(seed=1).events != self.make(seed=2).events
+        assert self.make(seed=1) != self.make(seed=2)
 
     def test_event_count_close_to_requested(self):
         trace = self.make(n=20_000)
-        assert 19_000 <= len(trace.events) <= 22_000
+        assert 19_000 <= len(trace) <= 22_000
 
     def test_preamble_scaled(self):
         full = generate_trace(get_profile("astar"), instructions=2000, scale=1)
         scaled = generate_trace(get_profile("astar"), instructions=2000, scale=8)
-        assert len(scaled.preamble) * 7 <= len(full.preamble) <= len(scaled.preamble) * 9
+        full_n, scaled_n = len(full.preamble_ids), len(scaled.preamble_ids)
+        assert scaled_n * 7 <= full_n <= scaled_n * 9
 
     def test_rejects_tiny_window(self):
         with pytest.raises(WorkloadError):
@@ -103,26 +110,30 @@ class TestGenerator:
 
     def test_mallocs_balanced_by_frees(self):
         trace = generate_trace(get_profile("omnetpp"), instructions=30_000, scale=64)
-        mallocs = sum(1 for e in trace.events if e[0] == "m")
-        frees = sum(1 for e in trace.events if e[0] == "f")
+        mallocs = np.count_nonzero(trace.tags == TAG_MALLOC)
+        frees = np.count_nonzero(trace.tags == TAG_FREE)
         assert mallocs > 50
         assert abs(mallocs - frees) <= mallocs * 0.2
 
     def test_no_access_to_freed_objects(self):
         trace = generate_trace(get_profile("omnetpp"), instructions=30_000, scale=64)
         freed = set()
-        for event in trace.events:
-            if event[0] == "f":
-                freed.add(event[1])
-            elif event[0] in ("ld", "st"):
-                assert event[1] not in freed
+        for tag, obj in zip(trace.tags.tolist(), trace.objs.tolist()):
+            if tag == TAG_FREE:
+                freed.add(obj)
+            elif tag in (TAG_LD, TAG_ST):
+                assert obj not in freed
 
     def test_offsets_within_object(self):
         trace = self.make(n=20_000)
-        for event in trace.events:
-            if event[0] in ("ld", "st"):
-                size = trace.object_sizes[event[1]]
-                assert 0 <= event[2] <= max(size - 8, 0)
+        sizes = dict(zip(trace.preamble_ids.tolist(), trace.preamble_sizes.tolist()))
+        mallocs = trace.tags == TAG_MALLOC
+        sizes.update(zip(trace.objs[mallocs].tolist(), trace.sizes[mallocs].tolist()))
+        accesses = (trace.tags == TAG_LD) | (trace.tags == TAG_ST)
+        for obj, offset in zip(
+            trace.objs[accesses].tolist(), trace.offsets[accesses].tolist()
+        ):
+            assert 0 <= offset <= max(sizes[obj] - 8, 0)
 
     def test_mispredict_rate_sane(self):
         rate = self.make(n=30_000).branch_mispredict_rate

@@ -39,6 +39,24 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.traces import TraceHeader, TraceRecord, TraceWriter  # noqa: E402
 from repro.traces.recorder import export_workload  # noqa: E402
+from repro.workloads.generator import (  # noqa: E402
+    FLAG_CHASE,
+    FLAG_GLOBALS,
+    FLAG_MISPREDICTED,
+    FLAG_PTR,
+    TAG_ALU,
+    TAG_BR,
+    TAG_CALL,
+    TAG_FALU,
+    TAG_FREE,
+    TAG_LD,
+    TAG_MALLOC,
+    TAG_PTR_ARITH,
+    TAG_RET,
+    TAG_ST,
+    TAG_ULD,
+    TAG_UST,
+)
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden" / "traces"
 TRACE_DIGESTS = GOLDEN_DIR.parent / "trace_digests.json"
@@ -97,14 +115,62 @@ def write_fixtures(directory) -> list:
 DIGEST_INSTRUCTIONS, DIGEST_SEED, DIGEST_SCALES = 2000, 7, (8, 64)
 
 
+#: Each tag code's name in the canonical JSON, and the fields after it.
+_CANONICAL_EVENTS = {
+    TAG_ALU: ("alu", ()),
+    TAG_FALU: ("falu", ()),
+    TAG_LD: ("ld", ("obj", "offset", "ptr", "chase")),
+    TAG_ST: ("st", ("obj", "offset", "ptr")),
+    TAG_ULD: ("uld", ("space", "offset")),
+    TAG_UST: ("ust", ("space", "offset")),
+    TAG_BR: ("br", ("mispredicted",)),
+    TAG_MALLOC: ("m", ("obj", "size")),
+    TAG_FREE: ("f", ("obj",)),
+    TAG_CALL: ("call", ()),
+    TAG_RET: ("ret", ()),
+    TAG_PTR_ARITH: ("pa", ()),
+}
+
+
+def canonical_events(trace) -> list:
+    """The trace's events as the lists the digests were first taken over:
+    a name, then the event's fields, flags as JSON booleans."""
+    events = []
+    columns = (trace.tags, trace.objs, trace.offsets, trace.sizes, trace.flags)
+    for tag, obj, offset, size, flags in zip(*(c.tolist() for c in columns)):
+        name, fields = _CANONICAL_EVENTS[tag]
+        values = {
+            "obj": obj,
+            "offset": offset,
+            "size": size,
+            "space": int(bool(flags & FLAG_GLOBALS)),
+            "ptr": bool(flags & FLAG_PTR),
+            "chase": bool(flags & FLAG_CHASE),
+            "mispredicted": bool(flags & FLAG_MISPREDICTED),
+        }
+        events.append([name, *(values[field] for field in fields)])
+    return events
+
+
 def canonical_trace(trace) -> str:
-    """The canonical JSON of a trace's generated content: its preamble,
-    events, ``object_sizes`` (as pairs, in insertion order) and branch
-    misprediction rate.  JSON keeps ``bool`` and ``int`` apart."""
+    """The canonical JSON of a trace's generated content: its preamble
+    (as (id, size) pairs), events (:func:`canonical_events`), the size of
+    every object (as pairs: the preamble's, then each malloc's, in order)
+    and branch misprediction rate.  JSON keeps ``bool`` and ``int``
+    apart."""
+    preamble = [
+        list(pair)
+        for pair in zip(trace.preamble_ids.tolist(), trace.preamble_sizes.tolist())
+    ]
+    mallocs = trace.tags == TAG_MALLOC
+    object_sizes = dict(map(tuple, preamble))
+    object_sizes.update(
+        zip(trace.objs[mallocs].tolist(), trace.sizes[mallocs].tolist())
+    )
     content = [
-        trace.preamble,
-        trace.events,
-        list(trace.object_sizes.items()),
+        preamble,
+        canonical_events(trace),
+        list(object_sizes.items()),
         trace.branch_mispredict_rate,
     ]
     return json.dumps(content, separators=(",", ":"))
