@@ -36,9 +36,9 @@ def test_fig17_bwb(suite, benchmark):
     hbt = lowered.hbt
     mcu = MemoryCheckUnit(hbt=hbt, layout=lowered.pointer_layout, options=AOSOptions())
     pointers = [
-        inst.address
-        for inst in lowered.program
-        if inst.address > lowered.pointer_layout.va_mask
+        address
+        for address in lowered.program.addresses.tolist()
+        if address > lowered.pointer_layout.va_mask
     ][:2000]
 
     def check_all():

@@ -2,14 +2,19 @@
 
 Rather than a cycle-by-cycle loop (prohibitively slow in Python for
 multi-hundred-thousand-instruction traces), each dynamic instruction is
-processed once, O(1), through a scoreboard that tracks:
+processed once, O(1), through a scoreboard.  :meth:`PipelineModel.run` is
+the reference kernel and the specification: it walks the same
+:class:`~repro.isa.program.Program` columns the C loop of
+:mod:`repro.kernel.fast` reads (the ``kinds`` dispatch codes, the
+addresses, sizes and resolved latencies, the CSR dependencies), which must
+match it byte for byte.  The scoreboard tracks:
 
 - **fetch bandwidth** — ``width`` instructions per cycle;
 - **ROB occupancy**   — fetch stalls when 192 entries are in flight;
 - **load/store queues** — issue stalls when the 32-entry queues are full;
 - **MCQ occupancy**   — memory instructions stall at issue while the MCU
   is full, the back-pressure effect of §V-A / §IX-A;
-- **data dependencies** — through per-instruction ``deps`` distances;
+- **data dependencies** — through each instruction's dependency distances;
 - **execution latencies** — ALU/FP/crypto fixed, loads from the cache
   hierarchy, bounds validation from the MCU;
 - **delayed retirement** — an instruction may not commit until its bounds
@@ -33,8 +38,17 @@ from typing import TYPE_CHECKING, Optional
 from ..config import SystemConfig
 from ..cache.hierarchy import MemoryHierarchy
 from ..core.mcu import MemoryCheckUnit
-from ..isa.instructions import DEFAULT_LATENCY, Op
-from ..isa.program import Program
+from ..isa.instructions import Op
+from ..isa.program import (
+    KIND_BNDCLR,
+    KIND_BNDSTR,
+    KIND_BRANCH_MISS,
+    KIND_LOAD,
+    KIND_MARKER,
+    KIND_STORE,
+    KIND_WCHK,
+    Program,
+)
 
 if TYPE_CHECKING:
     from ..obs import Observability
@@ -57,6 +71,15 @@ _MCQ_SAMPLE_MASK = 511
 #: miss-latency-bound ones (gcc: bounds lines falling out of a thrashed
 #: L2) queue behind the MCU — the two §IX-A overhead stories.
 _MCU_PORTS = 2
+
+#: The ``op=`` name of a traced ``mcq.enqueue`` event, per kind that
+#: enters the MCQ.
+_MCQ_OP_NAME = {
+    KIND_LOAD: Op.LOAD.name,
+    KIND_STORE: Op.STORE.name,
+    KIND_BNDSTR: Op.BNDSTR.name,
+    KIND_BNDCLR: Op.BNDCLR.name,
+}
 
 
 @dataclass
@@ -137,9 +160,15 @@ class PipelineModel:
         retired = 0
         mcu_ports = [0.0] * _MCU_PORTS
 
-        for i, inst in enumerate(program.instructions):
-            op = inst.op
-            if op is Op.MALLOC_MARK or op is Op.FREE_MARK:
+        # The program's columns, the ones the C loop reads, as Python lists.
+        addresses = program.addresses.tolist()
+        sizes = program.sizes.tolist()
+        latencies = program.latencies.tolist()
+        dep_offsets = program.dep_offsets.tolist()
+        dep_distances = program.dep_distances.tolist()
+
+        for i, kind in enumerate(program.kinds):
+            if kind == KIND_MARKER:
                 completion_ring[i & _RING_MASK] = fetch_time
                 continue
 
@@ -155,14 +184,15 @@ class PipelineModel:
 
             # ---- dependencies -------------------------------------------
             ready = fetch_time + _FRONTEND_DEPTH
-            for d in inst.deps:
+            for d in dep_distances[dep_offsets[i] : dep_offsets[i + 1]]:
                 t = completion_ring[(i - d) & _RING_MASK]
                 if t > ready:
                     ready = t
 
             # ---- structural hazards at issue ----------------------------
-            is_load = op is Op.LOAD
-            is_store = op is Op.STORE
+            address = addresses[i]
+            is_load = kind == KIND_LOAD
+            is_store = kind == KIND_STORE
             if is_load:
                 if len(load_queue) >= core.load_queue_entries:
                     head = load_queue.popleft()
@@ -178,10 +208,10 @@ class PipelineModel:
 
             # §V-A: every memory instruction is co-issued to the MCU (and so
             # occupies an MCQ entry); only signed ones pay validation.
-            is_table_op = op is Op.BNDSTR or op is Op.BNDCLR
+            is_table_op = kind == KIND_BNDSTR or kind == KIND_BNDCLR
             enters_mcu = mcu is not None and (is_load or is_store or is_table_op)
             needs_validation = mcu is not None and (
-                is_table_op or ((is_load or is_store) and inst.address > va_mask)
+                is_table_op or ((is_load or is_store) and address > va_mask)
             )
             if enters_mcu and len(mcq) >= mcq_capacity:
                 head = mcq.popleft()
@@ -195,35 +225,36 @@ class PipelineModel:
                 # validating this instruction stamps at its issue cycle.
                 tracer.cycle = issue
                 if enters_mcu:
-                    tracer.emit("mcq.enqueue", occupancy=len(mcq), op=op.name)
+                    tracer.emit(
+                        "mcq.enqueue", occupancy=len(mcq), op=_MCQ_OP_NAME[kind]
+                    )
                 if (i & _MCQ_SAMPLE_MASK) == 0:
                     tracer.emit("mcq.occupancy", phase="C", entries=len(mcq))
 
             # ---- execute -------------------------------------------------
             check_done = issue
             if is_load:
-                latency = hierarchy.access_data(inst.address & va_mask, False)
+                latency = hierarchy.access_data(address & va_mask, False)
                 completion = issue + latency
             elif is_store:
-                hierarchy.access_data(inst.address & va_mask, True)
+                hierarchy.access_data(address & va_mask, True)
                 completion = issue + 1.0
-            elif op is Op.WCHK:
+            elif kind == KIND_WCHK:
                 # Watchdog check µop: loads its metadata record.
-                latency = hierarchy.access_metadata(inst.address, False)
+                latency = hierarchy.access_metadata(address, False)
                 completion = issue + latency
             else:
-                base = inst.latency if inst.latency else DEFAULT_LATENCY[op]
-                completion = issue + base
+                completion = issue + latencies[i]
 
             # ---- bounds validation (MCU) ---------------------------------
             mcq_busy_until = 0.0
             if needs_validation:
-                if op is Op.BNDSTR:
-                    outcome = mcu.bounds_store(inst.address, inst.size)
-                elif op is Op.BNDCLR:
-                    outcome = mcu.bounds_clear(inst.address)
+                if kind == KIND_BNDSTR:
+                    outcome = mcu.bounds_store(address, sizes[i])
+                elif kind == KIND_BNDCLR:
+                    outcome = mcu.bounds_clear(address)
                 else:
-                    outcome = mcu.check_access(inst.address, is_store=is_store)
+                    outcome = mcu.check_access(address, is_store=is_store)
                 if not outcome.ok:
                     faults += 1
                 if is_table_op:
@@ -261,7 +292,7 @@ class PipelineModel:
                 mcq.append(commit_time if commit_time > mcq_busy_until else mcq_busy_until)
 
             # ---- branch resolution ---------------------------------------
-            if op is Op.BRANCH and inst.mispredicted:
+            if kind == KIND_BRANCH_MISS:
                 mispredicts += 1
                 effective_penalty = penalty
                 if mcu is not None:

@@ -2,26 +2,23 @@
 
 The simulator is trace-driven: workload generators emit *events* (compute,
 memory access, malloc, call...) and the compiler passes (:mod:`repro.compiler`)
-lower them into concrete :class:`Instruction` streams per mechanism.  Each
-instruction carries everything the timing model and the functional AOS
-machinery need:
+lower them into a :class:`~repro.isa.program.Program` per mechanism, one
+typed column per instruction field:
 
-- ``op``            — the opcode (:class:`Op`);
-- ``address``       — the (possibly signed) pointer value for memory and
-  pointer ops;
-- ``size``          — access size in bytes / allocation size for ``bndstr``;
-- ``deps``          — relative distances to earlier producing instructions,
-  used by the out-of-order timing model for dependency stalls;
-- ``latency``       — fixed execution latency override (0 = per-op default);
-- ``meta``          — opcode-specific payload (e.g. taken/mispredicted for
-  branches, object id for accesses).
+- the opcode (:class:`Op`), and the dispatch kind the kernels derive from
+  it (a mispredicted branch is a kind of its own);
+- the (possibly signed) pointer value of memory and pointer ops;
+- the access size in bytes, or the allocation size for ``bndstr``;
+- the relative distances to earlier producing instructions, used by the
+  out-of-order timing model for dependency stalls;
+- the execution latency of the fixed-latency ops, resolved from
+  :data:`DEFAULT_LATENCY` (or a hand-built stream's override);
+- an opcode-specific payload (e.g. the object id of an access).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Optional, Tuple
 
 
 class Op(Enum):
@@ -33,7 +30,7 @@ class Op(Enum):
     NOP = auto()
 
     # Control flow.
-    BRANCH = auto()       # conditional branch (meta: mispredicted bool)
+    BRANCH = auto()       # conditional branch (may be flagged mispredicted)
     CALL = auto()
     RET = auto()
 
@@ -64,60 +61,10 @@ class Op(Enum):
     FREE_MARK = auto()
 
 
-#: Ops that access data memory through the LSU.
-MEMORY_OPS = frozenset({Op.LOAD, Op.STORE})
-
-#: Ops the MCU also receives when issued (loads/stores and bounds ops, §V-A).
-MCU_OPS = frozenset({Op.LOAD, Op.STORE, Op.BNDSTR, Op.BNDCLR})
-
-#: Simple single-cycle integer ops.
-ALU_OPS = frozenset({Op.ALU, Op.NOP, Op.XPAC, Op.XPACM, Op.WMETA})
-
-#: PA crypto ops (4-cycle QARMA latency, Table IV).
-CRYPTO_OPS = frozenset({Op.PACIA, Op.AUTIA, Op.PACDA, Op.AUTDA, Op.PACMA, Op.AUTM})
-
-
-def is_memory_op(op: Op) -> bool:
-    return op in MEMORY_OPS
-
-
-def is_alu_op(op: Op) -> bool:
-    return op in ALU_OPS
-
-
-@dataclass(frozen=True)
-class Instruction:
-    """One dynamic instruction in a lowered trace."""
-
-    op: Op
-    #: Pointer value for memory/pointer ops (may carry PAC+AHC upper bits).
-    address: int = 0
-    #: Access size (bytes) for loads/stores; object size for bndstr/pacma.
-    size: int = 8
-    #: Relative distances (>=1) to earlier instructions this one depends on.
-    deps: Tuple[int, ...] = ()
-    #: Fixed latency override in cycles; 0 means "use the per-op default".
-    latency: int = 0
-    #: Branch outcome: True if the branch mispredicts (resolved by the
-    #: workload's modelled predictor accuracy).
-    mispredicted: bool = False
-    #: Free-form opcode-specific payload (object ids, markers).
-    meta: Optional[object] = None
-
-    def with_address(self, address: int) -> "Instruction":
-        return Instruction(
-            op=self.op,
-            address=address,
-            size=self.size,
-            deps=self.deps,
-            latency=self.latency,
-            mispredicted=self.mispredicted,
-            meta=self.meta,
-        )
-
-
 #: Per-op default execution latencies (cycles).  Loads/stores get their
-#: latency from the cache hierarchy instead.
+#: latency from the cache hierarchy instead.  Only the latency table of
+#: :mod:`repro.isa.program` reads this; both kernels read its resolved
+#: ``latencies`` column.
 DEFAULT_LATENCY = {
     Op.ALU: 1,
     Op.FALU: 3,

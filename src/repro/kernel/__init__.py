@@ -1,6 +1,7 @@
 """Simulation kernels: reference semantics and the fast path.
 
-Two kernels execute a lowered program:
+Two kernels execute a lowered program, both walking the same typed
+columns of its :class:`~repro.isa.program.Program`:
 
 - ``"reference"`` — :class:`repro.cpu.pipeline.PipelineModel`, the readable
   scoreboard model that defines the simulator's semantics and serves as

@@ -6,9 +6,10 @@ per-event loops, and their loader.
 disciplines, same counter semantics — by running the loop in ``_fast.c``,
 a CPython extension:
 
-- it walks the program's columns (:class:`~repro.isa.program.Program`)
-  in place: the ``kinds`` bytes, and the ``uint64`` addresses and sizes,
-  the ``float64`` latencies and the ``int64`` CSR dependencies through the
+- it walks the same program columns the reference loop walks
+  (:class:`~repro.isa.program.Program`, the one program format), in
+  place: the ``kinds`` bytes, and the ``uint64`` addresses and sizes, the
+  ``float64`` latencies and the ``int64`` CSR dependencies through the
   buffer protocol, with no copy and no per-instruction conversion;
 - the ROB, load/store queues, MCQ and completion ring are C arrays of
   doubles, and the module is built with ``-ffp-contract=off``, so every

@@ -57,6 +57,18 @@ def heap_state(allocator: HeapAllocator) -> dict:
     }
 
 
+def program_digest(program) -> str:
+    """A sha256 over every column of ``program``, its meta and name."""
+    digest = hashlib.sha256()
+    for field in dataclasses.fields(program):
+        value = getattr(program, field.name)
+        if isinstance(value, np.ndarray):
+            digest.update(value.tobytes())
+        else:
+            digest.update(repr(value).encode())
+    return digest.hexdigest()
+
+
 def lowering_state(trace, mechanism, config) -> dict:
     """Lower ``trace`` and capture the lowered program digest, the HBT
     prototype and the lowering's heap."""
@@ -72,8 +84,7 @@ def lowering_state(trace, mechanism, config) -> dict:
         lowered = lower_trace(trace, mechanism, config=config)
     finally:
         passes.BasePass._resolve = real_resolve
-    program = hashlib.sha256(repr(lowered.program.instructions).encode()).hexdigest()
-    state = {"program": program, "heap": heap_state(captured[0])}
+    state = {"program": program_digest(lowered.program), "heap": heap_state(captured[0])}
     hbt = lowered.hbt
     if hbt is not None:
         state["hbt"] = (hbt.records(), hbt.ways, dataclasses.asdict(hbt.stats))

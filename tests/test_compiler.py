@@ -1,5 +1,7 @@
 """Compiler pass tests: mechanism lowerings and instrumentation sequences."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,34 @@ from repro.workloads.generator import (
 MECHANISMS = ["baseline", "watchdog", "pa", "aos", "pa+aos"]
 
 
+def ops_of(program) -> list:
+    """The program's opcodes, in order, from its ``ops`` column."""
+    return [Op(code) for code in program.ops]
+
+
+def op_histogram(program) -> Counter:
+    """Dynamic instruction counts per opcode."""
+    return Counter(ops_of(program))
+
+
+def heap_load_addresses(program, va_mask: int) -> list:
+    """The address operands, in order, of the loads whose target
+    (``address & va_mask``) is on the heap."""
+    return [
+        address
+        for op, address in zip(ops_of(program), program.addresses.tolist())
+        if op is Op.LOAD and 0x20000000 <= (address & va_mask) < (1 << 33)
+    ]
+
+
+def stg_count(program) -> int:
+    """The MTE colouring stores (``meta`` "stg")."""
+    store = Op.STORE.value
+    return sum(
+        1 for i, meta in program.meta if meta == "stg" and program.ops[i] == store
+    )
+
+
 @pytest.fixture(scope="module")
 def trace():
     return generate_trace(get_profile("povray"), instructions=15_000, seed=11)
@@ -36,7 +66,7 @@ class TestCommonProperties:
             assert low.mechanism == mech
 
     def test_baseline_has_no_instrumentation(self, lowered):
-        hist = lowered["baseline"].program.op_histogram()
+        hist = op_histogram(lowered["baseline"].program)
         for op in (Op.PACMA, Op.BNDSTR, Op.BNDCLR, Op.WCHK, Op.PACIA, Op.AUTDA):
             assert op not in hist
 
@@ -45,13 +75,9 @@ class TestCommonProperties:
         base = lower_trace(trace, "baseline")
         wd = lower_trace(trace, "watchdog")
 
-        def heap_loads(program):
-            return [
-                i.address for i in program
-                if i.op is Op.LOAD and 0x20000000 <= i.address < (1 << 33)
-            ][:200]
-
-        assert heap_loads(base.program)[:50] == heap_loads(wd.program)[:50]
+        every_bit = (1 << 64) - 1
+        base_loads = heap_load_addresses(base.program, every_bit)
+        assert base_loads[:50] == heap_load_addresses(wd.program, every_bit)[:50]
 
     def test_instruction_overhead_ordering(self, lowered):
         """Watchdog must add the most dynamic instructions (§I: +44%)."""
@@ -66,7 +92,7 @@ class TestAOSLowering:
     def test_fig7a_malloc_sequence(self, lowered):
         """malloc is followed by pacma then bndstr."""
         program = lowered["aos"].program
-        ops = [inst.op for inst in program]
+        ops = ops_of(program)
         pacma_sites = [
             i for i, op in enumerate(ops[:-1])
             if op is Op.PACMA and ops[i + 1] is Op.BNDSTR
@@ -76,7 +102,7 @@ class TestAOSLowering:
     def test_fig7b_free_sequence(self, lowered):
         """free is bndclr ; xpacm ; (allocator) ; pacma."""
         program = lowered["aos"].program
-        ops = [inst.op for inst in program]
+        ops = ops_of(program)
         for i, op in enumerate(ops):
             if op is Op.BNDCLR:
                 assert ops[i + 1] is Op.XPACM
@@ -89,11 +115,8 @@ class TestAOSLowering:
     def test_heap_accesses_signed(self, lowered):
         low = lowered["aos"]
         va_mask = low.pointer_layout.va_mask
-        heap_loads = [
-            i for i in low.program
-            if i.op is Op.LOAD and 0x20000000 <= (i.address & va_mask) < (1 << 33)
-        ]
-        signed = [i for i in heap_loads if i.address > va_mask]
+        heap_loads = heap_load_addresses(low.program, va_mask)
+        signed = [address for address in heap_loads if address > va_mask]
         assert len(signed) / len(heap_loads) > 0.95
 
     def test_hbt_prewarmed_with_preamble(self, lowered, trace):
@@ -111,17 +134,17 @@ class TestAOSLowering:
         assert low.pointer_layout.pac_bits == 16 - 3  # scale 8
 
     def test_pa_aos_adds_autm_and_pacia(self, lowered):
-        hist = lowered["pa+aos"].program.op_histogram()
+        hist = op_histogram(lowered["pa+aos"].program)
         assert hist.get(Op.AUTM, 0) > 0
         assert hist.get(Op.PACIA, 0) > 0
-        aos_hist = lowered["aos"].program.op_histogram()
+        aos_hist = op_histogram(lowered["aos"].program)
         assert Op.AUTM not in aos_hist
 
 
 class TestWatchdogLowering:
     def test_wchk_before_heap_accesses(self, lowered):
         program = lowered["watchdog"].program
-        ops = [inst.op for inst in program]
+        ops = ops_of(program)
         wchk = sum(1 for op in ops if op is Op.WCHK)
         assert wchk > 0
         # Every heap access is preceded by a check µop.
@@ -130,23 +153,23 @@ class TestWatchdogLowering:
                 assert ops[i + 1] in (Op.LOAD, Op.STORE)
 
     def test_wmeta_propagation_instructions(self, lowered):
-        hist = lowered["watchdog"].program.op_histogram()
+        hist = op_histogram(lowered["watchdog"].program)
         assert hist.get(Op.WMETA, 0) > 0
 
 
 class TestPALowering:
     def test_call_ret_signing(self, lowered):
-        hist = lowered["pa"].program.op_histogram()
+        hist = op_histogram(lowered["pa"].program)
         assert hist.get(Op.PACIA, 0) > 0
         assert hist.get(Op.AUTIA, 0) > 0
 
     def test_data_pointer_signing(self, lowered):
-        hist = lowered["pa"].program.op_histogram()
+        hist = op_histogram(lowered["pa"].program)
         assert hist.get(Op.AUTDA, 0) > 0
         assert hist.get(Op.PACDA, 0) > 0
 
     def test_no_bounds_ops(self, lowered):
-        hist = lowered["pa"].program.op_histogram()
+        hist = op_histogram(lowered["pa"].program)
         assert Op.BNDSTR not in hist
 
 
@@ -156,14 +179,13 @@ class TestMTELowering:
         base = lower_trace(trace, "baseline")
         # MTE adds IRG + STG colouring around allocation events only.
         assert len(low.program) > len(base.program)
-        stg = [i for i in low.program if i.op is Op.STORE and i.meta == "stg"]
         mallocs = np.count_nonzero(trace.tags == TAG_MALLOC)
-        assert len(stg) >= mallocs  # at least one colouring store per malloc
+        assert stg_count(low.program) >= mallocs  # one colouring store per malloc
 
     def test_no_per_access_instrumentation(self, trace):
         """Tag checks travel with the access: no extra per-access µops."""
         low = lower_trace(trace, "mte")
-        hist = low.program.op_histogram()
+        hist = op_histogram(low.program)
         assert Op.WCHK not in hist
         assert Op.BNDSTR not in hist
 
@@ -181,9 +203,7 @@ class TestMTELowering:
         small = lower_trace(
             generate_trace(small_profile, instructions=10_000, seed=2), "mte"
         )
-        big_stg = sum(1 for i in big.program if i.meta == "stg")
-        small_stg = sum(1 for i in small.program if i.meta == "stg")
-        assert big_stg > small_stg * 4
+        assert stg_count(big.program) > stg_count(small.program) * 4
 
 
 def test_unknown_mechanism(trace):

@@ -69,12 +69,12 @@ class TestRepeatability:
         assert a.hbt_resizes == b.hbt_resizes
 
     def test_plain_program_accepted(self):
-        from repro.isa.instructions import Instruction, Op
-        from repro.isa.program import Program
+        from repro.isa.instructions import Op
+        from repro.isa.program import ProgramBuilder
 
-        program = Program(
-            instructions=tuple(Instruction(op=Op.ALU) for _ in range(100)),
-            name="bare",
-        )
+        builder = ProgramBuilder("bare")
+        for _ in range(100):
+            builder.emit_op(Op.ALU)
+        program = builder.build()
         result = Simulator(scaled_config("baseline", 1)).run(program)
         assert result.instructions == 100

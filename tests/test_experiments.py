@@ -98,14 +98,16 @@ class TestFig16:
             Op.XPACM,
         }
         want = dict.fromkeys(CATEGORIES, 0)
-        for inst in lowered.program:
-            if inst.op in (Op.LOAD, Op.STORE):
-                kind = "Load" if inst.op is Op.LOAD else "Store"
-                signed = "Signed" if inst.address > va_mask else "Unsigned"
+        program = lowered.program
+        for code, address in zip(program.ops, program.addresses.tolist()):
+            op = Op(code)
+            if op in (Op.LOAD, Op.STORE):
+                kind = "Load" if op is Op.LOAD else "Store"
+                signed = "Signed" if address > va_mask else "Unsigned"
                 want[signed + kind] += 1
-            elif inst.op in (Op.BNDSTR, Op.BNDCLR):
+            elif op in (Op.BNDSTR, Op.BNDCLR):
                 want["bndstr/bndclr"] += 1
-            elif inst.op in pac_ops:
+            elif op in pac_ops:
                 want["pac*/aut*/xpac*"] += 1
         mix = instruction_mix(lowered)
         assert mix == {"counts": want, "instructions": len(lowered.program)}

@@ -129,7 +129,7 @@ class TestRESTLoweringUnits:
 
         trace = suite.trace("povray")
         lowered = RESTLowering(trace, suite.config_for("rest")).lower()
-        tokens = [i for i in lowered.program if i.meta == "token"]
+        tokens = [i for i, meta in lowered.program.meta if meta == "token"]
         mallocs = np.count_nonzero(trace.tags == TAG_MALLOC)
         assert len(tokens) >= 2 * mallocs  # two redzones per allocation
 

@@ -1,11 +1,12 @@
 """Golden pin of every lowered program.
 
 One sha256 per (workload profile, timed mechanism) over what a lowering
-hands the simulator: the instruction stream (``repr`` of the
-``Instruction`` view), the pointer layout, the trace event count and the
-pre-warmed HBT (rows, ways and stats).  REST is pinned twice: with its
-quarantine pool (the registered mechanism) and without it (the
-unregistered ``rest-noq`` lowering token of ``ablation_quarantine``).
+hands the simulator: the instruction stream (:func:`program_repr`, the
+canonical text the fixtures were recorded over), the pointer layout, the
+trace event count and the pre-warmed HBT (rows, ways and stats).  REST
+is pinned twice: with its quarantine pool (the registered mechanism) and
+without it (the unregistered ``rest-noq`` lowering token of
+``ablation_quarantine``).
 Any change to what a lowering emits shows up here as a named (workload,
 mechanism) row.
 
@@ -47,9 +48,38 @@ WIDE_WORKLOADS = ("gcc", "omnetpp", "sphinx3", "hmmer")
 WIDE_MECHANISMS = ("baseline", "watchdog", "pa", "aos", "pa+aos", "rest", "mte", "cryptsan")
 
 
+def program_repr(program) -> str:
+    """The program's canonical text: one ``Instruction(...)`` record per
+    instruction, in the form of the frozen instruction dataclass the
+    programs used to be viewed as, rebuilt from the columns.  A lowering
+    sets no latency override, and only a branch can be mispredicted, so
+    ``latency`` is 0 and ``mispredicted`` reads the dispatch kind."""
+    from repro.isa.instructions import Op
+    from repro.isa.program import KIND_BRANCH_MISS
+
+    op_reprs = {op.value: repr(op) for op in Op}
+    meta = dict(program.meta)
+    offsets = program.dep_offsets.tolist()
+    distances = program.dep_distances.tolist()
+    records = [
+        f"Instruction(op={op_reprs[code]}, address={address}, size={size}, "
+        f"deps={tuple(distances[offsets[i] : offsets[i + 1]])!r}, latency=0, "
+        f"mispredicted={kind == KIND_BRANCH_MISS}, meta={meta.get(i)!r})"
+        for i, (code, kind, address, size) in enumerate(
+            zip(
+                program.ops,
+                program.kinds,
+                program.addresses.tolist(),
+                program.sizes.tolist(),
+            )
+        )
+    ]
+    return "(" + ", ".join(records) + ("," if len(records) == 1 else "") + ")"
+
+
 def _digest(lowered) -> str:
     parts = [
-        repr(lowered.program.instructions),
+        program_repr(lowered.program),
         repr(lowered.pointer_layout),
         repr(lowered.trace_events),
     ]

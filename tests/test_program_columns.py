@@ -3,15 +3,15 @@
 A program holds one typed column per instruction field — ``uint64``
 addresses and sizes, ``float64`` latencies, CSR dependencies — built by
 :class:`~repro.isa.program.ProgramBuilder` for hand-built streams (the
-lowering passes assemble theirs in bulk) and read directly by the fast
-kernel.  Four things the kernel leans on:
+lowering passes assemble theirs in bulk) and read directly by both
+kernels.  Four things the kernels lean on:
 
 - **correctness**: for any program built through ``ProgramBuilder``, the
-  columns agree with the ``Instruction`` view (dispatch codes, addresses,
-  resolved latencies, deps, sizes), and the view is the emitted stream;
+  columns agree with the emitted stream (opcodes, dispatch codes,
+  addresses, resolved latencies, deps, sizes, meta);
 - **one column set per program**: the columns are built once, every run
-  of a program reads that one set, and the fast kernel never builds the
-  ``Instruction`` view;
+  of a program reads that one set, and no other copy of the program is
+  built;
 - **immutability**: every column is ``bytes``, a tuple or a read-only
   array, so a buggy consumer raises instead of corrupting a later run;
 - **range**: an address or size outside 0..2**64-1 is refused when the
@@ -31,7 +31,7 @@ from repro.compiler import lower_trace
 from repro.cpu.core import Simulator
 from repro.errors import SimulationError
 from repro.experiments.common import scaled_config
-from repro.isa.instructions import DEFAULT_LATENCY, Instruction, Op
+from repro.isa.instructions import DEFAULT_LATENCY, Op
 from repro.isa.program import (
     KIND_BNDCLR,
     KIND_BNDSTR,
@@ -53,25 +53,24 @@ _OPS = st.sampled_from([
 _ADDRESSES = st.integers(min_value=0, max_value=(1 << 64) - 1)
 _DEPS = st.lists(st.integers(min_value=1, max_value=64), max_size=3).map(tuple)
 
-_instruction = st.builds(
-    Instruction,
-    op=_OPS,
-    address=_ADDRESSES,
-    size=st.integers(min_value=1, max_value=512),
-    deps=_DEPS,
-    latency=st.integers(min_value=0, max_value=30),
-    mispredicted=st.booleans(),
-    meta=st.sampled_from([None, "token", "stg"]),
+#: One instruction: the keyword arguments of ``ProgramBuilder.emit_op``.
+_instruction = st.fixed_dictionaries(
+    dict(
+        op=_OPS,
+        address=_ADDRESSES,
+        size=st.integers(min_value=1, max_value=512),
+        deps=_DEPS,
+        latency=st.integers(min_value=0, max_value=30),
+        mispredicted=st.booleans(),
+        meta=st.sampled_from([None, "token", "stg"]),
+    )
 )
 
 
-def _build(instructions) -> Program:
-    builder = ProgramBuilder("fuzz")
-    for inst in instructions:
-        builder.emit_op(
-            inst.op, inst.address, inst.size, inst.deps, inst.latency,
-            inst.mispredicted, inst.meta,
-        )
+def _build(instructions, name="fuzz") -> Program:
+    builder = ProgramBuilder(name)
+    for fields in instructions:
+        builder.emit_op(**fields)
     return builder.build()
 
 
@@ -90,23 +89,27 @@ _EXPECTED_KIND = {
 @settings(max_examples=80, deadline=None)
 def test_columns_agree_with_instructions(emitted):
     program = _build(emitted)
-    assert program.instructions == tuple(emitted)
     assert len(program) == len(emitted)
+    assert program.ops == bytes(inst["op"].value for inst in emitted)
+    assert program.meta == tuple(
+        (i, inst["meta"]) for i, inst in enumerate(emitted) if inst["meta"] is not None
+    )
     assert program.dep_offsets[0] == 0
     assert program.dep_offsets[-1] == len(program.dep_distances)
     for i, inst in enumerate(emitted):
-        if inst.op is Op.BRANCH:
-            expected = KIND_BRANCH_MISS if inst.mispredicted else KIND_OTHER
+        op = inst["op"]
+        if op is Op.BRANCH:
+            expected = KIND_BRANCH_MISS if inst["mispredicted"] else KIND_OTHER
         else:
-            expected = _EXPECTED_KIND.get(inst.op, KIND_OTHER)
+            expected = _EXPECTED_KIND.get(op, KIND_OTHER)
         assert program.kinds[i] == expected
-        assert program.addresses[i] == inst.address
+        assert program.addresses[i] == inst["address"]
         deps = program.dep_distances[program.dep_offsets[i] : program.dep_offsets[i + 1]]
-        assert tuple(deps.tolist()) == inst.deps
-        assert program.sizes[i] == inst.size
+        assert tuple(deps.tolist()) == inst["deps"]
+        assert program.sizes[i] == inst["size"]
         if expected in (KIND_BNDSTR, KIND_BNDCLR, KIND_BRANCH_MISS, KIND_OTHER):
-            # Same resolution the reference loop's else-branch performs.
-            want = float(inst.latency or DEFAULT_LATENCY[inst.op])
+            # The fixed-latency kinds: the override, else the op's default.
+            want = float(inst["latency"] or DEFAULT_LATENCY[op])
         else:
             want = 0.0  # the memory system decides, or a zero-cost marker
         assert program.latencies[i] == want
@@ -133,29 +136,31 @@ def test_columns_are_typed_buffers():
 
 
 def test_one_column_set_per_program():
-    """Every run reads the program's one column set; the fast kernel never
-    builds the ``Instruction`` view, and the view is built once."""
-    program = Program(
-        [Instruction(op=Op.LOAD, address=64 * i) for i in range(50)], name="one"
-    )
-    columns = [getattr(program, f.name) for f in dataclasses.fields(program)]
-    simulator = Simulator(scaled_config("baseline", 1))
-    first, second = simulator.run(program), simulator.run(program)
-    assert first.cycles == second.cycles
-    assert "instructions" not in vars(program)
-    assert all(
-        getattr(program, f.name) is column
-        for f, column in zip(dataclasses.fields(program), columns)
-    )
-    assert program.instructions is program.instructions
+    """A program is its columns and nothing else (no per-instruction object
+    view), and every run, on either kernel, reads that one column set and
+    adds nothing to the program."""
+    program = _build([dict(op=Op.LOAD, address=64 * i) for i in range(50)], "one")
+    fields = ["kinds", "addresses", "latencies", "dep_offsets", "dep_distances"]
+    fields += ["sizes", "ops", "meta", "name"]
+    assert [f.name for f in dataclasses.fields(program)] == fields
+    columns = [getattr(program, name) for name in fields]
+    config = scaled_config("baseline", 1)
+    runs = [Simulator(config).run(program) for _ in range(2)]
+    runs.append(Simulator(config, kernel="reference").run(program))
+    assert len({run.cycles for run in runs}) == 1
+    assert sorted(vars(program)) == sorted(fields)
+    assert all(getattr(program, n) is c for n, c in zip(fields, columns))
 
 
 def test_distinct_programs_hold_distinct_views():
-    instructions = (Instruction(op=Op.LOAD, address=64),)
-    a, b = Program(instructions, name="a"), Program(instructions, name="b")
+    """Two programs of one stream hold equal columns in separate buffers."""
+    stream = [dict(op=Op.LOAD, address=64, deps=(1,))]
+    a, b = _build(stream, "a"), _build(stream, "b")
     assert a.kinds == b.kinds
-    assert a.instructions == b.instructions
-    assert a.instructions is not b.instructions
+    for name in ("addresses", "latencies", "dep_offsets", "dep_distances", "sizes"):
+        column_a, column_b = getattr(a, name), getattr(b, name)
+        assert np.array_equal(column_a, column_b), name
+        assert not np.shares_memory(column_a, column_b), name
 
 
 # --------------------------------------------------------------- immutability
@@ -187,9 +192,10 @@ def test_columns_are_immutable():
 def test_out_of_range_values_are_refused_when_built(field, value):
     """A 64-bit column cannot hold the value: building the program raises
     SimulationError naming the instruction, instead of wrapping."""
-    instructions = [Instruction(Op.LOAD, 64), Instruction(Op.STORE, 128)]
-    instructions.append(Instruction(Op.LOAD, **{field: value}))
+    instructions = [dict(op=Op.LOAD, address=64), dict(op=Op.STORE, address=128)]
+    instructions.append({"op": Op.LOAD, field: value})
     with pytest.raises(SimulationError, match=f"instruction 2: {field} {value}"):
-        Program(instructions, name="wide")
-    top = Instruction(Op.LOAD, **{field: (1 << 64) - 1})
-    assert getattr(Program([top]).instructions[0], field) == (1 << 64) - 1
+        _build(instructions, "wide")
+    top = _build([{"op": Op.LOAD, field: (1 << 64) - 1}])
+    column = {"address": top.addresses, "size": top.sizes}[field]
+    assert column.tolist() == [(1 << 64) - 1]
